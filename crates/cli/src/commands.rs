@@ -54,7 +54,7 @@ common options:
   --alphabet A       alphabet size (default 4)
   --top K            how many anomalies/discords to report (default 3)
   --width N          plot width in characters (default 100)
-  --trace            print a per-stage timing/counter table to stderr
+  --trace            print the span timing/counter table to stderr
                      (density/rra/explain/demo)
   --metrics PATH     append the run's trace as one JSONL record to PATH
   --events PATH      append per-decision search events as JSONL to PATH
@@ -164,7 +164,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         Some("demo") => demo(&args),
         Some("bench") => bench(&args),
         Some("help") | None => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         Some(other) => Err(format!("unknown command {other:?}\n{USAGE}")),
@@ -217,7 +217,10 @@ fn emit_trace(args: &Args, trace: &PipelineTrace) -> Result<(), String> {
     Ok(())
 }
 
-/// Labels a snapshot with the standard pipeline parameters.
+/// Labels a snapshot with the standard pipeline parameters. Parallel runs
+/// also record `threads`: their workers' `rra-inner` time is summed across
+/// threads and may exceed `rra-outer`'s wall time, which `validate_jsonl`
+/// only forgives when the record says so.
 fn pipeline_trace(
     rec: &CollectingRecorder,
     label: &str,
@@ -225,12 +228,17 @@ fn pipeline_trace(
     points: usize,
     k: usize,
 ) -> PipelineTrace {
-    rec.snapshot(label)
+    let trace = rec
+        .snapshot(label)
         .with_param("points", points as u64)
         .with_param("window", p.config().window() as u64)
         .with_param("paa", p.config().paa() as u64)
         .with_param("alphabet", p.config().alphabet() as u64)
-        .with_param("top", k as u64)
+        .with_param("top", k as u64);
+    match p.engine().threads() {
+        1 => trace,
+        threads => trace.with_param("threads", threads as u64),
+    }
 }
 
 /// The ledger fingerprint parameters shared by the batch detectors.
@@ -372,16 +380,16 @@ fn density(args: &Args) -> Result<(), String> {
             watch.map(|w| w.elapsed_ns()).unwrap_or(0),
         )?;
     }
-    println!("series: {} ({} points)", series.name(), series.len());
-    println!("signal : {}", viz::sparkline(series.values(), width));
-    println!("density: {}", viz::density_strip(&report.curve, width));
+    outln!("series: {} ({} points)", series.name(), series.len());
+    outln!("signal : {}", viz::sparkline(series.values(), width));
+    outln!("density: {}", viz::density_strip(&report.curve, width));
     let intervals: Vec<Interval> = report.anomalies.iter().map(|a| a.interval).collect();
-    println!(
+    outln!(
         "anomaly: {}",
         viz::marker_row(series.len(), &intervals, width)
     );
-    println!();
-    print!("{}", viz::density_table(&report));
+    outln!();
+    out!("{}", viz::density_table(&report));
     Ok(())
 }
 
@@ -419,18 +427,20 @@ fn rra(args: &Args) -> Result<(), String> {
             ));
         }
     }
-    println!("series: {} ({} points)", series.name(), series.len());
-    println!("signal : {}", viz::sparkline(series.values(), width));
+    outln!("series: {} ({} points)", series.name(), series.len());
+    outln!("signal : {}", viz::sparkline(series.values(), width));
     let intervals: Vec<Interval> = report.discords.iter().map(|d| d.interval()).collect();
-    println!(
+    outln!(
         "discord: {}",
         viz::marker_row(series.len(), &intervals, width)
     );
-    println!();
-    print!("{}", viz::rra_table(&report));
-    println!(
+    outln!();
+    out!("{}", viz::rra_table(&report));
+    outln!(
         "\n{} candidates, {} distance calls ({} abandoned early)",
-        report.num_candidates, report.stats.distance_calls, report.stats.early_abandoned
+        report.num_candidates,
+        report.stats.distance_calls,
+        report.stats.early_abandoned
     );
     Ok(())
 }
@@ -458,8 +468,8 @@ fn explain(args: &Args) -> Result<(), String> {
         let n = append_jsonl_lines(path, lines)?;
         warn(format_args!("appended {n} JSONL lines to {path}"));
     }
-    println!("series: {} ({} points)", series.name(), series.len());
-    print!("{}", report.render_table());
+    outln!("series: {} ({} points)", series.name(), series.len());
+    out!("{}", report.render_table());
     Ok(())
 }
 
@@ -478,10 +488,10 @@ fn hotsax(args: &Args) -> Result<(), String> {
             &NoopRecorder,
         )
         .map_err(|e| e.to_string())?;
-    println!("series: {} ({} points)", series.name(), series.len());
-    println!("rank  position  length  nn-distance");
+    outln!("series: {} ({} points)", series.name(), series.len());
+    outln!("rank  position  length  nn-distance");
     for a in &report.anomalies {
-        println!(
+        outln!(
             "{:<5} {:<9} {:<7} {:.5}",
             a.rank,
             a.interval.start,
@@ -489,9 +499,10 @@ fn hotsax(args: &Args) -> Result<(), String> {
             a.score
         );
     }
-    println!(
+    outln!(
         "\n{} distance calls ({} abandoned early)",
-        report.stats.distance_calls, report.stats.early_abandoned
+        report.stats.distance_calls,
+        report.stats.early_abandoned
     );
     Ok(())
 }
@@ -502,12 +513,12 @@ fn wcad(args: &Args) -> Result<(), String> {
     let k = args.usize_or("top", 3)?;
     let cfg = gva_core::wcad::WcadConfig::new(window);
     let scores = gva_core::wcad::wcad_scores(series.values(), &cfg).map_err(|e| e.to_string())?;
-    println!("series: {} ({} points)", series.name(), series.len());
-    println!("rank  interval            cdm");
+    outln!("series: {} ({} points)", series.name(), series.len());
+    outln!("rank  interval            cdm");
     for (i, s) in scores.iter().take(k).enumerate() {
-        println!("{:<5} {:<19} {:.4}", i, s.interval.to_string(), s.cdm);
+        outln!("{:<5} {:<19} {:.4}", i, s.interval.to_string(), s.cdm);
     }
-    println!(
+    outln!(
         "\nnote: WCAD re-runs the compressor once per window and needs the window\n\
          to match the anomaly length — the limitations §6 of the paper discusses."
     );
@@ -520,8 +531,8 @@ fn motifs_cmd(args: &Args) -> Result<(), String> {
     let k = args.usize_or("top", 5)?;
     let model = p.model(series.values()).map_err(|e| e.to_string())?;
     let motifs = gva_core::motifs(&model, k);
-    println!("series: {} ({} points)", series.name(), series.len());
-    println!("rank  rule   count  mean-len  min..max   period(sd)  first occurrences");
+    outln!("series: {} ({} points)", series.name(), series.len());
+    outln!("rank  rule   count  mean-len  min..max   period(sd)  first occurrences");
     for (i, m) in motifs.iter().enumerate() {
         let first: Vec<String> = m
             .occurrences
@@ -533,7 +544,7 @@ fn motifs_cmd(args: &Args) -> Result<(), String> {
             .periodicity()
             .map(|(mean, sd)| format!("{mean:.0}({sd:.0})"))
             .unwrap_or_else(|| "-".into());
-        println!(
+        outln!(
             "{:<5} {:<6} {:<6} {:<9.1} {:>4}..{:<5} {:<11} {}",
             i,
             m.rule.to_string(),
@@ -555,7 +566,7 @@ fn dot(args: &Args) -> Result<(), String> {
     let model = p.model(series.values()).map_err(|e| e.to_string())?;
     let dot = gv_sequitur::to_dot(&model.grammar);
     std::fs::write(out, &dot).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "wrote {} rules to {out} (render with `dot -Tsvg {out} -o grammar.svg`)",
         model.grammar.num_rules()
     );
@@ -572,7 +583,7 @@ fn export(args: &Args) -> Result<(), String> {
     let density: Vec<f64> = report.curve.iter().map(|&d| d as f64).collect();
     gv_timeseries::write_csv_columns(out, &["value", "density"], &[series.values(), &density])
         .map_err(|e| e.to_string())?;
-    println!("wrote {} rows to {out}", series.len());
+    outln!("wrote {} rows to {out}", series.len());
     Ok(())
 }
 
@@ -582,15 +593,15 @@ fn grammar(args: &Args) -> Result<(), String> {
     let limit = args.usize_or("limit", 20)?;
     let model = p.model(series.values()).map_err(|e| e.to_string())?;
     let counts = model.grammar.occurrence_counts();
-    println!(
+    outln!(
         "{} tokens, {} rules, grammar size {}",
         model.num_tokens(),
         model.grammar.num_rules(),
         model.grammar.grammar_size()
     );
-    println!("rule   uses  occurrences  expansion-len");
+    outln!("rule   uses  occurrences  expansion-len");
     for rule in model.grammar.rules().take(limit + 1) {
-        println!(
+        outln!(
             "{:<6} {:<5} {:<12} {}",
             rule.id.to_string(),
             rule.rule_uses,
@@ -616,7 +627,7 @@ fn stream(args: &Args) -> Result<(), String> {
     let mut det = gva_core::StreamingDetector::new(config)
         .with_horizon(horizon)
         .metrics_every(metrics_every);
-    println!(
+    outln!(
         "streaming {} points (W={window} P={paa} A={alphabet}, \
          alert threshold {threshold}, maturity {maturity}{})",
         series.len(),
@@ -632,16 +643,16 @@ fn stream(args: &Args) -> Result<(), String> {
         if (i + 1) % check_every == 0 || i + 1 == series.len() {
             for alert in det.alerts(threshold, maturity) {
                 if !reported.iter().any(|r| r.overlaps(&alert)) {
-                    println!("  t={:<8} ALERT {} (len {})", i + 1, alert, alert.len());
+                    outln!("  t={:<8} ALERT {} (len {})", i + 1, alert, alert.len());
                     reported.push(alert);
                 }
             }
         }
     }
     if reported.is_empty() {
-        println!("  no alerts (threshold {threshold})");
+        outln!("  no alerts (threshold {threshold})");
     } else {
-        println!("{} alert region(s) in total", reported.len());
+        outln!("{} alert region(s) in total", reported.len());
     }
     if metrics_every > 0 {
         // Terminal flush: without it the final partial window (up to
@@ -742,7 +753,7 @@ fn monitor(args: &Args) -> Result<(), String> {
         }
         None => {
             for line in &lines {
-                println!("{line}");
+                outln!("{line}");
             }
         }
     }
@@ -790,7 +801,7 @@ fn check(args: &Args) -> Result<(), String> {
     // verifying a series.
     if let Some(path) = args.get("ledger") {
         let report = gv_check::ledger::verify_ledger(std::path::Path::new(path))?;
-        print!("{}", report.render());
+        out!("{}", report.render());
         return if report.passed() {
             Ok(())
         } else {
@@ -809,14 +820,14 @@ fn check(args: &Args) -> Result<(), String> {
     let config = PipelineConfig::new(window, paa, alphabet).map_err(|e| e.to_string())?;
     let report =
         gv_check::check_series(series.values(), &config, k, threads).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "series: {} ({} points, W={window} P={paa} A={alphabet}, top {k}, {threads} thread(s))",
         series.name(),
         series.len()
     );
-    print!("{}", report.render());
+    out!("{}", report.render());
     if report.passed() {
-        println!("all invariants hold");
+        outln!("all invariants hold");
         Ok(())
     } else {
         Err(format!(
@@ -866,8 +877,8 @@ fn lint(args: &Args) -> Result<(), String> {
         }
     }
     match args.get("format").unwrap_or("text") {
-        "text" => print!("{}", gv_lint::report::render(&report)),
-        "sarif" => print!("{}", gv_lint::sarif::render(&report)),
+        "text" => out!("{}", gv_lint::report::render(&report)),
+        "sarif" => out!("{}", gv_lint::sarif::render(&report)),
         other => return Err(format!("unknown --format {other:?} (expected text|sarif)")),
     }
     if report.is_clean() {
@@ -897,14 +908,14 @@ fn demo(args: &Args) -> Result<(), String> {
     let p = AnomalyPipeline::new(config).with_engine(engine_for(args)?);
     let values = data.series.values();
 
-    println!(
+    outln!(
         "dataset: {} ({} points, W={window} P={paa} A={alphabet})",
         data.series.name(),
         values.len()
     );
     let truth: Vec<Interval> = data.anomalies.iter().map(|a| a.interval).collect();
-    println!("signal : {}", viz::sparkline(values, width));
-    println!("truth  : {}", viz::marker_row(values.len(), &truth, width));
+    outln!("signal : {}", viz::sparkline(values, width));
+    outln!("truth  : {}", viz::marker_row(values.len(), &truth, width));
 
     let recorder = recorder_for(args);
     let density = match &recorder {
@@ -912,9 +923,9 @@ fn demo(args: &Args) -> Result<(), String> {
         None => p.density_anomalies(values, k),
     }
     .map_err(|e| e.to_string())?;
-    println!("density: {}", viz::density_strip(&density.curve, width));
+    outln!("density: {}", viz::density_strip(&density.curve, width));
     let d_iv: Vec<Interval> = density.anomalies.iter().map(|a| a.interval).collect();
-    println!("d-hits : {}", viz::marker_row(values.len(), &d_iv, width));
+    outln!("d-hits : {}", viz::marker_row(values.len(), &d_iv, width));
 
     let rra = match &recorder {
         Some(rec) => p.rra_discords_with(values, k, rec),
@@ -926,17 +937,18 @@ fn demo(args: &Args) -> Result<(), String> {
         emit_trace(args, &pipeline_trace(rec, &label, &p, values.len(), k))?;
     }
     let r_iv: Vec<Interval> = rra.discords.iter().map(|d| d.interval()).collect();
-    println!("rra    : {}", viz::marker_row(values.len(), &r_iv, width));
-    println!();
-    println!("ground truth:");
+    outln!("rra    : {}", viz::marker_row(values.len(), &r_iv, width));
+    outln!();
+    outln!("ground truth:");
     for a in &data.anomalies {
-        println!("  {} — {}", a.interval, a.label);
+        outln!("  {} — {}", a.interval, a.label);
     }
-    println!("\ndensity anomalies:\n{}", viz::density_table(&density));
-    println!("RRA discords:\n{}", viz::rra_table(&rra));
-    println!(
+    outln!("\ndensity anomalies:\n{}", viz::density_table(&density));
+    outln!("RRA discords:\n{}", viz::rra_table(&rra));
+    outln!(
         "RRA cost: {} distance calls over {} candidates",
-        rra.stats.distance_calls, rra.num_candidates
+        rra.stats.distance_calls,
+        rra.num_candidates
     );
     Ok(())
 }
@@ -975,7 +987,7 @@ fn bench(args: &Args) -> Result<(), String> {
                 let run = workload::run_workload(name, reps)?;
                 let index = history::next_run_index(&existing, name);
                 history::append(path, &run.to_records(&sha, index))?;
-                println!(
+                outln!(
                     "{name}: warmup {:.2} ms, steady {:.2} ms (best of {}) -> {history_arg} (run {index}, {sha})",
                     run.warmup_ns as f64 / 1e6,
                     run.wall_ns as f64 / 1e6,
@@ -992,7 +1004,7 @@ fn bench(args: &Args) -> Result<(), String> {
             }
             if let Some(out) = args.get("collapsed") {
                 std::fs::write(out, collapsed).map_err(|e| format!("--collapsed {out}: {e}"))?;
-                println!("collapsed stacks -> {out}");
+                outln!("collapsed stacks -> {out}");
             }
             Ok(())
         }
@@ -1001,10 +1013,10 @@ fn bench(args: &Args) -> Result<(), String> {
             let records = history::load(std::path::Path::new(path))?;
             let report = diff::diff_history(&records)?;
             for (workload, prev, cur) in &report.compared {
-                println!("{workload}: run {prev} -> run {cur}");
+                outln!("{workload}: run {prev} -> run {cur}");
             }
             if report.is_clean() {
-                println!("bench diff: clean ({} workload(s))", report.compared.len());
+                outln!("bench diff: clean ({} workload(s))", report.compared.len());
                 Ok(())
             } else {
                 for r in &report.regressions {
@@ -1018,7 +1030,7 @@ fn bench(args: &Args) -> Result<(), String> {
         }
         Some("list") => {
             for name in workload::WORKLOADS {
-                println!("{name}");
+                outln!("{name}");
             }
             Ok(())
         }

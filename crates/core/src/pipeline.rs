@@ -234,7 +234,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_matches_plain_and_fills_every_stage() {
-        use gv_obs::{Counter, LocalRecorder, Stage};
+        use gv_obs::{Counter, LocalRecorder};
         let v = planted_series();
         // Pin to one thread: ranked discords are thread-count-invariant but
         // the cost counters compared below are not.
@@ -270,14 +270,16 @@ mod tests {
             instrumented.stats.candidates_completed
         );
 
-        // Every pipeline stage saw the clock.
-        for stage in [
-            Stage::Discretize,
-            Stage::Intern,
-            Stage::Induce,
-            Stage::RraOuter,
+        // Every pipeline stage saw the clock, once, under the detect root.
+        let tree = rec.span_tree();
+        for path in [
+            "detect;discretize",
+            "detect;intern",
+            "detect;induce",
+            "detect;rra-outer",
         ] {
-            assert!(rec.stage_nanos(stage) > 0, "{stage:?} not timed");
+            let span = tree.get(path).unwrap_or_else(|| panic!("{path} not timed"));
+            assert!(span.total_ns > 0 && span.count == 1, "{path}");
         }
         // Sliding-window accounting adds up.
         assert_eq!(rec.counter(Counter::WindowsProcessed), 3000 - 100 + 1);
@@ -294,6 +296,6 @@ mod tests {
         let d2 = p.density_anomalies_with(&v, 1, &drec).unwrap();
         assert_eq!(d1.curve, d2.curve);
         assert_eq!(d1.anomalies.len(), d2.anomalies.len());
-        assert!(drec.stage_nanos(Stage::Density) > 0);
+        assert!(drec.span_tree().get("detect;density").unwrap().total_ns > 0);
     }
 }

@@ -389,7 +389,7 @@ fn scan_candidate<F: Fn() -> f64>(
 
     let mut nearest = f64::INFINITY;
     let mut pruned = false;
-    let inner_timer = SpanTimer::start_at(timing, inner_span, Stage::RraInner);
+    let inner_timer = SpanTimer::start_at(timing, inner_span);
 
     // Inner phase 1: same-rule siblings.
     if options.siblings_first {

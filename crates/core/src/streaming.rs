@@ -37,7 +37,7 @@
 
 use std::collections::VecDeque;
 
-use gv_obs::{time_stage, Counter, Event, EventKind, NoopRecorder, PipelineTrace, Recorder, Stage};
+use gv_obs::{Counter, Event, EventKind, NoopRecorder, PipelineTrace, Recorder, SpanTimer, Stage};
 use gv_sax::{
     symbols_mindist_is_zero, IncrementalDiscretizer, NumerosityReduction, SaxDictionary, SaxRecord,
     SaxWord,
@@ -180,7 +180,7 @@ impl StreamingDetector<NoopRecorder> {
 impl<R: Recorder> StreamingDetector<R> {
     /// A detector that publishes per-push counters
     /// ([`Counter::WindowsProcessed`], [`Counter::WordsEmitted`],
-    /// [`Counter::WordsDropped`]) and [`Stage::Density`] timings to
+    /// [`Counter::WordsDropped`]) and a root [`Stage::Density`] span to
     /// `recorder`. [`new`](StreamingDetector::new) is this with a
     /// [`NoopRecorder`].
     pub fn with_recorder(config: PipelineConfig, recorder: R) -> Self {
@@ -584,11 +584,11 @@ impl<R: Recorder> StreamingDetector<R> {
     /// the incrementally-maintained curve — the differential tests assert
     /// the two are bit-identical.
     pub fn density_curve(&self) -> Vec<i64> {
-        time_stage(&self.recorder, Stage::Density, || {
-            if self.horizon > 0 {
-                debug_assert!(!self.curve_dirty, "push always settles the curve");
-                return self.curve.as_slice().to_vec();
-            }
+        let timer = SpanTimer::start(&self.recorder, None, Stage::Density);
+        let curve = if self.horizon > 0 {
+            debug_assert!(!self.curve_dirty, "push always settles the curve");
+            self.curve.as_slice().to_vec()
+        } else {
             match self.model() {
                 Ok(model) => {
                     let mut cc = CoverageCounter::new(model.series_len);
@@ -599,7 +599,9 @@ impl<R: Recorder> StreamingDetector<R> {
                 }
                 Err(_) => Vec::new(),
             }
-        })
+        };
+        timer.finish(&self.recorder);
+        curve
     }
 
     /// The retained points, oldest first (the whole stream when
@@ -993,7 +995,10 @@ mod tests {
             rec.counter(Counter::WordsEmitted) + rec.counter(Counter::WordsDropped),
             rec.counter(Counter::WindowsProcessed)
         );
-        assert!(rec.stage_nanos(Stage::Density) > 0);
+        let density = rec.span_tree();
+        let density = density.get("density").unwrap();
+        assert_eq!(density.count, 1);
+        assert!(density.total_ns > 0);
     }
 
     // ------------------------------------------------------------------

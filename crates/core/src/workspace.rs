@@ -78,8 +78,6 @@ impl Workspace {
         parent: Option<SpanId>,
     ) -> Result<GrammarModel> {
         crate::engine::check_finite(values)?;
-        // The SAX discretizer times the flat Discretize stage itself, so
-        // the wrapper here lands on the span node only.
         let disc = SpanTimer::start(recorder, parent, Stage::Discretize);
         config.sax().discretize_into(
             values,
@@ -89,7 +87,7 @@ impl Workspace {
             &mut self.zbuf,
             &mut self.pbuf,
         )?;
-        disc.finish_span_only(recorder);
+        disc.finish(recorder);
         let records = std::mem::take(&mut self.records);
         let mut dictionary = std::mem::take(&mut self.dictionary);
         let tokens = &mut self.tokens;

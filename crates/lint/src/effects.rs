@@ -98,7 +98,8 @@ pub const NONDET_CALLS: &[&str] = &["thread_rng", "from_entropy"];
 pub const ALLOC_MACROS: &[&str] = &["vec", "format"];
 
 /// Macros that panic (the `assert!` family is here on purpose: in
-/// release library code an assert is a panic path like any other).
+/// release library code an assert is a panic path like any other;
+/// `print!`/`println!` panic when stdout is closed, e.g. `gv … | head`).
 pub const PANIC_MACROS: &[&str] = &[
     "panic",
     "unreachable",
@@ -107,6 +108,8 @@ pub const PANIC_MACROS: &[&str] = &[
     "assert",
     "assert_eq",
     "assert_ne",
+    "print",
+    "println",
 ];
 
 /// Unordered-iteration methods: nondeterministic *only* when the
@@ -187,6 +190,7 @@ mod tests {
         assert!(macro_effects("format").alloc);
         assert!(method_effects("unwrap", false).panic);
         assert!(macro_effects("panic").panic);
+        assert!(macro_effects("println").panic);
         assert!(index_effects().index_panic);
         assert!(path_effects("Instant", "now").nondet);
         assert!(method_effects("iter", true).nondet);

@@ -1,7 +1,7 @@
 //! `no-wall-clock-outside-obs`: timing flows through the `Recorder`.
 //!
 //! PR 1's zero-overhead contract holds because the obs layer owns every
-//! clock read — `time_stage`, `StageTimer`, `DetailTimer` all gate on
+//! clock read — `SpanTimer` and `DetailTimer` gate on
 //! `Recorder::enabled`/`detailed`, so a `NoopRecorder` pipeline never
 //! touches `Instant::now()`. A direct `Instant`/`SystemTime` use in a
 //! library crate bypasses that gate and silently re-times the hot path.
@@ -40,7 +40,7 @@ impl Rule for NoWallClockOutsideObs {
                     i,
                     format!(
                         "`{text}` outside the obs layer — route timing through \
-                         `Recorder` (`time_stage`, `StageTimer`, `DetailTimer`)"
+                         `Recorder` (`SpanTimer`, `DetailTimer`)"
                     ),
                 ));
             }

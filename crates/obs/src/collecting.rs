@@ -21,7 +21,7 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// An atomics-backed recorder behind an `Arc`: `Clone` hands out another
 /// handle to the same tallies, so the parallel sweep's worker threads (and
-/// any future async runners) can all feed one sink. All counter/timer
+/// any future async runners) can all feed one sink. All counter
 /// operations use relaxed ordering — counters are statistics, not
 /// synchronization.
 ///
@@ -38,7 +38,6 @@ pub struct CollectingRecorder {
 #[derive(Debug)]
 struct Inner {
     counters: [AtomicU64; Counter::COUNT],
-    stages: [AtomicU64; Stage::COUNT],
     histograms: Mutex<[Histogram; Metric::COUNT]>,
     events: Mutex<EventRing>,
     spans: Mutex<SpanSet>,
@@ -48,7 +47,6 @@ impl Default for Inner {
     fn default() -> Self {
         Self {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            stages: std::array::from_fn(|_| AtomicU64::new(0)),
             histograms: Mutex::new(std::array::from_fn(|_| Histogram::new())),
             events: Mutex::new(EventRing::new()),
             spans: Mutex::new(SpanSet::new()),
@@ -57,7 +55,7 @@ impl Default for Inner {
 }
 
 impl CollectingRecorder {
-    /// A recorder with all counters and timers at zero.
+    /// A recorder with all counters at zero and no spans.
     pub fn new() -> Self {
         Self::default()
     }
@@ -65,11 +63,6 @@ impl CollectingRecorder {
     /// Current value of one counter.
     pub fn counter(&self, counter: Counter) -> u64 {
         self.inner.counters[counter.index()].load(Ordering::Relaxed)
-    }
-
-    /// Accumulated nanoseconds for one stage.
-    pub fn stage_nanos(&self, stage: Stage) -> u64 {
-        self.inner.stages[stage.index()].load(Ordering::Relaxed)
     }
 
     /// A clone of one metric's histogram.
@@ -93,13 +86,10 @@ impl CollectingRecorder {
         relock(&self.inner.spans).snapshot()
     }
 
-    /// Resets every counter, timer, histogram, event, and span to zero.
+    /// Resets every counter, histogram, event, and span to zero.
     pub fn reset(&self) {
         for c in &self.inner.counters {
             c.store(0, Ordering::Relaxed);
-        }
-        for s in &self.inner.stages {
-            s.store(0, Ordering::Relaxed);
         }
         for h in relock(&self.inner.histograms).iter_mut() {
             *h = Histogram::new();
@@ -114,7 +104,6 @@ impl CollectingRecorder {
         PipelineTrace {
             label: label.into(),
             params: Vec::new(),
-            stage_nanos: std::array::from_fn(|i| self.inner.stages[i].load(Ordering::Relaxed)),
             counters: std::array::from_fn(|i| self.inner.counters[i].load(Ordering::Relaxed)),
             histograms: std::array::from_fn(|i| histograms[i].clone()),
             spans: self.span_tree(),
@@ -136,11 +125,6 @@ impl Recorder for CollectingRecorder {
     #[inline]
     fn update_max(&self, counter: Counter, value: u64) {
         self.inner.counters[counter.index()].fetch_max(value, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn record_duration(&self, stage: Stage, nanos: u64) {
-        self.inner.stages[stage.index()].fetch_add(nanos, Ordering::Relaxed);
     }
 
     #[inline]
@@ -221,10 +205,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_captures_stages_and_histograms() {
+    fn snapshot_captures_spans_and_histograms() {
         let rec = CollectingRecorder::new();
-        rec.record_duration(Stage::Discretize, 1_000);
-        rec.record_duration(Stage::Discretize, 500);
+        let disc = rec.span_id(None, Stage::Discretize).unwrap();
+        rec.record_span(disc, 1_000, 1);
+        rec.record_span(disc, 500, 1);
         let mut h = Histogram::new();
         h.record(10);
         h.record(20);
@@ -233,7 +218,7 @@ mod tests {
         assert_eq!(trace.stage_nanos(Stage::Discretize), 1_500);
         assert_eq!(trace.histogram(Metric::DistanceNanos).count(), 2);
         rec.reset();
-        assert_eq!(rec.stage_nanos(Stage::Discretize), 0);
+        assert!(rec.span_tree().is_empty());
         assert!(rec.histogram(Metric::DistanceNanos).is_empty());
     }
 }

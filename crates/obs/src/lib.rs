@@ -1,6 +1,6 @@
 //! # gv-obs — zero-overhead pipeline instrumentation
 //!
-//! Stage timers, hot-path counters, and JSONL trace export for the
+//! Span timers, hot-path counters, and JSONL trace export for the
 //! SAX → Sequitur → density/RRA anomaly pipeline.
 //!
 //! The crate is deliberately **std-only and dependency-free**: it sits
@@ -28,13 +28,17 @@
 //! (CLI `--metrics`, bench trajectory files).
 //!
 //! ```
-//! use gv_obs::{time_stage, Counter, LocalRecorder, Recorder, Stage};
+//! use gv_obs::{Counter, LocalRecorder, Recorder, SpanTimer, Stage};
 //!
 //! let rec = LocalRecorder::new();
-//! let sum: u64 = time_stage(&rec, Stage::Density, || (0..10u64).sum());
+//! let timer = SpanTimer::start(&rec, None, Stage::Density);
+//! let sum: u64 = (0..10u64).sum();
+//! timer.finish(&rec);
 //! rec.add(Counter::DistanceCalls, sum);
 //! let trace = rec.snapshot("example");
 //! assert_eq!(trace.counter(Counter::DistanceCalls), 45);
+//! assert_eq!(trace.spans.get("density").unwrap().count, 1);
+//! assert_eq!(trace.stage_nanos(Stage::Density), trace.total_nanos());
 //! assert!(trace.to_jsonl().contains("\"distance_calls\":45"));
 //! ```
 
@@ -50,10 +54,11 @@
 
 //! ## Level 3: hierarchical spans
 //!
-//! The flat per-stage sums answer *how long*; [`Span`]s answer *where*:
-//! stages form an explicit parent/child tree rooted at [`Stage::Detect`],
-//! with self-time derived structurally (parent total minus children
-//! totals). Nodes are keyed by `(parent, stage)` so the tree's shape is a
+//! [`Span`]s are the one stored timing. They answer *how long* (per-stage
+//! sums and the root total are derived from the tree at export) and
+//! *where*: stages form an explicit parent/child tree rooted at
+//! [`Stage::Detect`], with self-time derived structurally (parent total
+//! minus children totals). Nodes are keyed by `(parent, stage)` so the tree's shape is a
 //! function of the code path — per-worker subtrees merged under a stable
 //! key yield a [`SpanTree`] that is bit-identical across thread counts,
 //! the same contract the parallel RRA search honors for its ranks. The
@@ -104,9 +109,9 @@ pub use health::{HealthEngine, HealthReport, HealthRule, RuleOutcome, Verdict};
 pub use histogram::Histogram;
 pub use ledger::{digest_series, git_sha, Fingerprint, LedgerRecord};
 pub use local::LocalRecorder;
-pub use recorder::{time_stage, NoopRecorder, Recorder};
+pub use recorder::{NoopRecorder, Recorder};
 pub use span::{Span, SpanId, SpanSet, SpanTree};
 pub use stage::{Counter, Metric, Stage};
-pub use timer::{DetailTimer, SpanTimer, StageTimer, Stopwatch};
+pub use timer::{DetailTimer, SpanTimer, Stopwatch};
 pub use trace::{PipelineTrace, SCHEMA_VERSION};
 pub use window::{WindowStats, WindowedAggregator};

@@ -24,7 +24,6 @@ use std::cell::{Cell, Ref, RefCell};
 #[derive(Debug, Clone)]
 pub struct LocalRecorder {
     counters: [Cell<u64>; Counter::COUNT],
-    stages: [Cell<u64>; Stage::COUNT],
     histograms: RefCell<[Histogram; Metric::COUNT]>,
     events: RefCell<EventRing>,
     spans: RefCell<SpanSet>,
@@ -38,13 +37,13 @@ impl Default for LocalRecorder {
 }
 
 impl LocalRecorder {
-    /// A recorder with all counters and timers at zero and decision-level
+    /// A recorder with all counters at zero, no spans, and decision-level
     /// detail (histograms, events) enabled.
     pub fn new() -> Self {
         Self::with_detail(true)
     }
 
-    /// A recorder that keeps aggregate counters and stage timers but
+    /// A recorder that keeps aggregate counters and spans but
     /// ignores histograms and events (`detailed() == false`), so hot paths
     /// skip per-call clock reads and event construction.
     pub fn counters_only() -> Self {
@@ -54,7 +53,6 @@ impl LocalRecorder {
     fn with_detail(detailed: bool) -> Self {
         Self {
             counters: std::array::from_fn(|_| Cell::new(0)),
-            stages: std::array::from_fn(|_| Cell::new(0)),
             histograms: RefCell::new(std::array::from_fn(|_| Histogram::new())),
             events: RefCell::new(EventRing::new()),
             spans: RefCell::new(SpanSet::new()),
@@ -65,11 +63,6 @@ impl LocalRecorder {
     /// Current value of one counter.
     pub fn counter(&self, counter: Counter) -> u64 {
         self.counters[counter.index()].get()
-    }
-
-    /// Accumulated nanoseconds for one stage.
-    pub fn stage_nanos(&self, stage: Stage) -> u64 {
-        self.stages[stage.index()].get()
     }
 
     /// A clone of one metric's histogram.
@@ -93,13 +86,10 @@ impl LocalRecorder {
         self.spans.borrow().snapshot()
     }
 
-    /// Resets every counter, timer, histogram, event, and span to zero.
+    /// Resets every counter, histogram, event, and span to zero.
     pub fn reset(&self) {
         for c in &self.counters {
             c.set(0);
-        }
-        for s in &self.stages {
-            s.set(0);
         }
         for h in self.histograms.borrow_mut().iter_mut() {
             *h = Histogram::new();
@@ -109,7 +99,7 @@ impl LocalRecorder {
     }
 
     /// Folds this recorder's totals into another recorder — sums for
-    /// ordinary counters and durations, max for high-water marks, merges
+    /// ordinary counters, max for high-water marks, grafted spans, merges
     /// for histograms, replayed pushes for events. Used to publish a hot
     /// loop's local tallies to the caller's sink once, at the loop
     /// boundary.
@@ -134,12 +124,6 @@ impl LocalRecorder {
                 target.add(c, v);
             }
         }
-        for s in Stage::ALL {
-            let nanos = self.stage_nanos(s);
-            if nanos > 0 {
-                target.record_duration(s, nanos);
-            }
-        }
         target.merge_spans(&self.spans.borrow(), under);
         if target.detailed() {
             let histograms = self.histograms.borrow();
@@ -161,7 +145,6 @@ impl LocalRecorder {
         PipelineTrace {
             label: label.into(),
             params: Vec::new(),
-            stage_nanos: std::array::from_fn(|i| self.stages[i].get()),
             counters: std::array::from_fn(|i| self.counters[i].get()),
             histograms: std::array::from_fn(|i| histograms[i].clone()),
             spans: self.span_tree(),
@@ -185,12 +168,6 @@ impl Recorder for LocalRecorder {
     fn update_max(&self, counter: Counter, value: u64) {
         let cell = &self.counters[counter.index()];
         cell.set(cell.get().max(value));
-    }
-
-    #[inline]
-    fn record_duration(&self, stage: Stage, nanos: u64) {
-        let cell = &self.stages[stage.index()];
-        cell.set(cell.get() + nanos);
     }
 
     #[inline]
@@ -247,14 +224,10 @@ mod tests {
         rec.incr(Counter::DistanceCalls);
         rec.update_max(Counter::PeakDigramEntries, 5);
         rec.update_max(Counter::PeakDigramEntries, 3);
-        rec.record_duration(Stage::Induce, 100);
-        rec.record_duration(Stage::Induce, 50);
         assert_eq!(rec.counter(Counter::DistanceCalls), 3);
         assert_eq!(rec.counter(Counter::PeakDigramEntries), 5);
-        assert_eq!(rec.stage_nanos(Stage::Induce), 150);
         rec.reset();
         assert_eq!(rec.counter(Counter::DistanceCalls), 0);
-        assert_eq!(rec.stage_nanos(Stage::Induce), 0);
     }
 
     #[test]
@@ -262,14 +235,15 @@ mod tests {
         let a = LocalRecorder::new();
         a.add(Counter::DistanceCalls, 10);
         a.update_max(Counter::PeakDigramEntries, 7);
-        a.record_duration(Stage::RraInner, 500);
+        let inner = a.span_id(None, Stage::RraInner).unwrap();
+        a.record_span(inner, 500, 1);
         let b = LocalRecorder::new();
         b.add(Counter::DistanceCalls, 5);
         b.update_max(Counter::PeakDigramEntries, 9);
         a.merge_into(&b);
         assert_eq!(b.counter(Counter::DistanceCalls), 15);
         assert_eq!(b.counter(Counter::PeakDigramEntries), 9);
-        assert_eq!(b.stage_nanos(Stage::RraInner), 500);
+        assert_eq!(b.span_tree().get("rra-inner").unwrap().total_ns, 500);
     }
 
     #[test]

@@ -4,7 +4,6 @@ use crate::event::Event;
 use crate::histogram::Histogram;
 use crate::span::{SpanId, SpanSet};
 use crate::stage::{Counter, Metric, Stage};
-use std::time::Instant;
 
 /// A sink for pipeline instrumentation events.
 ///
@@ -27,10 +26,6 @@ pub trait Recorder {
 
     /// Raises a high-water-mark counter to at least `value`.
     fn update_max(&self, counter: Counter, value: u64);
-
-    /// Records `nanos` of wall-clock time spent in `stage` (accumulating
-    /// across multiple calls).
-    fn record_duration(&self, stage: Stage, nanos: u64);
 
     /// Whether decision-level detail (value histograms and events) should
     /// be recorded. Per-call timing on the distance hot path gates on
@@ -108,11 +103,6 @@ impl<R: Recorder + ?Sized> Recorder for &R {
     }
 
     #[inline]
-    fn record_duration(&self, stage: Stage, nanos: u64) {
-        (**self).record_duration(stage, nanos);
-    }
-
-    #[inline]
     fn detailed(&self) -> bool {
         (**self).detailed()
     }
@@ -165,9 +155,6 @@ impl Recorder for NoopRecorder {
     fn update_max(&self, _counter: Counter, _value: u64) {}
 
     #[inline(always)]
-    fn record_duration(&self, _stage: Stage, _nanos: u64) {}
-
-    #[inline(always)]
     fn detailed(&self) -> bool {
         false
     }
@@ -193,22 +180,6 @@ impl Recorder for NoopRecorder {
     fn merge_spans(&self, _spans: &SpanSet, _under: Option<SpanId>) {}
 }
 
-/// Runs `f`, attributing its wall-clock time to `stage`.
-///
-/// When the recorder is disabled this is a plain call — the clock is never
-/// read, so a `NoopRecorder` pipeline pays nothing for being timeable.
-#[inline]
-pub fn time_stage<R: Recorder, T>(recorder: &R, stage: Stage, f: impl FnOnce() -> T) -> T {
-    if recorder.enabled() {
-        let started = Instant::now();
-        let out = f();
-        recorder.record_duration(stage, started.elapsed().as_nanos() as u64);
-        out
-    } else {
-        f()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,25 +193,10 @@ mod tests {
         rec.add(Counter::DistanceCalls, 5);
         rec.incr(Counter::DistanceCalls);
         rec.update_max(Counter::PeakDigramEntries, 10);
-        rec.record_duration(Stage::Density, 1000);
         rec.record_value(crate::Metric::CandidateLen, 7);
         rec.record_event(crate::Event::new(crate::EventKind::Visited));
         rec.record_histogram(crate::Metric::AbandonPos, &crate::Histogram::new());
         assert_eq!(rec.span_id(None, Stage::Detect), None);
-        let out = time_stage(&rec, Stage::Induce, || 42);
-        assert_eq!(out, 42);
-    }
-
-    #[test]
-    fn time_stage_records_on_enabled_recorders() {
-        let rec = LocalRecorder::new();
-        let out = time_stage(&rec, Stage::Density, || {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            7
-        });
-        assert_eq!(out, 7);
-        assert!(rec.stage_nanos(Stage::Density) >= 1_000_000);
-        assert_eq!(rec.stage_nanos(Stage::Induce), 0);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Hierarchical spans: stages arranged in an explicit parent/child tree.
 //!
-//! The flat per-stage sums in [`PipelineTrace`](crate::PipelineTrace)
-//! answer "how long did discretization take in total"; spans answer
-//! "*where* did that time sit in the call structure" — with self-time
-//! derived structurally (parent total minus children totals) instead of
-//! eyeballed from the nesting conventions in
-//! [`Stage::nested_under`](crate::Stage::nested_under).
+//! The span tree is the only timing a recorder stores. It answers both
+//! "how long did discretization take in total" (the per-stage sum,
+//! [`SpanTree::stage_total_ns`]) and "*where* did that time sit in the
+//! call structure" — with self-time derived structurally (parent total
+//! minus children totals).
 //!
 //! The storage model mirrors the rest of the crate: recorders own a
 //! mutable [`SpanSet`] keyed by `(parent, stage)` — find-or-create, so
@@ -194,6 +193,17 @@ impl SpanTree {
         self.spans.iter().find(|s| s.path == path)
     }
 
+    /// Total nanoseconds of `stage`: the sum of `total_ns` over every
+    /// span of that stage, wherever it sits in the tree (the `stages_ns`
+    /// export). Same-stage spans never nest, so nothing is counted twice.
+    pub fn stage_total_ns(&self, stage: Stage) -> u64 {
+        self.spans
+            .iter()
+            .filter(|s| s.stage == stage)
+            .map(|s| s.total_ns)
+            .sum()
+    }
+
     /// Encodes the tree as a JSON array token:
     /// `[{"path":"detect","total_ns":n,"self_ns":n,"count":n},...]`.
     /// Depth and stage are recoverable from the path, so they are not
@@ -342,6 +352,21 @@ mod tests {
         );
         assert_eq!(tree.get("detect").unwrap().self_ns, 50);
         assert_eq!(tree.get("detect;rra-outer;rra-inner").unwrap().count, 4);
+    }
+
+    #[test]
+    fn stage_totals_sum_every_span_of_the_stage() {
+        let mut set = SpanSet::new();
+        let a = set.span_id(None, Stage::Detect);
+        let b = set.span_id(None, Stage::Density);
+        let nested = set.span_id(Some(a), Stage::Density);
+        set.record(a, 1_000, 1);
+        set.record(b, 30, 1);
+        set.record(nested, 400, 2);
+        let tree = set.snapshot();
+        assert_eq!(tree.stage_total_ns(Stage::Density), 430);
+        assert_eq!(tree.stage_total_ns(Stage::Detect), 1_000);
+        assert_eq!(tree.stage_total_ns(Stage::Induce), 0);
     }
 
     #[test]

@@ -57,26 +57,6 @@ impl Stage {
             Stage::RraInner => "rra-inner",
         }
     }
-
-    /// The stage this one runs inside, if any. Nested stages are excluded
-    /// from wall-clock totals (their time is already in the parent) and
-    /// indented in the table rendering.
-    pub const fn nested_under(self) -> Option<Stage> {
-        match self {
-            Stage::Detect => None,
-            Stage::RraInner => Some(Stage::RraOuter),
-            _ => Some(Stage::Detect),
-        }
-    }
-
-    /// Nesting depth implied by [`Stage::nested_under`]: 0 for the root,
-    /// 1 for pipeline phases, 2 for [`Stage::RraInner`].
-    pub const fn depth(self) -> usize {
-        match self.nested_under() {
-            None => 0,
-            Some(parent) => 1 + parent.depth(),
-        }
-    }
 }
 
 /// A named hot-path counter.
@@ -254,15 +234,5 @@ mod tests {
         metric_names.sort_unstable();
         metric_names.dedup();
         assert_eq!(metric_names.len(), Metric::COUNT);
-    }
-
-    #[test]
-    fn nesting() {
-        assert_eq!(Stage::RraInner.nested_under(), Some(Stage::RraOuter));
-        assert_eq!(Stage::RraOuter.nested_under(), Some(Stage::Detect));
-        assert_eq!(Stage::Detect.nested_under(), None);
-        assert_eq!(Stage::Detect.depth(), 0);
-        assert_eq!(Stage::Density.depth(), 1);
-        assert_eq!(Stage::RraInner.depth(), 2);
     }
 }

@@ -1,85 +1,36 @@
 //! Gate-carrying timers: the only way non-obs code reads the clock.
 //!
-//! [`time_stage`](crate::time_stage) covers the closure-shaped case; these
-//! two cover the other shapes found in the pipeline without exposing
-//! `Instant` to library crates (the `no-wall-clock-outside-obs` lint rule
-//! enforces that the type never appears outside this crate and the bench
-//! binaries):
+//! Each timer carries its own gate, so library crates never see
+//! `Instant` (the `no-wall-clock-outside-obs` lint rule enforces that the
+//! type never appears outside this crate and the bench binaries):
 //!
-//! - [`StageTimer`] — an *open-ended* stage measurement: started at one
-//!   point, finished into a (possibly different) recorder later. The RRA
-//!   search uses it to time its outer/inner loops into the search-local
-//!   recorder while gating on the *caller's* sink.
+//! - [`SpanTimer`] — a stage measurement landing on a node of the
+//!   recorder's span tree, the one stored timing of a pipeline run. It
+//!   may gate on one recorder while recording into another, which is how
+//!   the RRA search times its loops into a search-local recorder while
+//!   gating on the *caller's* sink.
 //! - [`DetailTimer`] — a *per-call* measurement gated on
 //!   [`Recorder::detailed`]: armed only when someone wants decision-level
 //!   histograms, so the distance kernel's uninstrumented path never reads
 //!   the clock.
-
-//! - [`SpanTimer`] — a [`StageTimer`] that additionally lands the
-//!   measurement on a node of the recorder's span tree, so one finish
-//!   feeds both the flat per-stage sums and the hierarchical view.
+//! - [`Stopwatch`] — plain wall time for coarse measurements outside the
+//!   pipeline (CLI ledger and monitor timing).
 
 use crate::recorder::Recorder;
 use crate::span::SpanId;
 use crate::stage::{Metric, Stage};
 use std::time::Instant;
 
-/// An in-flight stage measurement; finish with [`StageTimer::finish`].
-///
-/// Unarmed timers (disabled recorder) never touch the clock: both `start`
-/// and `finish` are no-ops, so the zero-overhead contract of PR 1 holds.
-#[derive(Debug)]
-#[must_use = "a started StageTimer should be finished into a recorder"]
-pub struct StageTimer {
-    stage: Stage,
-    started: Option<Instant>,
-}
-
-impl StageTimer {
-    /// Starts timing `stage` if `recorder` is enabled.
-    #[inline]
-    pub fn start<R: Recorder>(recorder: &R, stage: Stage) -> Self {
-        Self::start_if(recorder.enabled(), stage)
-    }
-
-    /// Starts timing `stage` if `armed` — for call sites that cache the
-    /// gate (e.g. the RRA search reads `recorder.enabled()` once and
-    /// times many loop iterations against it).
-    #[inline]
-    pub fn start_if(armed: bool, stage: Stage) -> Self {
-        StageTimer {
-            stage,
-            started: armed.then(Instant::now),
-        }
-    }
-
-    /// Whether this timer is actually measuring.
-    #[inline]
-    pub fn armed(&self) -> bool {
-        self.started.is_some()
-    }
-
-    /// Records the elapsed nanoseconds into `recorder` (accumulating on
-    /// the stage); a no-op when unarmed.
-    #[inline]
-    pub fn finish<R: Recorder>(self, recorder: &R) {
-        if let Some(t0) = self.started {
-            recorder.record_duration(self.stage, t0.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
-/// A span-aware stage measurement: like [`StageTimer`], but the elapsed
-/// time also lands on a node of the recorder's span tree, so one finish
-/// feeds both the flat per-stage sums and the hierarchical view.
+/// An in-flight span measurement; finish with [`SpanTimer::finish`].
 ///
 /// The span node is resolved (find-or-create) at start so deep loops can
 /// pre-resolve once with [`Recorder::span_id`] and use
 /// [`SpanTimer::start_at`] per iteration without re-walking the tree.
+/// Unarmed timers (disabled recorder) never touch the clock, so a
+/// `NoopRecorder` pipeline pays nothing for being timeable.
 #[derive(Debug)]
 #[must_use = "a started SpanTimer should be finished into a recorder"]
 pub struct SpanTimer {
-    stage: Stage,
     span: Option<SpanId>,
     started: Option<Instant>,
 }
@@ -103,28 +54,20 @@ impl SpanTimer {
         parent: Option<SpanId>,
         stage: Stage,
     ) -> Self {
-        if armed {
-            SpanTimer {
-                stage,
-                span: recorder.span_id(parent, stage),
-                started: Some(Instant::now()),
-            }
+        let span = if armed {
+            recorder.span_id(parent, stage)
         } else {
-            SpanTimer {
-                stage,
-                span: None,
-                started: None,
-            }
-        }
+            None
+        };
+        Self::start_at(armed, span)
     }
 
     /// Starts timing against a pre-resolved span node if `armed` — for
     /// per-iteration timers whose node was resolved once outside the
     /// loop.
     #[inline]
-    pub fn start_at(armed: bool, span: Option<SpanId>, stage: Stage) -> Self {
+    pub fn start_at(armed: bool, span: Option<SpanId>) -> Self {
         SpanTimer {
-            stage,
             span,
             started: armed.then(Instant::now),
         }
@@ -143,25 +86,10 @@ impl SpanTimer {
         self.started.is_some()
     }
 
-    /// Records the elapsed nanoseconds into `recorder`, on both the flat
-    /// stage accumulator and the span node; a no-op when unarmed.
+    /// Records the elapsed nanoseconds on the span node; a no-op when
+    /// unarmed or when the recorder does not track spans.
     #[inline]
     pub fn finish<R: Recorder>(self, recorder: &R) {
-        if let Some(t0) = self.started {
-            let nanos = t0.elapsed().as_nanos() as u64;
-            recorder.record_duration(self.stage, nanos);
-            if let Some(id) = self.span {
-                recorder.record_span(id, nanos, 1);
-            }
-        }
-    }
-
-    /// Records the elapsed nanoseconds into the span node *only*, leaving
-    /// the flat stage accumulator untouched — for wrapping a callee that
-    /// already times the flat stage itself (e.g. the SAX discretizer),
-    /// where a plain [`SpanTimer::finish`] would double-count it.
-    #[inline]
-    pub fn finish_span_only<R: Recorder>(self, recorder: &R) {
         if let (Some(t0), Some(id)) = (self.started, self.span) {
             recorder.record_span(id, t0.elapsed().as_nanos() as u64, 1);
         }
@@ -234,35 +162,7 @@ mod tests {
     use crate::{LocalRecorder, NoopRecorder};
 
     #[test]
-    fn stage_timer_records_when_enabled() {
-        let rec = LocalRecorder::new();
-        let t = StageTimer::start(&rec, Stage::Density);
-        assert!(t.armed());
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        t.finish(&rec);
-        assert!(rec.stage_nanos(Stage::Density) >= 500_000);
-    }
-
-    #[test]
-    fn stage_timer_noop_when_disabled() {
-        let t = StageTimer::start(&NoopRecorder, Stage::Density);
-        assert!(!t.armed());
-        t.finish(&NoopRecorder);
-    }
-
-    #[test]
-    fn stage_timer_can_finish_into_a_different_recorder() {
-        // The RRA pattern: gate on the caller's sink, record locally.
-        let gate = LocalRecorder::new();
-        let local = LocalRecorder::new();
-        let t = StageTimer::start_if(gate.enabled(), Stage::RraInner);
-        t.finish(&local);
-        assert!(local.stage_nanos(Stage::RraInner) > 0);
-        assert_eq!(gate.stage_nanos(Stage::RraInner), 0);
-    }
-
-    #[test]
-    fn span_timer_lands_on_stage_and_span() {
+    fn span_timer_lands_on_its_span() {
         let rec = LocalRecorder::new();
         let root = SpanTimer::start(&rec, None, Stage::Detect);
         let parent = root.span();
@@ -271,8 +171,6 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(1));
         child.finish(&rec);
         root.finish(&rec);
-        assert!(rec.stage_nanos(Stage::Detect) > 0);
-        assert!(rec.stage_nanos(Stage::Density) > 0);
         let tree = rec.span_tree();
         assert_eq!(tree.get("detect").unwrap().count, 1);
         let child = tree.get("detect;density").unwrap();
@@ -294,9 +192,20 @@ mod tests {
         let outer = rec.span_id(None, Stage::RraOuter);
         let inner = rec.span_id(outer, Stage::RraInner);
         for _ in 0..3 {
-            SpanTimer::start_at(true, inner, Stage::RraInner).finish(&rec);
+            SpanTimer::start_at(true, inner).finish(&rec);
         }
         assert_eq!(rec.span_tree().get("rra-outer;rra-inner").unwrap().count, 3);
+    }
+
+    #[test]
+    fn span_timer_can_finish_into_a_different_recorder() {
+        // The RRA pattern: gate on the caller's sink, record locally.
+        let gate = LocalRecorder::new();
+        let local = LocalRecorder::new();
+        let t = SpanTimer::start_if(gate.enabled(), &local, None, Stage::RraInner);
+        t.finish(&local);
+        assert_eq!(local.span_tree().get("rra-inner").unwrap().count, 1);
+        assert!(gate.span_tree().is_empty());
     }
 
     #[test]

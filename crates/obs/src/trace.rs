@@ -19,9 +19,10 @@ use std::path::Path;
 /// `health` SLO verdict transitions, `ledger` run-provenance records).
 pub const SCHEMA_VERSION: u64 = 4;
 
-/// Everything one instrumented run measured: per-stage wall-clock time,
-/// the hot-path counters, and the value histograms, plus a free-form label
-/// and optional numeric parameters (window size, series length, …).
+/// Everything one instrumented run measured: the span tree (its only
+/// timing), the hot-path counters, and the value histograms, plus a
+/// free-form label and optional numeric parameters (window size, series
+/// length, …).
 ///
 /// The JSON encoding is hand-rolled because `gv-obs` must stay
 /// dependency-free (see the crate docs); the schema is documented in the
@@ -33,8 +34,6 @@ pub struct PipelineTrace {
     pub label: String,
     /// Named run parameters, in insertion order.
     pub params: Vec<(String, u64)>,
-    /// Accumulated nanoseconds per stage, indexed by [`Stage::index`].
-    pub stage_nanos: [u64; Stage::COUNT],
     /// Counter values, indexed by [`Counter::index`].
     pub counters: [u64; Counter::COUNT],
     /// Value histograms, indexed by [`Metric::index`].
@@ -49,7 +48,6 @@ impl PipelineTrace {
         Self {
             label: label.into(),
             params: Vec::new(),
-            stage_nanos: [0; Stage::COUNT],
             counters: [0; Counter::COUNT],
             histograms: std::array::from_fn(|_| Histogram::new()),
             spans: SpanTree::default(),
@@ -63,9 +61,10 @@ impl PipelineTrace {
         self
     }
 
-    /// Accumulated nanoseconds for one stage.
+    /// Accumulated nanoseconds for one stage, derived from the span tree
+    /// ([`SpanTree::stage_total_ns`]).
     pub fn stage_nanos(&self, stage: Stage) -> u64 {
-        self.stage_nanos[stage.index()]
+        self.spans.stage_total_ns(stage)
     }
 
     /// Value of one counter.
@@ -78,20 +77,14 @@ impl PipelineTrace {
         &self.histograms[metric.index()]
     }
 
-    /// Total measured wall-clock time. When the run opened a
-    /// [`Stage::Detect`] root that *is* the total; otherwise (older call
-    /// sites that time phases without a root) the depth-1 phase stages
-    /// are summed — nested stages already count inside their parent
-    /// either way.
+    /// Total measured wall-clock time: the sum of the root spans' totals
+    /// (nested spans already count inside their parent).
     pub fn total_nanos(&self) -> u64 {
-        let detect = self.stage_nanos(Stage::Detect);
-        if detect > 0 {
-            return detect;
-        }
-        Stage::ALL
+        self.spans
+            .spans()
             .iter()
-            .filter(|s| s.depth() == 1)
-            .map(|s| self.stage_nanos(*s))
+            .filter(|s| s.depth == 0)
+            .map(|s| s.total_ns)
             .sum()
     }
 
@@ -122,7 +115,9 @@ impl PipelineTrace {
     /// "nr_drop_ratio": float, "early_abandon_ratio": float}}` — every
     /// stage, counter, and metric key is always present so downstream
     /// tooling never needs missing-key logic; `spans` is depth-first in
-    /// deterministic stage order and may be empty.
+    /// deterministic stage order and may be empty. `stages_ns` and
+    /// `derived.total_ns` are derived from `spans` (per-stage sums and the
+    /// root total), so the three always reconcile.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(1024);
         let _ = write!(out, "{{\"schema\":{SCHEMA_VERSION},\"label\":");
@@ -183,10 +178,9 @@ impl PipelineTrace {
         writeln!(file, "{}", self.to_jsonl())
     }
 
-    /// Renders a human-readable per-stage timing table with the counter
-    /// block underneath — the CLI's `--trace` output.
+    /// Renders a human-readable span timing table with the counter block
+    /// underneath — the CLI's `--trace` output.
     pub fn render_table(&self) -> String {
-        let total = self.total_nanos();
         let mut out = String::with_capacity(1024);
         let _ = writeln!(out, "trace: {}", self.label);
         if !self.params.is_empty() {
@@ -197,36 +191,33 @@ impl PipelineTrace {
                 .collect();
             let _ = writeln!(out, "  {}", rendered.join("  "));
         }
-        let _ = writeln!(out, "  {:<14} {:>10} {:>7}", "stage", "time", "share");
-        let _ = writeln!(out, "  {:-<14} {:->10} {:->7}", "", "", "");
-        for stage in Stage::ALL {
-            let nanos = self.stage_nanos(stage);
-            if stage == Stage::Detect && nanos == 0 {
-                continue; // run predates the root stage; don't show a 0 row
-            }
-            let depth = stage.depth();
-            let name = format!("{}{}", "  ".repeat(depth), stage.name());
-            let share = if depth > 1 || total == 0 {
-                "-".to_string()
-            } else {
-                format!("{:.1}%", 100.0 * nanos as f64 / total as f64)
-            };
+        if !self.spans.is_empty() {
+            let rule = format!("  {:-<30} {:->10} {:->10} {:->8}", "", "", "", "");
             let _ = writeln!(
                 out,
-                "  {:<14} {:>10} {:>7}",
-                name,
-                format_nanos(nanos),
-                share
+                "  {:<30} {:>10} {:>10} {:>8}",
+                "span", "total", "self", "count"
+            );
+            let _ = writeln!(out, "{rule}");
+            for span in self.spans.spans() {
+                let indented = format!("{}{}", "  ".repeat(span.depth), span.stage.name());
+                let _ = writeln!(
+                    out,
+                    "  {:<30} {:>10} {:>10} {:>8}",
+                    indented,
+                    format_nanos(span.total_ns),
+                    format_nanos(span.self_ns),
+                    group_thousands(span.count)
+                );
+            }
+            let _ = writeln!(out, "{rule}");
+            let _ = writeln!(
+                out,
+                "  {:<30} {:>10}",
+                "total",
+                format_nanos(self.total_nanos())
             );
         }
-        let _ = writeln!(out, "  {:-<14} {:->10} {:->7}", "", "", "");
-        let _ = writeln!(
-            out,
-            "  {:<14} {:>10} {:>7}",
-            "total",
-            format_nanos(total),
-            "100%"
-        );
         let _ = writeln!(out, "  counters");
         for counter in Counter::ALL {
             let _ = writeln!(
@@ -248,25 +239,6 @@ impl PipelineTrace {
             "early_abandon_ratio",
             100.0 * self.early_abandon_ratio()
         );
-        if !self.spans.is_empty() {
-            let _ = writeln!(out, "  spans");
-            let _ = writeln!(
-                out,
-                "    {:<30} {:>10} {:>10} {:>8}",
-                "span", "total", "self", "count"
-            );
-            for span in self.spans.spans() {
-                let indented = format!("{}{}", "  ".repeat(span.depth), span.stage.name());
-                let _ = writeln!(
-                    out,
-                    "    {:<30} {:>10} {:>10} {:>8}",
-                    indented,
-                    format_nanos(span.total_ns),
-                    format_nanos(span.self_ns),
-                    group_thousands(span.count)
-                );
-            }
-        }
         if Metric::ALL.iter().any(|m| !self.histogram(*m).is_empty()) {
             let _ = writeln!(out, "  histograms");
             let _ = writeln!(
@@ -369,13 +341,23 @@ fn group_thousands(n: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::SpanSet;
 
     fn sample() -> PipelineTrace {
         let mut t = PipelineTrace::new("density").with_param("window", 100);
-        t.stage_nanos[Stage::Discretize.index()] = 2_000_000;
-        t.stage_nanos[Stage::Induce.index()] = 1_000_000;
-        t.stage_nanos[Stage::RraOuter.index()] = 4_000_000;
-        t.stage_nanos[Stage::RraInner.index()] = 3_500_000;
+        let mut spans = SpanSet::new();
+        for (stage, ns) in [
+            (Stage::Discretize, 2_000_000),
+            (Stage::Induce, 1_000_000),
+            (Stage::RraOuter, 4_000_000),
+        ] {
+            let id = spans.span_id(None, stage);
+            spans.record(id, ns, 1);
+        }
+        let outer = spans.span_id(None, Stage::RraOuter);
+        let inner = spans.span_id(Some(outer), Stage::RraInner);
+        spans.record(inner, 3_500_000, 10);
+        t.spans = spans.snapshot();
         t.counters[Counter::WindowsProcessed.index()] = 1000;
         t.counters[Counter::WordsDropped.index()] = 400;
         t.counters[Counter::DistanceCalls.index()] = 5000;
@@ -386,9 +368,12 @@ mod tests {
     }
 
     #[test]
-    fn totals_skip_nested_stages() {
+    fn totals_are_derived_from_spans() {
         let t = sample();
         assert_eq!(t.total_nanos(), 7_000_000);
+        assert_eq!(t.stage_nanos(Stage::RraInner), 3_500_000);
+        assert_eq!(t.stage_nanos(Stage::Density), 0);
+        assert_eq!(PipelineTrace::new("empty").total_nanos(), 0);
     }
 
     #[test]
@@ -429,7 +414,8 @@ mod tests {
         assert!(json.starts_with("{\"schema\":4,"));
         assert!(json.ends_with('}'));
         assert!(!json.contains('\n'));
-        assert!(json.contains("\"spans\":[]"));
+        assert!(json.contains("\"spans\":[{\"path\":\"discretize\","));
+        assert!(json.contains("\"rra-inner\":3500000"));
         assert!(json.contains("\"window\":100"));
         assert!(json.contains("\"total_ns\":7000000"));
         assert!(json.contains("\"nr_drop_ratio\":0.4"));
@@ -446,16 +432,14 @@ mod tests {
     }
 
     #[test]
-    fn table_mentions_every_stage_and_counter() {
+    fn table_mentions_every_span_and_counter() {
         let table = sample().render_table();
-        for stage in Stage::ALL {
-            if stage == Stage::Detect {
-                // No detect root in the sample, so its 0 row is hidden.
-                assert!(!table.contains(stage.name()), "{}", stage.name());
-                continue;
-            }
-            assert!(table.contains(stage.name()), "{}", stage.name());
+        for span in sample().spans.spans() {
+            assert!(table.contains(span.stage.name()), "{}", span.path);
         }
+        // Only recorded spans are listed.
+        assert!(!table.contains("detect"));
+        assert!(!table.contains("intern"));
         for counter in Counter::ALL {
             assert!(table.contains(counter.name()), "{}", counter.name());
         }

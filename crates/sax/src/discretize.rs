@@ -1,7 +1,7 @@
 //! Sliding-window SAX discretization with numerosity reduction
 //! (paper §3.1–3.2).
 
-use gv_obs::{time_stage, Counter, NoopRecorder, Recorder, Stage};
+use gv_obs::{Counter, NoopRecorder, Recorder};
 use gv_timeseries::{znorm_into, SlidingWindows, DEFAULT_ZNORM_THRESHOLD};
 
 use crate::alphabet::Alphabet;
@@ -154,34 +154,27 @@ impl SaxConfig {
     /// [`Error::Window`] when the series is shorter than the window;
     /// [`Error::EmptyInput`] for an empty series.
     pub fn discretize(&self, values: &[f64], nr: NumerosityReduction) -> Result<Vec<SaxRecord>> {
-        self.discretize_with(values, nr, &NoopRecorder)
-    }
-
-    /// [`SaxConfig::discretize`] with instrumentation: wall-clock time is
-    /// attributed to [`Stage::Discretize`] and the window/word counters are
-    /// published to `recorder` in one bulk update after the loop (the hot
-    /// loop itself maintains plain integers).
-    ///
-    /// # Errors
-    /// Same as [`SaxConfig::discretize`].
-    pub fn discretize_with<R: Recorder>(
-        &self,
-        values: &[f64],
-        nr: NumerosityReduction,
-        recorder: &R,
-    ) -> Result<Vec<SaxRecord>> {
         let mut records = Vec::new();
-        let mut zbuf = Vec::new();
-        let mut pbuf = Vec::new();
-        self.discretize_into(values, nr, recorder, &mut records, &mut zbuf, &mut pbuf)?;
+        self.discretize_into(
+            values,
+            nr,
+            &NoopRecorder,
+            &mut records,
+            &mut Vec::new(),
+            &mut Vec::new(),
+        )?;
         Ok(records)
     }
 
-    /// [`SaxConfig::discretize_with`] writing into caller-owned buffers:
+    /// [`SaxConfig::discretize`] writing into caller-owned buffers, with
+    /// the window/word counters published to `recorder` in one bulk update
+    /// after the loop (the hot loop itself maintains plain integers).
     /// `records` is cleared and refilled, `zbuf`/`pbuf` are the z-norm/PAA
     /// scratch. Repeated calls through the same buffers (e.g. a detection
     /// workspace) allocate nothing once warm — only the `SaxWord`s
-    /// themselves are fresh, since they are owned by the records.
+    /// themselves are fresh, since they are owned by the records. Timing
+    /// is the caller's: the detection workspace wraps this call in its
+    /// `discretize` span.
     ///
     /// # Errors
     /// Same as [`SaxConfig::discretize`].
@@ -204,27 +197,25 @@ impl SaxConfig {
                 series_len: values.len(),
             });
         }
-        time_stage(recorder, Stage::Discretize, || {
-            let mut windows_processed = 0u64;
-            let mut words_dropped = 0u64;
-            zbuf.resize(self.window, 0.0);
-            pbuf.resize(self.paa_size, 0.0);
-            let windows = SlidingWindows::new(values, self.window)
-                // gv-lint: allow(no-unwrap-in-lib) the same window/len pair was validated at function entry
-                .expect("window validated above");
-            for (offset, win) in windows {
-                windows_processed += 1;
-                let word = self.word_for(win, zbuf, pbuf);
-                match records.last() {
-                    Some(last) if nr.drops(&last.word, &word) => words_dropped += 1,
-                    _ => records.push(SaxRecord { word, offset }),
-                }
+        let mut windows_processed = 0u64;
+        let mut words_dropped = 0u64;
+        zbuf.resize(self.window, 0.0);
+        pbuf.resize(self.paa_size, 0.0);
+        let windows = SlidingWindows::new(values, self.window)
+            // gv-lint: allow(no-unwrap-in-lib) the same window/len pair was validated at function entry
+            .expect("window validated above");
+        for (offset, win) in windows {
+            windows_processed += 1;
+            let word = self.word_for(win, zbuf, pbuf);
+            match records.last() {
+                Some(last) if nr.drops(&last.word, &word) => words_dropped += 1,
+                _ => records.push(SaxRecord { word, offset }),
             }
-            recorder.add(Counter::WindowsProcessed, windows_processed);
-            recorder.add(Counter::WordsEmitted, records.len() as u64);
-            recorder.add(Counter::WordsDropped, words_dropped);
-            Ok(())
-        })
+        }
+        recorder.add(Counter::WindowsProcessed, windows_processed);
+        recorder.add(Counter::WordsEmitted, records.len() as u64);
+        recorder.add(Counter::WordsDropped, words_dropped);
+        Ok(())
     }
 }
 
@@ -383,6 +374,7 @@ mod tests {
         let values: Vec<f64> = (0..300).map(|i| (i as f64 / 9.0).sin()).collect();
         let cfg = SaxConfig::new(24, 4, 4).unwrap();
         let rec = gv_obs::LocalRecorder::new();
+        let (mut instrumented, mut zbuf, mut pbuf) = (Vec::new(), Vec::new(), Vec::new());
         for nr in [
             NumerosityReduction::None,
             NumerosityReduction::Exact,
@@ -390,7 +382,8 @@ mod tests {
         ] {
             rec.reset();
             let plain = cfg.discretize(&values, nr).unwrap();
-            let instrumented = cfg.discretize_with(&values, nr, &rec).unwrap();
+            cfg.discretize_into(&values, nr, &rec, &mut instrumented, &mut zbuf, &mut pbuf)
+                .unwrap();
             assert_eq!(plain, instrumented);
             let windows = (300 - 24 + 1) as u64;
             assert_eq!(rec.counter(Counter::WindowsProcessed), windows);
@@ -400,7 +393,8 @@ mod tests {
                 windows
             );
         }
-        assert!(rec.stage_nanos(Stage::Discretize) > 0);
+        // Timing belongs to the caller's span, not the discretizer.
+        assert!(rec.span_tree().is_empty());
     }
 
     #[test]

@@ -3,34 +3,17 @@
 //! The batch path ([`SaxConfig::discretize`]) re-extracts and re-normalizes
 //! every window from a slice it already holds. A streaming caller has
 //! neither the slice nor the time: it sees one point per push and must not
-//! allocate. [`IncrementalDiscretizer`] keeps the window in a fixed ring,
-//! maintains rolling sum / sum-of-squares for O(1) window statistics, and
-//! emits the SAX word for the window *ending* at each pushed point into a
-//! reused scratch buffer.
+//! allocate. [`IncrementalDiscretizer`] keeps the window in a fixed ring
+//! and emits the SAX word for the window *ending* at each pushed point
+//! into a reused scratch buffer.
 //!
-//! Two emission modes, one struct:
-//!
-//! * **strict** ([`IncrementalDiscretizer::new`]) — recomputes the word
-//!   over the ring with the exact batch kernels ([`znorm_into`] →
-//!   [`paa_into`] → symbols), in window order, so the output is
-//!   **bit-identical** to [`SaxConfig::word`] on the same window. O(W) per
-//!   push, zero allocation. This is what the streaming detector uses: the
-//!   incremental-vs-batch differential downstream compares density curves
-//!   and discord scores to the bit, which only holds if the token streams
-//!   agree to the bit.
-//! * **fast** ([`IncrementalDiscretizer::fast`]) — derives each PAA bucket
-//!   mean from incrementally-maintained raw bucket sums and z-normalizes
-//!   it by linearity (`(bucket_mean − μ)·σ⁻¹`), O(P) per push when
-//!   `W % P == 0` (otherwise it falls back to strict). Floating-point
-//!   reassociation means the *values* are not bit-identical to batch —
-//!   the *symbols* agree whenever bucket means sit more than the rounding
-//!   drift away from an alphabet cut, which is everywhere except adversarial
-//!   knife-edge inputs. Rolling state is exactly rebuilt from the ring every
-//!   `W` slides so the drift stays bounded on unbounded streams.
-//!
-//! Both modes maintain the rolling statistics, so
-//! [`window_stats`](IncrementalDiscretizer::window_stats) is O(1) either
-//! way.
+//! Each word is recomputed over the ring with the exact batch kernels
+//! ([`znorm_into`] → [`paa_into`] → symbols), in window order, so the
+//! output is **bit-identical** to [`SaxConfig::word`] on the same window.
+//! O(W) per push, zero allocation. The streaming detector relies on this:
+//! the incremental-vs-batch differential downstream compares density
+//! curves and discord scores to the bit, which only holds if the token
+//! streams agree to the bit.
 
 use gv_timeseries::znorm_into;
 
@@ -59,26 +42,12 @@ use crate::paa::paa_into;
 #[derive(Debug, Clone)]
 pub struct IncrementalDiscretizer {
     window: usize,
-    paa: usize,
-    /// `window / paa` when divisible (the O(P) bucket path), else 0.
-    seg: usize,
     alphabet: Alphabet,
     threshold: f64,
-    strict: bool,
     /// The last `window` points. Before warmup completes this holds the
     /// stream prefix in order; afterwards `head` indexes the oldest point.
     ring: Vec<f64>,
     head: usize,
-    /// Total points consumed.
-    seen: u64,
-    /// Slides since the last exact rebase (never exceeds `window`).
-    slides: usize,
-    /// Rolling window statistics (Σv, Σv²), exactly rebuilt every `window`
-    /// slides to bound floating-point drift.
-    sum: f64,
-    sum_sq: f64,
-    /// Raw-value sums per PAA bucket (fast mode, divisible configs only).
-    buckets: Vec<f64>,
     /// Scratch: window linearized in order / z-normalized / PAA means.
     lin: Vec<f64>,
     zbuf: Vec<f64>,
@@ -88,92 +57,22 @@ pub struct IncrementalDiscretizer {
 }
 
 impl IncrementalDiscretizer {
-    /// A strict-mode discretizer: every emitted word is bit-identical to
+    /// A discretizer whose every emitted word is bit-identical to
     /// [`SaxConfig::word`] over the same window.
     pub fn new(config: &SaxConfig) -> Self {
-        Self::build(config, true)
-    }
-
-    /// A fast-mode discretizer: O(P)-per-push emission from incremental
-    /// PAA bucket sums (symbols may differ from batch on knife-edge
-    /// inputs; see the module docs). Falls back to strict recomputation
-    /// when `window % paa_size != 0`.
-    pub fn fast(config: &SaxConfig) -> Self {
-        Self::build(config, false)
-    }
-
-    fn build(config: &SaxConfig, strict: bool) -> Self {
         let window = config.window();
         let paa = config.paa_size();
-        let seg = if window.is_multiple_of(paa) {
-            window / paa
-        } else {
-            0
-        };
         Self {
             window,
-            paa,
-            seg,
             alphabet: config.alphabet().clone(),
             threshold: config.znorm_threshold(),
-            strict,
             ring: Vec::with_capacity(window),
             head: 0,
-            seen: 0,
-            slides: 0,
-            sum: 0.0,
-            sum_sq: 0.0,
-            buckets: vec![0.0; paa],
             lin: vec![0.0; window],
             zbuf: vec![0.0; window],
             pbuf: vec![0.0; paa],
             symbols: vec![0; paa],
         }
-    }
-
-    /// Sliding-window length `W`.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Word length `P`.
-    pub fn paa_size(&self) -> usize {
-        self.paa
-    }
-
-    /// Total points consumed so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// `true` once a full window has arrived (every later push emits).
-    pub fn is_warm(&self) -> bool {
-        self.ring.len() == self.window
-    }
-
-    /// Rolling window mean and standard deviation, O(1). `None` until the
-    /// first window fills. The values track
-    /// [`mean_std`](gv_timeseries::mean_std) up to bounded rounding drift
-    /// (reset to exact every `W` slides by the rebase).
-    pub fn window_stats(&self) -> Option<(f64, f64)> {
-        if !self.is_warm() {
-            return None;
-        }
-        let n = self.window as f64;
-        let m = self.sum / n;
-        let var = (self.sum_sq / n - m * m).max(0.0);
-        Some((m, var.sqrt()))
-    }
-
-    /// Forgets all stream state (capacity is retained — no reallocation).
-    pub fn reset(&mut self) {
-        self.ring.clear();
-        self.head = 0;
-        self.seen = 0;
-        self.slides = 0;
-        self.sum = 0.0;
-        self.sum_sq = 0.0;
-        self.buckets.fill(0.0);
     }
 
     /// Capacities of every internal buffer — all fixed at construction, so
@@ -185,7 +84,6 @@ impl IncrementalDiscretizer {
             self.zbuf.capacity(),
             self.pbuf.capacity(),
             self.symbols.capacity(),
-            self.buckets.capacity(),
         ]
     }
 
@@ -195,87 +93,23 @@ impl IncrementalDiscretizer {
     /// needs to keep it.
     // gv-lint: hot
     pub fn push(&mut self, value: f64) -> Option<&[u8]> {
-        self.seen += 1;
         if self.ring.len() < self.window {
             // Warmup: fill the ring in stream order (head stays 0).
-            self.sum += value;
-            self.sum_sq += value * value;
-            if self.use_buckets() {
-                self.buckets[self.ring.len() / self.seg] += value;
-            }
             self.ring.push(value);
             if self.ring.len() < self.window {
                 return None;
             }
-            return Some(self.emit());
-        }
-        // Slide: retire the oldest point, admit the new one.
-        let old = self.ring[self.head];
-        self.sum = self.sum - old + value;
-        self.sum_sq = self.sum_sq - old * old + value * value;
-        if self.use_buckets() {
-            // Each bucket boundary shifts left by one: bucket b loses its
-            // first point p[b·seg] and gains the next boundary p[(b+1)·seg]
-            // (the last bucket gains the new value). Boundary indexes never
-            // collide with `head` except p[0] = the retiree itself, so the
-            // reads happen before the overwrite below.
-            let mut prev_boundary = old;
-            for b in 0..self.paa {
-                let next_boundary = if b + 1 == self.paa {
-                    value
-                } else {
-                    self.ring[(self.head + (b + 1) * self.seg) % self.window]
-                };
-                self.buckets[b] += next_boundary - prev_boundary;
-                prev_boundary = next_boundary;
-            }
-        }
-        self.ring[self.head] = value;
-        self.head = (self.head + 1) % self.window;
-        self.slides += 1;
-        if self.slides >= self.window {
-            self.rebase();
+        } else {
+            // Slide: overwrite the oldest point with the new one.
+            self.ring[self.head] = value;
+            self.head = (self.head + 1) % self.window;
         }
         Some(self.emit())
     }
 
-    fn use_buckets(&self) -> bool {
-        !self.strict && self.seg > 0
-    }
-
-    /// Rebuilds the rolling state exactly from the ring, in window order —
-    /// the same operation sequence as a fresh pass, so accumulated
-    /// add/subtract rounding is discarded. Amortized O(1): runs once per
-    /// `window` slides.
-    fn rebase(&mut self) {
-        self.slides = 0;
-        self.sum = 0.0;
-        self.sum_sq = 0.0;
-        let track_buckets = self.use_buckets();
-        if track_buckets {
-            self.buckets.fill(0.0);
-        }
-        for k in 0..self.window {
-            let v = self.ring[(self.head + k) % self.window];
-            self.sum += v;
-            self.sum_sq += v * v;
-            if track_buckets {
-                self.buckets[k / self.seg] += v;
-            }
-        }
-    }
-
-    fn emit(&mut self) -> &[u8] {
-        if self.use_buckets() {
-            self.emit_fast()
-        } else {
-            self.emit_strict()
-        }
-    }
-
     /// Exact batch-kernel recomputation over the linearized ring:
     /// bit-identical to [`SaxConfig::word`], allocation-free.
-    fn emit_strict(&mut self) -> &[u8] {
+    fn emit(&mut self) -> &[u8] {
         for k in 0..self.window {
             self.lin[k] = self.ring[(self.head + k) % self.window];
         }
@@ -286,37 +120,12 @@ impl IncrementalDiscretizer {
         }
         &self.symbols
     }
-
-    /// O(P) emission from the rolling bucket sums: z-normalize each bucket
-    /// mean by linearity instead of normalizing every point.
-    fn emit_fast(&mut self) -> &[u8] {
-        let n = self.window as f64;
-        let m = self.sum / n;
-        let var = (self.sum_sq / n - m * m).max(0.0);
-        let sd = var.sqrt();
-        let seg = self.seg as f64;
-        if sd < self.threshold {
-            // Flat window: the batch path pins z to 0 per point, so every
-            // bucket mean is 0 too.
-            for (s, &b) in self.symbols.iter_mut().zip(self.buckets.iter()) {
-                let _ = b;
-                *s = self.alphabet.symbol(0.0);
-            }
-        } else {
-            let inv = 1.0 / sd;
-            for (s, &b) in self.symbols.iter_mut().zip(self.buckets.iter()) {
-                *s = self.alphabet.symbol((b / seg - m) * inv);
-            }
-        }
-        &self.symbols
-    }
     // gv-lint: end-hot
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gv_timeseries::mean_std;
 
     /// Deterministic pseudo-random walk (no RNG dependency).
     fn lcg_walk(n: usize) -> Vec<f64> {
@@ -350,7 +159,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(inc.seen(), values.len() as u64);
     }
 
     #[test]
@@ -389,59 +197,11 @@ mod tests {
     fn warmup_emits_nothing_then_every_push() {
         let cfg = SaxConfig::new(12, 3, 4).unwrap();
         let mut inc = IncrementalDiscretizer::new(&cfg);
-        assert!(!inc.is_warm());
-        assert_eq!(inc.window_stats(), None);
         for i in 0..11 {
             assert!(inc.push(i as f64).is_none());
         }
-        assert!(inc.push(11.0).is_some());
-        assert!(inc.is_warm());
-        for i in 12..40 {
+        for i in 11..40 {
             assert!(inc.push(i as f64).is_some());
-        }
-    }
-
-    #[test]
-    fn fast_agrees_with_strict_on_smooth_data() {
-        // Fast-mode symbols match strict/batch wherever bucket means sit a
-        // healthy margin from the alphabet cuts — true of smooth periodic
-        // data like this (and of anything that isn't a knife-edge input).
-        let values: Vec<f64> = (0..500).map(|i| (i as f64 / 13.0).sin() * 2.0).collect();
-        let cfg = SaxConfig::new(40, 4, 4).unwrap();
-        let mut strict = IncrementalDiscretizer::new(&cfg);
-        let mut fast = IncrementalDiscretizer::fast(&cfg);
-        for &v in &values {
-            let a = strict.push(v).map(<[u8]>::to_vec);
-            let b = fast.push(v).map(<[u8]>::to_vec);
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn fast_non_divisible_falls_back_to_strict() {
-        let values = lcg_walk(300);
-        let cfg = SaxConfig::new(10, 3, 5).unwrap();
-        let mut strict = IncrementalDiscretizer::new(&cfg);
-        let mut fast = IncrementalDiscretizer::fast(&cfg);
-        for &v in &values {
-            let a = strict.push(v).map(<[u8]>::to_vec);
-            let b = fast.push(v).map(<[u8]>::to_vec);
-            assert_eq!(a, b, "non-divisible fast mode must be exactly strict");
-        }
-    }
-
-    #[test]
-    fn rolling_stats_track_exact_stats_through_rebase() {
-        let values = lcg_walk(5_000);
-        let cfg = SaxConfig::new(64, 8, 4).unwrap();
-        let mut inc = IncrementalDiscretizer::fast(&cfg);
-        for (i, &v) in values.iter().enumerate() {
-            inc.push(v);
-            if let Some((m, sd)) = inc.window_stats() {
-                let (em, esd) = mean_std(&values[i + 1 - 64..=i]);
-                assert!((m - em).abs() < 1e-9, "mean drift at {i}: {m} vs {em}");
-                assert!((sd - esd).abs() < 1e-9, "std drift at {i}: {sd} vs {esd}");
-            }
         }
     }
 
@@ -454,28 +214,5 @@ mod tests {
             inc.push((i as f64 / 7.0).sin());
         }
         assert_eq!(sig, inc.capacity_signature());
-    }
-
-    #[test]
-    fn reset_restarts_warmup_without_reallocating() {
-        let cfg = SaxConfig::new(16, 4, 4).unwrap();
-        let mut inc = IncrementalDiscretizer::new(&cfg);
-        for i in 0..100 {
-            inc.push((i as f64 / 5.0).sin());
-        }
-        let sig = inc.capacity_signature();
-        inc.reset();
-        assert!(!inc.is_warm());
-        assert_eq!(inc.seen(), 0);
-        assert_eq!(sig, inc.capacity_signature());
-        // Post-reset output matches a fresh batch run.
-        let values: Vec<f64> = (0..60).map(|i| (i as f64 / 4.0).cos()).collect();
-        let cfg2 = SaxConfig::new(16, 4, 4).unwrap();
-        for (i, &v) in values.iter().enumerate() {
-            if let Some(symbols) = inc.push(v) {
-                let batch = cfg2.word(&values[i + 1 - 16..=i]).unwrap();
-                assert_eq!(symbols, batch.symbols());
-            }
-        }
     }
 }
