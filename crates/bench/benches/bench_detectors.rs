@@ -21,10 +21,14 @@ fn bench_ecg(c: &mut Criterion) {
     let mut group = c.benchmark_group("ecg0606_w120");
     group.sample_size(10);
     group.bench_function("density", |b| {
-        b.iter(|| pipeline.density_anomalies(&values, 1).unwrap())
+        b.iter(|| {
+            pipeline
+                .density_anomalies(&values, 1, &NoopRecorder)
+                .unwrap()
+        })
     });
     group.bench_function("rra", |b| {
-        b.iter(|| pipeline.rra_discords(&values, 1).unwrap())
+        b.iter(|| pipeline.rra_discords(&values, 1, &NoopRecorder).unwrap())
     });
     let hotsax = HotSaxDetector::new(hs_cfg, 1);
     let mut ws = Workspace::new();
@@ -47,10 +51,14 @@ fn bench_telemetry(c: &mut Criterion) {
     let mut group = c.benchmark_group("tek14_w128");
     group.sample_size(10);
     group.bench_function("density", |b| {
-        b.iter(|| pipeline.density_anomalies(&values, 1).unwrap())
+        b.iter(|| {
+            pipeline
+                .density_anomalies(&values, 1, &NoopRecorder)
+                .unwrap()
+        })
     });
     group.bench_function("rra", |b| {
-        b.iter(|| pipeline.rra_discords(&values, 1).unwrap())
+        b.iter(|| pipeline.rra_discords(&values, 1, &NoopRecorder).unwrap())
     });
     let hotsax = HotSaxDetector::new(hs_cfg, 1);
     let mut ws = Workspace::new();
@@ -75,7 +83,7 @@ fn bench_density_scaling(c: &mut Criterion) {
         group.bench_with_input(
             criterion::BenchmarkId::from_parameter(n),
             &values,
-            |b, v| b.iter(|| pipeline.density_anomalies(v, 1).unwrap()),
+            |b, v| b.iter(|| pipeline.density_anomalies(v, 1, &NoopRecorder).unwrap()),
         );
     }
     group.finish();

@@ -11,6 +11,7 @@
 
 use gv_datasets::ecg::{ecg0606, EcgParams};
 use gv_sax::NumerosityReduction;
+use gva_core::obs::NoopRecorder;
 use gva_core::{rule_intervals, AnomalyPipeline, PipelineConfig};
 
 fn main() {
@@ -32,9 +33,9 @@ fn main() {
             .unwrap()
             .with_numerosity_reduction(nr);
         let pipeline = AnomalyPipeline::new(config);
-        let model = pipeline.model(values).unwrap();
+        let model = pipeline.model(values, &NoopRecorder).unwrap();
         let candidates = rule_intervals(&model);
-        let rra = pipeline.rra_discords(values, 1).unwrap();
+        let rra = pipeline.rra_discords(values, 1, &NoopRecorder).unwrap();
         let hit = rra
             .discords
             .first()

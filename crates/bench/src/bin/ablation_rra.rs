@@ -13,8 +13,10 @@ use gv_bench::report::thousands;
 use gv_datasets::ecg::{ecg0606, EcgParams};
 use gv_datasets::telemetry::tek14;
 use gv_datasets::video::video_gun;
-use gva_core::rra::{discords_with_options, SearchOptions};
-use gva_core::{rule_intervals, AnomalyPipeline, PipelineConfig};
+use gva_core::obs::NoopRecorder;
+use gva_core::{
+    AnomalyPipeline, EngineConfig, PipelineConfig, RraDetector, SearchOptions, Workspace,
+};
 
 fn main() {
     let cases = [
@@ -66,24 +68,27 @@ fn main() {
     );
     println!("{}", "-".repeat(70));
 
-    // Pre-compute candidates per dataset.
+    // Pre-compute the grammar model per dataset (seed 7 for every variant).
     let prepared: Vec<_> = cases
         .iter()
         .map(|(_, data, (w, p, a))| {
-            let pipeline = AnomalyPipeline::new(PipelineConfig::new(*w, *p, *a).unwrap());
-            let model = pipeline.model(data.series.values()).unwrap();
-            let mut cands = rule_intervals(&model);
-            let len = model.series_len;
-            cands.retain(|c| c.rule.is_some() || (c.interval.start > 0 && c.interval.end < len));
-            (data.series.values().to_vec(), cands)
+            let config = PipelineConfig::new(*w, *p, *a).unwrap().with_seed(7);
+            let values = data.series.values();
+            let model = AnomalyPipeline::new(config.clone()).model(values, &NoopRecorder);
+            (values, config, model.unwrap())
         })
         .collect();
+    let mut ws = Workspace::new();
 
     let mut baseline_pos: Vec<Option<usize>> = vec![None; cases.len()];
     for (vi, (name, options)) in variants.iter().enumerate() {
         let mut cells = Vec::new();
-        for (ci, (values, cands)) in prepared.iter().enumerate() {
-            let r = discords_with_options(values, cands, 1, 7, *options).unwrap();
+        for (ci, (values, config, model)) in prepared.iter().enumerate() {
+            let r = RraDetector::new(config.clone(), 1)
+                .with_engine(EngineConfig::sequential())
+                .with_options(*options)
+                .search_model(values, model, &mut ws, &NoopRecorder)
+                .unwrap();
             let pos = r.discords.first().map(|d| d.position);
             if vi == 0 {
                 baseline_pos[ci] = pos;

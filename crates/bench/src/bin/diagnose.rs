@@ -31,13 +31,15 @@ fn main() {
 
         let pipeline =
             AnomalyPipeline::new(PipelineConfig::new(row.window, row.paa, row.alphabet).unwrap());
-        let rra = pipeline.rra_discords(values, 3).unwrap();
+        let rra = pipeline.rra_discords(values, 3, &NoopRecorder).unwrap();
         let rra_hit = rra
             .discords
             .first()
             .map(|d| row.dataset.is_hit_with_slack(&d.interval(), slack))
             .unwrap_or(false);
-        let density = pipeline.density_anomalies(values, 3).unwrap();
+        let density = pipeline
+            .density_anomalies(values, 3, &NoopRecorder)
+            .unwrap();
         let den_hit = density
             .anomalies
             .first()

@@ -10,6 +10,7 @@
 
 use gv_datasets::video::video_gun;
 use gv_timeseries::Interval;
+use gva_core::obs::NoopRecorder;
 use gva_core::{viz, AnomalyPipeline, PipelineConfig};
 
 fn main() {
@@ -17,7 +18,7 @@ fn main() {
     let values = data.series.values();
     let pipeline = AnomalyPipeline::new(PipelineConfig::new(150, 5, 3).expect("valid params"));
     let report = pipeline
-        .density_anomalies(values, 4)
+        .density_anomalies(values, 4, &NoopRecorder)
         .expect("pipeline runs");
 
     let width = 110;

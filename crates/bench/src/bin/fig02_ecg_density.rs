@@ -9,6 +9,7 @@
 
 use gv_datasets::ecg::{ecg0606, EcgParams};
 use gv_timeseries::Interval;
+use gva_core::obs::NoopRecorder;
 use gva_core::{nn_distance_profile, rule_intervals, viz, AnomalyPipeline, PipelineConfig};
 
 fn main() {
@@ -16,9 +17,11 @@ fn main() {
     let values = data.series.values();
     let truth = data.anomalies[0].interval;
     let pipeline = AnomalyPipeline::new(PipelineConfig::new(120, 4, 4).expect("valid params"));
-    let model = pipeline.model(values).expect("pipeline runs");
+    let model = pipeline
+        .model(values, &NoopRecorder)
+        .expect("pipeline runs");
     let report = pipeline
-        .density_anomalies(values, 1)
+        .density_anomalies(values, 1, &NoopRecorder)
         .expect("pipeline runs");
 
     let width = 110;

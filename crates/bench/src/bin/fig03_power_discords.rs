@@ -9,6 +9,7 @@
 
 use gv_datasets::power::power_demand;
 use gv_timeseries::Interval;
+use gva_core::obs::NoopRecorder;
 use gva_core::{viz, AnomalyPipeline, PipelineConfig};
 
 fn main() {
@@ -21,13 +22,15 @@ fn main() {
     println!("signal : {}", viz::sparkline(values, width));
 
     let density = pipeline
-        .density_anomalies(values, 3)
+        .density_anomalies(values, 3, &NoopRecorder)
         .expect("pipeline runs");
     println!("density: {}", viz::density_strip(&density.curve, width));
     let truth: Vec<Interval> = data.anomalies.iter().map(|a| a.interval).collect();
     println!("truth  : {}", viz::marker_row(values.len(), &truth, width));
 
-    let rra = pipeline.rra_discords(values, 3).expect("pipeline runs");
+    let rra = pipeline
+        .rra_discords(values, 3, &NoopRecorder)
+        .expect("pipeline runs");
     let found: Vec<Interval> = rra.discords.iter().map(|d| d.interval()).collect();
     println!("rra    : {}", viz::marker_row(values.len(), &found, width));
 

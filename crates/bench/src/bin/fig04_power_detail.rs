@@ -7,6 +7,7 @@
 //! ```
 
 use gv_datasets::power::{power_demand, SAMPLES_PER_DAY};
+use gva_core::obs::NoopRecorder;
 use gva_core::{viz, AnomalyPipeline, PipelineConfig};
 
 const WEEKDAYS: [&str; 7] = [
@@ -23,7 +24,9 @@ fn main() {
     let data = power_demand();
     let values = data.series.values();
     let pipeline = AnomalyPipeline::new(PipelineConfig::new(750, 6, 3).expect("valid params"));
-    let rra = pipeline.rra_discords(values, 3).expect("pipeline runs");
+    let rra = pipeline
+        .rra_discords(values, 3, &NoopRecorder)
+        .expect("pipeline runs");
 
     println!("Figure 4: detailed view of RRA-ranked variable-length discords");
     println!("in the Dutch power demand dataset\n");

@@ -35,7 +35,9 @@ fn main() {
         .to_rra()
         .discords;
     let pipeline = AnomalyPipeline::new(PipelineConfig::new(300, 4, 4).expect("valid params"));
-    let rra = pipeline.rra_discords(values, 3).expect("pipeline runs");
+    let rra = pipeline
+        .rra_discords(values, 3, &NoopRecorder)
+        .expect("pipeline runs");
 
     println!(
         "{:<22} {:<30} {:<30}",

@@ -12,6 +12,7 @@
 
 use gv_datasets::trajectory::daily_commute;
 use gv_timeseries::Interval;
+use gva_core::obs::NoopRecorder;
 use gva_core::{viz, AnomalyPipeline, PipelineConfig};
 
 fn main() {
@@ -28,13 +29,15 @@ fn main() {
     println!("signal : {}", viz::sparkline(values, width));
 
     let density = pipeline
-        .density_anomalies(values, 2)
+        .density_anomalies(values, 2, &NoopRecorder)
         .expect("pipeline runs");
     println!("density: {}", viz::density_strip(&density.curve, width));
     let truth: Vec<Interval> = t.dataset.anomalies.iter().map(|a| a.interval).collect();
     println!("truth  : {}", viz::marker_row(values.len(), &truth, width));
 
-    let rra = pipeline.rra_discords(values, 3).expect("pipeline runs");
+    let rra = pipeline
+        .rra_discords(values, 3, &NoopRecorder)
+        .expect("pipeline runs");
     let found: Vec<Interval> = rra.discords.iter().map(|d| d.interval()).collect();
     println!("rra    : {}", viz::marker_row(values.len(), &found, width));
 

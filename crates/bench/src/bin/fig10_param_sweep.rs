@@ -13,6 +13,7 @@
 //! lattice so the sweep finishes in minutes; the *ratio* is the result.
 
 use gv_datasets::ecg::{ecg0606, EcgParams};
+use gva_core::obs::NoopRecorder;
 use gva_core::sweep::{self, SweepGrid};
 
 fn main() {
@@ -37,7 +38,8 @@ fn main() {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let points = sweep::run_parallel(data.series.values(), truth, 120, &grid, threads);
+    let values = data.series.values();
+    let points = sweep::run(values, truth, 120, &grid, threads, &NoopRecorder);
     let (density_hits, rra_hits) = sweep::success_counts(&points);
 
     println!("evaluated combinations : {}", points.len());

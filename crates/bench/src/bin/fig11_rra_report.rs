@@ -8,13 +8,16 @@
 
 use gv_datasets::video::video_gun;
 use gv_timeseries::Interval;
+use gva_core::obs::NoopRecorder;
 use gva_core::{viz, AnomalyPipeline, PipelineConfig};
 
 fn main() {
     let data = video_gun();
     let values = data.series.values();
     let pipeline = AnomalyPipeline::new(PipelineConfig::new(150, 5, 3).expect("valid params"));
-    let rra = pipeline.rra_discords(values, 6).expect("pipeline runs");
+    let rra = pipeline
+        .rra_discords(values, 6, &NoopRecorder)
+        .expect("pipeline runs");
 
     let width = 110;
     println!("Figure 11: RRA in GrammarViz (text mode) — video dataset, W=150 P=5 A=3\n");

@@ -8,15 +8,18 @@
 
 use gv_datasets::video::video_gun;
 use gv_timeseries::Interval;
+use gva_core::obs::NoopRecorder;
 use gva_core::{viz, AnomalyPipeline, PipelineConfig};
 
 fn main() {
     let data = video_gun();
     let values = data.series.values();
     let pipeline = AnomalyPipeline::new(PipelineConfig::new(150, 5, 3).expect("valid params"));
-    let model = pipeline.model(values).expect("pipeline runs");
+    let model = pipeline
+        .model(values, &NoopRecorder)
+        .expect("pipeline runs");
     let report = pipeline
-        .density_anomalies(values, 3)
+        .density_anomalies(values, 3, &NoopRecorder)
         .expect("pipeline runs");
 
     let width = 110;

@@ -42,9 +42,11 @@ fn main() {
 
         let pipeline =
             AnomalyPipeline::new(PipelineConfig::new(row.window, row.paa, row.alphabet).unwrap());
-        let rra = pipeline.rra_discords(values, 3).unwrap();
+        let rra = pipeline.rra_discords(values, 3, &NoopRecorder).unwrap();
         let rra_iv: Vec<Interval> = rra.discords.iter().map(|d| d.interval()).collect();
-        let density = pipeline.density_anomalies(values, 3).unwrap();
+        let density = pipeline
+            .density_anomalies(values, 3, &NoopRecorder)
+            .unwrap();
         let den_iv: Vec<Interval> = density.anomalies.iter().map(|a| a.interval).collect();
 
         let evals = [

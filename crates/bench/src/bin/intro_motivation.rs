@@ -10,6 +10,7 @@
 use gv_bench::report::thousands;
 use gv_datasets::video::video_gun;
 use gv_discord::multi_length_hotsax;
+use gva_core::obs::NoopRecorder;
 use gva_core::{AnomalyPipeline, PipelineConfig};
 
 fn main() {
@@ -49,7 +50,9 @@ fn main() {
     println!("  top-3 of the sweep hits {sweep_hits}/2 planted anomalies");
 
     let pipeline = AnomalyPipeline::new(PipelineConfig::new(150, 5, 3).expect("valid"));
-    let rra = pipeline.rra_discords(values, 3).expect("pipeline runs");
+    let rra = pipeline
+        .rra_discords(values, 3, &NoopRecorder)
+        .expect("pipeline runs");
     println!("\nRRA, single run (seed window 150):");
     println!(
         "  total distance calls: {}",

@@ -45,18 +45,18 @@ fn main() {
 
     let density_rec = CollectingRecorder::new();
     let density = pipeline
-        .density_anomalies_with(&values, 1, &density_rec)
+        .density_anomalies(&values, 1, &density_rec)
         .expect("pipeline runs");
     assert!(
         !density.anomalies.is_empty(),
         "fixture must yield a density anomaly"
     );
 
-    // The RRA run goes through `explain_with`: same search, same counters
+    // The RRA run goes through `explain`: same search, same counters
     // (single counting path), plus the joined per-discord provenance.
     let rra_rec = CollectingRecorder::new();
     let explain = pipeline
-        .explain_with(&values, 1, &rra_rec)
+        .explain(&values, 1, &rra_rec)
         .expect("pipeline runs");
     assert!(!explain.rows.is_empty(), "fixture must yield a discord");
     assert_eq!(

@@ -67,7 +67,9 @@ fn main() {
         // RRA (top-3, matching the paper's ranked output).
         let config = PipelineConfig::new(n, row.paa, row.alphabet).expect("valid");
         let pipeline = AnomalyPipeline::new(config);
-        let rra = pipeline.rra_discords(values, 3).expect("pipeline runs");
+        let rra = pipeline
+            .rra_discords(values, 3, &NoopRecorder)
+            .expect("pipeline runs");
 
         let hs_best = hs_discords.first();
         let rra_best = rra.discords.first();

@@ -266,7 +266,7 @@ mod tests {
         let config = gva_core::PipelineConfig::new(40, 4, 4).unwrap();
         let rec = CollectingRecorder::new();
         gva_core::AnomalyPipeline::new(config)
-            .rra_discords_with(&values, 1, &rec)
+            .rra_discords(&values, 1, &rec)
             .unwrap();
         validate_line(&rec.snapshot("rra").to_jsonl()).unwrap();
         let event = Event::new(EventKind::Visited);

@@ -315,7 +315,7 @@ fn sweep_iteration(recorder: &dyn Recorder) -> Result<(), String> {
         paas: vec![3, 5],
         alphabets: vec![3, 5],
     };
-    let points = sweep::run_with(data.series.values(), truth, 120, &grid, &recorder);
+    let points = sweep::run(data.series.values(), truth, 120, &grid, 1, recorder);
     if points.is_empty() {
         return Err("sweep produced no grid points".to_string());
     }

@@ -42,7 +42,7 @@ pub use streaming::check_streaming;
 use gv_discord::DiscordRecord;
 use gv_obs::NoopRecorder;
 use gva_core::{
-    reference_nn, reference_rank, rule_intervals, Detector, EngineConfig, GrammarModel,
+    reference_nn, reference_rank, search_candidates, Detector, EngineConfig, GrammarModel,
     PipelineConfig, RraDetector, RraReport, RuleInterval, SeriesView, Workspace,
 };
 
@@ -215,16 +215,6 @@ pub fn check_density_recount(model: &GrammarModel, curve: &[i64]) -> CheckResult
     result
 }
 
-/// The candidate set the engine's RRA search actually ran on: the raw
-/// grammar intervals minus frequency-0 runs touching the series boundary
-/// (the same filter `RraDetector::search_model` applies).
-pub fn engine_candidates(model: &GrammarModel) -> Vec<RuleInterval> {
-    let mut candidates = rule_intervals(model);
-    let len = model.series_len;
-    candidates.retain(|c| c.rule.is_some() || (c.interval.start > 0 && c.interval.end < len));
-    candidates
-}
-
 /// Check 5 — RRA exactness (§4.2): replays every reported rank with a
 /// heuristic-free brute-force search over the *same* candidate intervals
 /// and demands bit-identical distances.
@@ -324,7 +314,7 @@ pub fn check_series(
         .results
         .push(check_density_recount(&model, curve.curve()));
 
-    let candidates = engine_candidates(&model);
+    let candidates = search_candidates(&model);
     let series = SeriesView::new(values);
     let detector = RraDetector::new(config.clone(), k)
         .with_engine(EngineConfig::sequential().with_threads(threads));
@@ -443,7 +433,7 @@ mod tests {
     fn rra_check_catches_a_forged_distance() {
         let v = planted();
         let model = model_of(&v);
-        let candidates = engine_candidates(&model);
+        let candidates = search_candidates(&model);
         let detector = RraDetector::new(PipelineConfig::new(100, 5, 4).unwrap(), 2)
             .with_engine(EngineConfig::sequential());
         let mut ws = Workspace::new();
@@ -463,7 +453,7 @@ mod tests {
     fn rra_check_catches_a_missing_rank() {
         let v = planted();
         let model = model_of(&v);
-        let candidates = engine_candidates(&model);
+        let candidates = search_candidates(&model);
         let detector = RraDetector::new(PipelineConfig::new(100, 5, 4).unwrap(), 2)
             .with_engine(EngineConfig::sequential());
         let mut ws = Workspace::new();

@@ -2,7 +2,7 @@
 
 use gv_discord::HotSaxConfig;
 use gv_timeseries::{read_csv_column, Interval, TimeSeries};
-use gva_core::obs::{CollectingRecorder, NoopRecorder, PipelineTrace};
+use gva_core::obs::{CollectingRecorder, NoopRecorder, PipelineTrace, Recorder};
 use gva_core::{
     viz, AnomalyPipeline, Detector, EngineConfig, HotSaxDetector, PipelineConfig, SeriesView,
     Workspace,
@@ -184,6 +184,15 @@ fn recorder_for(args: &Args) -> Option<CollectingRecorder> {
         .then(CollectingRecorder::new)
 }
 
+/// The sink a facade call records into: the [`recorder_for`] recorder, or
+/// a [`NoopRecorder`] when none was asked for.
+fn sink(recorder: &Option<CollectingRecorder>) -> &dyn Recorder {
+    match recorder {
+        Some(rec) => rec,
+        None => &NoopRecorder,
+    }
+}
+
 /// Appends JSONL lines (one per element) to `path`, creating it if needed.
 fn append_jsonl_lines(
     path: &str,
@@ -359,11 +368,9 @@ fn density(args: &Args) -> Result<(), String> {
     let watch = args
         .get("ledger")
         .map(|_| gva_core::obs::Stopwatch::start());
-    let report = match &recorder {
-        Some(rec) => p.density_anomalies_with(series.values(), k, rec),
-        None => p.density_anomalies(series.values(), k),
-    }
-    .map_err(|e| e.to_string())?;
+    let report = p
+        .density_anomalies(series.values(), k, sink(&recorder))
+        .map_err(|e| e.to_string())?;
     if let Some(rec) = &recorder {
         emit_trace(args, &pipeline_trace(rec, "density", &p, series.len(), k))?;
     }
@@ -402,11 +409,9 @@ fn rra(args: &Args) -> Result<(), String> {
     let watch = args
         .get("ledger")
         .map(|_| gva_core::obs::Stopwatch::start());
-    let report = match &recorder {
-        Some(rec) => p.rra_discords_with(series.values(), k, rec),
-        None => p.rra_discords(series.values(), k),
-    }
-    .map_err(|e| e.to_string())?;
+    let report = p
+        .rra_discords(series.values(), k, sink(&recorder))
+        .map_err(|e| e.to_string())?;
     if let Some(path) = args.get("ledger") {
         append_run_ledger(
             path,
@@ -450,11 +455,9 @@ fn explain(args: &Args) -> Result<(), String> {
     let p = pipeline_for(args, &series)?;
     let k = args.usize_or("top", 3)?;
     let recorder = recorder_for(args);
-    let report = match &recorder {
-        Some(rec) => p.explain_with(series.values(), k, rec),
-        None => p.explain(series.values(), k),
-    }
-    .map_err(|e| e.to_string())?;
+    let report = p
+        .explain(series.values(), k, sink(&recorder))
+        .map_err(|e| e.to_string())?;
     if let Some(rec) = &recorder {
         emit_trace(args, &pipeline_trace(rec, "explain", &p, series.len(), k))?;
     }
@@ -529,7 +532,9 @@ fn motifs_cmd(args: &Args) -> Result<(), String> {
     let series = load_series(args)?;
     let p = pipeline_for(args, &series)?;
     let k = args.usize_or("top", 5)?;
-    let model = p.model(series.values()).map_err(|e| e.to_string())?;
+    let model = p
+        .model(series.values(), &NoopRecorder)
+        .map_err(|e| e.to_string())?;
     let motifs = gva_core::motifs(&model, k);
     outln!("series: {} ({} points)", series.name(), series.len());
     outln!("rank  rule   count  mean-len  min..max   period(sd)  first occurrences");
@@ -563,7 +568,9 @@ fn dot(args: &Args) -> Result<(), String> {
     let series = load_series(args)?;
     let p = pipeline_for(args, &series)?;
     let out = args.required("out")?;
-    let model = p.model(series.values()).map_err(|e| e.to_string())?;
+    let model = p
+        .model(series.values(), &NoopRecorder)
+        .map_err(|e| e.to_string())?;
     let dot = gv_sequitur::to_dot(&model.grammar);
     std::fs::write(out, &dot).map_err(|e| e.to_string())?;
     outln!(
@@ -578,7 +585,7 @@ fn export(args: &Args) -> Result<(), String> {
     let p = pipeline_for(args, &series)?;
     let out = args.required("out")?;
     let report = p
-        .density_anomalies(series.values(), args.usize_or("top", 3)?)
+        .density_anomalies(series.values(), args.usize_or("top", 3)?, &NoopRecorder)
         .map_err(|e| e.to_string())?;
     let density: Vec<f64> = report.curve.iter().map(|&d| d as f64).collect();
     gv_timeseries::write_csv_columns(out, &["value", "density"], &[series.values(), &density])
@@ -591,7 +598,9 @@ fn grammar(args: &Args) -> Result<(), String> {
     let series = load_series(args)?;
     let p = pipeline_for(args, &series)?;
     let limit = args.usize_or("limit", 20)?;
-    let model = p.model(series.values()).map_err(|e| e.to_string())?;
+    let model = p
+        .model(series.values(), &NoopRecorder)
+        .map_err(|e| e.to_string())?;
     let counts = model.grammar.occurrence_counts();
     outln!(
         "{} tokens, {} rules, grammar size {}",
@@ -918,20 +927,16 @@ fn demo(args: &Args) -> Result<(), String> {
     outln!("truth  : {}", viz::marker_row(values.len(), &truth, width));
 
     let recorder = recorder_for(args);
-    let density = match &recorder {
-        Some(rec) => p.density_anomalies_with(values, k, rec),
-        None => p.density_anomalies(values, k),
-    }
-    .map_err(|e| e.to_string())?;
+    let density = p
+        .density_anomalies(values, k, sink(&recorder))
+        .map_err(|e| e.to_string())?;
     outln!("density: {}", viz::density_strip(&density.curve, width));
     let d_iv: Vec<Interval> = density.anomalies.iter().map(|a| a.interval).collect();
     outln!("d-hits : {}", viz::marker_row(values.len(), &d_iv, width));
 
-    let rra = match &recorder {
-        Some(rec) => p.rra_discords_with(values, k, rec),
-        None => p.rra_discords(values, k),
-    }
-    .map_err(|e| e.to_string())?;
+    let rra = p
+        .rra_discords(values, k, sink(&recorder))
+        .map_err(|e| e.to_string())?;
     if let Some(rec) = &recorder {
         let label = format!("demo:{name}");
         emit_trace(args, &pipeline_trace(rec, &label, &p, values.len(), k))?;

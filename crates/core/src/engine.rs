@@ -28,7 +28,7 @@ use gv_timeseries::Interval;
 use crate::config::PipelineConfig;
 use crate::density::{DensityReport, RuleDensity};
 use crate::error::{Error, Result};
-use crate::intervals::rule_intervals_into;
+use crate::intervals::{is_search_candidate, rule_intervals_into};
 use crate::model::GrammarModel;
 use crate::rra::{self, RraReport, SearchOptions};
 use crate::workspace::Workspace;
@@ -285,9 +285,10 @@ impl RraDetector {
         self
     }
 
-    /// Runs the search stage against an already-built model (the pipeline
-    /// and explain paths build the model once and keep it). Applies the
-    /// same boundary filter as [`rra::discords_with`].
+    /// Runs the search stage against an already-built model (the explain
+    /// path and the sweep build the model once and keep it). Searches
+    /// [`search_candidates`](crate::search_candidates), filtered in the
+    /// workspace's candidate buffer.
     ///
     /// # Errors
     /// [`crate::Error::NoCandidates`] when the grammar yields fewer than
@@ -305,7 +306,7 @@ impl RraDetector {
     /// [`RraDetector::search_model`] with the search spans grafted under
     /// `parent` in the recorder's span tree; `None` leaves `rra-outer` as
     /// a root span.
-    pub fn search_model_under(
+    pub(crate) fn search_model_under(
         &self,
         values: &[f64],
         model: &GrammarModel,
@@ -317,8 +318,7 @@ impl RraDetector {
             candidates, rra, ..
         } = ws;
         rule_intervals_into(model, candidates);
-        let len = model.series_len;
-        candidates.retain(|c| c.rule.is_some() || (c.interval.start > 0 && c.interval.end < len));
+        candidates.retain(|c| is_search_candidate(c, model.series_len));
         rra::search_in(
             values,
             candidates,
@@ -399,7 +399,7 @@ impl DensityDetector {
 
     /// [`DensityDetector::report_model`] with the density span grafted
     /// under `parent` in the recorder's span tree.
-    pub fn report_model_under(
+    pub(crate) fn report_model_under(
         &self,
         model: &GrammarModel,
         recorder: &dyn Recorder,
@@ -410,6 +410,24 @@ impl DensityDetector {
         let report = RuleDensity::from_model(model).report_trimmed(self.k, edge);
         timer.finish(&recorder);
         report
+    }
+
+    /// The whole detection as [`Detector::detect`] runs it, returning the
+    /// density report itself plus the induced grammar's size.
+    pub(crate) fn detect_density(
+        &self,
+        values: &[f64],
+        ws: &mut Workspace,
+        recorder: &dyn Recorder,
+    ) -> Result<(DensityReport, usize)> {
+        check_k(self.k)?;
+        let root = SpanTimer::start(&recorder, None, Stage::Detect);
+        let model = ws.build_model_under(&self.config, values, &recorder, root.span())?;
+        let report = self.report_model_under(&model, recorder, root.span());
+        let grammar_size = model.grammar.grammar_size();
+        ws.recycle_model(model);
+        root.finish(&recorder);
+        Ok((report, grammar_size))
     }
 }
 
@@ -424,14 +442,7 @@ impl Detector for DensityDetector {
         ws: &mut Workspace,
         recorder: &dyn Recorder,
     ) -> Result<Report> {
-        check_k(self.k)?;
-        let root = SpanTimer::start(&recorder, None, Stage::Detect);
-        let model = ws.build_model_under(&self.config, series.values(), &recorder, root.span())?;
-        let report = self.report_model_under(&model, recorder, root.span());
-        let grammar_size = model.grammar.grammar_size();
-        let num_candidates = model.series_len;
-        ws.recycle_model(model);
-        root.finish(&recorder);
+        let (report, grammar_size) = self.detect_density(series.values(), ws, recorder)?;
         let anomalies = report
             .anomalies
             .iter()
@@ -446,7 +457,7 @@ impl Detector for DensityDetector {
             detector: self.name(),
             anomalies,
             stats: SearchStats::default(),
-            num_candidates,
+            num_candidates: series.len(),
             grammar_size,
             detail: Detail::Density(report),
         })

@@ -324,7 +324,10 @@ fn json_f64(x: f64) -> String {
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
+    use crate::engine::{EngineConfig, RraDetector};
     use crate::pipeline::AnomalyPipeline;
+    use crate::workspace::Workspace;
+    use gv_obs::NoopRecorder;
 
     fn planted() -> Vec<f64> {
         let mut v: Vec<f64> = (0..2400).map(|i| (i as f64 / 20.0).sin()).collect();
@@ -338,9 +341,11 @@ mod tests {
         let v = planted();
         let pipeline = AnomalyPipeline::new(PipelineConfig::new(100, 5, 4).unwrap());
         let recorder = LocalRecorder::new();
-        let model = pipeline.model(&v).unwrap();
-        let report =
-            crate::rra::discords_with(&v, &model, k, pipeline.config().seed(), &recorder).unwrap();
+        let model = pipeline.model(&v, &NoopRecorder).unwrap();
+        let report = RraDetector::new(pipeline.config().clone(), k)
+            .with_engine(EngineConfig::sequential())
+            .search_model(&v, &model, &mut Workspace::new(), &recorder)
+            .unwrap();
         (ExplainReport::from_run(&model, &report, &recorder), report)
     }
 

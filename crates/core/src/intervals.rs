@@ -34,6 +34,25 @@ pub fn rule_intervals(model: &GrammarModel) -> Vec<RuleInterval> {
     out
 }
 
+/// The candidate set the RRA search runs on: [`rule_intervals`] minus the
+/// frequency-0 runs touching either end of the series. The first and last
+/// token runs routinely fall outside every rule simply because the
+/// pattern dictionary is still warming up (or the series stops
+/// mid-pattern), and their large nearest-neighbour distances would
+/// otherwise shadow genuine interior anomalies.
+pub fn search_candidates(model: &GrammarModel) -> Vec<RuleInterval> {
+    let mut out = rule_intervals(model);
+    out.retain(|c| is_search_candidate(c, model.series_len));
+    out
+}
+
+/// The [`search_candidates`] rule for one candidate of a
+/// `series_len`-point series: rule occurrences always stay; an uncovered
+/// run stays only when it touches neither end.
+pub(crate) fn is_search_candidate(c: &RuleInterval, series_len: usize) -> bool {
+    c.rule.is_some() || (c.interval.start > 0 && c.interval.end < series_len)
+}
+
 /// [`rule_intervals`] writing into a caller-owned buffer (cleared first),
 /// so repeated candidate construction through a reused workspace stops
 /// re-allocating once the buffer has warmed up.
@@ -90,6 +109,7 @@ mod tests {
     use super::*;
     use crate::config::PipelineConfig;
     use crate::pipeline::AnomalyPipeline;
+    use gv_obs::NoopRecorder;
 
     /// A repetitive sine with a one-off distortion in the middle.
     fn series() -> Vec<f64> {
@@ -102,7 +122,7 @@ mod tests {
 
     fn model() -> GrammarModel {
         AnomalyPipeline::new(PipelineConfig::new(60, 4, 4).unwrap())
-            .model(&series())
+            .model(&series(), &NoopRecorder)
             .unwrap()
     }
 
@@ -153,6 +173,38 @@ mod tests {
                 assert!(!zero[i].interval.overlaps(&zero[j].interval));
             }
         }
+    }
+
+    #[test]
+    fn search_candidates_drop_exactly_the_boundary_runs() {
+        use crate::engine::{EngineConfig, RraDetector};
+        // One-off shapes at both ends leave uncovered runs touching them.
+        let mut v = series();
+        for (i, x) in v[..90].iter_mut().enumerate() {
+            *x = 0.5 * (i as f64 / 3.0).cos();
+        }
+        for (i, x) in v[1110..].iter_mut().enumerate() {
+            *x = (i as f64 / 30.0).powi(2);
+        }
+        let config = PipelineConfig::new(60, 4, 4).unwrap();
+        let m = AnomalyPipeline::new(config.clone())
+            .model(&v, &NoopRecorder)
+            .unwrap();
+        let at_edge = |c: &RuleInterval| {
+            c.frequency == 0 && (c.interval.start == 0 || c.interval.end == m.series_len)
+        };
+        let all = rule_intervals(&m);
+        assert!(all.iter().any(at_edge), "no boundary run to drop");
+        let kept = search_candidates(&m);
+        assert_eq!(
+            kept,
+            all.into_iter().filter(|c| !at_edge(c)).collect::<Vec<_>>()
+        );
+        let report = RraDetector::new(config, 1)
+            .with_engine(EngineConfig::sequential())
+            .search_model(&v, &m, &mut crate::Workspace::new(), &NoopRecorder)
+            .unwrap();
+        assert_eq!(report.num_candidates, kept.len());
     }
 
     #[test]

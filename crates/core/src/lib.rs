@@ -35,6 +35,7 @@
 //! bit-identical for any thread count.
 //!
 //! ```
+//! use gva_core::obs::NoopRecorder;
 //! use gva_core::{AnomalyPipeline, PipelineConfig};
 //!
 //! // A sine with a planted distortion.
@@ -42,9 +43,9 @@
 //! for (i, v) in values[1000..1060].iter_mut().enumerate() { *v = (i as f64 / 4.0).sin() * 0.3; }
 //!
 //! let pipeline = AnomalyPipeline::new(PipelineConfig::new(100, 5, 4).unwrap());
-//! let density = pipeline.density_anomalies(&values, 1).unwrap();
+//! let density = pipeline.density_anomalies(&values, 1, &NoopRecorder).unwrap();
 //! assert!(!density.anomalies.is_empty());
-//! let rra = pipeline.rra_discords(&values, 1).unwrap();
+//! let rra = pipeline.rra_discords(&values, 1, &NoopRecorder).unwrap();
 //! assert!(!rra.discords.is_empty());
 //! ```
 
@@ -77,7 +78,7 @@ pub use engine::{
 };
 pub use error::{Error, Result};
 pub use explain::{DiscordProvenance, ExplainReport};
-pub use intervals::{rule_intervals, rule_intervals_into, RuleInterval};
+pub use intervals::{rule_intervals, rule_intervals_into, search_candidates, RuleInterval};
 pub use model::GrammarModel;
 pub use motifs::{motifs, Motif};
 pub use pipeline::AnomalyPipeline;

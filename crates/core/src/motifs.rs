@@ -97,6 +97,7 @@ mod tests {
     use super::*;
     use crate::config::PipelineConfig;
     use crate::pipeline::AnomalyPipeline;
+    use gv_obs::NoopRecorder;
 
     fn periodic_series() -> Vec<f64> {
         (0..2000)
@@ -108,7 +109,7 @@ mod tests {
     fn motifs_found_in_periodic_data() {
         let values = periodic_series();
         let pipeline = AnomalyPipeline::new(PipelineConfig::new(80, 4, 4).unwrap());
-        let model = pipeline.model(&values).unwrap();
+        let model = pipeline.model(&values, &NoopRecorder).unwrap();
         let found = motifs(&model, 5);
         assert!(!found.is_empty(), "periodic data must contain motifs");
         // Ordered by descending support.
@@ -133,7 +134,7 @@ mod tests {
     fn top_motif_covers_much_of_a_periodic_series() {
         let values = periodic_series();
         let pipeline = AnomalyPipeline::new(PipelineConfig::new(80, 4, 4).unwrap());
-        let model = pipeline.model(&values).unwrap();
+        let model = pipeline.model(&values, &NoopRecorder).unwrap();
         let found = motifs(&model, 1);
         let top = &found[0];
         // The most frequent rule in a periodic signal recurs many times.
@@ -148,7 +149,7 @@ mod tests {
             .map(|i| (i as f64 * std::f64::consts::TAU / 100.0).sin())
             .collect();
         let pipeline = AnomalyPipeline::new(PipelineConfig::new(80, 4, 4).unwrap());
-        let model = pipeline.model(&values).unwrap();
+        let model = pipeline.model(&values, &NoopRecorder).unwrap();
         let found = motifs(&model, 1);
         let (mean, sd) = found[0].periodicity().unwrap();
         assert!(mean > 0.0);
@@ -176,7 +177,7 @@ mod tests {
     fn k_truncates() {
         let values = periodic_series();
         let pipeline = AnomalyPipeline::new(PipelineConfig::new(80, 4, 4).unwrap());
-        let model = pipeline.model(&values).unwrap();
+        let model = pipeline.model(&values, &NoopRecorder).unwrap();
         assert!(motifs(&model, 2).len() <= 2);
         assert!(motifs(&model, 0).is_empty());
     }
@@ -193,7 +194,7 @@ mod tests {
             }
         }
         let pipeline = AnomalyPipeline::new(PipelineConfig::new(60, 4, 4).unwrap());
-        let model = pipeline.model(&values).unwrap();
+        let model = pipeline.model(&values, &NoopRecorder).unwrap();
         let found = motifs(&model, 10);
         assert!(
             found.iter().any(|m| m.min_length != m.max_length),

@@ -1,6 +1,6 @@
 //! The end-to-end pipeline facade.
 
-use gv_obs::{LocalRecorder, NoopRecorder, Recorder, SpanTimer, Stage};
+use gv_obs::{LocalRecorder, Recorder, SpanTimer, Stage};
 
 use crate::config::PipelineConfig;
 use crate::density::DensityReport;
@@ -53,77 +53,48 @@ impl AnomalyPipeline {
     }
 
     /// Runs discretization and grammar induction, producing the
-    /// [`GrammarModel`] both detectors consume.
+    /// [`GrammarModel`] both detectors consume. Stage spans
+    /// ([`Stage::Discretize`], [`Stage::Intern`], [`Stage::Induce`]) and
+    /// the discretization/induction counters go to `recorder`; the model
+    /// is the same whatever the recorder.
     ///
     /// # Errors
     /// Discretization errors (window too long, etc.).
-    pub fn model(&self, values: &[f64]) -> Result<GrammarModel> {
-        self.model_with(values, &NoopRecorder)
-    }
-
-    /// [`model`](Self::model) with instrumentation: stage timings
-    /// ([`Stage::Discretize`], [`Stage::Intern`], [`Stage::Induce`]) and
-    /// the discretization/induction counters go to `recorder`. The model
-    /// produced is identical to the uninstrumented one.
-    ///
-    /// # Errors
-    /// Same as [`model`](Self::model).
-    pub fn model_with<R: Recorder>(&self, values: &[f64], recorder: &R) -> Result<GrammarModel> {
-        Workspace::new().build_model(&self.config, values, recorder)
+    pub fn model(&self, values: &[f64], recorder: &dyn Recorder) -> Result<GrammarModel> {
+        Workspace::new().build_model(&self.config, values, &recorder)
     }
 
     /// Runs the rule-density detector (§4.1): builds the density curve and
     /// reports up to `k` ranked minima intervals. Boundary minima entirely
     /// inside the first/last window are treated as discretization
-    /// artifacts and skipped (see [`RuleDensity::report_trimmed`]).
+    /// artifacts and skipped (see
+    /// [`RuleDensity::report_trimmed`](crate::RuleDensity::report_trimmed)).
     ///
     /// # Errors
     /// Discretization errors.
-    pub fn density_anomalies(&self, values: &[f64], k: usize) -> Result<DensityReport> {
-        self.density_anomalies_with(values, k, &NoopRecorder)
-    }
-
-    /// [`density_anomalies`](Self::density_anomalies) with instrumentation:
-    /// adds [`Stage::Density`] timing on top of the model stages.
-    ///
-    /// # Errors
-    /// Same as [`density_anomalies`](Self::density_anomalies).
-    pub fn density_anomalies_with<R: Recorder>(
+    pub fn density_anomalies(
         &self,
         values: &[f64],
         k: usize,
-        recorder: &R,
+        recorder: &dyn Recorder,
     ) -> Result<DensityReport> {
         let detector = DensityDetector::new(self.config.clone(), k);
-        let report = detector.detect(&SeriesView::new(values), &mut Workspace::new(), recorder)?;
-        Ok(report
-            .density()
-            .cloned()
-            // gv-lint: allow(no-unwrap-in-lib) DensityDetector::detect always populates the density report; a None here is a bug, not an input error
-            .expect("density detector always carries its report"))
+        let (report, _) = detector.detect_density(values, &mut Workspace::new(), recorder)?;
+        Ok(report)
     }
 
     /// Runs the RRA detector (§4.2): returns up to `k` ranked
-    /// variable-length discords plus the search cost.
+    /// variable-length discords plus the search cost, recording the model
+    /// stages and the search to `recorder`.
     ///
     /// # Errors
     /// Discretization errors; [`crate::Error::NoCandidates`] when the
     /// grammar yields no usable candidate intervals.
-    pub fn rra_discords(&self, values: &[f64], k: usize) -> Result<RraReport> {
-        self.rra_discords_with(values, k, &NoopRecorder)
-    }
-
-    /// [`rra_discords`](Self::rra_discords) with instrumentation: the
-    /// model stages plus the RRA search counters and
-    /// [`Stage::RraOuter`]/[`Stage::RraInner`] timings go to `recorder`.
-    ///
-    /// # Errors
-    /// Same as [`rra_discords`](Self::rra_discords).
-    pub fn rra_discords_with<R: Recorder>(
+    pub fn rra_discords(
         &self,
         values: &[f64],
         k: usize,
-        recorder: &R,
+        recorder: &dyn Recorder,
     ) -> Result<RraReport> {
         let detector = RraDetector::new(self.config.clone(), k).with_engine(self.engine);
         let report = detector.detect(&SeriesView::new(values), &mut Workspace::new(), recorder)?;
@@ -133,25 +104,17 @@ impl AnomalyPipeline {
     /// Runs the RRA detector with full decision telemetry and joins the
     /// event stream with the grammar model into a per-discord
     /// [`ExplainReport`] (rule id, SAX word, frequency, siblings, distance
-    /// calls spent, rule-density floor).
-    ///
-    /// # Errors
-    /// Same as [`rra_discords`](Self::rra_discords).
-    pub fn explain(&self, values: &[f64], k: usize) -> Result<ExplainReport> {
-        self.explain_with(values, k, &NoopRecorder)
-    }
-
-    /// [`explain`](Self::explain), additionally publishing the run's
-    /// counters, timings, histograms, and events to `recorder` (detail
+    /// calls spent, rule-density floor). The run's counters, spans,
+    /// histograms and events are also published to `recorder` (detail
     /// flows through only when `recorder.detailed()`).
     ///
     /// # Errors
-    /// Same as [`explain`](Self::explain).
-    pub fn explain_with<R: Recorder>(
+    /// Same as [`rra_discords`](Self::rra_discords).
+    pub fn explain(
         &self,
         values: &[f64],
         k: usize,
-        recorder: &R,
+        recorder: &dyn Recorder,
     ) -> Result<ExplainReport> {
         // Always collect detail locally — the join needs the events even
         // when the caller's sink is a Noop.
@@ -163,7 +126,7 @@ impl AnomalyPipeline {
         let report = detector.search_model_under(values, &model, &mut ws, &local, root.span())?;
         root.finish(&local);
         let explain = ExplainReport::from_run(&model, &report, &local);
-        local.merge_into(recorder);
+        local.merge_into(&recorder);
         Ok(explain)
     }
 }
@@ -172,6 +135,7 @@ impl AnomalyPipeline {
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
+    use gv_obs::NoopRecorder;
 
     fn planted_series() -> Vec<f64> {
         let mut v: Vec<f64> = (0..3000).map(|i| (i as f64 / 25.0).sin()).collect();
@@ -184,7 +148,7 @@ mod tests {
     #[test]
     fn model_has_consistent_tokens() {
         let p = AnomalyPipeline::new(PipelineConfig::new(100, 5, 4).unwrap());
-        let m = p.model(&planted_series()).unwrap();
+        let m = p.model(&planted_series(), &NoopRecorder).unwrap();
         assert!(m.num_tokens() > 10);
         assert_eq!(m.grammar.input_len(), m.num_tokens());
         assert_eq!(m.window, 100);
@@ -199,7 +163,9 @@ mod tests {
     #[test]
     fn density_finds_planted_anomaly() {
         let p = AnomalyPipeline::new(PipelineConfig::new(100, 5, 4).unwrap());
-        let report = p.density_anomalies(&planted_series(), 1).unwrap();
+        let report = p
+            .density_anomalies(&planted_series(), 1, &NoopRecorder)
+            .unwrap();
         assert_eq!(report.curve.len(), 3000);
         let a = &report.anomalies[0];
         // The planted distortion at 1500..1600 should be inside/near the
@@ -214,7 +180,7 @@ mod tests {
     #[test]
     fn rra_finds_planted_anomaly() {
         let p = AnomalyPipeline::new(PipelineConfig::new(100, 5, 4).unwrap());
-        let report = p.rra_discords(&planted_series(), 2).unwrap();
+        let report = p.rra_discords(&planted_series(), 2, &NoopRecorder).unwrap();
         assert!(!report.discords.is_empty());
         let d = &report.discords[0];
         assert!(
@@ -229,7 +195,7 @@ mod tests {
     #[test]
     fn too_short_series_errors() {
         let p = AnomalyPipeline::new(PipelineConfig::new(100, 5, 4).unwrap());
-        assert!(p.model(&[0.0; 50]).is_err());
+        assert!(p.model(&[0.0; 50], &NoopRecorder).is_err());
     }
 
     #[test]
@@ -242,8 +208,8 @@ mod tests {
             .with_engine(EngineConfig::sequential());
         let rec = LocalRecorder::new();
 
-        let plain = p.rra_discords(&v, 2).unwrap();
-        let instrumented = p.rra_discords_with(&v, 2, &rec).unwrap();
+        let plain = p.rra_discords(&v, 2, &NoopRecorder).unwrap();
+        let instrumented = p.rra_discords(&v, 2, &rec).unwrap();
         assert_eq!(plain.discords.len(), instrumented.discords.len());
         for (a, b) in plain.discords.iter().zip(&instrumented.discords) {
             assert_eq!(a.position, b.position);
@@ -292,8 +258,8 @@ mod tests {
 
         // Density path times its own stage.
         let drec = LocalRecorder::new();
-        let d1 = p.density_anomalies(&v, 1).unwrap();
-        let d2 = p.density_anomalies_with(&v, 1, &drec).unwrap();
+        let d1 = p.density_anomalies(&v, 1, &NoopRecorder).unwrap();
+        let d2 = p.density_anomalies(&v, 1, &drec).unwrap();
         assert_eq!(d1.curve, d2.curve);
         assert_eq!(d1.anomalies.len(), d2.anomalies.len());
         assert!(drec.span_tree().get("detect;density").unwrap().total_ns > 0);

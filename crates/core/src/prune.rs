@@ -124,13 +124,14 @@ mod tests {
     use super::*;
     use crate::config::PipelineConfig;
     use crate::pipeline::AnomalyPipeline;
+    use gv_obs::NoopRecorder;
 
     fn model() -> GrammarModel {
         let values: Vec<f64> = (0..2000)
             .map(|i| (i as f64 / 20.0).sin() + 0.3 * (i as f64 / 7.0).sin())
             .collect();
         AnomalyPipeline::new(PipelineConfig::new(80, 4, 4).unwrap())
-            .model(&values)
+            .model(&values, &NoopRecorder)
             .unwrap()
     }
 
@@ -197,7 +198,7 @@ mod tests {
         // A series whose discretization is a single token: no rules at all.
         let values = vec![1.0; 300];
         let m = AnomalyPipeline::new(PipelineConfig::new(50, 4, 4).unwrap())
-            .model(&values)
+            .model(&values, &NoopRecorder)
             .unwrap();
         let pruned = prune(&m);
         assert!(pruned.rules.is_empty());

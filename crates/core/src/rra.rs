@@ -17,9 +17,10 @@
 //!
 //! ## Parallel search
 //!
-//! The outer loop can shard across `threads` workers
-//! ([`discords_parallel_with`], or an `EngineConfig` through the engine
-//! layer). Each rank's surviving candidates are striped round-robin across
+//! The outer loop can shard across `threads` workers (the
+//! [`EngineConfig`](crate::EngineConfig) of an
+//! [`RraDetector`](crate::RraDetector), the one public way into the
+//! search). Each rank's surviving candidates are striped round-robin across
 //! scoped threads that share a best-so-far lower bound through an
 //! `AtomicU64` (f64 bits, monotone-max CAS). The ranked discords are
 //! **bit-identical to the sequential search for any thread count**: a
@@ -45,8 +46,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::error::{Error, Result};
-use crate::intervals::{rule_intervals, RuleInterval};
-use crate::model::GrammarModel;
+use crate::intervals::RuleInterval;
 
 /// The RRA output: ranked variable-length discords plus the search cost.
 #[derive(Debug, Clone)]
@@ -57,70 +57,6 @@ pub struct RraReport {
     pub stats: SearchStats,
     /// How many candidate intervals the grammar supplied.
     pub num_candidates: usize,
-}
-
-/// Runs RRA on a series given its grammar model.
-///
-/// Frequency-0 candidates touching the series boundary are dropped before
-/// the search: the first and last token runs routinely fall outside every
-/// rule simply because the pattern dictionary is still warming up (or the
-/// series stops mid-pattern), and their large nearest-neighbour distances
-/// would otherwise shadow genuine interior anomalies. Use
-/// [`discords_from_intervals`] with [`rule_intervals`] to search the raw,
-/// unfiltered candidate set.
-///
-/// # Errors
-/// [`Error::NoCandidates`] when the grammar yields fewer than two
-/// candidate intervals (nothing to compare).
-pub fn discords(values: &[f64], model: &GrammarModel, k: usize, seed: u64) -> Result<RraReport> {
-    discords_with(values, model, k, seed, &NoopRecorder)
-}
-
-/// [`discords`] with instrumentation: the search publishes its counters
-/// (distance calls, early abandons, pruning outcomes) and the
-/// [`Stage::RraOuter`]/[`Stage::RraInner`] timings to `recorder`.
-///
-/// # Errors
-/// Same as [`discords`].
-pub fn discords_with<R: Recorder>(
-    values: &[f64],
-    model: &GrammarModel,
-    k: usize,
-    seed: u64,
-    recorder: &R,
-) -> Result<RraReport> {
-    discords_parallel_with(values, model, k, seed, 1, recorder)
-}
-
-/// [`discords_with`] sharding the outer loop across `threads` scoped
-/// workers. The ranked discords are bit-identical to the sequential search
-/// (`threads = 1`) — see the module docs for why; only the reported cost
-/// varies.
-///
-/// # Errors
-/// Same as [`discords`].
-pub fn discords_parallel_with<R: Recorder>(
-    values: &[f64],
-    model: &GrammarModel,
-    k: usize,
-    seed: u64,
-    threads: usize,
-    recorder: &R,
-) -> Result<RraReport> {
-    let mut candidates = rule_intervals(model);
-    let len = model.series_len;
-    candidates.retain(|c| c.rule.is_some() || (c.interval.start > 0 && c.interval.end < len));
-    search_in(
-        values,
-        &candidates,
-        k,
-        seed,
-        SearchOptions::default(),
-        threads,
-        &mut RraScratch::default(),
-        recorder,
-        None,
-    )
 }
 
 /// Ablation switches for the Algorithm 1 search. The defaults are the
@@ -145,70 +81,6 @@ impl Default for SearchOptions {
             early_abandon: true,
         }
     }
-}
-
-/// Runs the Algorithm 1 search over an explicit candidate list (exposed
-/// separately for tests and for callers that pre-filter candidates).
-///
-/// # Errors
-/// [`Error::NoCandidates`] when fewer than two candidates are supplied.
-pub fn discords_from_intervals(
-    values: &[f64],
-    candidates: &[RuleInterval],
-    k: usize,
-    seed: u64,
-) -> Result<RraReport> {
-    discords_with_options(values, candidates, k, seed, SearchOptions::default())
-}
-
-/// [`discords_from_intervals`] with explicit [`SearchOptions`]. The result
-/// set is identical for every option combination (the heuristics only
-/// reorder and prune); the *cost* differs.
-///
-/// # Errors
-/// [`Error::NoCandidates`] when fewer than two candidates are supplied.
-pub fn discords_with_options(
-    values: &[f64],
-    candidates: &[RuleInterval],
-    k: usize,
-    seed: u64,
-    options: SearchOptions,
-) -> Result<RraReport> {
-    discords_with_options_recorded(values, candidates, k, seed, options, &NoopRecorder)
-}
-
-/// The fully-parameterized Algorithm 1 entry point: explicit candidates,
-/// [`SearchOptions`], and a [`Recorder`] sink.
-///
-/// Counting happens exactly once, in a search-local [`LocalRecorder`] the
-/// distance kernels increment directly; [`SearchStats`] is derived from it
-/// and its totals are merged into `recorder` at the end, so the stats and
-/// the recorder can never disagree. Stage timings ([`Stage::RraOuter`] for
-/// the whole search, [`Stage::RraInner`] for the nested nearest-neighbor
-/// loops) are only measured when `recorder` is enabled — with a
-/// [`NoopRecorder`] the clock is never read.
-///
-/// # Errors
-/// [`Error::NoCandidates`] when fewer than two candidates are supplied.
-pub fn discords_with_options_recorded<R: Recorder>(
-    values: &[f64],
-    candidates: &[RuleInterval],
-    k: usize,
-    seed: u64,
-    options: SearchOptions,
-    recorder: &R,
-) -> Result<RraReport> {
-    search_in(
-        values,
-        candidates,
-        k,
-        seed,
-        options,
-        1,
-        &mut RraScratch::default(),
-        recorder,
-        None,
-    )
 }
 
 /// Reusable z-normalization scratch for the *reference* paths
@@ -477,6 +349,12 @@ fn scan_candidate<F: Fn() -> f64>(
 
 /// The search engine behind every public RRA entry point: explicit
 /// candidates, options, thread count, and reusable scratch.
+///
+/// Counting happens once, in a search-local [`LocalRecorder`] the distance
+/// kernels increment directly; [`SearchStats`] is derived from it and it
+/// is merged into `recorder` under `parent` at the end. Spans are only
+/// timed when `recorder` is enabled, so a [`NoopRecorder`] never reads the
+/// clock.
 ///
 /// # Errors
 /// [`Error::NoCandidates`] when fewer than two candidates are supplied.
@@ -971,13 +849,36 @@ pub fn nn_distance_profile(values: &[f64], candidates: &[RuleInterval]) -> Vec<(
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
+    use crate::intervals::rule_intervals;
     use crate::pipeline::AnomalyPipeline;
 
     fn candidates_from(values: &[f64], w: usize, p: usize, a: usize) -> Vec<RuleInterval> {
         let model = AnomalyPipeline::new(PipelineConfig::new(w, p, a).unwrap())
-            .model(values)
+            .model(values, &NoopRecorder)
             .unwrap();
         rule_intervals(&model)
+    }
+
+    /// The sequential search over an explicit candidate list, with fresh
+    /// scratch and no recorder.
+    fn search(
+        values: &[f64],
+        candidates: &[RuleInterval],
+        k: usize,
+        seed: u64,
+        options: SearchOptions,
+    ) -> Result<RraReport> {
+        search_in(
+            values,
+            candidates,
+            k,
+            seed,
+            options,
+            1,
+            &mut RraScratch::default(),
+            &NoopRecorder,
+            None,
+        )
     }
 
     fn planted() -> Vec<f64> {
@@ -992,7 +893,7 @@ mod tests {
     fn too_few_candidates_is_an_error() {
         let c: Vec<RuleInterval> = vec![];
         assert!(matches!(
-            discords_from_intervals(&[0.0; 10], &c, 1, 0),
+            search(&[0.0; 10], &c, 1, 0, SearchOptions::default()),
             Err(Error::NoCandidates)
         ));
     }
@@ -1001,7 +902,7 @@ mod tests {
     fn finds_the_planted_discord() {
         let v = planted();
         let cands = candidates_from(&v, 100, 5, 4);
-        let report = discords_from_intervals(&v, &cands, 1, 0).unwrap();
+        let report = search(&v, &cands, 1, 0, SearchOptions::default()).unwrap();
         assert_eq!(report.discords.len(), 1);
         let d = &report.discords[0];
         assert!(
@@ -1018,7 +919,7 @@ mod tests {
         // candidates, as computed by the exhaustive profile.
         let v = planted();
         let cands = candidates_from(&v, 100, 5, 4);
-        let report = discords_from_intervals(&v, &cands, 1, 42).unwrap();
+        let report = search(&v, &cands, 1, 42, SearchOptions::default()).unwrap();
         let d = &report.discords[0];
         let profile = nn_distance_profile(&v, &cands);
         let max = profile
@@ -1064,8 +965,8 @@ mod tests {
         // Same discord, same rank (distances may differ in the last bits
         // — the offset costs ~1e-8 absolute precision in the z-normed
         // values — so the assertion is on identity, not bits).
-        let r0 = discords_from_intervals(&v0, &c0, 1, 0).unwrap();
-        let r1 = discords_from_intervals(&v1, &c1, 1, 0).unwrap();
+        let r0 = search(&v0, &c0, 1, 0, SearchOptions::default()).unwrap();
+        let r1 = search(&v1, &c1, 1, 0, SearchOptions::default()).unwrap();
         assert_eq!(r0.discords.len(), 1);
         assert_eq!(r1.discords.len(), 1);
         let (d0, d1) = (&r0.discords[0], &r1.discords[0]);
@@ -1081,8 +982,8 @@ mod tests {
     fn seed_does_not_change_the_result() {
         let v = planted();
         let cands = candidates_from(&v, 100, 5, 4);
-        let a = discords_from_intervals(&v, &cands, 1, 1).unwrap();
-        let b = discords_from_intervals(&v, &cands, 1, 999).unwrap();
+        let a = search(&v, &cands, 1, 1, SearchOptions::default()).unwrap();
+        let b = search(&v, &cands, 1, 999, SearchOptions::default()).unwrap();
         assert_eq!(a.discords[0].position, b.discords[0].position);
         assert!((a.discords[0].distance - b.discords[0].distance).abs() < 1e-9);
     }
@@ -1094,7 +995,7 @@ mod tests {
             *x += 0.8 * (std::f64::consts::PI * i as f64 / 60.0).sin();
         }
         let cands = candidates_from(&v, 100, 5, 4);
-        let report = discords_from_intervals(&v, &cands, 3, 0).unwrap();
+        let report = search(&v, &cands, 3, 0, SearchOptions::default()).unwrap();
         assert!(report.discords.len() >= 2);
         for w in report.discords.windows(2) {
             assert!(w[0].distance >= w[1].distance);
@@ -1120,7 +1021,7 @@ mod tests {
     fn options_change_cost_not_result() {
         let v = planted();
         let cands = candidates_from(&v, 100, 5, 4);
-        let full = discords_from_intervals(&v, &cands, 1, 3).unwrap();
+        let full = search(&v, &cands, 1, 3, SearchOptions::default()).unwrap();
         for options in [
             SearchOptions {
                 outer_by_frequency: false,
@@ -1140,7 +1041,7 @@ mod tests {
                 early_abandon: false,
             },
         ] {
-            let r = discords_with_options(&v, &cands, 1, 3, options).unwrap();
+            let r = search(&v, &cands, 1, 3, options).unwrap();
             assert_eq!(
                 r.discords[0].position, full.discords[0].position,
                 "{options:?}"
@@ -1152,7 +1053,7 @@ mod tests {
         }
         // The full heuristics must not be more expensive than the fully
         // ablated search.
-        let naive = discords_with_options(
+        let naive = search(
             &v,
             &cands,
             1,
@@ -1172,9 +1073,18 @@ mod tests {
         let v = planted();
         let cands = candidates_from(&v, 100, 5, 4);
         let rec = LocalRecorder::new();
-        let report =
-            discords_with_options_recorded(&v, &cands, 2, 0, SearchOptions::default(), &rec)
-                .unwrap();
+        let report = search_in(
+            &v,
+            &cands,
+            2,
+            0,
+            SearchOptions::default(),
+            1,
+            &mut RraScratch::default(),
+            &rec,
+            None,
+        )
+        .unwrap();
         let events = rec.events_vec();
         // Every distance call happens inside exactly one outer candidate's
         // inner loop, so the per-outcome deltas must sum to the total.
@@ -1203,7 +1113,7 @@ mod tests {
         );
         assert_eq!(rec.histogram(Metric::AbandonPos).count(), abandoned);
         // Decision telemetry must not change the result.
-        let plain = discords_from_intervals(&v, &cands, 2, 0).unwrap();
+        let plain = search(&v, &cands, 2, 0, SearchOptions::default()).unwrap();
         assert_eq!(plain.discords.len(), report.discords.len());
         for (a, b) in plain.discords.iter().zip(&report.discords) {
             assert_eq!(a.position, b.position);
@@ -1219,20 +1129,8 @@ mod tests {
             *x += 0.8 * (std::f64::consts::PI * i as f64 / 60.0).sin();
         }
         let cands = candidates_from(&v, 100, 5, 4);
-        let sequential = search_in(
-            &v,
-            &cands,
-            3,
-            0,
-            SearchOptions::default(),
-            1,
-            &mut RraScratch::default(),
-            &NoopRecorder,
-            None,
-        )
-        .unwrap();
-        for threads in [2, 3, 4, 8] {
-            let parallel = search_in(
+        let run = |threads| {
+            search_in(
                 &v,
                 &cands,
                 3,
@@ -1243,7 +1141,11 @@ mod tests {
                 &NoopRecorder,
                 None,
             )
-            .unwrap();
+            .unwrap()
+        };
+        let sequential = run(1);
+        for threads in [2, 3, 4, 8] {
+            let parallel = run(threads);
             assert_eq!(sequential.discords.len(), parallel.discords.len());
             for (a, b) in sequential.discords.iter().zip(&parallel.discords) {
                 assert_eq!(a.position, b.position, "threads={threads}");
@@ -1265,7 +1167,7 @@ mod tests {
             *x += 0.8 * (std::f64::consts::PI * i as f64 / 60.0).sin();
         }
         let cands = candidates_from(&v, 100, 5, 4);
-        let report = discords_from_intervals(&v, &cands, 3, 0).unwrap();
+        let report = search(&v, &cands, 3, 0, SearchOptions::default()).unwrap();
         // Replay each rank with the already-reported discords as the
         // found-list: the reference maximum must equal the reported
         // distance bit-for-bit, and the reported interval's own exact NN
@@ -1298,23 +1200,11 @@ mod tests {
     fn scratch_reuse_matches_fresh_and_stops_allocating() {
         let v = planted();
         let cands = candidates_from(&v, 100, 5, 4);
-        let fresh = discords_from_intervals(&v, &cands, 2, 0).unwrap();
+        let fresh = search(&v, &cands, 2, 0, SearchOptions::default()).unwrap();
         let mut scratch = RraScratch::default();
-        // Warm-up call, then capture capacities.
-        search_in(
-            &v,
-            &cands,
-            2,
-            0,
-            SearchOptions::default(),
-            1,
-            &mut scratch,
-            &NoopRecorder,
-            None,
-        )
-        .unwrap();
-        let sig = scratch.capacity_signature();
-        for _ in 0..3 {
+        // The first call warms the scratch up; its capacities then freeze.
+        let mut sig = None;
+        for _ in 0..4 {
             let again = search_in(
                 &v,
                 &cands,
@@ -1331,7 +1221,8 @@ mod tests {
             for (a, b) in fresh.discords.iter().zip(&again.discords) {
                 assert_eq!(a.distance.to_bits(), b.distance.to_bits());
             }
-            assert_eq!(sig, scratch.capacity_signature(), "scratch buffers grew");
+            let now = scratch.capacity_signature();
+            assert_eq!(*sig.get_or_insert(now), now, "scratch buffers grew");
         }
     }
 

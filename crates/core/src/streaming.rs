@@ -692,7 +692,7 @@ mod tests {
 
         let streaming_model = det.model().unwrap();
         let batch_model = crate::pipeline::AnomalyPipeline::new(config)
-            .model(&values)
+            .model(&values, &NoopRecorder)
             .unwrap();
         // Identical token streams and offsets.
         assert_eq!(streaming_model.records, batch_model.records);
@@ -956,7 +956,7 @@ mod tests {
         let online = det.detect(&rra).unwrap();
         let batch = crate::pipeline::AnomalyPipeline::new(config)
             .with_engine(EngineConfig::sequential())
-            .rra_discords(&v, 2)
+            .rra_discords(&v, 2, &NoopRecorder)
             .unwrap();
         assert_eq!(online.anomalies.len(), batch.discords.len());
         for (a, b) in online.anomalies.iter().zip(&batch.discords) {
@@ -1095,7 +1095,7 @@ mod tests {
         let online = det.detect(&rra).unwrap();
         let batch = crate::pipeline::AnomalyPipeline::new(config)
             .with_engine(EngineConfig::sequential())
-            .rra_discords(&values[tail..], 2)
+            .rra_discords(&values[tail..], 2, &NoopRecorder)
             .unwrap();
         assert_eq!(online.anomalies.len(), batch.discords.len());
         for (a, b) in online.anomalies.iter().zip(&batch.discords) {

@@ -8,7 +8,7 @@
 //! series was). RRA's success region is roughly twice the density
 //! detector's.
 
-use gv_obs::{NoopRecorder, Recorder};
+use gv_obs::{LocalRecorder, NoopRecorder, Recorder};
 use gv_sax::reconstruction_error;
 use gv_timeseries::Interval;
 use serde::{Deserialize, Serialize};
@@ -75,79 +75,27 @@ impl SweepGrid {
 /// than the series, PAA larger than window, …) are skipped. `truth` is the
 /// ground-truth anomaly interval; a detector "hits" when its top report
 /// overlaps the truth widened by `slack` points.
-pub fn run(values: &[f64], truth: Interval, slack: usize, grid: &SweepGrid) -> Vec<SweepPoint> {
-    run_with(values, truth, slack, grid, &NoopRecorder)
-}
-
-/// [`run`] with instrumentation: every grid point's pipeline stages and
-/// search counters accumulate into `recorder`, giving aggregate cost
-/// numbers for the whole sweep.
-pub fn run_with<R: Recorder>(
-    values: &[f64],
-    truth: Interval,
-    slack: usize,
-    grid: &SweepGrid,
-    recorder: &R,
-) -> Vec<SweepPoint> {
-    let wide_truth = Interval::new(
-        truth.start.saturating_sub(slack),
-        (truth.end + slack).min(values.len()),
-    );
-    let mut out = Vec::new();
-    let mut ws = Workspace::new();
-    for &w in &grid.windows {
-        for &p in &grid.paas {
-            if p > w {
-                continue;
-            }
-            for &a in &grid.alphabets {
-                if let Ok(point) = evaluate_one(values, wide_truth, w, p, a, &mut ws, recorder) {
-                    out.push(point);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// [`run`] with the grid points fanned out over `threads` worker threads
-/// (std scoped threads; grid points are independent, so results are
-/// identical to the serial run up to ordering — this function restores the
-/// serial `(window, paa, alphabet)` ordering before returning).
 ///
-/// `threads == 0` or `1` falls back to the serial implementation.
-pub fn run_parallel(
+/// Grid points are striped over `threads` scoped workers (at least one);
+/// points come back in the serial `(window, paa, alphabet)` order
+/// whatever the thread count. Every point's pipeline stages and search
+/// counters accumulate into `recorder`: workers record into worker-local
+/// recorders that are merged into it after the join, in worker order, so
+/// counter totals and the span-tree shape do not depend on `threads`
+/// (span *times* are summed across workers and so exceed wall-clock time
+/// under parallelism).
+pub fn run(
     values: &[f64],
     truth: Interval,
     slack: usize,
     grid: &SweepGrid,
     threads: usize,
+    recorder: &dyn Recorder,
 ) -> Vec<SweepPoint> {
-    run_parallel_with(values, truth, slack, grid, threads, &NoopRecorder)
-}
-
-/// [`run_parallel`] with instrumentation. `recorder` is shared by
-/// reference across the worker threads, so it must be `Sync` — use a
-/// [`CollectingRecorder`](gv_obs::CollectingRecorder) (atomics), not a
-/// `LocalRecorder`. Counter totals match the serial [`run_with`]; stage
-/// *timings* are summed across workers and therefore exceed wall-clock
-/// time under parallelism.
-pub fn run_parallel_with<R: Recorder + Sync>(
-    values: &[f64],
-    truth: Interval,
-    slack: usize,
-    grid: &SweepGrid,
-    threads: usize,
-    recorder: &R,
-) -> Vec<SweepPoint> {
-    if threads <= 1 {
-        return run_with(values, truth, slack, grid, recorder);
-    }
     let wide_truth = Interval::new(
         truth.start.saturating_sub(slack),
         (truth.end + slack).min(values.len()),
     );
-    // Materialize the valid grid points, then stripe them over workers.
     let mut combos = Vec::new();
     for &w in &grid.windows {
         for &p in &grid.paas {
@@ -159,68 +107,69 @@ pub fn run_parallel_with<R: Recorder + Sync>(
             }
         }
     }
-    let mut results: Vec<Vec<SweepPoint>> = Vec::new();
+    let threads = threads.clamp(1, combos.len().max(1));
+    // Workers never touch `recorder` (it need not be `Sync`), and a
+    // disabled sink gets no worker recorder at all, so the clock stays
+    // unread.
+    let (enabled, detailed) = (recorder.enabled(), recorder.detailed());
+    let mut out = Vec::with_capacity(combos.len());
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let combos = &combos;
                 scope.spawn(move || {
+                    let local = enabled.then(|| {
+                        if detailed {
+                            LocalRecorder::new()
+                        } else {
+                            LocalRecorder::counters_only()
+                        }
+                    });
+                    let sink: &dyn Recorder = match &local {
+                        Some(local) => local,
+                        None => &NoopRecorder,
+                    };
                     // One workspace per worker: buffers warm up once and
                     // are reused across every grid point this worker owns.
                     let mut ws = Workspace::new();
                     let mut mine = Vec::new();
-                    for &(w, p, a) in combos.iter().skip(t).step_by(threads) {
-                        if let Ok(point) =
-                            evaluate_one(values, wide_truth, w, p, a, &mut ws, recorder)
+                    for (i, &(w, p, a)) in combos.iter().enumerate().skip(t).step_by(threads) {
+                        if let Ok(point) = evaluate_one(values, wide_truth, w, p, a, &mut ws, sink)
                         {
-                            mine.push(point);
+                            mine.push((i, point));
                         }
                     }
-                    mine
+                    (local, mine)
                 })
             })
             .collect();
-        for h in handles {
-            results.push(h.join().expect("sweep worker panicked"));
+        for handle in handles {
+            let (local, mine) = handle.join().expect("sweep worker panicked");
+            if let Some(local) = local {
+                local.merge_into(&recorder);
+            }
+            out.extend(mine);
         }
     });
-    let mut out: Vec<SweepPoint> = results.into_iter().flatten().collect();
     // Restore the serial ordering so callers see deterministic output.
-    out.sort_by_key(|p| {
-        let wi = grid
-            .windows
-            .iter()
-            .position(|&w| w == p.window)
-            .unwrap_or(usize::MAX);
-        let pi = grid
-            .paas
-            .iter()
-            .position(|&q| q == p.paa)
-            .unwrap_or(usize::MAX);
-        let ai = grid
-            .alphabets
-            .iter()
-            .position(|&a| a == p.alphabet)
-            .unwrap_or(usize::MAX);
-        (wi, pi, ai)
-    });
-    out
+    out.sort_unstable_by_key(|&(i, _)| i);
+    out.into_iter().map(|(_, point)| point).collect()
 }
 
-fn evaluate_one<R: Recorder>(
+fn evaluate_one(
     values: &[f64],
     wide_truth: Interval,
     w: usize,
     p: usize,
     a: usize,
     ws: &mut Workspace,
-    recorder: &R,
+    recorder: &dyn Recorder,
 ) -> Result<SweepPoint> {
     // Fixed seed 0 and a sequential engine per grid point: sweep results
     // (and counter totals) stay identical whatever the worker count and
     // whatever `GV_THREADS` says, and workers never nest thread pools.
     let config = PipelineConfig::new(w, p, a)?.with_seed(0);
-    let model = ws.build_model(&config, values, recorder)?;
+    let model = ws.build_model(&config, values, &recorder)?;
 
     // Edge trim 0: the sweep scores raw hits, boundary minima included.
     let density_detector = DensityDetector::new(config.clone(), 1).with_trim_edge(0);
@@ -291,7 +240,7 @@ mod tests {
             paas: vec![4, 6],
             alphabets: vec![3, 4],
         };
-        let points = run(&v, truth, 100, &grid);
+        let points = run(&v, truth, 100, &grid, 1, &NoopRecorder);
         assert!(!points.is_empty());
         let (density_hits, rra_hits) = success_counts(&points);
         // On this easy plant both detectors succeed on most combinations,
@@ -311,13 +260,13 @@ mod tests {
             paas: vec![4],
             alphabets: vec![4],
         };
-        assert!(run(&v, truth, 0, &grid).is_empty());
+        assert!(run(&v, truth, 0, &grid, 1, &NoopRecorder).is_empty());
         let grid2 = SweepGrid {
             windows: vec![10],
             paas: vec![15], // PAA > window
             alphabets: vec![4],
         };
-        assert!(run(&v, truth, 0, &grid2).is_empty());
+        assert!(run(&v, truth, 0, &grid2, 1, &NoopRecorder).is_empty());
     }
 
     #[test]
@@ -328,26 +277,28 @@ mod tests {
             paas: vec![4, 6],
             alphabets: vec![3, 4],
         };
-        let serial = run(&v, truth, 100, &grid);
+        let serial = run(&v, truth, 100, &grid, 1, &NoopRecorder);
         for threads in [0, 1, 2, 3, 7] {
-            let parallel = run_parallel(&v, truth, 100, &grid, threads);
+            let parallel = run(&v, truth, 100, &grid, threads, &NoopRecorder);
             assert_eq!(parallel, serial, "threads={threads}");
         }
     }
 
     #[test]
     fn recorded_sweep_counters_are_thread_count_invariant() {
-        use gv_obs::{CollectingRecorder, Counter};
+        use gv_obs::Counter;
         let (v, truth) = planted();
         let grid = SweepGrid {
             windows: vec![60, 100],
             paas: vec![4],
             alphabets: vec![3, 4],
         };
-        let serial_rec = CollectingRecorder::new();
-        let serial = run_with(&v, truth, 100, &grid, &serial_rec);
-        let parallel_rec = CollectingRecorder::new();
-        let parallel = run_parallel_with(&v, truth, 100, &grid, 3, &parallel_rec);
+        // A non-`Sync` sink at both thread counts: parallel workers tally
+        // locally and merge after the join.
+        let serial_rec = LocalRecorder::new();
+        let serial = run(&v, truth, 100, &grid, 1, &serial_rec);
+        let parallel_rec = LocalRecorder::new();
+        let parallel = run(&v, truth, 100, &grid, 3, &parallel_rec);
         assert_eq!(serial, parallel);
         assert!(serial_rec.counter(Counter::DistanceCalls) > 0);
         // Deterministic work → identical counter totals whatever the
@@ -360,6 +311,20 @@ mod tests {
                 c.name()
             );
         }
+        // And the same span tree: paths and completion counts.
+        let shape = |rec: &LocalRecorder| -> Vec<(String, u64)> {
+            rec.span_tree()
+                .spans()
+                .iter()
+                .map(|s| (s.path.clone(), s.count))
+                .collect()
+        };
+        let serial_shape = shape(&serial_rec);
+        assert!(
+            serial_shape.iter().any(|(p, _)| p == "rra-outer;rra-inner"),
+            "{serial_shape:?}"
+        );
+        assert_eq!(serial_shape, shape(&parallel_rec));
     }
 
     #[test]
@@ -371,7 +336,7 @@ mod tests {
             paas: vec![4, 10],
             alphabets: vec![4],
         };
-        let points = run(&v, truth, 100, &grid);
+        let points = run(&v, truth, 100, &grid, 1, &NoopRecorder);
         assert_eq!(points.len(), 2);
         let coarse = points.iter().find(|p| p.paa == 4).unwrap();
         let fine = points.iter().find(|p| p.paa == 10).unwrap();

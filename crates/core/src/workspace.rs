@@ -70,7 +70,7 @@ impl Workspace {
     /// [`Workspace::build_model`] with the three model stages recorded as
     /// span-tree children of `parent` (the detector's `detect` root);
     /// `None` leaves them as root spans.
-    pub fn build_model_under<R: Recorder>(
+    pub(crate) fn build_model_under<R: Recorder>(
         &mut self,
         config: &PipelineConfig,
         values: &[f64],
@@ -166,7 +166,7 @@ mod tests {
         let mut ws = Workspace::new();
         let a = ws.build_model(&config, &v, &NoopRecorder).unwrap();
         let b = crate::pipeline::AnomalyPipeline::new(config.clone())
-            .model(&v)
+            .model(&v, &NoopRecorder)
             .unwrap();
         assert_eq!(a.records, b.records);
         assert_eq!(a.grammar.grammar_size(), b.grammar.grammar_size());

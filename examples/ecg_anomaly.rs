@@ -8,6 +8,7 @@
 
 use grammarviz::core::{viz, AnomalyPipeline, PipelineConfig};
 use grammarviz::datasets::ecg::{ecg0606, EcgParams};
+use grammarviz::obs::NoopRecorder;
 use grammarviz::timeseries::Interval;
 
 fn main() {
@@ -24,8 +25,10 @@ fn main() {
     // The paper picks the window from context: roughly one heartbeat.
     let pipeline = AnomalyPipeline::new(PipelineConfig::new(120, 4, 4).unwrap());
 
-    let density = pipeline.density_anomalies(values, 1).unwrap();
-    let rra = pipeline.rra_discords(values, 1).unwrap();
+    let density = pipeline
+        .density_anomalies(values, 1, &NoopRecorder)
+        .unwrap();
+    let rra = pipeline.rra_discords(values, 1, &NoopRecorder).unwrap();
 
     let width = 100;
     println!("\nsignal : {}", viz::sparkline(values, width));

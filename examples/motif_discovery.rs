@@ -8,6 +8,7 @@
 
 use grammarviz::core::{motifs, prune::prune, viz, AnomalyPipeline, PipelineConfig};
 use grammarviz::datasets::power::power_demand;
+use grammarviz::obs::NoopRecorder;
 
 fn main() {
     let data = power_demand();
@@ -15,7 +16,9 @@ fn main() {
     println!("{}: {} points", data.series.name(), values.len());
 
     let pipeline = AnomalyPipeline::new(PipelineConfig::new(750, 6, 3).unwrap());
-    let model = pipeline.model(values).expect("pipeline runs");
+    let model = pipeline
+        .model(values, &NoopRecorder)
+        .expect("pipeline runs");
     println!(
         "grammar: {} rules over {} tokens (size {})\n",
         model.grammar.num_rules(),

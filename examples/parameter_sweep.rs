@@ -8,6 +8,7 @@
 
 use grammarviz::core::sweep::{run, success_counts, SweepGrid};
 use grammarviz::datasets::ecg::{ecg0606, EcgParams};
+use grammarviz::obs::NoopRecorder;
 
 fn main() {
     let data = ecg0606(EcgParams::default());
@@ -26,7 +27,7 @@ fn main() {
         data.series.name()
     );
 
-    let points = run(data.series.values(), truth, 120, &grid);
+    let points = run(data.series.values(), truth, 120, &grid, 1, &NoopRecorder);
     let (density_hits, rra_hits) = success_counts(&points);
     println!("\nevaluated : {}", points.len());
     println!("density OK: {density_hits}");

@@ -9,6 +9,7 @@
 
 use grammarviz::core::{viz, AnomalyPipeline, PipelineConfig};
 use grammarviz::datasets::power::{power_demand, SAMPLES_PER_DAY};
+use grammarviz::obs::NoopRecorder;
 
 fn main() {
     let data = power_demand();
@@ -29,7 +30,7 @@ fn main() {
 
     // Window ≈ one week: the paper's context-driven choice.
     let pipeline = AnomalyPipeline::new(PipelineConfig::new(750, 6, 3).unwrap());
-    let rra = pipeline.rra_discords(values, 3).unwrap();
+    let rra = pipeline.rra_discords(values, 3, &NoopRecorder).unwrap();
 
     println!("\nsignal : {}", viz::sparkline(values, 110));
 

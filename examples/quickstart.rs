@@ -9,6 +9,7 @@
 //! exact RRA discord search.
 
 use grammarviz::core::{viz, AnomalyPipeline, PipelineConfig};
+use grammarviz::obs::NoopRecorder;
 
 fn main() {
     // A repetitive sine with a planted flat distortion at 1500..1600.
@@ -25,7 +26,7 @@ fn main() {
 
     // 1. Approximate, linear-time: the rule density curve.
     let density = pipeline
-        .density_anomalies(&values, 2)
+        .density_anomalies(&values, 2, &NoopRecorder)
         .expect("series long enough");
     println!("signal : {}", viz::sparkline(&values, 100));
     println!("density: {}", viz::density_strip(&density.curve, 100));
@@ -34,7 +35,7 @@ fn main() {
 
     // 2. Exact, variable length: RRA discords.
     let rra = pipeline
-        .rra_discords(&values, 2)
+        .rra_discords(&values, 2, &NoopRecorder)
         .expect("series long enough");
     println!("\nRRA discords (largest NN distance first):");
     print!("{}", viz::rra_table(&rra));

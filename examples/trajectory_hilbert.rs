@@ -8,6 +8,7 @@
 
 use grammarviz::core::{viz, AnomalyPipeline, PipelineConfig};
 use grammarviz::datasets::trajectory::daily_commute;
+use grammarviz::obs::NoopRecorder;
 
 fn main() {
     let commute = daily_commute();
@@ -29,7 +30,9 @@ fn main() {
     let pipeline = AnomalyPipeline::new(PipelineConfig::new(350, 15, 4).unwrap());
 
     // The density curve excels at *short* anomalies (the one-off detour).
-    let density = pipeline.density_anomalies(values, 1).unwrap();
+    let density = pipeline
+        .density_anomalies(values, 1, &NoopRecorder)
+        .unwrap();
     let detour = density.anomalies[0].interval;
     println!(
         "\ndensity minimum {} (coverage {}) — candidate detour",
@@ -37,7 +40,7 @@ fn main() {
     );
 
     // RRA excels at subtler shape anomalies (the partial-GPS-fix segment).
-    let rra = pipeline.rra_discords(values, 2).unwrap();
+    let rra = pipeline.rra_discords(values, 2, &NoopRecorder).unwrap();
     for d in &rra.discords {
         let iv = d.interval();
         // Map the discord back to map coordinates through the point list.

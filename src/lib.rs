@@ -10,10 +10,12 @@
 //! ```
 //! use grammarviz::core::{AnomalyPipeline, PipelineConfig};
 //! use grammarviz::datasets;
+//! use grammarviz::obs::NoopRecorder;
 //!
 //! let data = datasets::ecg::ecg0606(Default::default());
 //! let pipeline = AnomalyPipeline::new(PipelineConfig::new(120, 4, 4).unwrap());
-//! let report = pipeline.density_anomalies(data.series.values(), 3).unwrap();
+//! let values = data.series.values();
+//! let report = pipeline.density_anomalies(values, 3, &NoopRecorder).unwrap();
 //! assert!(!report.anomalies.is_empty());
 //! ```
 

@@ -2,8 +2,11 @@
 //! pruned search must agree with the exhaustive nearest-neighbour profile
 //! over the same candidate set.
 
-use grammarviz::core::{nn_distance_profile, rule_intervals, AnomalyPipeline, PipelineConfig};
+use grammarviz::core::{
+    nn_distance_profile, search_candidates, AnomalyPipeline, PipelineConfig, RraDetector, Workspace,
+};
 use grammarviz::discord::{brute_force_discords, hotsax_discords, HotSaxConfig};
+use grammarviz::obs::NoopRecorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -61,10 +64,11 @@ fn rra_matches_exhaustive_profile_across_seeds() {
     for seed in 0..6u64 {
         let v = random_series(seed + 100, 1200);
         let pipeline = AnomalyPipeline::new(PipelineConfig::new(60, 4, 4).unwrap().with_seed(seed));
-        let model = pipeline.model(&v).unwrap();
-        let candidates = rule_intervals(&model);
-        let report =
-            grammarviz::core::rra::discords_from_intervals(&v, &candidates, 1, seed).unwrap();
+        let model = pipeline.model(&v, &NoopRecorder).unwrap();
+        let candidates = search_candidates(&model);
+        let report = RraDetector::new(pipeline.config().clone(), 1)
+            .search_model(&v, &model, &mut Workspace::new(), &NoopRecorder)
+            .unwrap();
         let profile = nn_distance_profile(&v, &candidates);
         let max = profile
             .iter()
@@ -142,7 +146,7 @@ fn rra_cheaper_than_hotsax_on_regular_data() {
     let cfg = HotSaxConfig::new(100, 4, 4).unwrap();
     let (_, hs_stats) = hotsax_discords(&v, &cfg, 1).unwrap();
     let pipeline = AnomalyPipeline::new(PipelineConfig::new(100, 4, 4).unwrap());
-    let rra = pipeline.rra_discords(&v, 1).unwrap();
+    let rra = pipeline.rra_discords(&v, 1, &NoopRecorder).unwrap();
     assert!(
         rra.stats.distance_calls < hs_stats.distance_calls / 2,
         "RRA {} vs HOTSAX {}",

@@ -3,9 +3,9 @@
 //! just the synthetic fuzz families), and the edge-case error contracts
 //! must bubble unchanged through the top-level `AnomalyPipeline` facade.
 
-use gv_check::{check_series, engine_candidates, CheckReport};
+use gv_check::{check_series, CheckReport};
 use gva_core::obs::NoopRecorder;
-use gva_core::{AnomalyPipeline, Error, PipelineConfig, Workspace};
+use gva_core::{search_candidates, AnomalyPipeline, Error, PipelineConfig, Workspace};
 
 fn assert_clean(report: &CheckReport, label: &str) {
     assert!(
@@ -47,7 +47,7 @@ fn engine_candidate_set_is_nonempty_on_real_data() {
     let model = Workspace::new()
         .build_model(&config, data.series.values(), &NoopRecorder)
         .unwrap();
-    let candidates = engine_candidates(&model);
+    let candidates = search_candidates(&model);
     assert!(!candidates.is_empty());
     // The boundary filter only ever removes frequency-0 edge runs.
     for c in &candidates {
@@ -62,27 +62,33 @@ fn edge_case_errors_bubble_through_the_pipeline_facade() {
 
     // k = 0 is a typed parameter error from both entry points.
     assert!(matches!(
-        pipeline.rra_discords(&values, 0),
+        pipeline.rra_discords(&values, 0, &NoopRecorder),
         Err(Error::InvalidParameter(_))
     ));
     assert!(matches!(
-        pipeline.density_anomalies(&values, 0),
+        pipeline.density_anomalies(&values, 0, &NoopRecorder),
         Err(Error::InvalidParameter(_))
     ));
 
     // Non-finite input is rejected with the offending index.
     values[321] = f64::NAN;
     assert_eq!(
-        pipeline.rra_discords(&values, 1).unwrap_err(),
+        pipeline
+            .rra_discords(&values, 1, &NoopRecorder)
+            .unwrap_err(),
         Error::NonFiniteInput { index: 321 }
     );
     assert_eq!(
-        pipeline.density_anomalies(&values, 1).unwrap_err(),
+        pipeline
+            .density_anomalies(&values, 1, &NoopRecorder)
+            .unwrap_err(),
         Error::NonFiniteInput { index: 321 }
     );
 
     // A window longer than the series is an error, never a panic.
     let short: Vec<f64> = (0..40).map(|i| i as f64).collect();
-    assert!(pipeline.rra_discords(&short, 1).is_err());
-    assert!(pipeline.density_anomalies(&short, 1).is_err());
+    assert!(pipeline.rra_discords(&short, 1, &NoopRecorder).is_err());
+    assert!(pipeline
+        .density_anomalies(&short, 1, &NoopRecorder)
+        .is_err());
 }

@@ -7,7 +7,8 @@ use grammarviz::core::obs::{
     Recorder, Stage,
 };
 use grammarviz::core::{
-    rra, rule_intervals, AnomalyPipeline, EngineConfig, PipelineConfig, StreamingDetector,
+    rule_intervals, AnomalyPipeline, EngineConfig, PipelineConfig, RraDetector, StreamingDetector,
+    Workspace,
 };
 
 fn fixture() -> Vec<f64> {
@@ -30,11 +31,16 @@ fn pipeline() -> AnomalyPipeline {
 fn noop_recorder_leaves_rra_results_identical() {
     let values = fixture();
     let p = pipeline();
-    let model = p.model(&values).unwrap();
-    let plain = rra::discords(&values, &model, 3, p.config().seed()).unwrap();
-    let noop = rra::discords_with(&values, &model, 3, p.config().seed(), &NoopRecorder).unwrap();
-    let collecting = CollectingRecorder::new();
-    let recorded = rra::discords_with(&values, &model, 3, p.config().seed(), &collecting).unwrap();
+    let model = p.model(&values, &NoopRecorder).unwrap();
+    let search = |recorder: &dyn Recorder| {
+        RraDetector::new(p.config().clone(), 3)
+            .with_engine(p.engine())
+            .search_model(&values, &model, &mut Workspace::new(), recorder)
+            .unwrap()
+    };
+    let plain = p.rra_discords(&values, 3, &NoopRecorder).unwrap();
+    let noop = search(&NoopRecorder);
+    let recorded = search(&CollectingRecorder::new());
 
     for other in [&noop, &recorded] {
         assert_eq!(plain.discords.len(), other.discords.len());
@@ -55,7 +61,7 @@ fn recorder_and_search_stats_are_one_counting_path() {
     let values = fixture();
     let p = pipeline();
     let rec = CollectingRecorder::new();
-    let report = p.rra_discords_with(&values, 2, &rec).unwrap();
+    let report = p.rra_discords(&values, 2, &rec).unwrap();
     assert!(report.stats.distance_calls > 0);
     assert_eq!(
         rec.counter(Counter::DistanceCalls),
@@ -76,7 +82,7 @@ fn recorder_and_search_stats_are_one_counting_path() {
     // Same seed, same fixture: a second instrumented run reproduces the
     // counts exactly (the search is deterministic given the seed).
     let rec2 = CollectingRecorder::new();
-    let report2 = p.rra_discords_with(&values, 2, &rec2).unwrap();
+    let report2 = p.rra_discords(&values, 2, &rec2).unwrap();
     assert_eq!(report.stats, report2.stats);
     for c in Counter::ALL {
         assert_eq!(rec.counter(c), rec2.counter(c), "{}", c.name());
@@ -88,8 +94,11 @@ fn candidate_accounting_is_closed() {
     let values = fixture();
     let p = pipeline();
     let rec = CollectingRecorder::new();
-    let model = p.model_with(&values, &rec).unwrap();
-    rra::discords_with(&values, &model, 1, 0, &rec).unwrap();
+    let model = p.model(&values, &rec).unwrap();
+    RraDetector::new(p.config().clone(), 1)
+        .with_engine(p.engine())
+        .search_model(&values, &model, &mut Workspace::new(), &rec)
+        .unwrap();
     assert!(rec.counter(Counter::RraCandidates) as usize <= rule_intervals(&model).len());
     // Every outer candidate that reached the inner loop either completed
     // or was pruned.
@@ -123,7 +132,7 @@ fn jsonl_snapshot_round_trips() {
     let values = fixture();
     let p = pipeline();
     let rec = CollectingRecorder::new();
-    let report = p.rra_discords_with(&values, 1, &rec).unwrap();
+    let report = p.rra_discords(&values, 1, &rec).unwrap();
     let trace = rec
         .snapshot("roundtrip")
         .with_param("window", 100)
@@ -176,13 +185,13 @@ fn jsonl_exports_carry_schema_version() {
     let values = fixture();
     let p = pipeline();
     let rec = CollectingRecorder::new();
-    p.rra_discords_with(&values, 1, &rec).unwrap();
+    p.rra_discords(&values, 1, &rec).unwrap();
     let trace_line = rec.snapshot("schema").to_jsonl();
     assert!(trace_line.starts_with("{\"schema\":4,"), "{trace_line}");
     assert!(trace_line.contains("\"histograms\":{"), "{trace_line}");
     assert_eq!(json_u64(&trace_line, "schema"), Some(4));
 
-    let explain = p.explain(&values, 1).unwrap();
+    let explain = p.explain(&values, 1, &NoopRecorder).unwrap();
     assert_eq!(json_u64(&explain.rows[0].to_jsonl(), "schema"), Some(4));
     assert_eq!(json_u64(&explain.summary_jsonl(), "schema"), Some(4));
     assert!(!explain.events.is_empty());
@@ -198,10 +207,8 @@ fn explain_event_ledger_matches_search_stats() {
     let values = fixture();
     let p = pipeline();
     let rec = CollectingRecorder::new();
-    let report = p.rra_discords_with(&values, 2, &rec).unwrap();
-    let explain = p
-        .explain_with(&values, 2, &CollectingRecorder::new())
-        .unwrap();
+    let report = p.rra_discords(&values, 2, &rec).unwrap();
+    let explain = p.explain(&values, 2, &CollectingRecorder::new()).unwrap();
 
     // Same deterministic search → identical stats; outcome-event deltas
     // reconstruct the total exactly.
@@ -306,12 +313,12 @@ fn detail_gating_controls_histograms() {
     let p = pipeline();
 
     let detailed = LocalRecorder::new();
-    p.rra_discords_with(&values, 1, &detailed).unwrap();
+    p.rra_discords(&values, 1, &detailed).unwrap();
     assert!(detailed.histogram(Metric::DistanceNanos).count() > 0);
     assert!(detailed.histogram(Metric::CandidateLen).count() > 0);
 
     let counters_only = LocalRecorder::counters_only();
-    p.rra_discords_with(&values, 1, &counters_only).unwrap();
+    p.rra_discords(&values, 1, &counters_only).unwrap();
     assert_eq!(counters_only.histogram(Metric::DistanceNanos).count(), 0);
     assert!(counters_only.events().is_empty());
     // But the aggregate counters still flowed.

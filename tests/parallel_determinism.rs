@@ -84,11 +84,11 @@ fn pipeline_engine_config_is_thread_count_invariant() {
     let config = PipelineConfig::new(100, 5, 4).unwrap();
     let sequential = AnomalyPipeline::new(config.clone())
         .with_engine(EngineConfig::sequential())
-        .rra_discords(&v, 3)
+        .rra_discords(&v, 3, &NoopRecorder)
         .unwrap();
     let parallel = AnomalyPipeline::new(config)
         .with_engine(EngineConfig::sequential().with_threads(4))
-        .rra_discords(&v, 3)
+        .rra_discords(&v, 3, &NoopRecorder)
         .unwrap();
     assert_eq!(sequential.discords.len(), parallel.discords.len());
     for (s, p) in sequential.discords.iter().zip(&parallel.discords) {

@@ -4,6 +4,7 @@
 
 use grammarviz::core::{AnomalyPipeline, PipelineConfig};
 use grammarviz::datasets::{ecg, power, respiration, telemetry, trajectory, video, Dataset};
+use grammarviz::obs::NoopRecorder;
 use grammarviz::timeseries::Interval;
 
 /// Runs both detectors and asserts the ground truth is recovered.
@@ -16,7 +17,7 @@ fn assert_recovers(data: &Dataset, window: usize, paa: usize, alphabet: usize) {
     let pipeline = AnomalyPipeline::new(PipelineConfig::new(window, paa, alphabet).unwrap());
     let slack = window;
 
-    let rra = pipeline.rra_discords(values, 3).unwrap();
+    let rra = pipeline.rra_discords(values, 3, &NoopRecorder).unwrap();
     assert!(
         rra.discords
             .iter()
@@ -29,7 +30,9 @@ fn assert_recovers(data: &Dataset, window: usize, paa: usize, alphabet: usize) {
             .collect::<Vec<_>>()
     );
 
-    let density = pipeline.density_anomalies(values, 3).unwrap();
+    let density = pipeline
+        .density_anomalies(values, 3, &NoopRecorder)
+        .unwrap();
     assert!(
         density
             .anomalies
@@ -69,7 +72,9 @@ fn video_recovers_both_gestures() {
     // Stronger claim: the top-2 RRA discords are exactly the two planted
     // anomalous repetitions.
     let pipeline = AnomalyPipeline::new(PipelineConfig::new(150, 5, 3).unwrap());
-    let rra = pipeline.rra_discords(data.series.values(), 2).unwrap();
+    let rra = pipeline
+        .rra_discords(data.series.values(), 2, &NoopRecorder)
+        .unwrap();
     let found: Vec<Interval> = rra.discords.iter().map(|d| d.interval()).collect();
     for anomaly in &data.anomalies {
         assert!(
@@ -91,7 +96,9 @@ fn telemetry_tek_variants_recover() {
 fn power_demand_top_discords_are_holiday_weeks() {
     let data = power::power_demand();
     let pipeline = AnomalyPipeline::new(PipelineConfig::new(750, 6, 3).unwrap());
-    let rra = pipeline.rra_discords(data.series.values(), 3).unwrap();
+    let rra = pipeline
+        .rra_discords(data.series.values(), 3, &NoopRecorder)
+        .unwrap();
     assert_eq!(rra.discords.len(), 3);
     for d in &rra.discords {
         assert!(
@@ -123,7 +130,9 @@ fn trajectory_detour_and_gps_loss() {
         .unwrap();
 
     // Density's global minimum is the one-off detour (Fig. 7).
-    let density = pipeline.density_anomalies(values, 1).unwrap();
+    let density = pipeline
+        .density_anomalies(values, 1, &NoopRecorder)
+        .unwrap();
     assert!(
         density.anomalies[0].interval.overlaps(&detour.interval),
         "density minimum {} is not the detour {}",
@@ -132,7 +141,7 @@ fn trajectory_detour_and_gps_loss() {
     );
 
     // RRA's best discord is the partial-GPS-fix segment (Fig. 7).
-    let rra = pipeline.rra_discords(values, 1).unwrap();
+    let rra = pipeline.rra_discords(values, 1, &NoopRecorder).unwrap();
     assert!(
         rra.discords[0].interval().overlaps(&gps.interval),
         "RRA best {} is not the GPS-loss segment {}",

@@ -2,6 +2,7 @@
 //! SAX → Sequitur → detection stack on arbitrary inputs.
 
 use grammarviz::core::{rule_intervals, AnomalyPipeline, PipelineConfig, RuleDensity};
+use grammarviz::obs::NoopRecorder;
 use grammarviz::sax::{mindist, NumerosityReduction, SaxConfig};
 use grammarviz::timeseries::{znorm, CoverageCounter, DEFAULT_ZNORM_THRESHOLD};
 use proptest::prelude::*;
@@ -35,7 +36,7 @@ proptest! {
         let pipeline = AnomalyPipeline::new(
             PipelineConfig::new(window, paa, alphabet).unwrap(),
         );
-        let model = pipeline.model(&values).unwrap();
+        let model = pipeline.model(&values, &NoopRecorder).unwrap();
         let tokens: Vec<u32> = model
             .records
             .iter()
@@ -54,7 +55,7 @@ proptest! {
         let values = random_walk(steps);
         prop_assume!(values.len() >= 2 * window);
         let pipeline = AnomalyPipeline::new(PipelineConfig::new(window, 4, 4).unwrap());
-        let model = pipeline.model(&values).unwrap();
+        let model = pipeline.model(&values, &NoopRecorder).unwrap();
         let curve = RuleDensity::from_model(&model);
 
         let mut naive = vec![0i64; values.len()];
@@ -119,7 +120,7 @@ proptest! {
         let values = random_walk(steps);
         prop_assume!(values.len() >= 2 * window);
         let pipeline = AnomalyPipeline::new(PipelineConfig::new(window, 4, 4).unwrap());
-        let model = pipeline.model(&values).unwrap();
+        let model = pipeline.model(&values, &NoopRecorder).unwrap();
         for c in rule_intervals(&model) {
             prop_assert!(!c.interval.is_empty());
             prop_assert!(c.interval.end <= values.len());

@@ -3,6 +3,7 @@
 
 use grammarviz::core::{motifs, AnomalyPipeline, PipelineConfig, RuleInterval};
 use grammarviz::discord::{DiscordRecord, SearchStats};
+use grammarviz::obs::NoopRecorder;
 use grammarviz::sax::SaxWord;
 use grammarviz::sequitur::{RuleId, RuleOccurrence, Symbol};
 use grammarviz::timeseries::Interval;
@@ -61,12 +62,14 @@ fn pipeline_outputs_roundtrip() {
     }
     let pipeline = AnomalyPipeline::new(PipelineConfig::new(80, 4, 4).unwrap());
 
-    let density = pipeline.density_anomalies(&values, 2).unwrap();
+    let density = pipeline
+        .density_anomalies(&values, 2, &NoopRecorder)
+        .unwrap();
     for a in &density.anomalies {
         assert_eq!(&roundtrip(a), a);
     }
 
-    let model = pipeline.model(&values).unwrap();
+    let model = pipeline.model(&values, &NoopRecorder).unwrap();
     for m in motifs(&model, 3) {
         assert_eq!(roundtrip(&m), m);
     }
