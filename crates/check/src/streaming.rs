@@ -57,7 +57,7 @@ pub fn check_streaming(
     report.results.push(check_retained_values(&det, values));
     report.results.push(check_streaming_density(&det));
 
-    let model = det.model()?;
+    let model = det.model();
     report.results.push(check_grammar_invariants(&model));
     report.results.push(check_token_reconstruction(&model));
     report.results.push(check_occurrence_mapping(&model));
@@ -107,15 +107,7 @@ fn check_retained_values(det: &StreamingDetector, values: &[f64]) -> CheckResult
 fn check_streaming_density(det: &StreamingDetector) -> CheckResult {
     let mut result =
         CheckResult::pass("streaming density curve equals a recount from its own grammar");
-    let model = match det.model() {
-        Ok(m) => m,
-        Err(e) => {
-            result
-                .violations
-                .push(format!("engine refused to snapshot a model: {e}"));
-            return result;
-        }
-    };
+    let model = det.model();
     let tail = det.horizon_start();
     let curve = det.density_curve();
     let mut naive = vec![0i64; det.values().len()];

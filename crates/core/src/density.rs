@@ -40,7 +40,7 @@ pub struct DensityReport {
 /// The rule density curve.
 #[derive(Debug, Clone)]
 pub struct RuleDensity {
-    curve: Vec<i64>,
+    pub(crate) curve: Vec<i64>,
 }
 
 impl RuleDensity {

@@ -56,7 +56,7 @@ pub(crate) fn is_search_candidate(c: &RuleInterval, series_len: usize) -> bool {
 /// [`rule_intervals`] writing into a caller-owned buffer (cleared first),
 /// so repeated candidate construction through a reused workspace stops
 /// re-allocating once the buffer has warmed up.
-pub fn rule_intervals_into(model: &GrammarModel, out: &mut Vec<RuleInterval>) {
+pub(crate) fn rule_intervals_into(model: &GrammarModel, out: &mut Vec<RuleInterval>) {
     out.clear();
     let grammar = &model.grammar;
     let counts = grammar.occurrence_counts();

@@ -78,7 +78,7 @@ pub use engine::{
 };
 pub use error::{Error, Result};
 pub use explain::{DiscordProvenance, ExplainReport};
-pub use intervals::{rule_intervals, rule_intervals_into, search_candidates, RuleInterval};
+pub use intervals::{rule_intervals, search_candidates, RuleInterval};
 pub use model::GrammarModel;
 pub use motifs::{motifs, Motif};
 pub use pipeline::AnomalyPipeline;

@@ -38,12 +38,9 @@
 use std::collections::VecDeque;
 
 use gv_obs::{Counter, Event, EventKind, NoopRecorder, PipelineTrace, Recorder, SpanTimer, Stage};
-use gv_sax::{
-    symbols_mindist_is_zero, IncrementalDiscretizer, NumerosityReduction, SaxDictionary, SaxRecord,
-    SaxWord,
-};
+use gv_sax::{SaxDictionary, SaxRecord, SaxScratch, SaxWord};
 use gv_sequitur::{GrammarEvent, Sequitur};
-use gv_timeseries::{CoverageCounter, Interval};
+use gv_timeseries::Interval;
 
 use crate::config::PipelineConfig;
 use crate::density::RuleDensity;
@@ -123,9 +120,10 @@ pub struct StreamingDetector<R: Recorder = NoopRecorder> {
     /// Retained points: `0` keeps the whole stream, otherwise the last
     /// `horizon` points (never less than one window).
     horizon: usize,
-    /// Streaming SAX: emits the word for the window ending at each point
-    /// with no per-push allocation, bit-identical to the batch kernels.
-    discretizer: IncrementalDiscretizer,
+    /// The SAX discretizer's state — kernel scratch plus the last kept
+    /// word — fed the window ending at each point, so stream words are
+    /// batch words.
+    sax: SaxScratch,
     /// The retained raw values (the whole stream when unbounded).
     values: SlidingBuf<f64>,
     /// Incrementally-maintained rule-density curve, aligned with `values`
@@ -143,10 +141,6 @@ pub struct StreamingDetector<R: Recorder = NoopRecorder> {
     /// Recycled word storage: boxes from evicted records are reused for
     /// new words, so steady-state pushes stop allocating.
     word_pool: Vec<Box<[u8]>>,
-    /// Symbols of the last *kept* word (numerosity-reduction state). Kept
-    /// outside `records` so eviction cannot disturb it.
-    last_word: Vec<u8>,
-    have_last: bool,
     /// Cumulative kept words (monotone even under eviction).
     words_emitted: u64,
     /// Scratch for draining the grammar's structural journal.
@@ -184,11 +178,10 @@ impl<R: Recorder> StreamingDetector<R> {
     /// `recorder`. [`new`](StreamingDetector::new) is this with a
     /// [`NoopRecorder`].
     pub fn with_recorder(config: PipelineConfig, recorder: R) -> Self {
-        let discretizer = IncrementalDiscretizer::new(config.sax());
         Self {
             config,
             horizon: 0,
-            discretizer,
+            sax: SaxScratch::new(),
             values: SlidingBuf::new(0),
             curve: SlidingBuf::new(0),
             seen: 0,
@@ -197,8 +190,6 @@ impl<R: Recorder> StreamingDetector<R> {
             records: VecDeque::new(),
             tokens_dropped: 0,
             word_pool: Vec::new(),
-            last_word: Vec::new(),
-            have_last: false,
             words_emitted: 0,
             journal: Vec::new(),
             curve_dirty: false,
@@ -213,8 +204,8 @@ impl<R: Recorder> StreamingDetector<R> {
 
     /// Builder-style: bound the engine to the last `horizon` points (`0`,
     /// the default, retains the whole stream). A non-zero horizon is
-    /// clamped up to one window — anything shorter cannot hold a single
-    /// token. Must be configured before the first push.
+    /// clamped up to one window — anything shorter cannot hold the window
+    /// each push discretizes. Must be configured before the first push.
     ///
     /// # Panics
     /// Panics when points have already been consumed.
@@ -313,11 +304,10 @@ impl<R: Recorder> StreamingDetector<R> {
             self.curve.capacity(),
             self.records.capacity(),
             self.word_pool.capacity(),
-            self.last_word.capacity(),
             self.journal.capacity(),
             self.dictionary.capacity(),
         ];
-        sig.extend(self.discretizer.capacity_signature());
+        sig.extend(self.sax.capacities());
         sig.extend(self.sequitur.capacity_signature());
         sig.extend(self.workspace.capacity_signature());
         sig
@@ -343,49 +333,35 @@ impl<R: Recorder> StreamingDetector<R> {
             self.curve.push(0);
         }
         self.seen += 1;
-        // Discretize into the reused scratch word — no per-push buffer.
-        let mut emitted = false;
-        let mut keep = false;
-        if let Some(symbols) = self.discretizer.push(value) {
-            emitted = true;
-            keep = if !self.have_last {
-                true
-            } else {
-                match self.config.numerosity_reduction() {
-                    NumerosityReduction::None => true,
-                    NumerosityReduction::Exact => self.last_word != symbols,
-                    NumerosityReduction::MinDist => {
-                        !symbols_mindist_is_zero(&self.last_word, symbols)
-                    }
-                }
-            };
-            if keep {
-                self.last_word.clear();
-                self.last_word.extend_from_slice(symbols);
-                self.have_last = true;
-            }
-        }
-        if emitted {
+        // The horizon holds at least one window, so the window ending at
+        // this point is retained and contiguous.
+        let retained = self.values.as_slice();
+        if retained.len() >= window {
             self.recorder.incr(Counter::WindowsProcessed);
-        }
-        if keep {
-            let mut storage = match self.word_pool.pop() {
-                Some(b) => b,
-                // gv-lint: allow(no-alloc-in-hot-path) cold: only until eviction feeds the pool (or forever-growing unbounded mode, which allocated per push before too)
-                None => vec![0u8; self.config.paa()].into_boxed_slice(),
-            };
-            storage.copy_from_slice(&self.last_word);
-            let word = SaxWord::new(storage);
-            let token = self.dictionary.intern(&word);
-            self.sequitur.push(token);
-            self.records.push_back(SaxRecord {
-                word,
-                offset: self.seen - window,
-            });
-            self.words_emitted += 1;
-            self.recorder.incr(Counter::WordsEmitted);
-        } else if emitted {
-            self.recorder.incr(Counter::WordsDropped);
+            match self.config.sax().next_word(
+                &retained[retained.len() - window..],
+                self.config.numerosity_reduction(),
+                &mut self.sax,
+            ) {
+                Some(symbols) => {
+                    let mut storage = match self.word_pool.pop() {
+                        Some(b) => b,
+                        // gv-lint: allow(no-alloc-in-hot-path) cold: only until eviction feeds the pool (or forever-growing unbounded mode, which allocated per push before too)
+                        None => vec![0u8; self.config.paa()].into_boxed_slice(),
+                    };
+                    storage.copy_from_slice(symbols);
+                    let word = SaxWord::new(storage);
+                    let token = self.dictionary.intern(&word);
+                    self.sequitur.push(token);
+                    self.records.push_back(SaxRecord {
+                        word,
+                        offset: self.seen - window,
+                    });
+                    self.words_emitted += 1;
+                    self.recorder.incr(Counter::WordsEmitted);
+                }
+                None => self.recorder.incr(Counter::WordsDropped),
+            }
         }
         if self.horizon > 0 {
             // Rule births from this push become +1 curve deltas.
@@ -565,17 +541,14 @@ impl<R: Recorder> StreamingDetector<R> {
 
     /// Snapshots the current grammar model over the retained region (the
     /// whole stream when unbounded). Record offsets stay absolute.
-    ///
-    /// # Errors
-    /// Currently infallible; `Result` is kept for interface stability.
-    pub fn model(&self) -> Result<GrammarModel> {
-        Ok(GrammarModel {
+    pub fn model(&self) -> GrammarModel {
+        GrammarModel {
             grammar: self.sequitur.snapshot(),
             records: self.records.iter().cloned().collect(),
             dictionary: self.dictionary.clone(),
             series_len: self.seen,
             window: self.config.window(),
-        })
+        }
     }
 
     /// The rule-density curve over the retained region, oldest point
@@ -589,16 +562,7 @@ impl<R: Recorder> StreamingDetector<R> {
             debug_assert!(!self.curve_dirty, "push always settles the curve");
             self.curve.as_slice().to_vec()
         } else {
-            match self.model() {
-                Ok(model) => {
-                    let mut cc = CoverageCounter::new(model.series_len);
-                    for occ in model.grammar.occurrences() {
-                        cc.add(model.occurrence_interval(&occ));
-                    }
-                    cc.finish()
-                }
-                Err(_) => Vec::new(),
-            }
+            RuleDensity::from_model(&self.model()).curve
         };
         timer.finish(&self.recorder);
         curve
@@ -690,7 +654,7 @@ mod tests {
         let mut det = StreamingDetector::new(config.clone());
         feed(&mut det, values.iter().copied());
 
-        let streaming_model = det.model().unwrap();
+        let streaming_model = det.model();
         let batch_model = crate::pipeline::AnomalyPipeline::new(config)
             .model(&values, &NoopRecorder)
             .unwrap();
@@ -701,6 +665,62 @@ mod tests {
             det.density_curve(),
             RuleDensity::from_model(&batch_model).curve().to_vec()
         );
+    }
+
+    /// Deterministic pseudo-random walk (no RNG dependency).
+    fn lcg_walk(n: usize) -> Vec<f64> {
+        let mut state: u64 = 0x2545_f491_4f6c_dd1d;
+        let mut level = 0.0f64;
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                level += ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5;
+                level
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stream_words_equal_batch_words_for_every_strategy() {
+        use gv_sax::NumerosityReduction;
+        let sine: Vec<f64> = (0..600).map(|i| (i as f64 / 17.0).sin()).collect();
+        let cosine: Vec<f64> = (0..400)
+            .map(|i| (i as f64 / 9.0).cos() * 3.0 + 1.0)
+            .collect();
+        let walk = lcg_walk(800);
+        let flat = vec![2.5; 40];
+        let ramp: Vec<f64> = (0..40).map(|i| i as f64).collect();
+        // (series, W, P, A): divisible and fractional PAA, wide and
+        // narrow alphabets, constant windows, and one- and two-point
+        // windows.
+        let cases: [(&[f64], usize, usize, usize); 9] = [
+            (&sine, 60, 4, 4),
+            (&sine, 16, 4, 6),
+            (&cosine, 10, 3, 5),
+            (&cosine, 23, 7, 4),
+            (&walk, 50, 5, 8),
+            (&walk, 31, 4, 3),
+            (&flat, 8, 4, 4),
+            (&ramp, 1, 1, 4),
+            (&ramp, 2, 1, 4),
+        ];
+        for (values, w, p, a) in cases {
+            for nr in [
+                NumerosityReduction::None,
+                NumerosityReduction::Exact,
+                NumerosityReduction::MinDist,
+            ] {
+                let config = PipelineConfig::new(w, p, a)
+                    .unwrap()
+                    .with_numerosity_reduction(nr);
+                let mut det = StreamingDetector::new(config.clone());
+                feed(&mut det, values.iter().copied());
+                let batch = config.sax().discretize(values, nr).unwrap();
+                assert_eq!(det.model().records, batch, "W={w} P={p} A={a} {nr:?}");
+            }
+        }
     }
 
     #[test]
@@ -1022,7 +1042,7 @@ mod tests {
     /// the engine's own model — what the incremental ±1 deltas must equal
     /// to the bit.
     fn recount_from_model(det: &StreamingDetector) -> Vec<i64> {
-        let model = det.model().unwrap();
+        let model = det.model();
         let tail = det.horizon_start();
         let mut curve = vec![0i64; det.values().len()];
         for occ in model.grammar.occurrences() {
@@ -1052,10 +1072,7 @@ mod tests {
         assert_eq!(bounded.values(), unbounded.values());
         assert_eq!(bounded.density_curve(), unbounded.density_curve());
         assert_eq!(bounded.alerts(0, 100), unbounded.alerts(0, 100));
-        assert_eq!(
-            bounded.model().unwrap().records,
-            unbounded.model().unwrap().records
-        );
+        assert_eq!(bounded.model().records, unbounded.model().records);
     }
 
     #[test]

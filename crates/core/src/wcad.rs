@@ -68,9 +68,11 @@ fn compressed_size(tokens: &[u32]) -> f64 {
 /// whole sequence, highest score first.
 ///
 /// # Errors
+/// [`Error::NonFiniteInput`] for NaN/±∞ values;
 /// [`Error::Sax`] for bad tokenizer parameters;
 /// [`Error::SeriesTooShort`] when not even one window fits.
 pub fn wcad_scores(values: &[f64], config: &WcadConfig) -> Result<Vec<WcadScore>> {
+    crate::engine::check_finite(values)?;
     if values.len() < config.window || config.window == 0 {
         return Err(Error::SeriesTooShort {
             window: config.window,
@@ -154,6 +156,16 @@ mod tests {
             assert_eq!(s.interval.len(), cfg.window);
             assert!(s.interval.end <= v.len());
         }
+    }
+
+    #[test]
+    fn non_finite_input_rejected() {
+        let mut v: Vec<f64> = (0..2000).map(|i| (i as f64 / 16.0).sin()).collect();
+        v[1000] = f64::NAN;
+        assert_eq!(
+            wcad_scores(&v, &WcadConfig::new(128)),
+            Err(Error::NonFiniteInput { index: 1000 })
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Reusable scratch state for the execution engine.
 //!
 //! A [`Workspace`] owns every buffer the detectors need between calls —
-//! z-norm/PAA scratch, the SAX record list, the interning dictionary, the
+//! SAX discretizer state, the SAX record list, the interning dictionary, the
 //! token stream, the RRA candidate list and search buffers, and the
 //! baseline detectors' scratch. Repeated detection through one workspace
 //! (streaming re-detection, sweep grids, ensemble-style multi-config
@@ -18,7 +18,7 @@
 
 use gv_discord::HotSaxScratch;
 use gv_obs::{Counter, Recorder, SpanId, SpanTimer, Stage};
-use gv_sax::{SaxDictionary, SaxRecord};
+use gv_sax::{SaxDictionary, SaxRecord, SaxScratch};
 use gv_sequitur::Sequitur;
 
 use crate::config::PipelineConfig;
@@ -31,8 +31,7 @@ use crate::rra::RraScratch;
 #[derive(Debug, Default)]
 pub struct Workspace {
     // Model building.
-    pub(crate) zbuf: Vec<f64>,
-    pub(crate) pbuf: Vec<f64>,
+    pub(crate) sax: SaxScratch,
     pub(crate) records: Vec<SaxRecord>,
     pub(crate) tokens: Vec<u32>,
     pub(crate) dictionary: SaxDictionary,
@@ -84,8 +83,7 @@ impl Workspace {
             config.numerosity_reduction(),
             recorder,
             &mut self.records,
-            &mut self.zbuf,
-            &mut self.pbuf,
+            &mut self.sax,
         )?;
         disc.finish(recorder);
         let records = std::mem::take(&mut self.records);
@@ -132,14 +130,13 @@ impl Workspace {
     /// detection on same-shaped input must leave this signature unchanged.
     pub fn capacity_signature(&self) -> Vec<usize> {
         let mut sig = vec![
-            self.zbuf.capacity(),
-            self.pbuf.capacity(),
             self.records.capacity(),
             self.tokens.capacity(),
             self.dictionary.capacity(),
             self.candidates.capacity(),
             self.normed.capacity(),
         ];
+        sig.extend(self.sax.capacities());
         sig.extend(self.rra.capacity_signature());
         sig.extend(self.hotsax.capacities());
         sig

@@ -15,7 +15,7 @@
 //! `best_so_far` appears, and individual distance computations abandon
 //! early against the current `nearest`.
 
-use gv_sax::{NumerosityReduction, SaxConfig};
+use gv_sax::{NumerosityReduction, SaxConfig, SaxScratch};
 use gv_timeseries::{Interval, SeriesStats, DEFAULT_ZNORM_THRESHOLD};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -71,15 +71,14 @@ impl HotSaxConfig {
 const DEFAULT_SEED: u64 = 0x5EED;
 
 /// Reusable scratch state for [`hotsax_discords_in`]: discretization
-/// records and buffers, visit orders, bucket index, and the z-norm pair.
+/// records and state, visit orders, bucket index, and the z-norm pair.
 /// Repeated searches through one scratch stop re-allocating after warm-up
 /// (only the per-word `SaxWord` boxes and the per-bucket lists are fresh
 /// each call).
 #[derive(Debug, Default)]
 pub struct HotSaxScratch {
     records: Vec<gv_sax::SaxRecord>,
-    zbuf: Vec<f64>,
-    pbuf: Vec<f64>,
+    sax: SaxScratch,
     bucket_of: Vec<u32>,
     outer: Vec<u32>,
     inner: Vec<u32>,
@@ -99,11 +98,14 @@ impl HotSaxScratch {
 
     /// Current capacities of the reusable buffers, for allocation-stability
     /// assertions.
-    pub fn capacities(&self) -> [usize; 8] {
+    pub fn capacities(&self) -> [usize; 10] {
+        let [zbuf, pbuf, symbols, last] = self.sax.capacities();
         [
             self.records.capacity(),
-            self.zbuf.capacity(),
-            self.pbuf.capacity(),
+            zbuf,
+            pbuf,
+            symbols,
+            last,
             self.bucket_of.capacity(),
             self.outer.capacity(),
             self.inner.capacity(),
@@ -155,8 +157,7 @@ pub fn hotsax_discords_in(
         NumerosityReduction::None,
         &gv_obs::NoopRecorder,
         &mut scratch.records,
-        &mut scratch.zbuf,
-        &mut scratch.pbuf,
+        &mut scratch.sax,
     )?;
     let records = &scratch.records;
     debug_assert_eq!(records.len(), count);

@@ -41,8 +41,10 @@ mod tests {
 
     #[test]
     fn clean_report_passes() {
-        let mut r = LintReport::default();
-        r.files_scanned = 3;
+        let mut r = LintReport {
+            files_scanned: 3,
+            ..LintReport::default()
+        };
         r.tally.insert(RuleId::NoFloatEq.as_str(), 0);
         let text = render(&r);
         assert!(text.contains("PASS"));

@@ -1,8 +1,9 @@
-//! Sliding-window SAX discretization with numerosity reduction
-//! (paper §3.1–3.2).
+//! The SAX discretizer (paper §3.1–3.2): one window kernel — z-normalize
+//! → PAA → symbols — plus the numerosity-reduction state, shared by the
+//! batch pass, the streaming detector, HOTSAX and chunked SAX.
 
 use gv_obs::{Counter, NoopRecorder, Recorder};
-use gv_timeseries::{znorm_into, SlidingWindows, DEFAULT_ZNORM_THRESHOLD};
+use gv_timeseries::{znorm_into, DEFAULT_ZNORM_THRESHOLD};
 
 use crate::alphabet::Alphabet;
 use crate::error::{Error, Result};
@@ -30,9 +31,9 @@ pub enum NumerosityReduction {
 }
 
 impl NumerosityReduction {
-    /// `true` when `current` should be dropped given the previously kept
-    /// word.
-    fn drops(&self, prev: &SaxWord, current: &SaxWord) -> bool {
+    /// `true` when the word `current` should be dropped given the symbols
+    /// of the previously kept word.
+    fn drops(self, prev: &[u8], current: &[u8]) -> bool {
         match self {
             NumerosityReduction::None => false,
             NumerosityReduction::Exact => prev == current,
@@ -52,6 +53,36 @@ pub struct SaxRecord {
     pub word: SaxWord,
     /// Start index of the source window in the original series.
     pub offset: usize,
+}
+
+/// The discretizer's state: z-norm, PAA and symbol scratch for one window,
+/// plus the symbols of the last kept word (the numerosity-reduction
+/// state). A batch pass resets it on entry; a stream keeps one for its
+/// whole life, so stream and batch words agree by construction.
+#[derive(Debug, Clone, Default)]
+pub struct SaxScratch {
+    zbuf: Vec<f64>,
+    pbuf: Vec<f64>,
+    symbols: Vec<u8>,
+    /// Empty until a word is kept (a word has at least one symbol).
+    last: Vec<u8>,
+}
+
+impl SaxScratch {
+    /// Fresh state: the next window is kept whatever the strategy.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Capacities of the four buffers, for allocation-stability assertions.
+    pub fn capacities(&self) -> [usize; 4] {
+        [
+            self.zbuf.capacity(),
+            self.pbuf.capacity(),
+            self.symbols.capacity(),
+            self.last.capacity(),
+        ]
+    }
 }
 
 /// SAX discretization parameters: sliding-window length, PAA size, and
@@ -124,26 +155,50 @@ impl SaxConfig {
         self.znorm_threshold
     }
 
-    /// Discretizes one already-extracted subsequence into a word
-    /// (z-normalize → PAA → symbols). Buffers are caller-provided to keep
-    /// the sliding-window loop allocation-free.
-    fn word_for(&self, window: &[f64], zbuf: &mut [f64], pbuf: &mut [f64]) -> SaxWord {
-        znorm_into(window, self.znorm_threshold, zbuf);
-        paa_into(zbuf, pbuf);
-        let symbols: Vec<u8> = pbuf.iter().map(|&v| self.alphabet.symbol(v)).collect();
-        SaxWord::new(symbols)
+    /// The window kernel: z-normalize → PAA → symbols into `state`'s
+    /// scratch. Allocation-free once the buffers fit the window.
+    fn symbolize<'s>(&self, window: &[f64], state: &'s mut SaxScratch) -> &'s [u8] {
+        state.zbuf.resize(window.len(), 0.0);
+        state.pbuf.resize(self.paa_size, 0.0);
+        state.symbols.resize(self.paa_size, 0);
+        znorm_into(window, self.znorm_threshold, &mut state.zbuf);
+        paa_into(&state.zbuf, &mut state.pbuf);
+        for (s, &p) in state.symbols.iter_mut().zip(&state.pbuf) {
+            *s = self.alphabet.symbol(p);
+        }
+        &state.symbols
+    }
+
+    /// Discretizes one window and applies numerosity reduction against the
+    /// last word `state` kept. Returns the word's symbols when it is kept
+    /// (it becomes the new reference), `None` when `nr` drops it. A fresh
+    /// state keeps its first window; [`SaxConfig::discretize_into`] resets
+    /// the kept word on entry, so each batch pass keeps its first window.
+    pub fn next_word<'s>(
+        &self,
+        window: &[f64],
+        nr: NumerosityReduction,
+        state: &'s mut SaxScratch,
+    ) -> Option<&'s [u8]> {
+        self.symbolize(window, state);
+        if !state.last.is_empty() && nr.drops(&state.last, &state.symbols) {
+            return None;
+        }
+        state.last.clear();
+        state.last.extend_from_slice(&state.symbols);
+        Some(&state.last)
     }
 
     /// Discretizes a single subsequence (of any length ≥ PAA size) into a
-    /// SAX word. Used by HOTSAX and by tests; the sliding-window path is
-    /// [`SaxConfig::discretize`].
+    /// SAX word. Used by tests and exploratory callers; the sliding-window
+    /// path is [`SaxConfig::discretize`].
     pub fn word(&self, subsequence: &[f64]) -> Result<SaxWord> {
         if subsequence.is_empty() {
             return Err(Error::EmptyInput);
         }
-        let mut zbuf = vec![0.0; subsequence.len()];
-        let mut pbuf = vec![0.0; self.paa_size];
-        Ok(self.word_for(subsequence, &mut zbuf, &mut pbuf))
+        Ok(SaxWord::new(
+            self.symbolize(subsequence, &mut SaxScratch::new()),
+        ))
     }
 
     /// Runs the full sliding-window discretization with the given
@@ -160,21 +215,19 @@ impl SaxConfig {
             nr,
             &NoopRecorder,
             &mut records,
-            &mut Vec::new(),
-            &mut Vec::new(),
+            &mut SaxScratch::new(),
         )?;
         Ok(records)
     }
 
     /// [`SaxConfig::discretize`] writing into caller-owned buffers, with
     /// the window/word counters published to `recorder` in one bulk update
-    /// after the loop (the hot loop itself maintains plain integers).
-    /// `records` is cleared and refilled, `zbuf`/`pbuf` are the z-norm/PAA
-    /// scratch. Repeated calls through the same buffers (e.g. a detection
-    /// workspace) allocate nothing once warm — only the `SaxWord`s
-    /// themselves are fresh, since they are owned by the records. Timing
-    /// is the caller's: the detection workspace wraps this call in its
-    /// `discretize` span.
+    /// after the loop. `records` is cleared and refilled; `state` is reset
+    /// on entry, so the first window is always kept. Repeated calls
+    /// through the same buffers (e.g. a detection workspace) allocate
+    /// nothing once warm except one `SaxWord` per *kept* window, owned by
+    /// its record. Timing is the caller's: the detection workspace wraps
+    /// this call in its `discretize` span.
     ///
     /// # Errors
     /// Same as [`SaxConfig::discretize`].
@@ -184,8 +237,7 @@ impl SaxConfig {
         nr: NumerosityReduction,
         recorder: &R,
         records: &mut Vec<SaxRecord>,
-        zbuf: &mut Vec<f64>,
-        pbuf: &mut Vec<f64>,
+        state: &mut SaxScratch,
     ) -> Result<()> {
         records.clear();
         if values.is_empty() {
@@ -197,24 +249,20 @@ impl SaxConfig {
                 series_len: values.len(),
             });
         }
-        let mut windows_processed = 0u64;
-        let mut words_dropped = 0u64;
-        zbuf.resize(self.window, 0.0);
-        pbuf.resize(self.paa_size, 0.0);
-        let windows = SlidingWindows::new(values, self.window)
-            // gv-lint: allow(no-unwrap-in-lib) the same window/len pair was validated at function entry
-            .expect("window validated above");
-        for (offset, win) in windows {
-            windows_processed += 1;
-            let word = self.word_for(win, zbuf, pbuf);
-            match records.last() {
-                Some(last) if nr.drops(&last.word, &word) => words_dropped += 1,
-                _ => records.push(SaxRecord { word, offset }),
+        state.last.clear();
+        for (offset, window) in values.windows(self.window).enumerate() {
+            if let Some(symbols) = self.next_word(window, nr, state) {
+                records.push(SaxRecord {
+                    word: SaxWord::new(symbols),
+                    offset,
+                });
             }
         }
+        let windows_processed = (values.len() - self.window + 1) as u64;
+        let words_emitted = records.len() as u64;
         recorder.add(Counter::WindowsProcessed, windows_processed);
-        recorder.add(Counter::WordsEmitted, records.len() as u64);
-        recorder.add(Counter::WordsDropped, words_dropped);
+        recorder.add(Counter::WordsEmitted, words_emitted);
+        recorder.add(Counter::WordsDropped, windows_processed - words_emitted);
         Ok(())
     }
 }
@@ -239,16 +287,15 @@ pub fn sax_by_chunking(
         });
     }
     let cfg = SaxConfig::new(chunk, paa_size, alphabet_size)?;
-    let mut out = Vec::with_capacity(values.len() / chunk);
-    let mut zbuf = vec![0.0; chunk];
-    let mut pbuf = vec![0.0; paa_size];
-    let mut offset = 0;
-    while offset + chunk <= values.len() {
-        let word = cfg.word_for(&values[offset..offset + chunk], &mut zbuf, &mut pbuf);
-        out.push(SaxRecord { word, offset });
-        offset += chunk;
-    }
-    Ok(out)
+    let mut state = SaxScratch::new();
+    Ok(values
+        .chunks_exact(chunk)
+        .enumerate()
+        .map(|(i, c)| SaxRecord {
+            word: SaxWord::new(cfg.symbolize(c, &mut state)),
+            offset: i * chunk,
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -374,7 +421,7 @@ mod tests {
         let values: Vec<f64> = (0..300).map(|i| (i as f64 / 9.0).sin()).collect();
         let cfg = SaxConfig::new(24, 4, 4).unwrap();
         let rec = gv_obs::LocalRecorder::new();
-        let (mut instrumented, mut zbuf, mut pbuf) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut instrumented, mut state) = (Vec::new(), SaxScratch::new());
         for nr in [
             NumerosityReduction::None,
             NumerosityReduction::Exact,
@@ -382,7 +429,7 @@ mod tests {
         ] {
             rec.reset();
             let plain = cfg.discretize(&values, nr).unwrap();
-            cfg.discretize_into(&values, nr, &rec, &mut instrumented, &mut zbuf, &mut pbuf)
+            cfg.discretize_into(&values, nr, &rec, &mut instrumented, &mut state)
                 .unwrap();
             assert_eq!(plain, instrumented);
             let windows = (300 - 24 + 1) as u64;

@@ -12,9 +12,12 @@
 //! * **PAA** (Piecewise Aggregate Approximation), including the fractional
 //!   scheme for window lengths not divisible by the PAA size ([`paa`]);
 //! * [`SaxWord`] encoding plus the lower-bounding **MINDIST** between words;
-//! * a **sliding-window discretizer** ([`SaxConfig::discretize`]) producing
-//!   `(word, offset)` records, with the paper's *numerosity reduction*
-//!   strategies ([`NumerosityReduction`]);
+//! * one **discretizer**: a window kernel plus the paper's *numerosity
+//!   reduction* state ([`SaxScratch`], [`NumerosityReduction`]), driven
+//!   over a whole series by [`SaxConfig::discretize`] (`(word, offset)`
+//!   records) or one window at a time by [`SaxConfig::next_word`] — the
+//!   streaming detector's path, so stream and batch words agree bit for
+//!   bit;
 //! * a [`SaxDictionary`] interning words into dense `u32` tokens for the
 //!   grammar-induction stage.
 //!
@@ -35,16 +38,14 @@ mod alphabet;
 mod dictionary;
 mod discretize;
 mod error;
-mod incremental;
 mod mindist;
 mod paa;
 mod word;
 
 pub use alphabet::{Alphabet, MAX_ALPHABET, MIN_ALPHABET};
 pub use dictionary::SaxDictionary;
-pub use discretize::{sax_by_chunking, NumerosityReduction, SaxConfig, SaxRecord};
+pub use discretize::{sax_by_chunking, NumerosityReduction, SaxConfig, SaxRecord, SaxScratch};
 pub use error::{Error, Result};
-pub use incremental::IncrementalDiscretizer;
-pub use mindist::{mindist, mindist_is_zero, symbols_mindist_is_zero};
-pub use paa::{paa, paa_into, reconstruction_error};
+pub use mindist::{mindist, mindist_is_zero};
+pub use paa::{paa, reconstruction_error};
 pub use word::SaxWord;

@@ -29,17 +29,11 @@ pub fn mindist(a: &SaxWord, b: &SaxWord, alphabet: &Alphabet, n: usize) -> f64 {
     ((n as f64) / (w as f64)).sqrt() * sum_sq.sqrt()
 }
 
-/// `true` when `MINDIST == 0`, i.e. every symbol pair is identical or
-/// adjacent. Cheaper than [`mindist`] (no float math) and exactly the test
-/// used by the MINDIST numerosity-reduction strategy.
-pub fn mindist_is_zero(a: &SaxWord, b: &SaxWord) -> bool {
-    symbols_mindist_is_zero(a.symbols(), b.symbols())
-}
-
-/// Raw-symbol-slice form of [`mindist_is_zero`], for streaming callers
-/// comparing a scratch-buffer candidate against the last kept word without
-/// boxing it into a [`SaxWord`] first.
-pub fn symbols_mindist_is_zero(a: &[u8], b: &[u8]) -> bool {
+/// `true` when `MINDIST == 0` between two words given as symbol slices,
+/// i.e. every symbol pair is identical or adjacent. Cheaper than
+/// [`mindist`] (no float math) and exactly the test used by the MINDIST
+/// numerosity-reduction strategy.
+pub fn mindist_is_zero(a: &[u8], b: &[u8]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| x.abs_diff(y) <= 1)
 }
 
@@ -61,7 +55,7 @@ mod tests {
     fn adjacent_symbols_have_zero_mindist() {
         let a4 = Alphabet::new(4).unwrap();
         assert_eq!(mindist(&w("abba"), &w("babb"), &a4, 16), 0.0);
-        assert!(mindist_is_zero(&w("abba"), &w("babb")));
+        assert!(mindist_is_zero(w("abba").symbols(), w("babb").symbols()));
     }
 
     #[test]
@@ -71,7 +65,7 @@ mod tests {
         let d = mindist(&w("a"), &w("c"), &a4, 4);
         let expected = (4.0f64 / 1.0).sqrt() * 0.6745;
         assert!((d - expected).abs() < 0.01, "{d} vs {expected}");
-        assert!(!mindist_is_zero(&w("a"), &w("c")));
+        assert!(!mindist_is_zero(w("a").symbols(), w("c").symbols()));
     }
 
     #[test]
@@ -94,12 +88,12 @@ mod tests {
     fn empty_words() {
         let a3 = Alphabet::new(3).unwrap();
         assert_eq!(mindist(&w(""), &w(""), &a3, 10), 0.0);
-        assert!(mindist_is_zero(&w(""), &w("")));
+        assert!(mindist_is_zero(&[], &[]));
     }
 
     #[test]
     fn length_mismatch_in_is_zero() {
-        assert!(!mindist_is_zero(&w("ab"), &w("abc")));
+        assert!(!mindist_is_zero(&[0, 1], &[0, 1, 2]));
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub fn paa(values: &[f64], segments: usize) -> Vec<f64> {
 }
 
 /// Allocation-free PAA: `out.len()` is the number of segments.
-pub fn paa_into(values: &[f64], out: &mut [f64]) {
+pub(crate) fn paa_into(values: &[f64], out: &mut [f64]) {
     let n = values.len();
     let w = out.len();
     if w == 0 {

@@ -1,7 +1,7 @@
 //! # gv-timeseries
 //!
 //! Time-series substrate for the grammarviz-rs workspace: the [`TimeSeries`]
-//! container, z-normalization, sliding-window extraction, interval algebra,
+//! container, z-normalization, subsequence extraction, interval algebra,
 //! descriptive statistics, linear resampling, and CSV input/output.
 //!
 //! Everything in the EDBT'15 reproduction builds on this crate: SAX
@@ -44,5 +44,5 @@ pub use resample::{resample_linear, resample_to, Resampled};
 pub use series::{find_non_finite, TimeSeries};
 pub use series_stats::SeriesStats;
 pub use stats::{argmax, argmin, max, mean, mean_std, min, std_dev, RunningStats};
-pub use window::{subsequence, SlidingWindows};
-pub use znorm::{znorm, znorm_into, znorm_with_into, DEFAULT_ZNORM_THRESHOLD};
+pub use window::subsequence;
+pub use znorm::{znorm, znorm_into, DEFAULT_ZNORM_THRESHOLD};

@@ -128,7 +128,7 @@ impl SeriesStats {
 
     /// Z-normalizes the window `values[start..end)` into `out` using the
     /// O(1) window statistics, with the exact same normalization kernel
-    /// ([`crate::znorm_with_into`]) as every other path.
+    /// as [`crate::znorm_into`] and every other path.
     ///
     /// `values` must be the series the statistics were built from.
     ///

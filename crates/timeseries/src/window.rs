@@ -1,76 +1,6 @@
-//! Sliding-window subsequence extraction (paper §2).
+//! Subsequence extraction (paper §2).
 
 use crate::error::{Error, Result};
-
-/// Borrowing iterator over all length-`n` windows of a series, in order.
-///
-/// For a series of length `m`, yields `(start, window)` for every
-/// `start in 0..=m-n` — exactly the paper's *sliding window subsequence
-/// extraction*. Construct via [`SlidingWindows::new`].
-///
-/// ```
-/// use gv_timeseries::SlidingWindows;
-/// let data = [0.0, 1.0, 2.0, 3.0];
-/// let starts: Vec<usize> = SlidingWindows::new(&data, 2).unwrap().map(|(s, _)| s).collect();
-/// assert_eq!(starts, vec![0, 1, 2]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SlidingWindows<'a> {
-    data: &'a [f64],
-    window: usize,
-    next: usize,
-}
-
-impl<'a> SlidingWindows<'a> {
-    /// Creates the iterator.
-    ///
-    /// # Errors
-    /// [`Error::InvalidParameter`] when `window == 0` or
-    /// `window > data.len()`.
-    pub fn new(data: &'a [f64], window: usize) -> Result<Self> {
-        if window == 0 {
-            return Err(Error::InvalidParameter(
-                "window length must be positive".into(),
-            ));
-        }
-        if window > data.len() {
-            return Err(Error::InvalidParameter(format!(
-                "window length {window} exceeds series length {}",
-                data.len()
-            )));
-        }
-        Ok(Self {
-            data,
-            window,
-            next: 0,
-        })
-    }
-
-    /// Number of windows this iterator will yield in total.
-    pub fn count_total(&self) -> usize {
-        self.data.len() - self.window + 1
-    }
-}
-
-impl<'a> Iterator for SlidingWindows<'a> {
-    type Item = (usize, &'a [f64]);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.next + self.window > self.data.len() {
-            return None;
-        }
-        let start = self.next;
-        self.next += 1;
-        Some((start, &self.data[start..start + self.window]))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = (self.data.len() - self.window + 1).saturating_sub(self.next);
-        (remaining, Some(remaining))
-    }
-}
-
-impl ExactSizeIterator for SlidingWindows<'_> {}
 
 /// Checked subsequence extraction `data[start..start+len]`.
 ///
@@ -95,40 +25,6 @@ pub fn subsequence(data: &[f64], start: usize, len: usize) -> Result<&[f64]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn yields_all_windows_in_order() {
-        let data = [0.0, 1.0, 2.0, 3.0, 4.0];
-        let windows: Vec<_> = SlidingWindows::new(&data, 3).unwrap().collect();
-        assert_eq!(windows.len(), 3);
-        assert_eq!(windows[0], (0, &data[0..3]));
-        assert_eq!(windows[2], (2, &data[2..5]));
-    }
-
-    #[test]
-    fn window_equal_to_series_yields_one() {
-        let data = [1.0, 2.0];
-        let w: Vec<_> = SlidingWindows::new(&data, 2).unwrap().collect();
-        assert_eq!(w.len(), 1);
-        assert_eq!(w[0].0, 0);
-    }
-
-    #[test]
-    fn invalid_windows_rejected() {
-        let data = [1.0, 2.0];
-        assert!(SlidingWindows::new(&data, 0).is_err());
-        assert!(SlidingWindows::new(&data, 3).is_err());
-    }
-
-    #[test]
-    fn exact_size_iterator() {
-        let data = [0.0; 10];
-        let mut it = SlidingWindows::new(&data, 4).unwrap();
-        assert_eq!(it.len(), 7);
-        assert_eq!(it.count_total(), 7);
-        it.next();
-        assert_eq!(it.len(), 6);
-    }
 
     #[test]
     fn subsequence_checked() {

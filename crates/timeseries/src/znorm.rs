@@ -61,7 +61,13 @@ pub fn znorm_into(values: &[f64], threshold: f64, out: &mut [f64]) {
 ///
 /// # Panics
 /// Panics when `out.len() != values.len()`.
-pub fn znorm_with_into(values: &[f64], mean: f64, std_dev: f64, threshold: f64, out: &mut [f64]) {
+pub(crate) fn znorm_with_into(
+    values: &[f64],
+    mean: f64,
+    std_dev: f64,
+    threshold: f64,
+    out: &mut [f64],
+) {
     // gv-lint: allow(panic-reachability) documented `# Panics` precondition: a mismatched output buffer is a caller bug
     assert_eq!(
         values.len(),
