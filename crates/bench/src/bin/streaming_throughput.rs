@@ -5,11 +5,10 @@
 //! two history sizes. With the horizon fixed, the incremental engine's
 //! work per push is bounded by the retained window, never by how long
 //! the stream has been running; a super-linear drift here means eviction
-//! is leaking state. Writes one trace per history size (at the current
-//! `gv_obs::SCHEMA_VERSION`) to `BENCH_stream.json`.
+//! is leaking state.
 //!
 //! ```text
-//! cargo run -p gv-bench --release --bin streaming_throughput [-- OUT.json]
+//! cargo run -p gv-bench --release --bin streaming_throughput
 //! ```
 //!
 //! Wall-clock figures are machine-dependent; the machine-independent
@@ -21,7 +20,6 @@ use std::time::Instant;
 
 use gv_bench::report;
 use gv_datasets::ecg::ecg_record;
-use gva_core::obs::{CollectingRecorder, NoopRecorder, Recorder};
 use gva_core::{EngineConfig, PipelineConfig, RraDetector, StreamingDetector};
 
 /// History sizes whose per-point cost must agree.
@@ -38,9 +36,9 @@ const MAX_RATIO: f64 = 1.5;
 /// One full pass: push every point through a fresh bounded stream, run
 /// the exact discord search every `DETECT_EVERY` points plus once at the
 /// end, and scan for alerts. Returns the number of points streamed.
-fn run_pass(values: &[f64], config: &PipelineConfig, recorder: &dyn Recorder) -> usize {
+fn run_pass(values: &[f64], config: &PipelineConfig) -> usize {
     let rra = RraDetector::new(config.clone(), 2).with_engine(EngineConfig::sequential());
-    let mut det = StreamingDetector::with_recorder(config.clone(), recorder).with_horizon(HORIZON);
+    let mut det = StreamingDetector::new(config.clone()).with_horizon(HORIZON);
     for (i, &v) in values.iter().enumerate() {
         det.push(v).expect("stream push");
         if (i + 1) % DETECT_EVERY == 0 {
@@ -53,10 +51,6 @@ fn run_pass(values: &[f64], config: &PipelineConfig, recorder: &dyn Recorder) ->
 }
 
 fn main() {
-    let out = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_stream.json".to_string());
-
     let config = PipelineConfig::new(150, 4, 4).expect("valid params");
     println!(
         "Streaming throughput — horizon {HORIZON}, window 150, exact detect \
@@ -73,16 +67,13 @@ fn main() {
         let values = data.series.values();
 
         // Warm-up pass (allocator, lazy init), then best-of-REPS.
-        assert_eq!(run_pass(values, &config, &NoopRecorder), points);
+        assert_eq!(run_pass(values, &config), points);
         let mut best_ns = u64::MAX;
         for _ in 0..REPS {
             let t0 = Instant::now();
-            run_pass(values, &config, &NoopRecorder);
+            run_pass(values, &config);
             best_ns = best_ns.min(t0.elapsed().as_nanos() as u64);
         }
-        // One instrumented pass for the exported spans and counters.
-        let recorder = CollectingRecorder::new();
-        run_pass(values, &config, &recorder);
 
         let ns_per_point = best_ns as f64 / points as f64;
         println!(
@@ -92,34 +83,16 @@ fn main() {
             ns_per_point,
             report::thousands((1e9 / ns_per_point) as u128),
         );
-        results.push((points, best_ns, ns_per_point, recorder));
+        results.push(ns_per_point);
     }
 
-    let (_, _, base_ns_pp, _) = &results[0];
-    let ratio = results[1].2 / base_ns_pp;
+    let ratio = results[1] / results[0];
     let flat = ratio <= MAX_RATIO;
     println!(
         "\nper-point cost ratio ({}k vs {}k): {ratio:.3}x (gate: <= {MAX_RATIO}x)",
         HISTORY[1] / 1000,
         HISTORY[0] / 1000,
     );
-
-    let mut lines = Vec::new();
-    for (points, best_ns, ns_per_point, recorder) in &results {
-        let trace = recorder
-            .snapshot("streaming_throughput")
-            .with_param("points", *points as u64)
-            .with_param("horizon", HORIZON as u64)
-            .with_param("window", 150)
-            .with_param("detect_every", DETECT_EVERY as u64)
-            .with_param("wall_ns", *best_ns)
-            .with_param("ns_per_point", ns_per_point.round() as u64)
-            .with_param("ratio_milli", (ratio * 1000.0).round() as u64)
-            .with_param("flat", u64::from(flat));
-        lines.push(trace.to_jsonl());
-    }
-    report::write_lines(std::path::Path::new(&out), &lines).expect("write BENCH_stream.json");
-    println!("wrote {} trace(s) to {out}", lines.len());
 
     if !flat {
         eprintln!(

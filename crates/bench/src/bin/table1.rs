@@ -30,10 +30,11 @@ fn main() {
     };
 
     println!("Table 1: performance comparison for brute-force, HOTSAX and RRA");
-    println!(
-        "(synthetic analogues; large ECGs scaled to {:?} points)\n",
-        scale
-    );
+    let size = match scale {
+        Some(points) => format!("scaled to {points} points"),
+        None => "at full size".to_string(),
+    };
+    println!("(synthetic analogues; large ECGs {size})\n");
     println!(
         "{:<34} {:>8}  {:>16} {:>14} {:>12}  {:>9}  {:>11}  {:>8}",
         "Dataset (window,PAA,alpha)",

@@ -3,13 +3,13 @@
 //!
 //! Every line must parse as a JSON object carrying the current schema
 //! number, and each record shape (trace, event, explain row, explain
-//! summary, bench run) must carry its required keys. Trace records must
-//! also reconcile with their own span tree: each `stages_ns` entry equals
-//! the summed `total_ns` of the spans of that stage, `derived.total_ns`
-//! equals the summed root spans, and (sequential runs only) no span's
-//! children outlast it. CI runs this over
-//! the `BENCH_obs_*.json` trajectory files and the `gv bench` history so
-//! a schema drift fails the build instead of silently producing
+//! summary, monitor window, health verdict, ledger) must carry its
+//! required keys. Trace records must also reconcile with their own span
+//! tree: each `stages_ns` entry equals the summed `total_ns` of the spans
+//! of that stage, `derived.total_ns` equals the summed root spans, and
+//! (sequential runs only) no span's children outlast it. CI runs this
+//! over the CLI's `--metrics`, `--events`, `gv monitor` and ledger output
+//! so a schema drift fails the build instead of silently producing
 //! unparseable metrics.
 //!
 //! ```text
@@ -30,7 +30,7 @@ fn required_keys(record: &Value) -> Result<&'static [&'static str], String> {
         Ok(Value::Str(s)) => s.as_str(),
         Ok(_) => return Err("\"type\" is not a string".to_string()),
         Err(_) if record.field("label").is_ok() => {
-            // A `PipelineTrace` (CLI `--metrics`, stream snapshots, BENCH traces).
+            // A `PipelineTrace` (CLI `--metrics`, stream snapshots).
             return Ok(&[
                 "schema",
                 "label",
@@ -68,10 +68,6 @@ fn required_keys(record: &Value) -> Result<&'static [&'static str], String> {
             "visits",
             "calls",
             "min_density",
-        ]),
-        "bench" => Ok(&[
-            "schema", "workload", "git_sha", "run", "warmup", "reps", "wall_ns", "spans",
-            "counters",
         ]),
         "explain_summary" => Ok(&[
             "schema",
@@ -274,22 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn accepts_bench_records() {
-        use gv_bench::history::BenchRecord;
-        let record = BenchRecord {
-            workload: "standard".to_string(),
-            git_sha: "deadbee".to_string(),
-            run: 0,
-            warmup: false,
-            reps: 3,
-            wall_ns: 42,
-            spans: vec![("detect".to_string(), 42)],
-            counters: vec![("distance_calls".to_string(), 7)],
-        };
-        validate_line(&record.to_jsonl()).unwrap();
-    }
-
-    #[test]
     fn accepts_monitoring_records() {
         use gva_core::obs::{
             HealthEngine, HealthRule, LedgerRecord, PipelineTrace, WindowedAggregator,
@@ -370,11 +350,6 @@ mod tests {
         // A trace missing its histograms object.
         assert!(validate_line(&format!(
             "{{\"schema\":{v},\"label\":\"x\",\"params\":{{}},\"stages_ns\":{{}},\"spans\":[],\"counters\":{{}},\"derived\":{{}}}}"
-        ))
-        .is_err());
-        // A bench record missing its wall time.
-        assert!(validate_line(&format!(
-            "{{\"schema\":{v},\"type\":\"bench\",\"workload\":\"w\",\"git_sha\":\"s\",\"run\":0,\"warmup\":false,\"reps\":1,\"spans\":{{}},\"counters\":{{}}}}"
         ))
         .is_err());
     }

@@ -1,15 +1,12 @@
 //! # gv-bench
 //!
-//! Benchmark harness regenerating every table and figure of the EDBT'15
-//! paper, plus the `gv bench` perf-regression harness. See the `bin/`
-//! report binaries (one per table/figure), the Criterion benches under
-//! `benches/`, and the [`workload`]/[`history`]/[`diff`] modules backing
-//! `gv bench run` / `gv bench diff`.
+//! Report binaries regenerating every table and figure of the EDBT'15
+//! paper (one `bin/` per table/figure), the ablations, and two gates: the
+//! `streaming_throughput` flatness check and the `validate_jsonl` schema
+//! check. Performance is measured by the repository benchmark in
+//! `gvbench/`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod diff;
-pub mod history;
 pub mod report;
-pub mod workload;

@@ -1,8 +1,6 @@
 //! Shared helpers for the table/figure report binaries.
 
-use gv_obs::PipelineTrace;
 use gv_timeseries::Interval;
-use std::path::Path;
 
 /// Formats a large count with thousands separators, in the paper's style
 /// (`271'442'101`).
@@ -43,35 +41,6 @@ pub fn hr(width: usize) -> String {
     "-".repeat(width)
 }
 
-/// Renders instrumentation snapshots as the reports' stage-breakdown
-/// section: one `--trace`-style table per snapshot.
-pub fn trace_section(traces: &[PipelineTrace]) -> String {
-    let mut out = String::new();
-    for trace in traces {
-        out.push_str(&trace.render_table());
-        out.push('\n');
-    }
-    out
-}
-
-/// Writes snapshots to a `BENCH_*.json` trajectory file: one JSON record
-/// per line, the same schema as the CLI's `--metrics` output. Overwrites —
-/// a baseline file is regenerated whole, not appended to.
-pub fn write_traces(path: &Path, traces: &[PipelineTrace]) -> std::io::Result<()> {
-    let lines: Vec<String> = traces.iter().map(PipelineTrace::to_jsonl).collect();
-    write_lines(path, &lines)
-}
-
-/// Writes pre-rendered JSONL lines to a `BENCH_*.json` file, overwriting.
-pub fn write_lines(path: &Path, lines: &[String]) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let mut file = std::fs::File::create(path)?;
-    for line in lines {
-        writeln!(file, "{line}")?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,29 +73,5 @@ mod tests {
     #[test]
     fn rule() {
         assert_eq!(hr(3), "---");
-    }
-
-    #[test]
-    fn traces_round_trip_to_disk() {
-        let traces = [
-            PipelineTrace::new("a").with_param("window", 100),
-            PipelineTrace::new("b"),
-        ];
-        let section = trace_section(&traces);
-        assert!(section.contains("trace: a"));
-        assert!(section.contains("trace: b"));
-
-        let dir = std::env::temp_dir().join("gv_bench_report_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("t_{}.json", std::process::id()));
-        write_traces(&path, &traces).unwrap();
-        // Overwrites rather than appending.
-        write_traces(&path, &traces).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(body.lines().count(), 2);
-        assert!(body
-            .lines()
-            .all(|l| l.starts_with("{\"schema\":4,\"label\":")));
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -6,18 +6,11 @@ use std::collections::HashMap;
 /// alone means "on", so the parser must not consume the next token.
 const BOOL_FLAGS: &[&str] = &["trace", "timing", "fail-on-breach", "prune-baseline"];
 
-/// Commands that take a second positional argument (an action), like
-/// `gv bench diff`. Every other command rejects extra positionals.
-const SUBCOMMAND_COMMANDS: &[&str] = &["bench"];
-
 /// Parsed command line: the subcommand plus `--key value` options.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     /// The subcommand (first non-flag argument).
     pub command: Option<String>,
-    /// The action (second positional) for commands in
-    /// [`SUBCOMMAND_COMMANDS`], e.g. `diff` in `gv bench diff`.
-    pub action: Option<String>,
     options: HashMap<String, String>,
 }
 
@@ -44,10 +37,6 @@ impl Args {
                 out.options.insert(key.to_string(), value.clone());
             } else if out.command.is_none() {
                 out.command = Some(arg.clone());
-            } else if out.action.is_none()
-                && SUBCOMMAND_COMMANDS.contains(&out.command.as_deref().unwrap_or(""))
-            {
-                out.action = Some(arg.clone());
             } else {
                 return Err(format!("unexpected argument {arg:?}"));
             }
@@ -164,17 +153,6 @@ mod tests {
     #[test]
     fn unexpected_positional_rejected() {
         assert!(Args::parse(&argv("rra extra")).is_err());
-    }
-
-    #[test]
-    fn bench_takes_an_action_positional() {
-        let a = Args::parse(&argv("bench diff --history h.jsonl")).unwrap();
-        assert_eq!(a.command.as_deref(), Some("bench"));
-        assert_eq!(a.action.as_deref(), Some("diff"));
-        assert_eq!(a.required("history").unwrap(), "h.jsonl");
-        // One action at most; other commands still reject positionals.
-        assert!(Args::parse(&argv("bench diff extra")).is_err());
-        assert!(Args::parse(&argv("density diff")).is_err());
     }
 
     #[test]

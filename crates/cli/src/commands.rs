@@ -39,12 +39,6 @@ commands:
             rules; --root DIR, --format text|sarif, --prune-baseline
             rewrites lint.toml with stale entries dropped)
   demo      run density + RRA on a built-in synthetic dataset
-  bench     perf-regression harness over the deterministic workload
-            registry: `bench run` appends to a history file, `bench diff`
-            compares the two latest runs per workload, `bench list`
-            prints the registry
-            (--workload NAME|all, --reps N, --history PATH,
-            --collapsed PATH writes flamegraph collapsed stacks)
 
 common options:
   --file PATH        single-column CSV input (for density/rra/hotsax/grammar)
@@ -135,7 +129,6 @@ fn allowed_options(command: &str) -> Option<&'static [&'static str]> {
             "file", "column", "window", "paa", "alphabet", "top", "threads", "ledger",
         ]),
         "demo" => Some(&["dataset", "top", "width", "trace", "metrics", "threads"]),
-        "bench" => Some(&["workload", "reps", "history", "collapsed"]),
         "help" => Some(&[]),
         _ => None,
     }
@@ -162,7 +155,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         Some("check") => check(&args),
         Some("lint") => lint(&args),
         Some("demo") => demo(&args),
-        Some("bench") => bench(&args),
         Some("help") | None => {
             outln!("{USAGE}");
             Ok(())
@@ -956,93 +948,6 @@ fn demo(args: &Args) -> Result<(), String> {
         rra.num_candidates
     );
     Ok(())
-}
-
-/// `gv bench` — the perf-regression harness (see DESIGN.md):
-///
-/// - `gv bench run` (the default action) runs workloads from the
-///   deterministic registry and appends a tagged-warmup record plus a
-///   steady-state record per workload to `--history` (default
-///   `bench_history.jsonl`), keyed by git SHA and run index;
-/// - `gv bench diff` compares the two latest steady-state runs per
-///   workload with noise-aware thresholds and fails (non-zero exit
-///   through `main`) on any regression — the CI perf smoke gate;
-/// - `gv bench list` prints the registry.
-fn bench(args: &Args) -> Result<(), String> {
-    use gv_bench::{diff, history, workload};
-    match args.action.as_deref() {
-        None | Some("run") => {
-            let which = args.get("workload").unwrap_or("all");
-            let reps = args.usize_or("reps", workload::DEFAULT_REPS)?;
-            let history_arg = args.get("history").unwrap_or("bench_history.jsonl");
-            let path = std::path::Path::new(history_arg);
-            let names: Vec<&str> = if which == "all" {
-                workload::WORKLOADS.to_vec()
-            } else {
-                vec![which]
-            };
-            let existing = if path.exists() {
-                history::load(path)?
-            } else {
-                Vec::new()
-            };
-            let sha = history::git_sha();
-            let mut collapsed = String::new();
-            for name in names {
-                let run = workload::run_workload(name, reps)?;
-                let index = history::next_run_index(&existing, name);
-                history::append(path, &run.to_records(&sha, index))?;
-                outln!(
-                    "{name}: warmup {:.2} ms, steady {:.2} ms (best of {}) -> {history_arg} (run {index}, {sha})",
-                    run.warmup_ns as f64 / 1e6,
-                    run.wall_ns as f64 / 1e6,
-                    run.reps,
-                );
-                // Flamegraph collapsed-stack lines, workload-prefixed so
-                // all workloads can share one file.
-                for line in run.trace.spans.collapsed().lines() {
-                    collapsed.push_str(name);
-                    collapsed.push(';');
-                    collapsed.push_str(line);
-                    collapsed.push('\n');
-                }
-            }
-            if let Some(out) = args.get("collapsed") {
-                std::fs::write(out, collapsed).map_err(|e| format!("--collapsed {out}: {e}"))?;
-                outln!("collapsed stacks -> {out}");
-            }
-            Ok(())
-        }
-        Some("diff") => {
-            let path = args.required("history")?;
-            let records = history::load(std::path::Path::new(path))?;
-            let report = diff::diff_history(&records)?;
-            for (workload, prev, cur) in &report.compared {
-                outln!("{workload}: run {prev} -> run {cur}");
-            }
-            if report.is_clean() {
-                outln!("bench diff: clean ({} workload(s))", report.compared.len());
-                Ok(())
-            } else {
-                for r in &report.regressions {
-                    warn(format!("perf regression: {r}"));
-                }
-                Err(format!(
-                    "bench diff: {} perf regression(s)",
-                    report.regressions.len()
-                ))
-            }
-        }
-        Some("list") => {
-            for name in workload::WORKLOADS {
-                outln!("{name}");
-            }
-            Ok(())
-        }
-        Some(other) => Err(format!(
-            "unknown bench action {other:?} (expected run, diff, or list)"
-        )),
-    }
 }
 
 #[cfg(test)]

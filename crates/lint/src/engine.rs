@@ -97,7 +97,6 @@ pub fn classify(rel: &str) -> Option<(String, FileKind)> {
             },
         )),
         ["crates", krate, "tests", ..] => Some(((*krate).into(), FileKind::TestSrc)),
-        ["crates", krate, "benches", ..] => Some(((*krate).into(), FileKind::BenchSrc)),
         ["crates", krate, "examples", ..] => Some(((*krate).into(), FileKind::Example)),
         _ => None,
     }

@@ -1,8 +1,8 @@
 //! Append-only run ledger: cross-run drift detection for *results*.
 //!
-//! `gv bench` catches timing regressions; nothing catches the quieter
-//! failure where a refactor changes *what the detector finds*. The ledger
-//! closes that gap: every `Detector::detect` invocation and monitor
+//! The benchmark (`gvbench/`) catches timing regressions; nothing catches
+//! the quieter failure where a refactor changes *what the detector
+//! finds*. The ledger closes that gap: every `Detector::detect` invocation and monitor
 //! session can append one `ledger` record to a JSONL file carrying
 //!
 //! - a **config fingerprint** (window/paa/alphabet/top-k and the detector

@@ -25,7 +25,7 @@
 //!
 //! A finished run is snapshotted into a [`PipelineTrace`], which renders
 //! either as a text table (CLI `--trace`) or as a single JSONL line
-//! (CLI `--metrics`, bench trajectory files).
+//! (CLI `--metrics`).
 //!
 //! ```
 //! use gv_obs::{Counter, LocalRecorder, Recorder, SpanTimer, Stage};
@@ -62,10 +62,9 @@
 //! function of the code path — per-worker subtrees merged under a stable
 //! key yield a [`SpanTree`] that is bit-identical across thread counts,
 //! the same contract the parallel RRA search honors for its ranks. The
-//! tree exports as a schema-3 JSONL array and as collapsed-stack text for
-//! standard flamegraph tooling ([`SpanTree::collapsed`]). All span
-//! methods default to no-ops and return `None` on [`NoopRecorder`], so
-//! the zero-overhead contract is untouched.
+//! tree exports as a schema-3 JSONL array. All span methods default to
+//! no-ops and return `None` on [`NoopRecorder`], so the zero-overhead
+//! contract is untouched.
 
 //! ## Level 4: live monitoring, SLOs, and the run ledger
 //!

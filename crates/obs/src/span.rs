@@ -12,8 +12,7 @@
 //! tree shape is a function of the code path, not the iteration count or
 //! thread schedule. A finished run snapshots into a [`SpanTree`]: a
 //! depth-first, stage-ordered flattening with derived self-time, exported
-//! both as a JSON array (schema 3) and as collapsed-stack text for
-//! standard flamegraph tooling.
+//! as a JSON array (schema 3).
 
 use crate::stage::Stage;
 use std::fmt::Write as _;
@@ -157,8 +156,8 @@ pub struct Span {
     pub stage: Stage,
     /// Nesting depth (roots are 0).
     pub depth: usize,
-    /// Semicolon-joined stage names from the root to this span — the
-    /// collapsed-stack frame string (e.g. `"detect;rra-outer;rra-inner"`).
+    /// Semicolon-joined stage names from the root to this span (e.g.
+    /// `"detect;rra-outer;rra-inner"`).
     pub path: String,
     /// Accumulated wall-clock nanoseconds, children included.
     pub total_ns: u64,
@@ -170,8 +169,7 @@ pub struct Span {
 }
 
 /// A finished run's span tree: depth-first, stage-ordered, self-time
-/// derived. The deterministic export shape behind schema-3 JSONL and the
-/// collapsed-stack flamegraph format.
+/// derived. The deterministic export shape behind schema-3 JSONL.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpanTree {
     spans: Vec<Span>,
@@ -222,18 +220,6 @@ impl SpanTree {
             );
         }
         out.push(']');
-        out
-    }
-
-    /// Renders the tree in collapsed-stack format — one
-    /// `frame;frame;frame value` line per span, weighted by *self* time —
-    /// directly consumable by standard flamegraph tooling
-    /// (`flamegraph.pl`, inferno, speedscope).
-    pub fn collapsed(&self) -> String {
-        let mut out = String::with_capacity(32 * self.spans.len());
-        for span in &self.spans {
-            let _ = writeln!(out, "{} {}", span.path, span.self_ns);
-        }
         out
     }
 }
@@ -370,7 +356,7 @@ mod tests {
     }
 
     #[test]
-    fn json_and_collapsed_renderings() {
+    fn json_rendering() {
         let mut set = SpanSet::new();
         let root = set.span_id(None, Stage::Detect);
         let inner = set.span_id(Some(root), Stage::Density);
@@ -382,7 +368,6 @@ mod tests {
             "[{\"path\":\"detect\",\"total_ns\":100,\"self_ns\":60,\"count\":1},\
              {\"path\":\"detect;density\",\"total_ns\":40,\"self_ns\":40,\"count\":2}]"
         );
-        assert_eq!(tree.collapsed(), "detect 60\ndetect;density 40\n");
         assert_eq!(SpanTree::default().to_json_array(), "[]");
         assert!(SpanTree::default().is_empty());
     }

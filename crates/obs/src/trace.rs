@@ -10,13 +10,15 @@ use std::path::Path;
 
 /// Version number stamped into every JSONL record this crate emits (trace
 /// lines and [`Event`](crate::Event) lines alike). Bump it whenever the
-/// record shape changes so `BENCH_*.json` trajectory files stay comparable
-/// across PRs: 1 = PR-1 counters-only records, 2 = adds `schema` itself
-/// plus the `histograms` object and event records, 3 = adds the `spans`
-/// array (hierarchical span tree with derived self-time), the `detect`
-/// root stage, and the bench harness's run-history records, 4 = adds the
-/// live-monitoring record types (`window` per-interval aggregates,
-/// `health` SLO verdict transitions, `ledger` run-provenance records).
+/// record shape changes, so a reader of stored JSONL — appended
+/// `--metrics` files, monitor output, run ledgers that span many commits
+/// — can tell which shape a line has: 1 = counters-only records, 2 = adds
+/// `schema` itself plus the `histograms` object and event records, 3 =
+/// adds the `spans` array (hierarchical span tree with derived
+/// self-time), the `detect` root stage, and a bench run-history record
+/// (no longer emitted), 4 = adds the live-monitoring record types
+/// (`window` per-interval aggregates, `health` SLO verdict transitions,
+/// `ledger` run-provenance records).
 pub const SCHEMA_VERSION: u64 = 4;
 
 /// Everything one instrumented run measured: the span tree (its only
@@ -27,7 +29,7 @@ pub const SCHEMA_VERSION: u64 = 4;
 /// The JSON encoding is hand-rolled because `gv-obs` must stay
 /// dependency-free (see the crate docs); the schema is documented in the
 /// README's Observability section and versioned via [`SCHEMA_VERSION`] so
-/// `BENCH_*.json` trajectory files remain comparable across PRs.
+/// stored traces stay readable across versions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineTrace {
     /// What ran (e.g. `"density"`, `"rra"`, a bench fixture name).

@@ -6,6 +6,7 @@
 use grammarviz::core::{
     AnomalyPipeline, Detector, EngineConfig, PipelineConfig, RraDetector, SeriesView, Workspace,
 };
+use grammarviz::datasets::ecg::ecg_record;
 use grammarviz::obs::{CollectingRecorder, EventKind, NoopRecorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,6 +57,24 @@ fn parallel_rra_is_bit_identical_on_planted_series() {
     for threads in [2, 4, 8] {
         assert_eq!(
             ranked_key(&v, &config, threads),
+            sequential,
+            "threads={threads}"
+        );
+    }
+}
+
+/// An ECG-scale search: 20k points, window 300, three planted PVCs, so
+/// each worker's share of the outer loop spans many candidates.
+#[test]
+fn parallel_rra_is_bit_identical_on_ecg300() {
+    let data = ecg_record("ECG 300 (synthetic)", 20_000, 300, 3, 0x300);
+    let v = data.series.values();
+    let config = PipelineConfig::new(300, 4, 4).unwrap();
+    let sequential = ranked_key(v, &config, 1);
+    assert_eq!(sequential.len(), 3);
+    for threads in [2, 4, 8] {
+        assert_eq!(
+            ranked_key(v, &config, threads),
             sequential,
             "threads={threads}"
         );
