@@ -255,12 +255,12 @@ mod tests {
 
     #[test]
     fn accepts_real_records() {
-        use gva_core::obs::{CollectingRecorder, Event, EventKind, PipelineTrace};
+        use gva_core::obs::{Event, EventKind, LocalRecorder, PipelineTrace};
         let trace = PipelineTrace::new("t").with_param("points", 10);
         validate_line(&trace.to_jsonl()).unwrap();
         let values: Vec<f64> = (0..600).map(|i| (i as f64 / 9.0).sin()).collect();
         let config = gva_core::PipelineConfig::new(40, 4, 4).unwrap();
-        let rec = CollectingRecorder::new();
+        let rec = LocalRecorder::new();
         gva_core::AnomalyPipeline::new(config)
             .rra_discords(&values, 1, &rec)
             .unwrap();

@@ -17,8 +17,7 @@
 //!    `O(n · occurrences)` recount;
 //! 5. **RRA exactness** (§4.2/§5): the ranked discords agree — distance
 //!    bits and all — with a heuristic-free brute-force replay over the
-//!    same candidate intervals
-//!    ([`reference_rank`](gva_core::reference_rank));
+//!    same candidate intervals ([`reference_rank`]);
 //! 6. **Streaming differential** (§7): a bounded-horizon incremental
 //!    engine is indistinguishable — density curve, discords, grammar
 //!    structure — from a from-scratch batch run on the slice it retains

@@ -2,7 +2,7 @@
 
 use gv_discord::HotSaxConfig;
 use gv_timeseries::{read_csv_column, Interval, TimeSeries};
-use gva_core::obs::{CollectingRecorder, NoopRecorder, PipelineTrace, Recorder};
+use gva_core::obs::{LocalRecorder, NoopRecorder, PipelineTrace, Recorder};
 use gva_core::{
     viz, AnomalyPipeline, Detector, EngineConfig, HotSaxDetector, PipelineConfig, SeriesView,
     Workspace,
@@ -33,11 +33,6 @@ commands:
             stdin)
   check     verify the paper invariants on a series (PASS/FAIL report),
             or scan a run ledger for result drift (--ledger PATH)
-  lint      check the workspace source against the project's contracts
-            (determinism, hot-path allocation, error handling, and the
-            interprocedural panic/alloc-reachability and determinism-taint
-            rules; --root DIR, --format text|sarif, --prune-baseline
-            rewrites lint.toml with stale entries dropped)
   demo      run density + RRA on a built-in synthetic dataset
 
 common options:
@@ -124,7 +119,6 @@ fn allowed_options(command: &str) -> Option<&'static [&'static str]> {
             "timing",
             "horizon",
         ]),
-        "lint" => Some(&["root", "format", "prune-baseline"]),
         "check" => Some(&[
             "file", "column", "window", "paa", "alphabet", "top", "threads", "ledger",
         ]),
@@ -153,7 +147,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         Some("stream") => stream(&args),
         Some("monitor") => monitor(&args),
         Some("check") => check(&args),
-        Some("lint") => lint(&args),
         Some("demo") => demo(&args),
         Some("help") | None => {
             outln!("{USAGE}");
@@ -171,14 +164,14 @@ fn warn(message: impl std::fmt::Display) {
 
 /// An instrumentation sink when `--trace`, `--metrics`, or `--events` was
 /// given; `None` keeps the zero-overhead uninstrumented path.
-fn recorder_for(args: &Args) -> Option<CollectingRecorder> {
+fn recorder_for(args: &Args) -> Option<LocalRecorder> {
     (args.flag("trace") || args.get("metrics").is_some() || args.get("events").is_some())
-        .then(CollectingRecorder::new)
+        .then(LocalRecorder::new)
 }
 
 /// The sink a facade call records into: the [`recorder_for`] recorder, or
 /// a [`NoopRecorder`] when none was asked for.
-fn sink(recorder: &Option<CollectingRecorder>) -> &dyn Recorder {
+fn sink(recorder: &Option<LocalRecorder>) -> &dyn Recorder {
     match recorder {
         Some(rec) => rec,
         None => &NoopRecorder,
@@ -223,7 +216,7 @@ fn emit_trace(args: &Args, trace: &PipelineTrace) -> Result<(), String> {
 /// threads and may exceed `rra-outer`'s wall time, which `validate_jsonl`
 /// only forgives when the record says so.
 fn pipeline_trace(
-    rec: &CollectingRecorder,
+    rec: &LocalRecorder,
     label: &str,
     p: &AnomalyPipeline,
     points: usize,
@@ -417,8 +410,9 @@ fn rra(args: &Args) -> Result<(), String> {
     if let Some(rec) = &recorder {
         emit_trace(args, &pipeline_trace(rec, "rra", &p, series.len(), k))?;
         if let Some(path) = args.get("events") {
-            let (recorded, dropped) = rec.events_recorded_dropped();
-            let n = append_jsonl_lines(path, rec.events_vec().iter().map(|e| e.to_jsonl()))?;
+            let events = rec.events();
+            let (recorded, dropped) = (events.recorded(), events.dropped());
+            let n = append_jsonl_lines(path, events.iter().map(|e| e.to_jsonl()))?;
             warn(format_args!(
                 "appended {n} event lines to {path} ({recorded} recorded, {dropped} dropped)"
             ));
@@ -655,10 +649,10 @@ fn stream(args: &Args) -> Result<(), String> {
     } else {
         outln!("{} alert region(s) in total", reported.len());
     }
-    if metrics_every > 0 {
+    if metrics_every > 0 || args.get("metrics").is_some() {
         // Terminal flush: without it the final partial window (up to
         // `metrics_every - 1` points) would silently vanish from the
-        // trajectory.
+        // trajectory, and `--metrics` alone would write nothing.
         det.flush_now();
         let snapshots = det.take_snapshots();
         if let Some(path) = args.get("metrics") {
@@ -835,57 +829,6 @@ fn check(args: &Args) -> Result<(), String> {
             "{} invariant violation(s) — this is a bug in the pipeline, please report it",
             report.num_violations()
         ))
-    }
-}
-
-/// `gv lint` — run the project's static-analysis contracts (gv-lint)
-/// over the workspace and print the report with its per-rule tally
-/// (`--format text`, the default) or as SARIF 2.1.0 for code-scanning
-/// upload (`--format sarif`). `--prune-baseline` rewrites `lint.toml`
-/// with entries that no longer match any finding removed. Fails
-/// (non-zero exit through `main`) on any surviving violation, the same
-/// verdict the `gv_lint` CI gate enforces.
-fn lint(args: &Args) -> Result<(), String> {
-    let root = match args.get("root") {
-        Some(dir) => std::path::PathBuf::from(dir),
-        None => {
-            let cwd = std::env::current_dir().map_err(|e| e.to_string())?;
-            gv_lint::find_workspace_root(&cwd)
-                .ok_or("no workspace root found above the current directory (try --root)")?
-        }
-    };
-    let (report, baseline) = gv_lint::run_full(&root).map_err(|e| e.to_string())?;
-    if args.flag("prune-baseline") {
-        let path = root.join("lint.toml");
-        match std::fs::read_to_string(&path) {
-            Ok(original) => {
-                let pruned = baseline.render_pruned(&original);
-                if pruned == original {
-                    eprintln!("gv lint: lint.toml already minimal, nothing pruned");
-                } else {
-                    std::fs::write(&path, &pruned)
-                        .map_err(|e| format!("writing {}: {e}", path.display()))?;
-                    let dropped = baseline.entries.iter().filter(|e| !e.used.get()).count();
-                    if dropped == 0 {
-                        eprintln!("gv lint: normalized lint.toml (no stale entries)");
-                    } else {
-                        let noun = if dropped == 1 { "entry" } else { "entries" };
-                        eprintln!("gv lint: pruned {dropped} stale baseline {noun} from lint.toml");
-                    }
-                }
-            }
-            Err(_) => eprintln!("gv lint: no lint.toml at the workspace root, nothing to prune"),
-        }
-    }
-    match args.get("format").unwrap_or("text") {
-        "text" => out!("{}", gv_lint::report::render(&report)),
-        "sarif" => out!("{}", gv_lint::sarif::render(&report)),
-        other => return Err(format!("unknown --format {other:?} (expected text|sarif)")),
-    }
-    if report.is_clean() {
-        Ok(())
-    } else {
-        Err(format!("{} violation(s)", report.violations.len()))
     }
 }
 
@@ -1120,6 +1063,19 @@ mod tests {
             .lines()
             .all(|l| l.starts_with("{\"schema\":4,\"label\":\"stream\"")));
         assert!(text.lines().last().unwrap().contains("\"seen\":2300"));
+        // --metrics alone appends the one terminal snapshot.
+        let stream_final = dir.join("stream_final.jsonl");
+        let _ = std::fs::remove_file(&stream_final);
+        assert!(run(&argv(&format!(
+            "stream --file {} --window 120 --metrics {}",
+            path.display(),
+            stream_final.display()
+        )))
+        .is_ok());
+        let text = std::fs::read_to_string(&stream_final).unwrap();
+        assert_eq!(text.lines().count(), 1);
+        assert!(text.starts_with("{\"schema\":4,\"label\":\"stream\""));
+        assert!(text.contains("\"seen\":2300"));
     }
 
     #[test]

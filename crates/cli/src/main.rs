@@ -7,7 +7,6 @@
 //! gv hotsax  --file data.csv --window 150 [--paa 3] [--alphabet 3] [--top K]
 //! gv grammar --file data.csv --window 150 --paa 5 --alphabet 3 [--limit N]
 //! gv demo    --dataset ecg0606|power|video|tek14|tek16|tek17|nprs43|commute
-//! gv lint    [--root DIR]   # the gv-lint static-analysis gate
 //! ```
 //!
 //! Input files are single-column CSV (use `--column` to select another

@@ -19,10 +19,8 @@
 //! variable (missing or invalid → 1), which is how CI runs the whole
 //! suite both sequentially and parallel.
 
-use gv_discord::{
-    brute_force_discords_in, hotsax_discords_in, DiscordRecord, HotSaxConfig, SearchStats,
-};
-use gv_obs::{Counter, Recorder, SpanId, SpanTimer, Stage};
+use gv_discord::{brute_force_discords, hotsax_discords, DiscordRecord, HotSaxConfig, SearchStats};
+use gv_obs::{Recorder, SpanId, SpanTimer, Stage};
 use gv_timeseries::Interval;
 
 use crate::config::PipelineConfig;
@@ -493,10 +491,14 @@ impl Detector for BruteForceDetector {
         check_k(self.k)?;
         check_finite(series.values())?;
         let root = SpanTimer::start(&recorder, None, Stage::Detect);
-        let (discords, stats) =
-            brute_force_discords_in(series.values(), self.discord_len, self.k, &mut ws.normed)?;
+        let (discords, stats) = brute_force_discords(
+            series.values(),
+            self.discord_len,
+            self.k,
+            &mut ws.normed,
+            recorder,
+        )?;
         root.finish(&recorder);
-        publish_stats(recorder, &stats);
         Ok(Report {
             detector: self.name(),
             anomalies: discords_to_anomalies(&discords),
@@ -537,10 +539,14 @@ impl Detector for HotSaxDetector {
         check_k(self.k)?;
         check_finite(series.values())?;
         let root = SpanTimer::start(&recorder, None, Stage::Detect);
-        let (discords, stats) =
-            hotsax_discords_in(series.values(), &self.config, self.k, &mut ws.hotsax)?;
+        let (discords, stats) = hotsax_discords(
+            series.values(),
+            &self.config,
+            self.k,
+            &mut ws.hotsax,
+            recorder,
+        )?;
         root.finish(&recorder);
-        publish_stats(recorder, &stats);
         Ok(Report {
             detector: self.name(),
             anomalies: discords_to_anomalies(&discords),
@@ -561,19 +567,6 @@ fn discords_to_anomalies(discords: &[DiscordRecord]) -> Vec<Anomaly> {
             rank: d.rank,
         })
         .collect()
-}
-
-/// The baseline searches meter distances internally ([`SearchStats`]);
-/// mirror the totals into the caller's recorder so every detector
-/// publishes the same counters through the unified interface.
-fn publish_stats(recorder: &dyn Recorder, stats: &SearchStats) {
-    if !recorder.enabled() {
-        return;
-    }
-    recorder.add(Counter::DistanceCalls, stats.distance_calls);
-    recorder.add(Counter::EarlyAbandons, stats.early_abandoned);
-    recorder.add(Counter::CandidatesPruned, stats.candidates_pruned);
-    recorder.add(Counter::CandidatesCompleted, stats.candidates_completed);
 }
 
 #[cfg(test)]

@@ -375,13 +375,9 @@ pub(crate) fn search_in<R: Recorder>(
     }
     // The search-local tally only keeps decision-level detail (events,
     // histograms, per-call timings) when the caller's sink wants it;
-    // otherwise it counts like PR 1 — no clock reads on the distance path.
+    // otherwise it only counts — no clock reads on the distance path.
     let detail = recorder.detailed();
-    let local = if detail {
-        LocalRecorder::new()
-    } else {
-        LocalRecorder::counters_only()
-    };
+    let local = LocalRecorder::with_detail(detail);
     let timing = recorder.enabled();
     // Spans accumulate in `local` (rooted at rra-outer) and are grafted
     // under the caller's `parent` at the final merge. The inner node is
@@ -469,12 +465,7 @@ pub(crate) fn search_in<R: Recorder>(
     // parallel search the merged RraInner sum can exceed this
     // wall-clock figure — workers overlap.
     outer_timer.finish(&local);
-    let stats = SearchStats {
-        distance_calls: local.counter(Counter::DistanceCalls),
-        early_abandoned: local.counter(Counter::EarlyAbandons),
-        candidates_pruned: local.counter(Counter::CandidatesPruned),
-        candidates_completed: local.counter(Counter::CandidatesCompleted),
-    };
+    let stats = SearchStats::from_recorder(&local);
     local.merge_into_under(recorder, parent);
     Ok(RraReport {
         discords: found,
@@ -583,11 +574,7 @@ fn parallel_rank(
             .map(|t| {
                 let bound = &bound;
                 s.spawn(move || {
-                    let wlocal = if detail {
-                        LocalRecorder::new()
-                    } else {
-                        LocalRecorder::counters_only()
-                    };
+                    let wlocal = LocalRecorder::with_detail(detail);
                     // SpanIds are per-recorder: each worker roots its own
                     // rra-inner node in `wlocal`; the graft under the
                     // search's rra-outer happens at merge time, where the

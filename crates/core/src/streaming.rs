@@ -37,7 +37,7 @@
 
 use std::collections::VecDeque;
 
-use gv_obs::{Counter, Event, EventKind, NoopRecorder, PipelineTrace, Recorder, SpanTimer, Stage};
+use gv_obs::{Counter, NoopRecorder, PipelineTrace};
 use gv_sax::{SaxDictionary, SaxRecord, SaxScratch, SaxWord};
 use gv_sequitur::{GrammarEvent, Sequitur};
 use gv_timeseries::Interval;
@@ -115,7 +115,7 @@ impl<T: Copy> SlidingBuf<T> {
 /// assert!(alerts.iter().any(|iv| iv.start >= 800 && iv.end <= 1100));
 /// ```
 #[derive(Debug)]
-pub struct StreamingDetector<R: Recorder = NoopRecorder> {
+pub struct StreamingDetector {
     config: PipelineConfig,
     /// Retained points: `0` keeps the whole stream, otherwise the last
     /// `horizon` points (never less than one window).
@@ -148,12 +148,12 @@ pub struct StreamingDetector<R: Recorder = NoopRecorder> {
     /// A journal event without a resolvable position invalidated the
     /// incremental curve; a recount runs at the end of the push.
     curve_dirty: bool,
-    /// Cumulative full curve recounts (mirrors [`Counter::DensityRecounts`]).
+    /// Cumulative full curve recounts (the snapshots'
+    /// [`Counter::DensityRecounts`]).
     density_recounts: u64,
     /// Reused across [`detect`](StreamingDetector::detect) calls, so
     /// periodic re-detection stops allocating once warmed up.
     workspace: Workspace,
-    recorder: R,
     /// Emit a metrics snapshot every this many points (`0`: never).
     metrics_every: usize,
     /// Stream length at the last flush — lets
@@ -164,20 +164,11 @@ pub struct StreamingDetector<R: Recorder = NoopRecorder> {
     snapshots: Vec<PipelineTrace>,
 }
 
-impl StreamingDetector<NoopRecorder> {
-    /// Creates a detector; no data is required up front.
+impl StreamingDetector {
+    /// Creates a detector; no data is required up front. Its counters are
+    /// read through [`snapshots`](StreamingDetector::snapshots), which it
+    /// derives from its own state.
     pub fn new(config: PipelineConfig) -> Self {
-        Self::with_recorder(config, NoopRecorder)
-    }
-}
-
-impl<R: Recorder> StreamingDetector<R> {
-    /// A detector that publishes per-push counters
-    /// ([`Counter::WindowsProcessed`], [`Counter::WordsEmitted`],
-    /// [`Counter::WordsDropped`]) and a root [`Stage::Density`] span to
-    /// `recorder`. [`new`](StreamingDetector::new) is this with a
-    /// [`NoopRecorder`].
-    pub fn with_recorder(config: PipelineConfig, recorder: R) -> Self {
         Self {
             config,
             horizon: 0,
@@ -195,7 +186,6 @@ impl<R: Recorder> StreamingDetector<R> {
             curve_dirty: false,
             density_recounts: 0,
             workspace: Workspace::new(),
-            recorder,
             metrics_every: 0,
             last_flush_seen: 0,
             snapshots: Vec::new(),
@@ -233,8 +223,7 @@ impl<R: Recorder> StreamingDetector<R> {
     /// Builder-style: emit a metrics snapshot every `n` pushed points
     /// (`0` disables, the default). Each flush appends a [`PipelineTrace`]
     /// labelled `"stream"` — stream length, surviving tokens, and grammar
-    /// churn so far — to [`snapshots`](StreamingDetector::snapshots), and
-    /// records an [`EventKind::Flush`] event on the recorder, so a
+    /// churn so far — to [`snapshots`](StreamingDetector::snapshots), so a
     /// long-running monitor produces a time-resolved metric trajectory
     /// instead of one final record.
     #[must_use]
@@ -253,11 +242,6 @@ impl<R: Recorder> StreamingDetector<R> {
     /// Drains the accumulated snapshots (e.g. after exporting them).
     pub fn take_snapshots(&mut self) -> Vec<PipelineTrace> {
         std::mem::take(&mut self.snapshots)
-    }
-
-    /// The recorder this detector reports into.
-    pub fn recorder(&self) -> &R {
-        &self.recorder
     }
 
     /// The configuration in use.
@@ -337,30 +321,25 @@ impl<R: Recorder> StreamingDetector<R> {
         // this point is retained and contiguous.
         let retained = self.values.as_slice();
         if retained.len() >= window {
-            self.recorder.incr(Counter::WindowsProcessed);
-            match self.config.sax().next_word(
+            if let Some(symbols) = self.config.sax().next_word(
                 &retained[retained.len() - window..],
                 self.config.numerosity_reduction(),
                 &mut self.sax,
             ) {
-                Some(symbols) => {
-                    let mut storage = match self.word_pool.pop() {
-                        Some(b) => b,
-                        // gv-lint: allow(no-alloc-in-hot-path) cold: only until eviction feeds the pool (or forever-growing unbounded mode, which allocated per push before too)
-                        None => vec![0u8; self.config.paa()].into_boxed_slice(),
-                    };
-                    storage.copy_from_slice(symbols);
-                    let word = SaxWord::new(storage);
-                    let token = self.dictionary.intern(&word);
-                    self.sequitur.push(token);
-                    self.records.push_back(SaxRecord {
-                        word,
-                        offset: self.seen - window,
-                    });
-                    self.words_emitted += 1;
-                    self.recorder.incr(Counter::WordsEmitted);
-                }
-                None => self.recorder.incr(Counter::WordsDropped),
+                let mut storage = match self.word_pool.pop() {
+                    Some(b) => b,
+                    // gv-lint: allow(no-alloc-in-hot-path) cold: only until eviction feeds the pool (or forever-growing unbounded mode, which allocated per push before too)
+                    None => vec![0u8; self.config.paa()].into_boxed_slice(),
+                };
+                storage.copy_from_slice(symbols);
+                let word = SaxWord::new(storage);
+                let token = self.dictionary.intern(&word);
+                self.sequitur.push(token);
+                self.records.push_back(SaxRecord {
+                    word,
+                    offset: self.seen - window,
+                });
+                self.words_emitted += 1;
             }
         }
         if self.horizon > 0 {
@@ -379,9 +358,7 @@ impl<R: Recorder> StreamingDetector<R> {
                 }
             }
             if evict > 0 {
-                let before = self.sequitur.stats();
                 self.sequitur.evict_front(evict);
-                let after = self.sequitur.stats();
                 self.apply_journal();
                 for _ in 0..evict {
                     if let Some(rec) = self.records.pop_front() {
@@ -389,17 +366,6 @@ impl<R: Recorder> StreamingDetector<R> {
                     }
                 }
                 self.tokens_dropped += evict as u64;
-                // Live counters mirror the cumulative flush snapshots, so
-                // a per-run recorder sees eviction work too.
-                self.recorder.add(Counter::TokensEvicted, evict as u64);
-                self.recorder.add(
-                    Counter::RulesEvicted,
-                    after.rules_evicted - before.rules_evicted,
-                );
-                self.recorder.add(
-                    Counter::RulesRelearned,
-                    after.rules_relearned - before.rules_relearned,
-                );
             }
             if self.curve_dirty {
                 // gv-lint: allow(alloc-reachability) cold fallback: recount_curve runs only when a journal event lost its anchor; the steady-state path never sets curve_dirty
@@ -466,7 +432,6 @@ impl<R: Recorder> StreamingDetector<R> {
     fn recount_curve(&mut self) {
         self.curve_dirty = false;
         self.density_recounts += 1;
-        self.recorder.incr(Counter::DensityRecounts);
         for c in self.curve.as_mut_slice() {
             *c = 0;
         }
@@ -502,8 +467,8 @@ impl<R: Recorder> StreamingDetector<R> {
         true
     }
 
-    /// Builds one periodic snapshot from the detector's own state (the
-    /// recorder is generic and may be a sink that cannot be read back).
+    /// Builds one periodic snapshot from the detector's own state — the
+    /// detector's one counting path.
     fn flush_metrics(&mut self) {
         let stats = self.sequitur.stats();
         let window = self.config.window();
@@ -513,9 +478,8 @@ impl<R: Recorder> StreamingDetector<R> {
             .with_param("tokens", self.records.len() as u64)
             .with_param("horizon", self.horizon as u64)
             .with_param("flush", self.snapshots.len() as u64 + 1);
-        // Cumulative pipeline counters, derived from detector state so the
-        // snapshot is self-contained even with a Noop recorder — this is
-        // what `WindowedAggregator::observe` differences per interval.
+        // Cumulative pipeline counters, derived from detector state — this
+        // is what `WindowedAggregator::observe` differences per interval.
         trace.counters[Counter::WindowsProcessed.index()] = windows_processed;
         trace.counters[Counter::WordsEmitted.index()] = self.words_emitted;
         trace.counters[Counter::WordsDropped.index()] =
@@ -529,14 +493,6 @@ impl<R: Recorder> StreamingDetector<R> {
         trace.counters[Counter::DensityRecounts.index()] = self.density_recounts;
         self.last_flush_seen = self.seen;
         self.snapshots.push(trace);
-        if self.recorder.detailed() {
-            self.recorder.record_event(Event {
-                position: self.seen as u64,
-                length: self.metrics_every as u64,
-                calls: self.records.len() as u64,
-                ..Event::new(EventKind::Flush)
-            });
-        }
     }
 
     /// Snapshots the current grammar model over the retained region (the
@@ -557,15 +513,12 @@ impl<R: Recorder> StreamingDetector<R> {
     /// the incrementally-maintained curve — the differential tests assert
     /// the two are bit-identical.
     pub fn density_curve(&self) -> Vec<i64> {
-        let timer = SpanTimer::start(&self.recorder, None, Stage::Density);
-        let curve = if self.horizon > 0 {
+        if self.horizon > 0 {
             debug_assert!(!self.curve_dirty, "push always settles the curve");
             self.curve.as_slice().to_vec()
         } else {
             RuleDensity::from_model(&self.model()).curve
-        };
-        timer.finish(&self.recorder);
-        curve
+        }
     }
 
     /// The retained points, oldest first (the whole stream when
@@ -581,8 +534,9 @@ impl<R: Recorder> StreamingDetector<R> {
     /// [`horizon_start`](StreamingDetector::horizon_start) — identical to
     /// a from-scratch batch run over the same slice, to the bit. The
     /// internal [`Workspace`] is reused across calls, so periodic
-    /// re-detection stops allocating once the buffers have warmed up;
-    /// instrumentation goes to the stream's own recorder.
+    /// re-detection stops allocating once the buffers have warmed up. The
+    /// detector runs under a [`NoopRecorder`]: the stream's counters are
+    /// its [`snapshots`](StreamingDetector::snapshots).
     ///
     /// This is the §7 "online RRA" shape: the incremental grammar answers
     /// the cheap density question continuously
@@ -597,7 +551,7 @@ impl<R: Recorder> StreamingDetector<R> {
         detector.detect(
             &SeriesView::new(self.values.as_slice()),
             &mut self.workspace,
-            &self.recorder,
+            &NoopRecorder,
         )
     }
 
@@ -860,10 +814,8 @@ mod tests {
 
     #[test]
     fn metrics_every_emits_periodic_snapshots() {
-        use gv_obs::LocalRecorder;
         let config = PipelineConfig::new(50, 4, 4).unwrap();
-        let mut det = StreamingDetector::with_recorder(config.clone(), LocalRecorder::new())
-            .metrics_every(200);
+        let mut det = StreamingDetector::new(config.clone()).metrics_every(200);
         for i in 0..1000usize {
             det.push((i as f64 / 12.0).sin()).unwrap();
         }
@@ -881,14 +833,6 @@ mod tests {
             .map(|s| s.params.iter().find(|(k, _)| k == "tokens").unwrap().1)
             .collect();
         assert!(tokens.windows(2).all(|w| w[0] <= w[1]));
-        // One Flush event per snapshot on the recorder.
-        let flushes = det
-            .recorder()
-            .events_vec()
-            .iter()
-            .filter(|e| e.kind == EventKind::Flush)
-            .count();
-        assert_eq!(flushes, 5);
         // Snapshots must not perturb the model: same tokens as a plain run.
         let mut plain = StreamingDetector::new(config);
         for i in 0..1000usize {
@@ -938,26 +882,21 @@ mod tests {
 
     #[test]
     fn flush_snapshots_carry_cumulative_pipeline_counters() {
-        use gv_obs::LocalRecorder;
         let config = PipelineConfig::new(50, 4, 4).unwrap();
-        let mut det =
-            StreamingDetector::with_recorder(config, LocalRecorder::new()).metrics_every(200);
+        let mut det = StreamingDetector::new(config).metrics_every(200);
         for i in 0..800usize {
             det.push((i as f64 / 12.0).sin()).unwrap();
         }
         let last = det.snapshots().last().unwrap();
-        // Snapshot counters must agree with the recorder's own counts —
-        // they are the same quantities, derived from detector state so
-        // Noop-recorded monitors still get them.
-        let rec = det.recorder();
-        for c in [
-            Counter::WindowsProcessed,
-            Counter::WordsEmitted,
-            Counter::WordsDropped,
-        ] {
-            assert_eq!(last.counter(c), rec.counter(c), "{}", c.name());
-        }
-        assert_eq!(last.counter(Counter::WindowsProcessed), 800 - 50 + 1);
+        // Every window is processed once, and each either becomes a
+        // retained token or is dropped by numerosity reduction.
+        let windows = last.counter(Counter::WindowsProcessed);
+        assert_eq!(windows, 800 - 50 + 1);
+        assert_eq!(last.counter(Counter::WordsEmitted), det.num_tokens() as u64);
+        assert_eq!(
+            last.counter(Counter::WordsEmitted) + last.counter(Counter::WordsDropped),
+            windows
+        );
     }
 
     #[test]
@@ -989,36 +928,6 @@ mod tests {
         let again = det.detect(&rra).unwrap();
         assert_eq!(again.anomalies.len(), online.anomalies.len());
         assert_eq!(sig, det.workspace.capacity_signature());
-    }
-
-    #[test]
-    fn recorder_counts_streamed_windows() {
-        use gv_obs::LocalRecorder;
-        let config = PipelineConfig::new(50, 4, 4).unwrap();
-        let mut plain = StreamingDetector::new(config.clone());
-        let mut counted = StreamingDetector::with_recorder(config, LocalRecorder::new());
-        for i in 0..800usize {
-            let v = (i as f64 / 12.0).sin();
-            plain.push(v).unwrap();
-            counted.push(v).unwrap();
-        }
-        // Instrumentation must not change the stream model.
-        assert_eq!(plain.num_tokens(), counted.num_tokens());
-        assert_eq!(plain.density_curve(), counted.density_curve());
-        let rec = counted.recorder();
-        assert_eq!(rec.counter(Counter::WindowsProcessed), 800 - 50 + 1);
-        assert_eq!(
-            rec.counter(Counter::WordsEmitted),
-            counted.num_tokens() as u64
-        );
-        assert_eq!(
-            rec.counter(Counter::WordsEmitted) + rec.counter(Counter::WordsDropped),
-            rec.counter(Counter::WindowsProcessed)
-        );
-        let density = rec.span_tree();
-        let density = density.get("density").unwrap();
-        assert_eq!(density.count, 1);
-        assert!(density.total_ns > 0);
     }
 
     // ------------------------------------------------------------------

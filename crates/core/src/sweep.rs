@@ -118,13 +118,7 @@ pub fn run(
             .map(|t| {
                 let combos = &combos;
                 scope.spawn(move || {
-                    let local = enabled.then(|| {
-                        if detailed {
-                            LocalRecorder::new()
-                        } else {
-                            LocalRecorder::counters_only()
-                        }
-                    });
+                    let local = enabled.then(|| LocalRecorder::with_detail(detailed));
                     let sink: &dyn Recorder = match &local {
                         Some(local) => local,
                         None => &NoopRecorder,

@@ -6,13 +6,12 @@
 //! small Table 1 rows); for the large rows the call count is available
 //! analytically via [`brute_force_call_count`].
 
-use gv_timeseries::Interval;
-use gv_timeseries::SeriesStats;
-use gv_timeseries::DEFAULT_ZNORM_THRESHOLD;
+use gv_obs::{Counter, LocalRecorder, Recorder};
+use gv_timeseries::{Interval, SeriesStats, DEFAULT_ZNORM_THRESHOLD};
 
+use crate::distance::euclidean_early;
 use crate::error::{Error, Result};
 use crate::record::{DiscordRecord, SearchStats};
-use crate::DistanceMeter;
 
 /// The exact number of distance calls the brute-force search performs on a
 /// series of length `m` with discord length `n`: one call per ordered pair
@@ -39,6 +38,15 @@ pub fn brute_force_call_count(m: usize, n: usize) -> u128 {
 /// discords `0..=i`. Distances are Euclidean between z-normalized
 /// subsequences. Returns the discords (best first) and the search cost.
 ///
+/// `normed` is caller-owned scratch for the pre-normalized windows
+/// (`O(count * n)` floats): repeated searches through the same buffer stop
+/// re-allocating once it has warmed up to the largest `count * n` seen.
+/// Distance calls and candidates are counted into a search-local
+/// [`LocalRecorder`] that keeps decision-level detail only when
+/// `recorder` is [`detailed`](Recorder::detailed); the returned
+/// [`SearchStats`] are read back from it, and it is merged into
+/// `recorder` at the end.
+///
 /// # Errors
 /// [`Error::ZeroLength`] / [`Error::LengthTooLarge`] when `n == 0` or
 /// `2 * n > values.len()` (no non-self match could exist).
@@ -46,22 +54,8 @@ pub fn brute_force_discords(
     values: &[f64],
     n: usize,
     k: usize,
-) -> Result<(Vec<DiscordRecord>, SearchStats)> {
-    brute_force_discords_in(values, n, k, &mut Vec::new())
-}
-
-/// [`brute_force_discords`] with a caller-owned scratch buffer for the
-/// pre-normalized windows (`O(count * n)` floats). Repeated searches
-/// through the same buffer stop re-allocating once it has warmed up to the
-/// largest `count * n` seen.
-///
-/// # Errors
-/// Same as [`brute_force_discords`].
-pub fn brute_force_discords_in(
-    values: &[f64],
-    n: usize,
-    k: usize,
     normed: &mut Vec<f64>,
+    recorder: &dyn Recorder,
 ) -> Result<(Vec<DiscordRecord>, SearchStats)> {
     if n == 0 {
         return Err(Error::ZeroLength);
@@ -73,8 +67,7 @@ pub fn brute_force_discords_in(
         });
     }
     let count = values.len() - n + 1;
-    let mut meter = DistanceMeter::new();
-    let mut stats = SearchStats::default();
+    let local = LocalRecorder::with_detail(recorder.detailed());
     let mut found: Vec<DiscordRecord> = Vec::new();
 
     // Pre-normalize every window once via prefix-sum statistics — the
@@ -111,11 +104,11 @@ pub fn brute_force_discords_in(
                 // Early abandoning against the current nearest does not
                 // change the call count (each pair is still one call) —
                 // it only shortens the per-call work.
-                if let Some(d) = meter.euclidean_early(window(p), window(q), nearest) {
+                if let Some(d) = euclidean_early(&local, window(p), window(q), nearest) {
                     nearest = d;
                 }
             }
-            stats.candidates_completed += 1;
+            local.incr(Counter::CandidatesCompleted);
             if nearest.is_finite() && nearest > best_dist {
                 best_dist = nearest;
                 best_pos = Some(p);
@@ -131,14 +124,19 @@ pub fn brute_force_discords_in(
             None => break, // no non-overlapping candidate left
         }
     }
-    stats.distance_calls = meter.calls();
-    stats.early_abandoned = meter.abandoned();
+    let stats = SearchStats::from_recorder(&local);
+    local.merge_into(&recorder);
     Ok((found, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gv_obs::NoopRecorder;
+
+    fn brute(values: &[f64], n: usize, k: usize) -> Result<(Vec<DiscordRecord>, SearchStats)> {
+        brute_force_discords(values, n, k, &mut Vec::new(), &NoopRecorder)
+    }
 
     /// A sine with a planted bump at `at..at+len`.
     fn sine_with_bump(m: usize, at: usize, len: usize) -> Vec<f64> {
@@ -161,7 +159,7 @@ mod tests {
     #[test]
     fn call_count_matches_actual_run() {
         let v = sine_with_bump(120, 60, 10);
-        let (_, stats) = brute_force_discords(&v, 16, 1).unwrap();
+        let (_, stats) = brute(&v, 16, 1).unwrap();
         assert_eq!(
             stats.distance_calls as u128,
             brute_force_call_count(120, 16)
@@ -186,7 +184,7 @@ mod tests {
     #[test]
     fn finds_planted_bump() {
         let v = sine_with_bump(160, 100, 12);
-        let (discords, _) = brute_force_discords(&v, 16, 1).unwrap();
+        let (discords, _) = brute(&v, 16, 1).unwrap();
         assert_eq!(discords.len(), 1);
         let d = &discords[0];
         assert_eq!(d.rank, 0);
@@ -206,7 +204,7 @@ mod tests {
         for i in 0..12 {
             v[180 + i] -= 1.2 * (std::f64::consts::PI * i as f64 / 12.0).sin();
         }
-        let (discords, _) = brute_force_discords(&v, 16, 2).unwrap();
+        let (discords, _) = brute(&v, 16, 2).unwrap();
         assert_eq!(discords.len(), 2);
         assert!(!discords[0].interval().overlaps(&discords[1].interval()));
         assert!(discords[0].distance >= discords[1].distance);
@@ -217,7 +215,7 @@ mod tests {
     fn k_larger_than_available_discords() {
         let v = sine_with_bump(64, 30, 8);
         // n=16 → at most a few non-overlapping discords fit.
-        let (discords, _) = brute_force_discords(&v, 16, 100).unwrap();
+        let (discords, _) = brute(&v, 16, 100).unwrap();
         assert!(discords.len() < 100);
         assert!(!discords.is_empty());
         // All pairwise non-overlapping.
@@ -230,12 +228,9 @@ mod tests {
 
     #[test]
     fn parameter_validation() {
+        assert!(matches!(brute(&[1.0; 10], 0, 1), Err(Error::ZeroLength)));
         assert!(matches!(
-            brute_force_discords(&[1.0; 10], 0, 1),
-            Err(Error::ZeroLength)
-        ));
-        assert!(matches!(
-            brute_force_discords(&[1.0; 10], 6, 1),
+            brute(&[1.0; 10], 6, 1),
             Err(Error::LengthTooLarge { .. })
         ));
     }

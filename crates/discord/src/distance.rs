@@ -4,12 +4,11 @@
 //! points — increments [`Counter::DistanceCalls`] on the supplied
 //! recorder, reproducing the paper's cost metric ("number of calls to the
 //! distance function", Table 1). The kernels are free functions generic
-//! over [`Recorder`], so a search can count into whatever sink it owns;
-//! [`DistanceMeter`] wraps a [`LocalRecorder`] for the common
-//! single-threaded case and is the *only* counting path — its accessors
-//! read the recorder rather than keeping parallel tallies.
+//! over [`Recorder`]; every search passes its search-local
+//! [`LocalRecorder`](gv_obs::LocalRecorder), so the kernels' increments
+//! are the only count there is.
 
-use gv_obs::{Counter, DetailTimer, Event, EventKind, LocalRecorder, Metric, Recorder};
+use gv_obs::{Counter, DetailTimer, Event, EventKind, Metric, Recorder};
 use gv_timeseries::Resampled;
 
 /// Independent accumulator lanes in the chunked kernels. Four partial
@@ -59,41 +58,18 @@ fn accumulate_chunk(acc: &mut [f64; LANES], a: &[f64], b: &[f64]) {
     }
 }
 
-/// Full Euclidean distance between equal-length slices, counted as one
-/// distance call on `recorder`.
-///
-/// Per-call timing gates on `Recorder::detailed()` via [`DetailTimer`]
-/// (a compile-time `false` on `NoopRecorder`), so the uninstrumented
-/// kernel never reads the clock.
-///
-/// Uses the same chunked 4-lane accumulation (and the same reduction
-/// order) as [`euclidean_early`], so a full computation and an
-/// unabandoned early computation return bit-identical results.
-///
-/// # Panics
-/// Panics on length mismatch.
 // gv-lint: hot
-pub fn euclidean<R: Recorder>(recorder: &R, a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "euclidean: length mismatch");
-    recorder.incr(Counter::DistanceCalls);
-    let timer = DetailTimer::start(recorder, Metric::DistanceNanos);
-    let mut acc = [0.0; LANES];
-    let mut ca = a.chunks_exact(STRIDE);
-    let mut cb = b.chunks_exact(STRIDE);
-    for (x, y) in ca.by_ref().zip(cb.by_ref()) {
-        accumulate_chunk(&mut acc, x, y);
-    }
-    accumulate_chunk(&mut acc, ca.remainder(), cb.remainder());
-    timer.finish(recorder);
-    lane_sum(&acc).sqrt()
-}
-
 /// Early-abandoning Euclidean distance: returns `None` as soon as the
 /// running sum of squares proves the distance is `>= abandon_at`
 /// (the caller's current pruning threshold). Still counts as one call;
 /// abandoned calls additionally increment [`Counter::EarlyAbandons`].
 ///
-/// With `abandon_at = f64::INFINITY` this never abandons.
+/// With `abandon_at = f64::INFINITY` this never abandons and returns
+/// the full distance.
+///
+/// Per-call timing gates on `Recorder::detailed()` via [`DetailTimer`]
+/// (a compile-time `false` on `NoopRecorder`), so the uninstrumented
+/// kernel never reads the clock.
 ///
 /// # Panics
 /// Panics on length mismatch.
@@ -256,132 +232,48 @@ pub fn normalized_euclidean_early<R: Recorder>(
 }
 // gv-lint: end-hot
 
-/// A distance-call meter: a [`LocalRecorder`] dressed up with the kernel
-/// methods, for searches that own their counting.
-///
-/// The backing recorder is [`LocalRecorder::counters_only`] — a meter
-/// counts calls and abandons but never times individual calls, so the
-/// brute-force and HOTSAX hot loops stay free of per-call clock reads.
-#[derive(Debug, Clone)]
-pub struct DistanceMeter {
-    recorder: LocalRecorder,
-}
-
-impl Default for DistanceMeter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DistanceMeter {
-    /// A fresh meter.
-    pub fn new() -> Self {
-        Self {
-            recorder: LocalRecorder::counters_only(),
-        }
-    }
-
-    /// Total distance-function calls so far (completed + abandoned).
-    pub fn calls(&self) -> u64 {
-        self.recorder.counter(Counter::DistanceCalls)
-    }
-
-    /// How many of those calls were abandoned early.
-    pub fn abandoned(&self) -> u64 {
-        self.recorder.counter(Counter::EarlyAbandons)
-    }
-
-    /// Resets both counters.
-    pub fn reset(&mut self) {
-        self.recorder.reset();
-    }
-
-    /// The backing recorder — e.g. to
-    /// [`merge_into`](LocalRecorder::merge_into) a caller's sink.
-    pub fn recorder(&self) -> &LocalRecorder {
-        &self.recorder
-    }
-
-    /// See [`euclidean`].
-    pub fn euclidean(&mut self, a: &[f64], b: &[f64]) -> f64 {
-        euclidean(&self.recorder, a, b)
-    }
-
-    /// See [`euclidean_early`].
-    pub fn euclidean_early(&mut self, a: &[f64], b: &[f64], abandon_at: f64) -> Option<f64> {
-        euclidean_early(&self.recorder, a, b, abandon_at)
-    }
-
-    /// See [`normalized_euclidean_early`].
-    pub fn normalized_euclidean_early(
-        &mut self,
-        a: &[f64],
-        b: &[f64],
-        abandon_at: f64,
-    ) -> Option<f64> {
-        normalized_euclidean_early(&self.recorder, a, b, abandon_at)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gv_obs::NoopRecorder;
-
-    #[test]
-    fn plain_euclidean() {
-        let mut m = DistanceMeter::new();
-        let d = m.euclidean(&[0.0, 0.0], &[3.0, 4.0]);
-        assert!((d - 5.0).abs() < 1e-12);
-        assert_eq!(m.calls(), 1);
-        assert_eq!(m.abandoned(), 0);
-    }
+    use gv_obs::{LocalRecorder, NoopRecorder};
 
     #[test]
     fn early_abandon_triggers_and_counts() {
-        let mut m = DistanceMeter::new();
+        let rec = LocalRecorder::new();
         let a = vec![0.0; 100];
         let mut b = vec![0.0; 100];
         b[0] = 10.0; // contributes 100 to the sum immediately
-        let r = m.euclidean_early(&a, &b, 5.0); // 5² = 25 < 100
+        let r = euclidean_early(&rec, &a, &b, 5.0); // 5² = 25 < 100
         assert_eq!(r, None);
-        assert_eq!(m.calls(), 1);
-        assert_eq!(m.abandoned(), 1);
+        assert_eq!(rec.counter(Counter::DistanceCalls), 1);
+        assert_eq!(rec.counter(Counter::EarlyAbandons), 1);
         // Full computation when the threshold is high enough.
-        let r2 = m.euclidean_early(&a, &b, 50.0);
+        let r2 = euclidean_early(&rec, &a, &b, 50.0);
         assert_eq!(r2, Some(10.0));
-        assert_eq!(m.calls(), 2);
-        assert_eq!(m.abandoned(), 1);
-    }
-
-    #[test]
-    fn early_abandon_result_matches_full_when_not_abandoned() {
-        let mut m = DistanceMeter::new();
-        let a: Vec<f64> = (0..37).map(|i| (i as f64).sin()).collect();
-        let b: Vec<f64> = (0..37).map(|i| (i as f64).cos()).collect();
-        let full = m.euclidean(&a, &b);
-        let early = m.euclidean_early(&a, &b, f64::INFINITY).unwrap();
-        assert!((full - early).abs() < 1e-12);
+        assert_eq!(rec.counter(Counter::DistanceCalls), 2);
+        assert_eq!(rec.counter(Counter::EarlyAbandons), 1);
     }
 
     #[test]
     fn abandon_exactly_at_threshold() {
-        let mut m = DistanceMeter::new();
         // Distance is exactly 5.0 → abandoning at 5.0 must reject (>=).
-        assert_eq!(m.euclidean_early(&[0.0], &[5.0], 5.0), None);
-        assert!(m.euclidean_early(&[0.0], &[5.0], 5.0001).is_some());
+        assert_eq!(euclidean_early(&NoopRecorder, &[0.0], &[5.0], 5.0), None);
+        assert!(euclidean_early(&NoopRecorder, &[0.0], &[5.0], 5.0001).is_some());
     }
 
     #[test]
     fn normalized_distance_favors_shorter() {
-        let mut m = DistanceMeter::new();
         // Same raw distance, different lengths → shorter wins (larger value).
-        let short = m
-            .normalized_euclidean_early(&[0.0, 0.0], &[3.0, 4.0], f64::INFINITY)
-            .unwrap();
-        let long = m
-            .normalized_euclidean_early(&[0.0, 0.0, 0.0, 0.0], &[3.0, 4.0, 0.0, 0.0], f64::INFINITY)
-            .unwrap();
+        let short =
+            normalized_euclidean_early(&NoopRecorder, &[0.0, 0.0], &[3.0, 4.0], f64::INFINITY)
+                .unwrap();
+        let long = normalized_euclidean_early(
+            &NoopRecorder,
+            &[0.0, 0.0, 0.0, 0.0],
+            &[3.0, 4.0, 0.0, 0.0],
+            f64::INFINITY,
+        )
+        .unwrap();
         assert!((short - 2.5).abs() < 1e-12);
         assert!((long - 1.25).abs() < 1e-12);
         assert!(short > long);
@@ -389,29 +281,23 @@ mod tests {
 
     #[test]
     fn normalized_abandon_threshold_scales_with_length() {
-        let mut m = DistanceMeter::new();
         // Raw distance 5 over length 4 → normalized 1.25.
         let a = [0.0, 0.0, 0.0, 0.0];
         let b = [3.0, 4.0, 0.0, 0.0];
-        assert_eq!(m.normalized_euclidean_early(&a, &b, 1.25), None);
-        assert!((m.normalized_euclidean_early(&a, &b, 1.26).unwrap() - 1.25).abs() < 1e-12);
+        assert_eq!(
+            normalized_euclidean_early(&NoopRecorder, &a, &b, 1.25),
+            None
+        );
+        let d = normalized_euclidean_early(&NoopRecorder, &a, &b, 1.26).unwrap();
+        assert!((d - 1.25).abs() < 1e-12);
     }
 
     #[test]
-    fn reset_clears_counters() {
-        let mut m = DistanceMeter::new();
-        m.euclidean(&[1.0], &[2.0]);
-        m.reset();
-        assert_eq!(m.calls(), 0);
-        assert_eq!(m.abandoned(), 0);
-    }
-
-    #[test]
-    fn free_kernels_work_against_any_recorder() {
+    fn kernels_work_against_any_recorder() {
         // Noop: result identical, nothing counted anywhere.
-        let d = euclidean(&NoopRecorder, &[0.0, 0.0], &[3.0, 4.0]);
-        assert!((d - 5.0).abs() < 1e-12);
-        // Local: counts match the meter's for the same call sequence.
+        let d = euclidean_early(&NoopRecorder, &[0.0, 0.0], &[3.0, 4.0], f64::INFINITY);
+        assert!((d.unwrap() - 5.0).abs() < 1e-12);
+        // Local: one call per entry, abandoned or not.
         let rec = LocalRecorder::new();
         assert!(euclidean_early(&rec, &[0.0], &[5.0], 1.0).is_none());
         assert!(euclidean_early(&rec, &[0.0], &[5.0], 100.0).is_some());
@@ -420,18 +306,9 @@ mod tests {
     }
 
     #[test]
-    fn meter_exposes_its_recorder() {
-        let mut m = DistanceMeter::new();
-        m.euclidean(&[1.0], &[2.0]);
-        let sink = LocalRecorder::new();
-        m.recorder().merge_into(&sink);
-        assert_eq!(sink.counter(Counter::DistanceCalls), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
-        DistanceMeter::new().euclidean(&[1.0], &[1.0, 2.0]);
+        euclidean_early(&NoopRecorder, &[1.0], &[1.0, 2.0], f64::INFINITY);
     }
 
     #[test]
@@ -442,7 +319,7 @@ mod tests {
         b[0] = 10.0;
         assert!(euclidean_early(&rec, &a, &b, 5.0).is_none());
         assert!(euclidean_early(&rec, &a, &b, 50.0).is_some());
-        let _ = euclidean(&rec, &a, &b);
+        assert!(euclidean_early(&rec, &a, &b, f64::INFINITY).is_some());
         // Three calls, three per-call timings.
         assert_eq!(rec.histogram(Metric::DistanceNanos).count(), 3);
         // One abandon: prefix position recorded and a structured event.
@@ -468,10 +345,11 @@ mod tests {
     }
 
     /// Property test over every length 0..=512 (covering all
-    /// non-multiple-of-stride tails): the chunked production kernel is
-    /// bit-identical to the order-explicit sequential reference loop,
-    /// and within float tolerance of the pre-chunking single-accumulator
-    /// sum (whose last bits legitimately differ — see EXPERIMENTS.md).
+    /// non-multiple-of-stride tails): the chunked production kernel, run
+    /// to completion, is bit-identical to the order-explicit sequential
+    /// reference loop, and within float tolerance of the pre-chunking
+    /// single-accumulator sum (whose last bits legitimately differ — see
+    /// EXPERIMENTS.md).
     #[test]
     fn chunked_kernel_matches_sequential_reference_bitwise() {
         let mut state = 0x9E3779B97F4A7C15u64;
@@ -486,18 +364,12 @@ mod tests {
             let a: Vec<f64> = (0..len).map(|_| next()).collect();
             let b: Vec<f64> = (0..len).map(|_| next()).collect();
             let expect = reference_lane_sum(&a, &b).sqrt();
-            let full = euclidean(&NoopRecorder, &a, &b);
+            let full = euclidean_early(&NoopRecorder, &a, &b, f64::INFINITY)
+                .expect("no abandon at infinity");
             assert_eq!(
                 full.to_bits(),
                 expect.to_bits(),
-                "len {len}: euclidean {full} vs reference {expect}"
-            );
-            let early = euclidean_early(&NoopRecorder, &a, &b, f64::INFINITY)
-                .expect("no abandon at infinity");
-            assert_eq!(
-                early.to_bits(),
-                expect.to_bits(),
-                "len {len}: euclidean_early {early} vs reference {expect}"
+                "len {len}: euclidean_early {full} vs reference {expect}"
             );
             // Against the old single-accumulator ordering: equal to
             // rounding, not to the bit.
@@ -593,7 +465,7 @@ mod tests {
         let mut b = vec![0.0; 64];
         b[0] = 10.0;
         let armed = LocalRecorder::new();
-        let unarmed = LocalRecorder::counters_only();
+        let unarmed = LocalRecorder::with_detail(false);
         assert!(armed.detailed() && !unarmed.detailed());
         for rec in [&armed, &unarmed] {
             assert!(euclidean_early(rec, &a, &b, 5.0).is_none());
@@ -616,19 +488,5 @@ mod tests {
         assert!(unarmed.histogram(Metric::DistanceNanos).is_empty());
         assert!(unarmed.histogram(Metric::AbandonPos).is_empty());
         assert!(unarmed.events().is_empty());
-    }
-
-    #[test]
-    fn meter_and_counters_only_skip_detail() {
-        let mut m = DistanceMeter::new();
-        let a = vec![0.0; 32];
-        let mut b = vec![0.0; 32];
-        b[0] = 10.0;
-        assert!(m.euclidean_early(&a, &b, 1.0).is_none());
-        assert_eq!(m.calls(), 1);
-        assert_eq!(m.abandoned(), 1);
-        assert!(m.recorder().histogram(Metric::DistanceNanos).is_empty());
-        assert!(m.recorder().histogram(Metric::AbandonPos).is_empty());
-        assert!(m.recorder().events().is_empty());
     }
 }

@@ -15,15 +15,16 @@
 //! `best_so_far` appears, and individual distance computations abandon
 //! early against the current `nearest`.
 
+use gv_obs::{Counter, LocalRecorder, NoopRecorder, Recorder};
 use gv_sax::{NumerosityReduction, SaxConfig, SaxScratch};
 use gv_timeseries::{Interval, SeriesStats, DEFAULT_ZNORM_THRESHOLD};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use crate::distance::euclidean_early;
 use crate::error::{Error, Result};
 use crate::record::{DiscordRecord, SearchStats};
-use crate::DistanceMeter;
 
 /// HOTSAX parameters: discord length plus the SAX word shape used for the
 /// loop-ordering heuristics.
@@ -70,7 +71,7 @@ impl HotSaxConfig {
 /// opts into a different seed.
 const DEFAULT_SEED: u64 = 0x5EED;
 
-/// Reusable scratch state for [`hotsax_discords_in`]: discretization
+/// Reusable scratch state for [`hotsax_discords`]: discretization
 /// records and state, visit orders, bucket index, and the z-norm pair.
 /// Repeated searches through one scratch stop re-allocating after warm-up
 /// (only the per-word `SaxWord` boxes and the per-bucket lists are fresh
@@ -120,26 +121,21 @@ impl HotSaxScratch {
 /// Returns discords best-first plus the search cost. Results are exact:
 /// identical discord positions/distances to brute force, only cheaper.
 ///
+/// The working state lives in the caller's [`HotSaxScratch`], so repeated
+/// searches stop re-allocating. Distance calls and candidate outcomes are
+/// counted into a search-local [`LocalRecorder`] that keeps
+/// decision-level detail only when `recorder` is
+/// [`detailed`](Recorder::detailed); the returned [`SearchStats`] are
+/// read back from it, and it is merged into `recorder` at the end.
+///
 /// # Errors
 /// [`Error::LengthTooLarge`] when `2 * discord_len > values.len()`.
 pub fn hotsax_discords(
     values: &[f64],
     config: &HotSaxConfig,
     k: usize,
-) -> Result<(Vec<DiscordRecord>, SearchStats)> {
-    hotsax_discords_in(values, config, k, &mut HotSaxScratch::new())
-}
-
-/// [`hotsax_discords`] running through a caller-owned [`HotSaxScratch`],
-/// for repeated searches that should not re-allocate their working state.
-///
-/// # Errors
-/// Same as [`hotsax_discords`].
-pub fn hotsax_discords_in(
-    values: &[f64],
-    config: &HotSaxConfig,
-    k: usize,
     scratch: &mut HotSaxScratch,
+    recorder: &dyn Recorder,
 ) -> Result<(Vec<DiscordRecord>, SearchStats)> {
     let n = config.discord_len;
     if 2 * n > values.len() {
@@ -155,7 +151,7 @@ pub fn hotsax_discords_in(
     config.sax.discretize_into(
         values,
         NumerosityReduction::None,
-        &gv_obs::NoopRecorder,
+        &NoopRecorder,
         &mut scratch.records,
         &mut scratch.sax,
     )?;
@@ -197,8 +193,7 @@ pub fn hotsax_discords_in(
     inner.extend(0..count as u32);
     inner.shuffle(&mut rng);
 
-    let mut meter = DistanceMeter::new();
-    let mut stats = SearchStats::default();
+    let local = LocalRecorder::with_detail(recorder.detailed());
     let mut found: Vec<DiscordRecord> = Vec::new();
     scratch.stats.rebuild(values);
     let wstats = &scratch.stats;
@@ -229,7 +224,7 @@ pub fn hotsax_discords_in(
                     continue;
                 }
                 wstats.znorm_window_into(values, q, q + n, DEFAULT_ZNORM_THRESHOLD, buf_q);
-                if let Some(d) = meter.euclidean_early(buf_p, buf_q, nearest) {
+                if let Some(d) = euclidean_early(&local, buf_p, buf_q, nearest) {
                     if d < nearest {
                         nearest = d;
                     }
@@ -248,7 +243,7 @@ pub fn hotsax_discords_in(
                         continue;
                     }
                     wstats.znorm_window_into(values, q, q + n, DEFAULT_ZNORM_THRESHOLD, buf_q);
-                    if let Some(d) = meter.euclidean_early(buf_p, buf_q, nearest) {
+                    if let Some(d) = euclidean_early(&local, buf_p, buf_q, nearest) {
                         if d < nearest {
                             nearest = d;
                         }
@@ -261,10 +256,10 @@ pub fn hotsax_discords_in(
             }
 
             if pruned {
-                stats.candidates_pruned += 1;
+                local.incr(Counter::CandidatesPruned);
                 continue;
             }
-            stats.candidates_completed += 1;
+            local.incr(Counter::CandidatesCompleted);
             if nearest.is_finite() && nearest > best_dist {
                 best_dist = nearest;
                 best_pos = Some(p);
@@ -282,8 +277,8 @@ pub fn hotsax_discords_in(
         }
     }
 
-    stats.distance_calls = meter.calls();
-    stats.early_abandoned = meter.abandoned();
+    let stats = SearchStats::from_recorder(&local);
+    local.merge_into(&recorder);
     Ok((found, stats))
 }
 
@@ -291,6 +286,14 @@ pub fn hotsax_discords_in(
 mod tests {
     use super::*;
     use crate::brute::{brute_force_call_count, brute_force_discords};
+
+    fn hotsax(
+        values: &[f64],
+        config: &HotSaxConfig,
+        k: usize,
+    ) -> Result<(Vec<DiscordRecord>, SearchStats)> {
+        hotsax_discords(values, config, k, &mut HotSaxScratch::new(), &NoopRecorder)
+    }
 
     fn sine_with_bump(m: usize, at: usize, len: usize) -> Vec<f64> {
         let mut v: Vec<f64> = (0..m).map(|i| (i as f64 / 8.0).sin()).collect();
@@ -313,7 +316,7 @@ mod tests {
     fn series_too_short_rejected() {
         let cfg = HotSaxConfig::new(16, 3, 3).unwrap();
         assert!(matches!(
-            hotsax_discords(&[0.0; 20], &cfg, 1),
+            hotsax(&[0.0; 20], &cfg, 1),
             Err(Error::LengthTooLarge { .. })
         ));
     }
@@ -321,9 +324,10 @@ mod tests {
     #[test]
     fn matches_brute_force_position_and_distance() {
         let v = sine_with_bump(300, 150, 16);
-        let (bf, bf_stats) = brute_force_discords(&v, 24, 1).unwrap();
+        let (bf, bf_stats) =
+            brute_force_discords(&v, 24, 1, &mut Vec::new(), &NoopRecorder).unwrap();
         let cfg = HotSaxConfig::new(24, 4, 3).unwrap();
-        let (hs, hs_stats) = hotsax_discords(&v, &cfg, 1).unwrap();
+        let (hs, hs_stats) = hotsax(&v, &cfg, 1).unwrap();
         assert_eq!(bf[0].position, hs[0].position);
         assert!((bf[0].distance - hs[0].distance).abs() < 1e-9);
         // The heuristic must not cost more than brute force.
@@ -334,7 +338,7 @@ mod tests {
     fn prunes_substantially_on_regular_data() {
         let v = sine_with_bump(600, 300, 20);
         let cfg = HotSaxConfig::new(32, 4, 3).unwrap();
-        let (_, stats) = hotsax_discords(&v, &cfg, 1).unwrap();
+        let (_, stats) = hotsax(&v, &cfg, 1).unwrap();
         let brute = brute_force_call_count(600, 32);
         assert!(
             (stats.distance_calls as u128) < brute / 4,
@@ -350,7 +354,7 @@ mod tests {
             v[300 + i] -= 1.2 * (std::f64::consts::PI * i as f64 / 16.0).sin();
         }
         let cfg = HotSaxConfig::new(24, 4, 3).unwrap();
-        let (ds, _) = hotsax_discords(&v, &cfg, 2).unwrap();
+        let (ds, _) = hotsax(&v, &cfg, 2).unwrap();
         assert_eq!(ds.len(), 2);
         assert!(!ds[0].interval().overlaps(&ds[1].interval()));
         assert!(ds[0].distance >= ds[1].distance);
@@ -361,8 +365,8 @@ mod tests {
     fn deterministic_given_seed() {
         let v = sine_with_bump(300, 120, 16);
         let cfg = HotSaxConfig::new(24, 4, 3).unwrap().with_seed(7);
-        let (a, sa) = hotsax_discords(&v, &cfg, 1).unwrap();
-        let (b, sb) = hotsax_discords(&v, &cfg, 1).unwrap();
+        let (a, sa) = hotsax(&v, &cfg, 1).unwrap();
+        let (b, sb) = hotsax(&v, &cfg, 1).unwrap();
         assert_eq!(a, b);
         assert_eq!(sa, sb);
     }
@@ -372,8 +376,8 @@ mod tests {
         let v = sine_with_bump(300, 120, 16);
         let c1 = HotSaxConfig::new(24, 4, 3).unwrap().with_seed(1);
         let c2 = HotSaxConfig::new(24, 4, 3).unwrap().with_seed(2);
-        let (a, _) = hotsax_discords(&v, &c1, 1).unwrap();
-        let (b, _) = hotsax_discords(&v, &c2, 1).unwrap();
+        let (a, _) = hotsax(&v, &c1, 1).unwrap();
+        let (b, _) = hotsax(&v, &c2, 1).unwrap();
         // Exactness is independent of the randomized visit order.
         assert_eq!(a[0].position, b[0].position);
     }

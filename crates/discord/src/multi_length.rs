@@ -6,8 +6,10 @@
 //! costs, providing the baseline for the `intro_motivation` experiment
 //! (one RRA run vs. a whole sweep of fixed-length searches).
 
+use gv_obs::NoopRecorder;
+
 use crate::error::Result;
-use crate::hotsax::{hotsax_discords, HotSaxConfig};
+use crate::hotsax::{hotsax_discords, HotSaxConfig, HotSaxScratch};
 use crate::record::{DiscordRecord, SearchStats};
 
 /// The outcome of a multi-length sweep.
@@ -27,7 +29,7 @@ pub struct MultiLengthReport {
 /// comparison rule).
 ///
 /// Lengths that don't fit the series are skipped silently (the sweep is
-/// exploratory by nature).
+/// exploratory by nature). One [`HotSaxScratch`] serves every length.
 ///
 /// # Errors
 /// Propagates SAX configuration errors.
@@ -40,12 +42,13 @@ pub fn multi_length_hotsax(
     let mut discords = Vec::new();
     let mut stats = SearchStats::default();
     let mut searched = 0usize;
+    let mut scratch = HotSaxScratch::new();
     for n in lengths {
         if n == 0 || 2 * n > values.len() || paa > n {
             continue;
         }
         let cfg = HotSaxConfig::new(n, paa, alphabet)?;
-        let (found, s) = hotsax_discords(values, &cfg, 1)?;
+        let (found, s) = hotsax_discords(values, &cfg, 1, &mut scratch, &NoopRecorder)?;
         stats.absorb(&s);
         searched += 1;
         discords.extend(found);

@@ -1,5 +1,6 @@
 //! Discord results and search statistics.
 
+use gv_obs::{Counter, LocalRecorder};
 use gv_timeseries::Interval;
 use serde::{Deserialize, Serialize};
 
@@ -39,6 +40,19 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
+    /// The search counters `recorder` has tallied. Every search counts
+    /// into a search-local recorder and reads its stats back here, so the
+    /// reported stats and the counters merged into the caller's sink are
+    /// one tally, never two.
+    pub fn from_recorder(recorder: &LocalRecorder) -> Self {
+        Self {
+            distance_calls: recorder.counter(Counter::DistanceCalls),
+            early_abandoned: recorder.counter(Counter::EarlyAbandons),
+            candidates_pruned: recorder.counter(Counter::CandidatesPruned),
+            candidates_completed: recorder.counter(Counter::CandidatesCompleted),
+        }
+    }
+
     /// Accumulates another search's counters (useful when discords are
     /// extracted iteratively).
     pub fn absorb(&mut self, other: &SearchStats) {
@@ -62,6 +76,26 @@ mod tests {
             rank: 0,
         };
         assert_eq!(r.interval(), Interval::new(10, 15));
+    }
+
+    #[test]
+    fn stats_read_the_recorder_counters() {
+        use gv_obs::Recorder;
+        let rec = LocalRecorder::new();
+        rec.add(Counter::DistanceCalls, 7);
+        rec.add(Counter::EarlyAbandons, 3);
+        rec.incr(Counter::CandidatesPruned);
+        rec.add(Counter::CandidatesCompleted, 2);
+        rec.incr(Counter::RraCandidates);
+        assert_eq!(
+            SearchStats::from_recorder(&rec),
+            SearchStats {
+                distance_calls: 7,
+                early_abandoned: 3,
+                candidates_pruned: 1,
+                candidates_completed: 2,
+            }
+        );
     }
 
     #[test]

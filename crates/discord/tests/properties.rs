@@ -1,9 +1,11 @@
 //! Property tests: HOTSAX is exact (agrees with brute force) on arbitrary
 //! series, and the counted distance machinery behaves.
 
+use gv_discord::distance::euclidean_early;
 use gv_discord::{
-    brute_force_call_count, brute_force_discords, hotsax_discords, DistanceMeter, HotSaxConfig,
+    brute_force_call_count, brute_force_discords, hotsax_discords, HotSaxConfig, HotSaxScratch,
 };
+use gv_obs::NoopRecorder;
 use proptest::prelude::*;
 
 /// Builds a series from random step sizes (random walk keeps neighbours
@@ -30,9 +32,10 @@ proptest! {
     ) {
         let v = walk(&steps);
         prop_assume!(v.len() >= 2 * n);
-        let (bf, bf_stats) = brute_force_discords(&v, n, 1).unwrap();
+        let (bf, bf_stats) = brute_force_discords(&v, n, 1, &mut Vec::new(), &NoopRecorder).unwrap();
         let cfg = HotSaxConfig::new(n, 4, 3).unwrap().with_seed(seed);
-        let (hs, hs_stats) = hotsax_discords(&v, &cfg, 1).unwrap();
+        let (hs, hs_stats) =
+            hotsax_discords(&v, &cfg, 1, &mut HotSaxScratch::new(), &NoopRecorder).unwrap();
         prop_assert_eq!(bf.len(), hs.len());
         if let (Some(b), Some(h)) = (bf.first(), hs.first()) {
             // Distances must agree exactly; positions may differ only if
@@ -50,7 +53,7 @@ proptest! {
     ) {
         let v = walk(&steps);
         prop_assume!(v.len() >= 2 * n);
-        let (_, stats) = brute_force_discords(&v, n, 1).unwrap();
+        let (_, stats) = brute_force_discords(&v, n, 1, &mut Vec::new(), &NoopRecorder).unwrap();
         prop_assert_eq!(stats.distance_calls as u128, brute_force_call_count(v.len(), n));
     }
 
@@ -61,14 +64,13 @@ proptest! {
     ) {
         let n = a.len().min(bseed.len());
         let (a, b) = (&a[..n], &bseed[..n]);
-        let mut m = DistanceMeter::new();
-        let full = m.euclidean(a, b);
+        let full = euclidean_early(&NoopRecorder, a, b, f64::INFINITY).unwrap();
         // Any threshold above the distance must return exactly `full`.
-        let early = m.euclidean_early(a, b, full * (1.0 + 1e-9) + 1e-9).unwrap();
+        let early = euclidean_early(&NoopRecorder, a, b, full * (1.0 + 1e-9) + 1e-9).unwrap();
         prop_assert!((early - full).abs() < 1e-12);
         // Any threshold strictly below must abandon. (Exactly-at-threshold
         // is left unspecified: `(sqrt(s))²` can round either side of `s`.)
         prop_assume!(full > 1e-6);
-        prop_assert_eq!(m.euclidean_early(a, b, full * (1.0 - 1e-9)), None);
+        prop_assert_eq!(euclidean_early(&NoopRecorder, a, b, full * (1.0 - 1e-9)), None);
     }
 }

@@ -149,7 +149,7 @@ impl Baseline {
     }
 
     /// Renders the baseline back to `lint.toml` text with stale entries
-    /// removed (`gv lint --prune-baseline`).
+    /// removed (`gv_lint --prune-baseline`).
     ///
     /// The leading comment block of `original` (everything above the
     /// first entry or field) is kept verbatim; surviving entries are

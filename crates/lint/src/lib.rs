@@ -18,9 +18,10 @@
 //! a checked-in `lint.toml` baseline — and both rot loudly (unused allows
 //! and stale baseline entries are themselves violations).
 //!
-//! Run it as `gv lint` (CLI subcommand) or `cargo run -p gv-lint` (the
-//! `gv_lint` CI gate). The crate lints itself: `crates/lint` is walked
-//! like any other library crate.
+//! Run it as `cargo run -p gv-lint` (the `gv_lint` binary, also the CI
+//! gate); `-- --prune-baseline` drops stale `lint.toml` entries. The
+//! crate lints itself: `crates/lint` is walked like any other library
+//! crate.
 //!
 //! ```
 //! use gv_lint::{FileKind, SourceFile};

@@ -1,4 +1,4 @@
-//! SARIF 2.1.0 rendering of a [`LintReport`] (`gv lint --format sarif`).
+//! SARIF 2.1.0 rendering of a [`LintReport`] (`gv_lint --format sarif`).
 //!
 //! The JSON is hand-rolled: this crate stays dependency-free (even of the
 //! in-tree serde shim) so the linter can never be broken by the code it

@@ -6,10 +6,9 @@
 //! either a `Pruned` (a match under `best_so_far` disqualified it) or a
 //! `Completed` record (with its exact nearest-neighbor distance), each
 //! carrying the distance calls spent on that candidate. Distance kernels
-//! add an `Abandoned` record per early-abandoned call, and the streaming
-//! detector marks periodic metric flushes. The ring is bounded: when full,
-//! the oldest events are overwritten and the drop is accounted for, so a
-//! long run can never grow memory without limit.
+//! add an `Abandoned` record per early-abandoned call. The ring is
+//! bounded: when full, the oldest events are overwritten and the drop is
+//! accounted for, so a long run can never grow memory without limit.
 
 use std::fmt::Write as _;
 
@@ -30,9 +29,6 @@ pub enum EventKind {
     /// index at which the bound was proven, `length` the full length, and
     /// `value` the abandon threshold in force.
     Abandoned,
-    /// The streaming detector emitted a periodic metrics snapshot;
-    /// `position` is the stream length, `calls` the surviving token count.
-    Flush,
 }
 
 impl EventKind {
@@ -43,7 +39,6 @@ impl EventKind {
             EventKind::Pruned => "pruned",
             EventKind::Completed => "completed",
             EventKind::Abandoned => "abandoned",
-            EventKind::Flush => "flush",
         }
     }
 }
@@ -55,7 +50,7 @@ pub struct Event {
     /// The decision recorded.
     pub kind: EventKind,
     /// Series position (candidate start; abandon prefix for
-    /// [`EventKind::Abandoned`]; stream length for [`EventKind::Flush`]).
+    /// [`EventKind::Abandoned`]).
     pub position: u64,
     /// Candidate / subsequence length in points.
     pub length: u64,
@@ -276,7 +271,7 @@ mod tests {
 
         // One more push after the exact second wraparound still evicts
         // only the oldest.
-        ring.push(ev(EventKind::Flush, 8));
+        ring.push(ev(EventKind::Abandoned, 8));
         assert_eq!(
             ring.iter().map(|e| e.position).collect::<Vec<_>>(),
             vec![5, 6, 7, 8]
@@ -357,7 +352,6 @@ mod tests {
             EventKind::Pruned,
             EventKind::Completed,
             EventKind::Abandoned,
-            EventKind::Flush,
         ];
         let mut names: Vec<_> = kinds.iter().map(|k| k.name()).collect();
         names.sort_unstable();

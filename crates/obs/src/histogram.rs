@@ -75,8 +75,8 @@ impl Histogram {
     /// The midpoint of bucket `idx` — the quantile estimator's reported
     /// value. With four sub-buckets per octave the bucket spans ≤ 25% of
     /// its floor, so reporting the midpoint bounds the relative error by
-    /// 12.5%. The first [`SUB`] buckets hold a single value each and are
-    /// exact.
+    /// 12.5%. The first four buckets (one per sub-bucket) hold a single
+    /// value each and are exact.
     pub fn bucket_mid(idx: usize) -> u64 {
         if idx < SUB as usize {
             return idx as u64;

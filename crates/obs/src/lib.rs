@@ -7,7 +7,7 @@
 //! under every other crate in the workspace, including the innermost
 //! distance kernels, and must never drag a serialization or logging stack
 //! into those builds (the build environment also resolves crates offline,
-//! so the JSON encoding is hand-rolled in [`trace`]).
+//! so the JSON encoding is hand-rolled; see [`PipelineTrace::to_jsonl`]).
 //!
 //! ## Design
 //!
@@ -15,13 +15,12 @@
 //! [`NoopRecorder`] has empty `#[inline]` methods and reports
 //! `enabled() == false`, so after monomorphization an uninstrumented call
 //! compiles to exactly the uninstrumented code — no branches, no
-//! `Instant::now()`, no atomic traffic on the hot path. Two real
-//! recorders cover the two sharing patterns in the workspace:
-//!
-//! - [`LocalRecorder`] — `Cell`-based, for single-threaded hot loops
-//!   (plain register arithmetic, same cost as an ad-hoc `u64` counter);
-//! - [`CollectingRecorder`] — atomics behind an `Arc`, cloneable across
-//!   the parallel sweep's worker threads.
+//! `Instant::now()`, no atomic traffic on the hot path. The one real
+//! recorder, [`LocalRecorder`], is `Cell`-based: plain register
+//! arithmetic, the same cost as an ad-hoc `u64` counter. Every search
+//! tallies into a search-local `LocalRecorder` (one per worker thread
+//! when the search runs in parallel), derives its `SearchStats` from it,
+//! and merges it into the caller's sink once, at the loop boundary.
 //!
 //! A finished run is snapshotted into a [`PipelineTrace`], which renders
 //! either as a text table (CLI `--trace`) or as a single JSONL line
@@ -48,7 +47,7 @@
 //! *decisions*: a log-linear [`Histogram`] per [`Metric`] (per-call
 //! distance nanoseconds, candidate lengths, rule-use counts, abandon
 //! positions) and a bounded [`EventRing`] of structured [`Event`]s from
-//! the RRA loops and streaming flushes. Both gate on
+//! the RRA loops and the distance kernels. Both gate on
 //! [`Recorder::detailed`], which is `false` on [`NoopRecorder`], so the
 //! uninstrumented hot path still never reads the clock.
 
@@ -89,7 +88,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod collecting;
 mod event;
 mod health;
 mod histogram;
@@ -102,7 +100,6 @@ mod timer;
 mod trace;
 mod window;
 
-pub use collecting::CollectingRecorder;
 pub use event::{Event, EventKind, EventRing};
 pub use health::{HealthEngine, HealthReport, HealthRule, RuleOutcome, Verdict};
 pub use histogram::Histogram;

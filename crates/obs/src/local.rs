@@ -14,13 +14,13 @@ use std::cell::{Cell, Ref, RefCell};
 /// crate existed.
 ///
 /// Histograms and events live behind `RefCell`s, borrowed only for the
-/// duration of one `record_*` call; [`LocalRecorder::counters_only`]
-/// builds a recorder with `detailed() == false` so a loop-local tally
-/// (e.g. RRA's internal stats recorder) skips the detail work — and the
-/// per-call clock reads gated on it — when nobody upstream wants it.
+/// duration of one `record_*` call; [`LocalRecorder::with_detail`]`(false)`
+/// builds a recorder with `detailed() == false` so a search-local tally
+/// skips the detail work — and the per-call clock reads gated on it —
+/// when nobody upstream wants it.
 ///
-/// Not `Sync`; use [`CollectingRecorder`](crate::CollectingRecorder) when
-/// threads share a sink.
+/// Not `Sync`: a parallel search gives each worker thread its own
+/// recorder and merges them at the join.
 #[derive(Debug, Clone)]
 pub struct LocalRecorder {
     counters: [Cell<u64>; Counter::COUNT],
@@ -43,14 +43,11 @@ impl LocalRecorder {
         Self::with_detail(true)
     }
 
-    /// A recorder that keeps aggregate counters and spans but
-    /// ignores histograms and events (`detailed() == false`), so hot paths
-    /// skip per-call clock reads and event construction.
-    pub fn counters_only() -> Self {
-        Self::with_detail(false)
-    }
-
-    fn with_detail(detailed: bool) -> Self {
+    /// A recorder whose `detailed()` is `detailed`. Counters and spans are
+    /// always kept; with `false`, histograms and events are ignored, so hot
+    /// paths skip per-call clock reads and event construction. A
+    /// search-local tally passes its sink's `detailed()` here.
+    pub fn with_detail(detailed: bool) -> Self {
         Self {
             counters: std::array::from_fn(|_| Cell::new(0)),
             histograms: RefCell::new(std::array::from_fn(|_| Histogram::new())),
@@ -268,8 +265,8 @@ mod tests {
     }
 
     #[test]
-    fn counters_only_skips_detail() {
-        let rec = LocalRecorder::counters_only();
+    fn without_detail_skips_detail() {
+        let rec = LocalRecorder::with_detail(false);
         assert!(rec.enabled());
         assert!(!rec.detailed());
         rec.record_value(Metric::DistanceNanos, 99);
@@ -295,7 +292,7 @@ mod tests {
         src.merge_into(&detailed);
         assert_eq!(detailed.histogram(Metric::RuleUses).count(), 1);
         assert_eq!(detailed.events_vec().len(), 1);
-        let coarse = LocalRecorder::counters_only();
+        let coarse = LocalRecorder::with_detail(false);
         src.merge_into(&coarse);
         assert!(coarse.histogram(Metric::RuleUses).is_empty());
         assert!(coarse.events().is_empty());

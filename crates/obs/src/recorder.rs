@@ -12,9 +12,8 @@ use crate::stage::{Counter, Metric, Stage};
 /// empty and `enabled()` is a compile-time `false`, letting the optimizer
 /// delete the instrumentation entirely.
 ///
-/// Methods take `&self` (not `&mut self`) so one recorder can be shared —
-/// across call layers with a plain borrow, across threads with
-/// [`CollectingRecorder`](crate::CollectingRecorder).
+/// Methods take `&self` (not `&mut self`) so one recorder can be shared
+/// across call layers with a plain borrow.
 pub trait Recorder {
     /// Whether this recorder actually stores anything. Timing helpers
     /// consult this before touching the clock; hot loops may consult it

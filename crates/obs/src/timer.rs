@@ -216,10 +216,10 @@ mod tests {
         t.finish(&full);
         assert_eq!(full.histogram(Metric::DistanceNanos).count(), 1);
 
-        let counters_only = LocalRecorder::counters_only();
-        let t = DetailTimer::start(&counters_only, Metric::DistanceNanos);
+        let coarse = LocalRecorder::with_detail(false);
+        let t = DetailTimer::start(&coarse, Metric::DistanceNanos);
         assert!(!t.armed());
-        t.finish(&counters_only);
-        assert!(counters_only.histogram(Metric::DistanceNanos).is_empty());
+        t.finish(&coarse);
+        assert!(coarse.histogram(Metric::DistanceNanos).is_empty());
     }
 }

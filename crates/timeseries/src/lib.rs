@@ -40,9 +40,9 @@ pub use error::{Error, Result};
 pub use interval::{merge_intervals, Interval};
 pub use io::{read_csv_column, read_csv_column_reader, write_csv_column, write_csv_columns};
 pub use period::{autocorrelation, dominant_period, suggest_window};
-pub use resample::{resample_linear, resample_to, Resampled};
+pub use resample::{resample_to, Resampled};
 pub use series::{find_non_finite, TimeSeries};
 pub use series_stats::SeriesStats;
-pub use stats::{argmax, argmin, max, mean, mean_std, min, std_dev, RunningStats};
+pub use stats::{mean, mean_std, std_dev};
 pub use window::subsequence;
 pub use znorm::{znorm, znorm_into, DEFAULT_ZNORM_THRESHOLD};

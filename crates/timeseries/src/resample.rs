@@ -78,30 +78,24 @@ impl<'a> Resampled<'a> {
     }
 }
 
-/// Resamples `values` to exactly `target_len` points by linear
-/// interpolation. For a target of two or more points the first and last
-/// samples are preserved exactly.
+/// Resamples `values` onto `out` by linear interpolation; `out.len()` is
+/// the target length. For a target of two or more points the first and
+/// last samples are preserved exactly.
 ///
-/// Returns an empty vector when either length is zero. A single-point input
-/// is replicated. A single-point *target* takes the **first** sample of the
-/// input: the output grid for `target_len` points anchors position 0 at the
-/// input's first sample, and with one point the grid never advances. (The
-/// degenerate case cannot honor both endpoints; anchoring at the first
-/// sample keeps the n→n identity exact down to n = 1 and is pinned by
-/// test.)
+/// An empty `out` is left alone, and an empty input fills `out` with
+/// zeros. A single-point input is replicated. A single-point *target*
+/// takes the **first** sample of the input: the output grid for
+/// `out.len()` points anchors position 0 at the input's first sample, and
+/// with one point the grid never advances. (The degenerate case cannot
+/// honor both endpoints; anchoring at the first sample keeps the n→n
+/// identity exact down to n = 1 and is pinned by test.)
 ///
 /// ```
-/// use gv_timeseries::resample_linear;
-/// assert_eq!(resample_linear(&[0.0, 2.0], 3), vec![0.0, 1.0, 2.0]);
+/// use gv_timeseries::resample_to;
+/// let mut out = [0.0; 3];
+/// resample_to(&[0.0, 2.0], &mut out);
+/// assert_eq!(out, [0.0, 1.0, 2.0]);
 /// ```
-pub fn resample_linear(values: &[f64], target_len: usize) -> Vec<f64> {
-    let mut out = vec![0.0; target_len];
-    resample_to(values, &mut out);
-    out
-}
-
-/// Allocation-free variant of [`resample_linear`]: fills `out` with the
-/// resampled signal. `out.len()` determines the target length.
 pub fn resample_to(values: &[f64], out: &mut [f64]) {
     if out.is_empty() {
         return;
@@ -116,7 +110,7 @@ pub fn resample_to(values: &[f64], out: &mut [f64]) {
     }
     if out.len() == 1 {
         // Pinned single-point-target semantics: the first sample (see
-        // `resample_linear` docs).
+        // the docs above).
         out[0] = values[0];
         return;
     }
@@ -132,22 +126,29 @@ pub fn resample_to(values: &[f64], out: &mut [f64]) {
 mod tests {
     use super::*;
 
+    /// `values` resampled into a fresh `target_len`-point vector.
+    fn resampled(values: &[f64], target_len: usize) -> Vec<f64> {
+        let mut out = vec![0.0; target_len];
+        resample_to(values, &mut out);
+        out
+    }
+
     #[test]
     fn identity_when_lengths_match() {
         let v = [1.0, 5.0, -2.0, 0.5];
-        assert_eq!(resample_linear(&v, 4), v.to_vec());
+        assert_eq!(resampled(&v, 4), v.to_vec());
     }
 
     #[test]
     fn upsample_is_linear() {
-        let out = resample_linear(&[0.0, 4.0], 5);
+        let out = resampled(&[0.0, 4.0], 5);
         assert_eq!(out, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
     fn downsample_keeps_endpoints() {
         let v: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let out = resample_linear(&v, 10);
+        let out = resampled(&v, 10);
         assert_eq!(out.len(), 10);
         assert_eq!(out[0], 0.0);
         assert_eq!(out[9], 99.0);
@@ -157,10 +158,10 @@ mod tests {
 
     #[test]
     fn degenerate_lengths() {
-        assert!(resample_linear(&[1.0, 2.0], 0).is_empty());
-        assert_eq!(resample_linear(&[], 3), vec![0.0; 3]);
-        assert_eq!(resample_linear(&[7.0], 4), vec![7.0; 4]);
-        assert_eq!(resample_linear(&[3.0, 9.0], 1), vec![3.0]);
+        assert!(resampled(&[1.0, 2.0], 0).is_empty());
+        assert_eq!(resampled(&[], 3), vec![0.0; 3]);
+        assert_eq!(resampled(&[7.0], 4), vec![7.0; 4]);
+        assert_eq!(resampled(&[3.0, 9.0], 1), vec![3.0]);
     }
 
     /// Pins the documented single-point-target choice: the output is the
@@ -169,11 +170,11 @@ mod tests {
     /// output grid at position 0.
     #[test]
     fn single_point_target_takes_first_sample() {
-        assert_eq!(resample_linear(&[3.0, 9.0], 1), vec![3.0]);
-        assert_eq!(resample_linear(&[-1.5, 0.0, 8.0, 4.0], 1), vec![-1.5]);
-        assert_eq!(resample_linear(&[7.0], 1), vec![7.0]);
+        assert_eq!(resampled(&[3.0, 9.0], 1), vec![3.0]);
+        assert_eq!(resampled(&[-1.5, 0.0, 8.0, 4.0], 1), vec![-1.5]);
+        assert_eq!(resampled(&[7.0], 1), vec![7.0]);
         let long: Vec<f64> = (0..100).map(|i| i as f64 + 10.0).collect();
-        assert_eq!(resample_linear(&long, 1), vec![10.0]);
+        assert_eq!(resampled(&long, 1), vec![10.0]);
     }
 
     /// The n→n identity is bit-exact (scale = 1.0, every fractional
@@ -182,7 +183,7 @@ mod tests {
     #[test]
     fn identity_is_bit_exact() {
         let v: Vec<f64> = (0..50).map(|i| (i as f64 * 0.7).sin() * 1e8).collect();
-        let out = resample_linear(&v, 50);
+        let out = resampled(&v, 50);
         assert!(v.iter().zip(&out).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
@@ -221,8 +222,8 @@ mod tests {
     #[test]
     fn roundtrip_preserves_linear_signal() {
         let v: Vec<f64> = (0..20).map(|i| 2.0 * i as f64 + 1.0).collect();
-        let up = resample_linear(&v, 57);
-        let back = resample_linear(&up, 20);
+        let up = resampled(&v, 57);
+        let back = resampled(&up, 20);
         for (a, b) in v.iter().zip(&back) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }

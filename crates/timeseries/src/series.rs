@@ -52,17 +52,6 @@ impl TimeSeries {
         }
     }
 
-    /// Checks the series for NaN/±∞ observations.
-    ///
-    /// # Errors
-    /// [`Error::NonFiniteInput`] naming the first offending index.
-    pub fn validate_finite(&self) -> Result<()> {
-        match find_non_finite(&self.values) {
-            Some(index) => Err(Error::NonFiniteInput { index }),
-            None => Ok(()),
-        }
-    }
-
     /// The series name (may be empty).
     pub fn name(&self) -> &str {
         &self.name
@@ -123,17 +112,6 @@ impl TimeSeries {
         Ok(stats::std_dev(&self.values))
     }
 
-    /// Minimum and maximum observation.
-    ///
-    /// # Errors
-    /// [`Error::EmptySeries`] for an empty series.
-    pub fn min_max(&self) -> Result<(f64, f64)> {
-        if self.values.is_empty() {
-            return Err(Error::EmptySeries);
-        }
-        Ok((stats::min(&self.values), stats::max(&self.values)))
-    }
-
     /// Iterator over `(index, value)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
         self.values.iter().copied().enumerate()
@@ -178,7 +156,6 @@ mod tests {
         let ts = TimeSeries::new(vec![2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert!((ts.mean().unwrap() - 5.0).abs() < 1e-12);
         assert!((ts.std_dev().unwrap() - 2.0).abs() < 1e-12);
-        assert_eq!(ts.min_max().unwrap(), (2.0, 9.0));
     }
 
     #[test]
@@ -187,7 +164,6 @@ mod tests {
         assert!(ts.is_empty());
         assert!(matches!(ts.mean(), Err(Error::EmptySeries)));
         assert!(matches!(ts.std_dev(), Err(Error::EmptySeries)));
-        assert!(matches!(ts.min_max(), Err(Error::EmptySeries)));
     }
 
     #[test]
@@ -216,11 +192,6 @@ mod tests {
         assert!(matches!(
             TimeSeries::try_new(vec![1.0, f64::NAN]),
             Err(Error::NonFiniteInput { index: 1 })
-        ));
-        let ts = TimeSeries::new(vec![f64::INFINITY]);
-        assert!(matches!(
-            ts.validate_finite(),
-            Err(Error::NonFiniteInput { index: 0 })
         ));
     }
 

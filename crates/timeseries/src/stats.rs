@@ -48,109 +48,6 @@ pub fn mean_std(values: &[f64]) -> (f64, f64) {
     (m, var.sqrt())
 }
 
-/// Minimum value. Returns `+inf` for an empty slice.
-pub fn min(values: &[f64]) -> f64 {
-    values.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-/// Maximum value. Returns `-inf` for an empty slice.
-pub fn max(values: &[f64]) -> f64 {
-    values.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-}
-
-/// Index of the minimum value (first occurrence). `None` when empty.
-pub fn argmin(values: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in values.iter().enumerate() {
-        match best {
-            Some((_, b)) if v >= b => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// Index of the maximum value (first occurrence). `None` when empty.
-pub fn argmax(values: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in values.iter().enumerate() {
-        match best {
-            Some((_, b)) if v <= b => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// Incremental mean/variance accumulator (Welford's algorithm).
-///
-/// Used by dataset generators and the benchmark harness to report summary
-/// statistics without buffering whole streams.
-#[derive(Debug, Clone, Default)]
-pub struct RunningStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// A fresh, empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Feed one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations pushed so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Current mean (`NaN` when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.mean
-        }
-    }
-
-    /// Current population standard deviation (`NaN` when empty).
-    pub fn std_dev(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            (self.m2 / self.n as f64).sqrt()
-        }
-    }
-
-    /// Smallest observation (`+inf` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,10 +65,6 @@ mod tests {
     fn empty_slices() {
         assert!(mean(&[]).is_nan());
         assert!(std_dev(&[]).is_nan());
-        assert_eq!(min(&[]), f64::INFINITY);
-        assert_eq!(max(&[]), f64::NEG_INFINITY);
-        assert_eq!(argmin(&[]), None);
-        assert_eq!(argmax(&[]), None);
     }
 
     #[test]
@@ -200,34 +93,5 @@ mod tests {
             "offset std {sd1} diverged from baseline std {sd0}"
         );
         assert!((m1 - 1e8).abs() < 1.0);
-    }
-
-    #[test]
-    fn arg_extrema_first_occurrence() {
-        let v = [3.0, 1.0, 1.0, 5.0, 5.0];
-        assert_eq!(argmin(&v), Some(1));
-        assert_eq!(argmax(&v), Some(3));
-    }
-
-    #[test]
-    fn running_stats_matches_batch() {
-        let v = [1.0, -2.5, 3.75, 10.0, 0.0, -1.0];
-        let mut rs = RunningStats::new();
-        for &x in &v {
-            rs.push(x);
-        }
-        assert_eq!(rs.count(), v.len() as u64);
-        assert!((rs.mean() - mean(&v)).abs() < 1e-12);
-        assert!((rs.std_dev() - std_dev(&v)).abs() < 1e-12);
-        assert_eq!(rs.min(), -2.5);
-        assert_eq!(rs.max(), 10.0);
-    }
-
-    #[test]
-    fn running_stats_empty() {
-        let rs = RunningStats::new();
-        assert!(rs.mean().is_nan());
-        assert!(rs.std_dev().is_nan());
-        assert_eq!(rs.count(), 0);
     }
 }

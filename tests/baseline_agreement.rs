@@ -5,7 +5,7 @@
 use grammarviz::core::{
     nn_distance_profile, search_candidates, AnomalyPipeline, PipelineConfig, RraDetector, Workspace,
 };
-use grammarviz::discord::{brute_force_discords, hotsax_discords, HotSaxConfig};
+use grammarviz::discord::{brute_force_discords, hotsax_discords, HotSaxConfig, HotSaxScratch};
 use grammarviz::obs::NoopRecorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,9 +31,11 @@ fn hotsax_matches_brute_force_across_seeds() {
     for seed in 0..8u64 {
         let v = random_series(seed, 400);
         let n = 24;
-        let (bf, bf_stats) = brute_force_discords(&v, n, 1).unwrap();
+        let (bf, bf_stats) =
+            brute_force_discords(&v, n, 1, &mut Vec::new(), &NoopRecorder).unwrap();
         let cfg = HotSaxConfig::new(n, 4, 3).unwrap().with_seed(seed);
-        let (hs, hs_stats) = hotsax_discords(&v, &cfg, 1).unwrap();
+        let (hs, hs_stats) =
+            hotsax_discords(&v, &cfg, 1, &mut HotSaxScratch::new(), &NoopRecorder).unwrap();
         assert_eq!(bf[0].position, hs[0].position, "seed {seed}");
         assert!(
             (bf[0].distance - hs[0].distance).abs() < 1e-9,
@@ -49,9 +51,9 @@ fn hotsax_matches_brute_force_across_seeds() {
 #[test]
 fn hotsax_top2_matches_brute_force() {
     let v = random_series(99, 500);
-    let (bf, _) = brute_force_discords(&v, 20, 2).unwrap();
+    let (bf, _) = brute_force_discords(&v, 20, 2, &mut Vec::new(), &NoopRecorder).unwrap();
     let cfg = HotSaxConfig::new(20, 4, 3).unwrap();
-    let (hs, _) = hotsax_discords(&v, &cfg, 2).unwrap();
+    let (hs, _) = hotsax_discords(&v, &cfg, 2, &mut HotSaxScratch::new(), &NoopRecorder).unwrap();
     assert_eq!(bf.len(), hs.len());
     for (b, h) in bf.iter().zip(&hs) {
         assert_eq!(b.position, h.position);
@@ -144,7 +146,8 @@ fn rra_cheaper_than_hotsax_on_regular_data() {
         v
     };
     let cfg = HotSaxConfig::new(100, 4, 4).unwrap();
-    let (_, hs_stats) = hotsax_discords(&v, &cfg, 1).unwrap();
+    let (_, hs_stats) =
+        hotsax_discords(&v, &cfg, 1, &mut HotSaxScratch::new(), &NoopRecorder).unwrap();
     let pipeline = AnomalyPipeline::new(PipelineConfig::new(100, 4, 4).unwrap());
     let rra = pipeline.rra_discords(&v, 1, &NoopRecorder).unwrap();
     assert!(

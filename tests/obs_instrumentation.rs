@@ -3,13 +3,13 @@
 //! and the JSONL export must round-trip.
 
 use grammarviz::core::obs::{
-    CollectingRecorder, Counter, EventKind, LocalRecorder, Metric, NoopRecorder, PipelineTrace,
-    Recorder, Stage,
+    Counter, EventKind, LocalRecorder, Metric, NoopRecorder, PipelineTrace, Recorder, Stage,
 };
 use grammarviz::core::{
-    rule_intervals, AnomalyPipeline, EngineConfig, PipelineConfig, RraDetector, StreamingDetector,
-    Workspace,
+    rule_intervals, AnomalyPipeline, BruteForceDetector, Detector, EngineConfig, HotSaxDetector,
+    PipelineConfig, RraDetector, SeriesView, StreamingDetector, Workspace,
 };
+use grammarviz::discord::HotSaxConfig;
 
 fn fixture() -> Vec<f64> {
     let mut values: Vec<f64> = (0..2000).map(|i| (i as f64 / 20.0).sin()).collect();
@@ -40,7 +40,7 @@ fn noop_recorder_leaves_rra_results_identical() {
     };
     let plain = p.rra_discords(&values, 3, &NoopRecorder).unwrap();
     let noop = search(&NoopRecorder);
-    let recorded = search(&CollectingRecorder::new());
+    let recorded = search(&LocalRecorder::new());
 
     for other in [&noop, &recorded] {
         assert_eq!(plain.discords.len(), other.discords.len());
@@ -56,36 +56,67 @@ fn noop_recorder_leaves_rra_results_identical() {
     }
 }
 
+/// RRA, HOTSAX and brute force all count the same way: into a
+/// search-local recorder whose tally becomes `report.stats` and is merged
+/// into the caller's sink. So a detailed sink's counters equal the stats,
+/// its per-call histograms hold one sample per call and per abandon, and a
+/// `NoopRecorder` run reports the same stats.
 #[test]
 fn recorder_and_search_stats_are_one_counting_path() {
     let values = fixture();
     let p = pipeline();
-    let rec = CollectingRecorder::new();
-    let report = p.rra_discords(&values, 2, &rec).unwrap();
-    assert!(report.stats.distance_calls > 0);
-    assert_eq!(
-        rec.counter(Counter::DistanceCalls),
-        report.stats.distance_calls
-    );
-    assert_eq!(
-        rec.counter(Counter::EarlyAbandons),
-        report.stats.early_abandoned
-    );
-    assert_eq!(
-        rec.counter(Counter::CandidatesPruned),
-        report.stats.candidates_pruned
-    );
-    assert_eq!(
-        rec.counter(Counter::CandidatesCompleted),
-        report.stats.candidates_completed
-    );
-    // Same seed, same fixture: a second instrumented run reproduces the
-    // counts exactly (the search is deterministic given the seed).
-    let rec2 = CollectingRecorder::new();
-    let report2 = p.rra_discords(&values, 2, &rec2).unwrap();
-    assert_eq!(report.stats, report2.stats);
-    for c in Counter::ALL {
-        assert_eq!(rec.counter(c), rec2.counter(c), "{}", c.name());
+    let detectors: [(Box<dyn Detector>, &[f64]); 3] = [
+        (
+            Box::new(RraDetector::new(p.config().clone(), 2).with_engine(p.engine())),
+            &values,
+        ),
+        (
+            Box::new(HotSaxDetector::new(
+                HotSaxConfig::new(100, 4, 4).unwrap(),
+                2,
+            )),
+            &values,
+        ),
+        // Brute force is quadratic: a prefix keeps the debug build quick.
+        (Box::new(BruteForceDetector::new(50, 2)), &values[..600]),
+    ];
+    for (detector, values) in &detectors {
+        let name = detector.name();
+        let run = |recorder: &dyn Recorder| {
+            detector
+                .detect(&SeriesView::new(values), &mut Workspace::new(), recorder)
+                .unwrap()
+        };
+        let rec = LocalRecorder::new();
+        let report = run(&rec);
+        let stats = report.stats;
+        assert!(stats.distance_calls > 0, "{name}");
+        for (counter, stat) in [
+            (Counter::DistanceCalls, stats.distance_calls),
+            (Counter::EarlyAbandons, stats.early_abandoned),
+            (Counter::CandidatesPruned, stats.candidates_pruned),
+            (Counter::CandidatesCompleted, stats.candidates_completed),
+        ] {
+            assert_eq!(rec.counter(counter), stat, "{name}: {}", counter.name());
+        }
+        assert_eq!(
+            rec.histogram(Metric::DistanceNanos).count(),
+            stats.distance_calls,
+            "{name}"
+        );
+        assert_eq!(
+            rec.histogram(Metric::AbandonPos).count(),
+            stats.early_abandoned,
+            "{name}"
+        );
+        // Same seed, same input: a plain run and a second instrumented
+        // run reproduce the counts exactly.
+        assert_eq!(run(&NoopRecorder).stats, stats, "{name}");
+        let rec2 = LocalRecorder::new();
+        assert_eq!(run(&rec2).stats, stats, "{name}");
+        for c in Counter::ALL {
+            assert_eq!(rec.counter(c), rec2.counter(c), "{name}: {}", c.name());
+        }
     }
 }
 
@@ -93,7 +124,7 @@ fn recorder_and_search_stats_are_one_counting_path() {
 fn candidate_accounting_is_closed() {
     let values = fixture();
     let p = pipeline();
-    let rec = CollectingRecorder::new();
+    let rec = LocalRecorder::new();
     let model = p.model(&values, &rec).unwrap();
     RraDetector::new(p.config().clone(), 1)
         .with_engine(p.engine())
@@ -131,7 +162,7 @@ fn json_u64(line: &str, key: &str) -> Option<u64> {
 fn jsonl_snapshot_round_trips() {
     let values = fixture();
     let p = pipeline();
-    let rec = CollectingRecorder::new();
+    let rec = LocalRecorder::new();
     let report = p.rra_discords(&values, 1, &rec).unwrap();
     let trace = rec
         .snapshot("roundtrip")
@@ -184,7 +215,7 @@ fn jsonl_snapshot_round_trips() {
 fn jsonl_exports_carry_schema_version() {
     let values = fixture();
     let p = pipeline();
-    let rec = CollectingRecorder::new();
+    let rec = LocalRecorder::new();
     p.rra_discords(&values, 1, &rec).unwrap();
     let trace_line = rec.snapshot("schema").to_jsonl();
     assert!(trace_line.starts_with("{\"schema\":4,"), "{trace_line}");
@@ -206,9 +237,9 @@ fn jsonl_exports_carry_schema_version() {
 fn explain_event_ledger_matches_search_stats() {
     let values = fixture();
     let p = pipeline();
-    let rec = CollectingRecorder::new();
+    let rec = LocalRecorder::new();
     let report = p.rra_discords(&values, 2, &rec).unwrap();
-    let explain = p.explain(&values, 2, &CollectingRecorder::new()).unwrap();
+    let explain = p.explain(&values, 2, &LocalRecorder::new()).unwrap();
 
     // Same deterministic search → identical stats; outcome-event deltas
     // reconstruct the total exactly.
@@ -236,73 +267,38 @@ fn explain_event_ledger_matches_search_stats() {
     assert_eq!(visited, rec.counter(Counter::RraCandidates));
 }
 
-/// Streaming detector results must be byte-identical across recorder
-/// choices, and the Noop path must never see the per-call clock.
+/// Stream versus batch, counter half: the stream's terminal snapshot
+/// derives its discretization counters from its own state, and they must
+/// equal what the batch pipeline records on the same values.
 #[test]
-fn streaming_detector_is_recorder_neutral() {
-    let signal = |i: usize| {
-        if (900..960).contains(&i) {
-            0.0
-        } else {
-            (i as f64 / 12.0).sin()
-        }
-    };
+fn stream_snapshot_counters_match_batch_model() {
+    let values: Vec<f64> = (0..1500usize)
+        .map(|i| {
+            if (900..960).contains(&i) {
+                0.0
+            } else {
+                (i as f64 / 12.0).sin()
+            }
+        })
+        .collect();
     let config = PipelineConfig::new(50, 4, 4).unwrap();
-
-    let mut noop = StreamingDetector::new(config.clone());
-    let mut local = StreamingDetector::with_recorder(config.clone(), LocalRecorder::new());
-    let shared = CollectingRecorder::new();
-    let mut collecting = StreamingDetector::with_recorder(config.clone(), shared.clone());
-    for i in 0..1500usize {
-        let v = signal(i);
-        noop.push(v).unwrap();
-        local.push(v).unwrap();
-        collecting.push(v).unwrap();
+    let mut stream = StreamingDetector::new(config.clone());
+    for &v in &values {
+        stream.push(v).unwrap();
     }
+    assert!(stream.flush_now());
+    let snapshot = stream.take_snapshots().pop().unwrap();
 
-    // Byte-identical curves and alert rankings across all three recorders.
-    let reference = noop.density_curve();
-    assert_eq!(reference, local.density_curve());
-    assert_eq!(reference, collecting.density_curve());
-    let ref_alerts = noop.alerts(0, 100);
-    assert!(!ref_alerts.is_empty());
-    assert_eq!(ref_alerts, local.alerts(0, 100));
-    assert_eq!(ref_alerts, collecting.alerts(0, 100));
-
-    // Noop is statically detail-free: no clock reads on the value path.
-    assert!(!NoopRecorder.detailed());
-    assert!(!LocalRecorder::counters_only().detailed());
-
-    // A Collecting sink shared across threads tallies both streams.
-    let shared = CollectingRecorder::new();
-    std::thread::scope(|scope| {
-        for _ in 0..2 {
-            let sink = shared.clone();
-            let config = config.clone();
-            scope.spawn(move || {
-                let mut det = StreamingDetector::with_recorder(config, sink).metrics_every(500);
-                for i in 0..1500usize {
-                    det.push(signal(i)).unwrap();
-                }
-                assert_eq!(det.snapshots().len(), 3);
-            });
-        }
-    });
-    assert_eq!(
-        shared.counter(Counter::WindowsProcessed),
-        2 * (1500 - 50 + 1)
-    );
-    assert_eq!(
-        shared.counter(Counter::WordsEmitted) + shared.counter(Counter::WordsDropped),
-        shared.counter(Counter::WindowsProcessed)
-    );
-    // Each thread flushed 3 periodic snapshots → 6 Flush events.
-    let flushes = shared
-        .events_vec()
-        .iter()
-        .filter(|e| e.kind == EventKind::Flush)
-        .count();
-    assert_eq!(flushes, 6);
+    let batch = LocalRecorder::new();
+    AnomalyPipeline::new(config).model(&values, &batch).unwrap();
+    assert_eq!(snapshot.counter(Counter::WindowsProcessed), 1500 - 50 + 1);
+    for c in [
+        Counter::WindowsProcessed,
+        Counter::WordsEmitted,
+        Counter::WordsDropped,
+    ] {
+        assert_eq!(snapshot.counter(c), batch.counter(c), "{}", c.name());
+    }
 }
 
 /// Detailed recorders get the per-call latency histogram; plain counters
@@ -317,14 +313,14 @@ fn detail_gating_controls_histograms() {
     assert!(detailed.histogram(Metric::DistanceNanos).count() > 0);
     assert!(detailed.histogram(Metric::CandidateLen).count() > 0);
 
-    let counters_only = LocalRecorder::counters_only();
-    p.rra_discords(&values, 1, &counters_only).unwrap();
-    assert_eq!(counters_only.histogram(Metric::DistanceNanos).count(), 0);
-    assert!(counters_only.events().is_empty());
+    let coarse = LocalRecorder::with_detail(false);
+    p.rra_discords(&values, 1, &coarse).unwrap();
+    assert_eq!(coarse.histogram(Metric::DistanceNanos).count(), 0);
+    assert!(coarse.events().is_empty());
     // But the aggregate counters still flowed.
-    assert!(counters_only.counter(Counter::DistanceCalls) > 0);
+    assert!(coarse.counter(Counter::DistanceCalls) > 0);
     assert_eq!(
-        counters_only.counter(Counter::DistanceCalls),
+        coarse.counter(Counter::DistanceCalls),
         detailed.counter(Counter::DistanceCalls)
     );
 }

@@ -7,7 +7,7 @@ use grammarviz::core::{
     AnomalyPipeline, Detector, EngineConfig, PipelineConfig, RraDetector, SeriesView, Workspace,
 };
 use grammarviz::datasets::ecg::ecg_record;
-use grammarviz::obs::{CollectingRecorder, EventKind, NoopRecorder};
+use grammarviz::obs::{EventKind, LocalRecorder, NoopRecorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -127,14 +127,17 @@ fn event_ledger_balances_under_parallel_search() {
     let v = planted_series();
     let config = PipelineConfig::new(100, 5, 4).unwrap();
     for threads in [1, 4] {
-        let recorder = CollectingRecorder::new();
+        let recorder = LocalRecorder::new();
         let detector = RraDetector::new(config.clone(), 2)
             .with_engine(EngineConfig::sequential().with_threads(threads));
         let report = detector
             .detect(&SeriesView::new(&v), &mut Workspace::new(), &recorder)
             .unwrap();
-        let (_, dropped) = recorder.events_recorded_dropped();
-        assert_eq!(dropped, 0, "ring must keep every event on this fixture");
+        assert_eq!(
+            recorder.events().dropped(),
+            0,
+            "ring must keep every event on this fixture"
+        );
         let from_events: u64 = recorder
             .events_vec()
             .iter()
@@ -160,7 +163,7 @@ fn span_tree_is_identical_across_thread_counts() {
     let v = planted_series();
     let config = PipelineConfig::new(100, 5, 4).unwrap();
     let tree_shape = |threads: usize| -> Vec<(String, usize, u64)> {
-        let recorder = CollectingRecorder::new();
+        let recorder = LocalRecorder::new();
         let detector = RraDetector::new(config.clone(), 3)
             .with_engine(EngineConfig::sequential().with_threads(threads));
         detector
