@@ -12,7 +12,7 @@
 use gv_datasets::ecg::{ecg0606, EcgParams};
 use gv_sax::NumerosityReduction;
 use gva_core::obs::NoopRecorder;
-use gva_core::{rule_intervals, AnomalyPipeline, PipelineConfig};
+use gva_core::{rule_intervals, AnomalyPipeline, EngineConfig, PipelineConfig};
 
 fn main() {
     let data = ecg0606(EcgParams::default());
@@ -32,7 +32,8 @@ fn main() {
         let config = PipelineConfig::new(120, 4, 4)
             .unwrap()
             .with_numerosity_reduction(nr);
-        let pipeline = AnomalyPipeline::new(config);
+        // One thread: the rra-calls column must not depend on GV_THREADS.
+        let pipeline = AnomalyPipeline::new(config).with_engine(EngineConfig::sequential());
         let model = pipeline.model(values, &NoopRecorder).unwrap();
         let candidates = rule_intervals(&model);
         let rra = pipeline.rra_discords(values, 1, &NoopRecorder).unwrap();

@@ -11,7 +11,7 @@ use gv_bench::report::thousands;
 use gv_datasets::video::video_gun;
 use gv_discord::multi_length_hotsax;
 use gva_core::obs::NoopRecorder;
-use gva_core::{AnomalyPipeline, PipelineConfig};
+use gva_core::{AnomalyPipeline, EngineConfig, PipelineConfig};
 
 fn main() {
     let data = video_gun();
@@ -49,7 +49,9 @@ fn main() {
         .count();
     println!("  top-3 of the sweep hits {sweep_hits}/2 planted anomalies");
 
-    let pipeline = AnomalyPipeline::new(PipelineConfig::new(150, 5, 3).expect("valid"));
+    // One thread: the call count must not depend on GV_THREADS.
+    let pipeline = AnomalyPipeline::new(PipelineConfig::new(150, 5, 3).expect("valid"))
+        .with_engine(EngineConfig::sequential());
     let rra = pipeline
         .rra_discords(values, 3, &NoopRecorder)
         .expect("pipeline runs");

@@ -7,10 +7,11 @@
 //! required keys. Trace records must also reconcile with their own span
 //! tree: each `stages_ns` entry equals the summed `total_ns` of the spans
 //! of that stage, `derived.total_ns` equals the summed root spans, and
-//! (sequential runs only) no span's children outlast it. CI runs this
-//! over the CLI's `--metrics`, `--events`, `gv monitor` and ledger output
-//! so a schema drift fails the build instead of silently producing
-//! unparseable metrics.
+//! (sequential runs only) no span's children outlast it. An explain
+//! summary's `events_recorded` must equal the events its counters imply.
+//! CI runs this over the CLI's `--metrics`, `--events`, `gv monitor` and
+//! ledger output so a schema drift fails the build instead of silently
+//! producing unparseable metrics.
 //!
 //! ```text
 //! cargo run -p gv-bench --release --bin validate_jsonl -- FILE...
@@ -75,6 +76,8 @@ fn required_keys(record: &Value) -> Result<&'static [&'static str], String> {
             "candidates",
             "distance_calls",
             "early_abandoned",
+            "candidates_pruned",
+            "candidates_completed",
             "events_recorded",
             "events_dropped",
             "distance_ns",
@@ -123,8 +126,27 @@ fn validate_line(line: &str) -> Result<(), String> {
             .field(key)
             .map_err(|_| format!("missing required key {key:?}"))?;
     }
-    if record.field("type").is_err() {
-        reconcile_trace(&record)?;
+    match record.field("type") {
+        Err(_) => reconcile_trace(&record)?,
+        Ok(Value::Str(kind)) if kind == "explain_summary" => reconcile_explain_summary(&record)?,
+        Ok(_) => {}
+    }
+    Ok(())
+}
+
+/// Checks an explain summary's event count against its counters: one
+/// `visited` and one outcome event per scanned candidate, one `abandoned`
+/// event per early abandon. The count includes events a full ring
+/// dropped, so the identity holds for any run size.
+fn reconcile_explain_summary(record: &Value) -> Result<(), String> {
+    let count = |key: &str| as_u64(field(record, key)?, key);
+    let recorded = count("events_recorded")?;
+    let scanned = count("candidates_pruned")? + count("candidates_completed")?;
+    let implied = count("early_abandoned")? + 2 * scanned;
+    if recorded != implied {
+        return Err(format!(
+            "events_recorded is {recorded} but its counters imply {implied}"
+        ));
     }
     Ok(())
 }
@@ -255,16 +277,17 @@ mod tests {
 
     #[test]
     fn accepts_real_records() {
-        use gva_core::obs::{Event, EventKind, LocalRecorder, PipelineTrace};
+        use gva_core::obs::{Event, EventKind, LocalRecorder, NoopRecorder, PipelineTrace};
         let trace = PipelineTrace::new("t").with_param("points", 10);
         validate_line(&trace.to_jsonl()).unwrap();
         let values: Vec<f64> = (0..600).map(|i| (i as f64 / 9.0).sin()).collect();
         let config = gva_core::PipelineConfig::new(40, 4, 4).unwrap();
+        let pipeline = gva_core::AnomalyPipeline::new(config);
         let rec = LocalRecorder::new();
-        gva_core::AnomalyPipeline::new(config)
-            .rra_discords(&values, 1, &rec)
-            .unwrap();
+        pipeline.rra_discords(&values, 1, &rec).unwrap();
         validate_line(&rec.snapshot("rra").to_jsonl()).unwrap();
+        let explain = pipeline.explain(&values, 2, &NoopRecorder).unwrap();
+        validate_line(&explain.summary_jsonl()).unwrap();
         let event = Event::new(EventKind::Visited);
         validate_line(&event.to_jsonl()).unwrap();
     }
@@ -347,6 +370,16 @@ mod tests {
         assert!(validate_line("{\"schema\":1,\"label\":\"x\"}").is_err());
         assert!(validate_line("{\"label\":\"x\"}").is_err());
         assert!(validate_line(&format!("{{\"schema\":{v},\"type\":\"mystery\"}}")).is_err());
+        // An explain summary whose event count (7 + 2 x 6 = 19 implied)
+        // disagrees with its counters.
+        let err = validate_line(&format!(
+            "{{\"schema\":{v},\"type\":\"explain_summary\",\"discords\":1,\"candidates\":9,\
+             \"distance_calls\":20,\"early_abandoned\":7,\"candidates_pruned\":4,\
+             \"candidates_completed\":2,\"events_recorded\":18,\"events_dropped\":0,\
+             \"distance_ns\":{{}},\"abandon_pos\":{{}}}}"
+        ))
+        .unwrap_err();
+        assert!(err.contains("events_recorded is 18"), "{err}");
         // A trace missing its histograms object.
         assert!(validate_line(&format!(
             "{{\"schema\":{v},\"label\":\"x\",\"params\":{{}},\"stages_ns\":{{}},\"spans\":[],\"counters\":{{}},\"derived\":{{}}}}"

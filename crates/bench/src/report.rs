@@ -1,7 +1,5 @@
 //! Shared helpers for the table/figure report binaries.
 
-use gv_timeseries::Interval;
-
 /// Formats a large count with thousands separators, in the paper's style
 /// (`271'442'101`).
 pub fn thousands(n: u128) -> String {
@@ -24,16 +22,6 @@ pub fn reduction_pct(from: u128, to: u128) -> f64 {
         return 0.0;
     }
     100.0 * (1.0 - (to as f64 / from as f64))
-}
-
-/// Overlap percentage between a reference discord and the best-overlapping
-/// candidate among `found` (the Table 1 recall column: how much of the
-/// HOTSAX discord the RRA discords recover).
-pub fn best_overlap_pct(reference: Interval, found: &[Interval]) -> f64 {
-    found
-        .iter()
-        .map(|iv| reference.overlap_fraction(iv) * 100.0)
-        .fold(0.0, f64::max)
 }
 
 /// A horizontal rule sized to a table width.
@@ -60,14 +48,6 @@ mod tests {
         assert!((reduction_pct(1000, 100) - 90.0).abs() < 1e-12);
         assert_eq!(reduction_pct(0, 10), 0.0);
         assert!((reduction_pct(879_067, 112_405) - 87.2).abs() < 0.1);
-    }
-
-    #[test]
-    fn overlap() {
-        let hs = Interval::new(100, 200);
-        let found = [Interval::new(150, 250), Interval::new(0, 50)];
-        assert!((best_overlap_pct(hs, &found) - 50.0).abs() < 1e-9);
-        assert_eq!(best_overlap_pct(hs, &[]), 0.0);
     }
 
     #[test]

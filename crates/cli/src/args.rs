@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 /// Options that are switches, not `--key value` pairs: their presence
 /// alone means "on", so the parser must not consume the next token.
-const BOOL_FLAGS: &[&str] = &["trace", "timing", "fail-on-breach", "prune-baseline"];
+pub(crate) const BOOL_FLAGS: &[&str] = &["trace", "timing", "fail-on-breach"];
 
 /// Parsed command line: the subcommand plus `--key value` options.
 #[derive(Debug, Clone, Default)]

@@ -913,6 +913,21 @@ mod tests {
     }
 
     #[test]
+    fn every_bool_flag_is_accepted_by_some_command() {
+        let commands = [
+            "density", "rra", "explain", "hotsax", "motifs", "wcad", "grammar", "dot", "export",
+            "stream", "monitor", "check", "demo",
+        ];
+        for flag in crate::args::BOOL_FLAGS {
+            let mut lists = commands.iter().filter_map(|c| allowed_options(c));
+            assert!(
+                lists.any(|l| l.contains(flag)),
+                "no subcommand accepts --{flag}"
+            );
+        }
+    }
+
+    #[test]
     fn unknown_option_fails_with_suggestion() {
         let err = run(&argv("density --file x.csv --windw 100")).unwrap_err();
         assert!(err.contains("unknown option --windw"), "{err}");

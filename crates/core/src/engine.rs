@@ -11,13 +11,15 @@
 //!
 //! ## Threading and determinism
 //!
-//! [`EngineConfig::threads`] shards the RRA outer loop across scoped
-//! worker threads (`std::thread::scope`, no extra dependencies). The
-//! ranked discords are **bit-identical for any thread count** — see the
-//! `rra` module docs for the argument; only the reported cost counters
-//! vary. `EngineConfig::default()` reads the `GV_THREADS` environment
-//! variable (missing or invalid → 1), which is how CI runs the whole
-//! suite both sequentially and parallel.
+//! [`EngineConfig::threads`] stripes each RRA rank across workers that
+//! `fan_out` starts — the one place gv-core spawns threads, shared with
+//! the parameter sweep: worker 0 runs on the calling thread, the rest on
+//! `std::thread::scope` threads (no extra dependencies). The ranked
+//! discords are **bit-identical for any thread count** — see the `rra`
+//! module docs for the argument; only the reported cost counters vary.
+//! `EngineConfig::default()` reads the `GV_THREADS` environment variable
+//! (missing or invalid → 1), which is how CI runs the whole suite both
+//! sequentially and parallel.
 
 use gv_discord::{brute_force_discords, hotsax_discords, DiscordRecord, HotSaxConfig, SearchStats};
 use gv_obs::{Recorder, SpanId, SpanTimer, Stage};
@@ -77,6 +79,23 @@ impl Default for EngineConfig {
     }
 }
 
+/// Runs `work(t)` for every worker `t` in `0..workers` (at least one) and
+/// returns the results in worker order. Worker 0 runs on the calling
+/// thread, the rest on scoped threads; a panicking worker propagates its
+/// panic to the caller, since the other workers' results are unusable
+/// without its share.
+pub(crate) fn fan_out<T: Send>(workers: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers).map(|t| scope.spawn(move || work(t))).collect();
+        let mut results = vec![work(0)];
+        for handle in handles {
+            results.push(handle.join().expect("worker thread panicked"));
+        }
+        results
+    })
+}
+
 /// An immutable view of the series under analysis — the shared input every
 /// detector reads and none may mutate.
 #[derive(Debug, Clone, Copy)]
@@ -128,7 +147,7 @@ impl<'a> From<&'a [f64]> for SeriesView<'a> {
 /// Rejects series containing NaN/±∞ with [`Error::NonFiniteInput`].
 ///
 /// Called on every detection entry point: non-finite values would
-/// otherwise poison z-normalization, every distance, and the parallel
+/// otherwise poison z-normalization, every distance, and RRA's shared
 /// AtomicU64 ranking bound (where NaN bit patterns compare as ordinary
 /// integers).
 pub(crate) fn check_finite(values: &[f64]) -> Result<()> {
@@ -580,6 +599,18 @@ mod tests {
             *x = 0.3 * (i as f64 / 5.0).cos();
         }
         v
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_worker_order() {
+        // Worker 0 runs on the calling thread (so one worker spawns
+        // nothing); every other worker runs on a thread of its own.
+        let caller = std::thread::current().id();
+        for workers in [1, 2, 7] {
+            let ran = fan_out(workers, |t| (t, std::thread::current().id() == caller));
+            let expected: Vec<_> = (0..workers).map(|t| (t, t == 0)).collect();
+            assert_eq!(ran, expected);
+        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl DiscordProvenance {
             self.rank,
             self.position,
             self.length,
-            json_f64(self.distance)
+            gv_obs::format_json_f64(self.distance)
         );
         match self.rule {
             Some(r) => {
@@ -305,18 +305,6 @@ impl ExplainReport {
             );
         }
         out
-    }
-}
-
-/// Formats a finite float as a JSON number token (same contract as
-/// `gv-obs`'s internal encoder; distances here are finite by
-/// construction).
-fn json_f64(x: f64) -> String {
-    let s = x.to_string();
-    if s.contains(['.', 'e', 'E']) {
-        s
-    } else {
-        format!("{s}.0")
     }
 }
 

@@ -15,22 +15,33 @@
 //! Euclidean between z-normalized subsequences, the match linearly
 //! resampled onto the candidate's length, normalized by that length.
 //!
-//! ## Parallel search
+//! ## One rank loop at every thread count
 //!
-//! The outer loop can shard across `threads` workers (the
-//! [`EngineConfig`](crate::EngineConfig) of an
+//! Each rank stripes its eligible candidates, in outer order, across
+//! `threads` workers (the [`EngineConfig`](crate::EngineConfig) of an
 //! [`RraDetector`](crate::RraDetector), the one public way into the
-//! search). Each rank's surviving candidates are striped round-robin across
-//! scoped threads that share a best-so-far lower bound through an
-//! `AtomicU64` (f64 bits, monotone-max CAS). The ranked discords are
-//! **bit-identical to the sequential search for any thread count**: a
-//! completed candidate's nearest-neighbour distance is its exact true
-//! minimum (abandoning never lowers it), a candidate pruned against the
-//! shared bound is strictly below the rank's final maximum so it can never
-//! win or tie, and the merge picks the maximum distance with ties broken
-//! toward the earliest candidate in the outer order — exactly the
-//! sequential first-wins rule. Only the *cost* (distance calls, prune
-//! counts) varies with thread count and timing.
+//! search) through `engine::fan_out`, which runs a single worker on the
+//! calling thread. Workers share one best-so-far, read after every
+//! evaluation: f64 bits in an `AtomicU64`, raised by `fetch_max` on the
+//! bits. `Relaxed` ordering suffices, as the bound publishes no other
+//! data and a stale read only prunes less. It starts at `+0.0` and only
+//! completed distances enter it; those are finite and at least `+0.0`
+//! (the square root of a sum of squares, over a length), a range on
+//! which bit order is numeric order. Starting at `+0.0` rather than
+//! below every distance prunes nothing more, since `nearest < +0.0` is
+//! false for every such `nearest`.
+//!
+//! Each worker keeps its first-found best `(active_index, nearest)`; the
+//! merge takes the larger nearest, ties to the lower active index. With
+//! one worker this is Algorithm 1's sequential loop: the same order, the
+//! same running bound, the same strict-`>` first-wins rule. With more,
+//! the ranked discords stay **bit-identical**: a completed candidate's
+//! nearest is its exact minimum (abandoning never lowers it), and a
+//! pruned one fell strictly below some completed distance, so it can
+//! neither win nor tie. The winners therefore complete under any
+//! schedule, and the tie rule is the first-wins rule over the outer
+//! order. Only the *cost* (distance calls, prune counts, events) varies
+//! with worker count and timing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -45,6 +56,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use crate::engine::fan_out;
 use crate::error::{Error, Result};
 use crate::intervals::RuleInterval;
 
@@ -105,11 +117,8 @@ pub(crate) struct RraScratch {
     outer: Vec<usize>,
     inner: Vec<usize>,
     /// Candidates surviving the per-rank eligibility filter, in outer
-    /// order (parallel path only).
+    /// order.
     active: Vec<u32>,
-    /// `(active_index, nearest)` for completed candidates, merged from
-    /// the workers (parallel path only).
-    completed: Vec<(u32, f64)>,
     /// Sorted `(rule, candidate_index)` pairs — a flat, thread-shareable
     /// replacement for the per-rule sibling hash map. Within one rule the
     /// pairs stay in ascending candidate order, so sibling iteration
@@ -124,8 +133,7 @@ pub(crate) struct RraScratch {
     /// `norms[norm_off[i] as usize..norm_off[i + 1] as usize]`. Rebuilt
     /// at the top of every `search_in` call (the cache is valid only for
     /// that call's `(values, candidates)` pair — invalidation is simply
-    /// the rebuild), then shared read-only by the sequential path, every
-    /// parallel worker, and each rank.
+    /// the rebuild), then shared read-only by every rank and worker.
     norms: Vec<f64>,
     norm_off: Vec<u32>,
 }
@@ -133,12 +141,11 @@ pub(crate) struct RraScratch {
 impl RraScratch {
     /// Capacities of every reusable buffer, for allocation-stability
     /// assertions on a warmed-up workspace.
-    pub(crate) fn capacity_signature(&self) -> [usize; 7] {
+    pub(crate) fn capacity_signature(&self) -> [usize; 6] {
         [
             self.outer.capacity(),
             self.inner.capacity(),
             self.active.capacity(),
-            self.completed.capacity(),
             self.sib_pairs.capacity(),
             self.stats.capacity(),
             self.norms.capacity().max(self.norm_off.capacity()),
@@ -178,6 +185,17 @@ fn build_norm_cache(
 #[inline]
 fn cached_norm<'a>(norms: &'a [f64], norm_off: &[u32], i: usize) -> &'a [f64] {
     &norms[norm_off[i] as usize..norm_off[i + 1] as usize]
+}
+
+/// Rebuilds the sibling index (see [`RraScratch`]) into `pairs`.
+fn build_sibling_pairs(candidates: &[RuleInterval], pairs: &mut Vec<(RuleId, u32)>) {
+    pairs.clear();
+    for (i, c) in candidates.iter().enumerate() {
+        if let Some(r) = c.rule {
+            pairs.push((r, i as u32));
+        }
+    }
+    pairs.sort_unstable();
 }
 
 /// The sorted-pairs sibling lookup: all candidates of `rule`, ascending.
@@ -221,14 +239,14 @@ fn eligible(
 
 /// One outer candidate's full inner search: records the Visited event,
 /// runs the siblings-first then shared-random-order phases with pruning
-/// against `bound()`, and records the outcome event plus the
-/// pruned/completed counter. Returns `(nearest, pruned)`.
+/// against the rank's shared best-so-far `bound`, and records the outcome
+/// event plus the pruned/completed counter. Returns `(nearest, pruned)`.
 ///
-/// `bound` is read after every evaluation: the sequential path passes the
-/// rank's best-so-far (constant during one candidate), the parallel path
-/// reads the shared atomic so workers prune against each other's results.
+/// `bound` is read after every evaluation, so workers prune against each
+/// other's completed candidates as soon as they land. `inner_span` is the
+/// worker's `rra-inner` node, `None` when the search is untimed.
 #[allow(clippy::too_many_arguments)]
-fn scan_candidate<F: Fn() -> f64>(
+fn scan_candidate(
     candidates: &[RuleInterval],
     norms: &[f64],
     norm_off: &[u32],
@@ -236,14 +254,14 @@ fn scan_candidate<F: Fn() -> f64>(
     sib_pairs: &[(RuleId, u32)],
     inner: &[usize],
     options: SearchOptions,
-    bound: F,
+    bound: &AtomicU64,
     local: &LocalRecorder,
-    detail: bool,
-    timing: bool,
     inner_span: Option<SpanId>,
 ) -> (f64, bool) {
     let p = &candidates[pi];
     let p_len = p.interval.len();
+    let detail = local.detailed();
+    let best_so_far = || f64::from_bits(bound.load(Ordering::Relaxed));
     local.incr(Counter::RraCandidates);
     let calls_before = local.counter(Counter::DistanceCalls);
     if detail {
@@ -261,7 +279,7 @@ fn scan_candidate<F: Fn() -> f64>(
 
     let mut nearest = f64::INFINITY;
     let mut pruned = false;
-    let inner_timer = SpanTimer::start_at(timing, inner_span);
+    let inner_timer = SpanTimer::start_at(inner_span.is_some(), inner_span);
 
     // Inner phase 1: same-rule siblings.
     if options.siblings_first {
@@ -282,7 +300,7 @@ fn scan_candidate<F: Fn() -> f64>(
                     &mut nearest,
                     options.early_abandon,
                 );
-                if nearest < bound() {
+                if nearest < best_so_far() {
                     pruned = true;
                     break;
                 }
@@ -311,7 +329,7 @@ fn scan_candidate<F: Fn() -> f64>(
                 &mut nearest,
                 options.early_abandon,
             );
-            if nearest < bound() {
+            if nearest < best_so_far() {
                 pruned = true;
                 break;
             }
@@ -376,30 +394,24 @@ pub(crate) fn search_in<R: Recorder>(
     // The search-local tally only keeps decision-level detail (events,
     // histograms, per-call timings) when the caller's sink wants it;
     // otherwise it only counts — no clock reads on the distance path.
-    let detail = recorder.detailed();
-    let local = LocalRecorder::with_detail(detail);
+    let local = LocalRecorder::with_detail(recorder.detailed());
     let timing = recorder.enabled();
     // Spans accumulate in `local` (rooted at rra-outer) and are grafted
     // under the caller's `parent` at the final merge. The inner node is
-    // resolved up front on both the sequential and parallel paths so the
-    // tree *shape* is identical for every thread count, even when a rank
-    // scans zero candidates.
+    // resolved up front so the tree's *shape* is the same for every
+    // thread count, even when a rank scans zero candidates.
     let outer_timer = SpanTimer::start_if(timing, &local, None, Stage::RraOuter);
     let outer_span = outer_timer.span();
-    let inner_span = if timing {
-        local.span_id(outer_span, Stage::RraInner)
-    } else {
-        None
-    };
+    if timing {
+        local.span_id(outer_span, Stage::RraInner);
+    }
     let mut rng = StdRng::seed_from_u64(seed);
     let n = candidates.len();
-    let threads = threads.max(1);
 
     let RraScratch {
         outer,
         inner,
         active,
-        completed,
         sib_pairs,
         stats,
         norms,
@@ -421,14 +433,7 @@ pub(crate) fn search_in<R: Recorder>(
         outer.sort_by_key(|&i| candidates[i].frequency);
     }
 
-    // Sibling pairs per rule (sorted: rule, then original candidate order).
-    sib_pairs.clear();
-    for (i, c) in candidates.iter().enumerate() {
-        if let Some(r) = c.rule {
-            sib_pairs.push((r, i as u32));
-        }
-    }
-    sib_pairs.sort_unstable();
+    build_sibling_pairs(candidates, sib_pairs);
 
     // Shared random order for the "rest" phase of the inner loop.
     inner.clear();
@@ -438,17 +443,10 @@ pub(crate) fn search_in<R: Recorder>(
     let mut found: Vec<DiscordRecord> = Vec::new();
 
     for rank in 0..k {
-        let selected = if threads > 1 {
-            parallel_rank(
-                candidates, norms, norm_off, outer, inner, active, completed, sib_pairs, &found,
-                options, threads, &local, detail, timing, outer_span,
-            )
-        } else {
-            sequential_rank(
-                candidates, norms, norm_off, outer, inner, sib_pairs, &found, options, &local,
-                detail, timing, inner_span,
-            )
-        };
+        let selected = search_rank(
+            candidates, norms, norm_off, outer, inner, active, sib_pairs, &found, options, threads,
+            &local, outer_span,
+        );
         match selected {
             Some((pi, distance)) => found.push(DiscordRecord {
                 position: candidates[pi].interval.start,
@@ -474,79 +472,23 @@ pub(crate) fn search_in<R: Recorder>(
     })
 }
 
-/// One rank of the sequential search: Algorithm 1's outer loop with the
-/// running best-so-far as the prune bound. Returns the winning candidate
-/// index and its NN distance.
+/// One rank of Algorithm 1 at any thread count (see the module docs).
+/// Each worker counts into its own recorder, merged into `local` under
+/// `outer_span` in worker order. Returns the winning candidate index and
+/// its NN distance.
 #[allow(clippy::too_many_arguments)]
-fn sequential_rank(
-    candidates: &[RuleInterval],
-    norms: &[f64],
-    norm_off: &[u32],
-    outer: &[usize],
-    inner: &[usize],
-    sib_pairs: &[(RuleId, u32)],
-    found: &[DiscordRecord],
-    options: SearchOptions,
-    local: &LocalRecorder,
-    detail: bool,
-    timing: bool,
-    inner_span: Option<SpanId>,
-) -> Option<(usize, f64)> {
-    let mut best_dist = -1.0f64;
-    let mut best: Option<usize> = None;
-    for &pi in outer {
-        if !eligible(candidates, pi, sib_pairs, found) {
-            continue;
-        }
-        let bound = best_dist;
-        let (nearest, pruned) = scan_candidate(
-            candidates,
-            norms,
-            norm_off,
-            pi,
-            sib_pairs,
-            inner,
-            options,
-            || bound,
-            local,
-            detail,
-            timing,
-            inner_span,
-        );
-        if pruned {
-            continue;
-        }
-        if nearest.is_finite() && nearest > best_dist {
-            best_dist = nearest;
-            best = Some(pi);
-        }
-    }
-    best.map(|pi| (pi, best_dist))
-}
-
-/// One rank of the parallel search: the eligibility-filtered outer order
-/// is striped round-robin across scoped workers that share a monotone-max
-/// prune bound (f64 bits in an `AtomicU64`). Completed candidates with a
-/// finite nearest are collected and merged deterministically: maximum
-/// distance first, ties broken toward the earliest outer position —
-/// reproducing the sequential first-wins rule bit-for-bit (see the module
-/// docs for the argument).
-#[allow(clippy::too_many_arguments)]
-fn parallel_rank(
+fn search_rank(
     candidates: &[RuleInterval],
     norms: &[f64],
     norm_off: &[u32],
     outer: &[usize],
     inner: &[usize],
     active: &mut Vec<u32>,
-    completed: &mut Vec<(u32, f64)>,
     sib_pairs: &[(RuleId, u32)],
     found: &[DiscordRecord],
     options: SearchOptions,
     threads: usize,
     local: &LocalRecorder,
-    detail: bool,
-    timing: bool,
     outer_span: Option<SpanId>,
 ) -> Option<(usize, f64)> {
     active.clear();
@@ -557,96 +499,48 @@ fn parallel_rank(
             .filter(|&pi| eligible(candidates, pi, sib_pairs, found))
             .map(|pi| pi as u32),
     );
-    completed.clear();
     if active.is_empty() {
         return None;
     }
-    let threads = threads.min(active.len());
-    let bound = AtomicU64::new((-1.0f64).to_bits());
-    let active_ref: &[u32] = active;
-    let inner_ref: &[usize] = inner;
-    let sib_ref: &[(RuleId, u32)] = sib_pairs;
-    let norms_ref: &[f64] = norms;
-    let off_ref: &[u32] = norm_off;
+    let workers = threads.clamp(1, active.len());
+    let active: &[u32] = active;
+    let bound = AtomicU64::new(0.0f64.to_bits());
+    let detail = local.detailed();
 
-    let worker_results: Vec<(LocalRecorder, Vec<(u32, f64)>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let bound = &bound;
-                s.spawn(move || {
-                    let wlocal = LocalRecorder::with_detail(detail);
-                    // SpanIds are per-recorder: each worker roots its own
-                    // rra-inner node in `wlocal`; the graft under the
-                    // search's rra-outer happens at merge time, where the
-                    // `(parent, stage)` key folds every worker's node into
-                    // one — the thread-count-invariant tree contract.
-                    let wspan = if timing {
-                        wlocal.span_id(None, Stage::RraInner)
-                    } else {
-                        None
-                    };
-                    let mut wcompleted: Vec<(u32, f64)> = Vec::new();
-                    for (ai, &pi32) in active_ref.iter().enumerate().skip(t).step_by(threads) {
-                        let (nearest, pruned) = scan_candidate(
-                            candidates,
-                            norms_ref,
-                            off_ref,
-                            pi32 as usize,
-                            sib_ref,
-                            inner_ref,
-                            options,
-                            || f64::from_bits(bound.load(Ordering::Relaxed)),
-                            &wlocal,
-                            detail,
-                            timing,
-                            wspan,
-                        );
-                        // Only finite, fully-searched distances may enter
-                        // the shared bound or the result set: a candidate
-                        // with no admissible match has an infinite nearest
-                        // and must never win (or poison the bound).
-                        if !pruned && nearest.is_finite() {
-                            wcompleted.push((ai as u32, nearest));
-                            let bits = nearest.to_bits();
-                            let mut cur = bound.load(Ordering::Relaxed);
-                            while f64::from_bits(cur) < nearest {
-                                match bound.compare_exchange_weak(
-                                    cur,
-                                    bits,
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                ) {
-                                    Ok(_) => break,
-                                    Err(now) => cur = now,
-                                }
-                            }
-                        }
-                    }
-                    (wlocal, wcompleted)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rra worker panicked"))
-            .collect()
+    let results = fan_out(workers, |t| {
+        let wlocal = LocalRecorder::with_detail(detail);
+        // SpanIds are per-recorder: each worker roots its own rra-inner
+        // node in `wlocal` (only when the search is timed), and the merge
+        // under rra-outer folds them into the node `search_in` resolved.
+        let wspan = outer_span.and_then(|_| wlocal.span_id(None, Stage::RraInner));
+        let mut best: Option<(u32, f64)> = None;
+        for (ai, &pi) in active.iter().enumerate().skip(t).step_by(workers) {
+            let pi = pi as usize;
+            let (nearest, pruned) = scan_candidate(
+                candidates, norms, norm_off, pi, sib_pairs, inner, options, &bound, &wlocal, wspan,
+            );
+            // Only finite, fully-searched distances may enter the bound or
+            // win: a candidate with no admissible match has an infinite
+            // nearest.
+            if !pruned && nearest.is_finite() {
+                if best.is_none_or(|(_, bn)| nearest > bn) {
+                    best = Some((ai as u32, nearest));
+                }
+                bound.fetch_max(nearest.to_bits(), Ordering::Relaxed);
+            }
+        }
+        (wlocal, best)
     });
 
-    for (wlocal, wcompleted) in worker_results {
-        wlocal.merge_into_under(local, outer_span);
-        completed.extend(wcompleted);
-    }
-
-    // Deterministic merge: maximum nearest, ties to the earliest outer
-    // position — the sequential strict-`>` first-wins rule.
+    // Larger nearest wins; ties go to the lower active index, i.e. the
+    // earlier outer position.
     let mut best: Option<(u32, f64)> = None;
-    for &(ai, nearest) in completed.iter() {
-        let better = match best {
-            None => true,
-            Some((bai, bn)) => nearest > bn || (nearest == bn && ai < bai),
-        };
-        if better {
-            best = Some((ai, nearest));
+    for (wlocal, wbest) in results {
+        wlocal.merge_into_under(local, outer_span);
+        if let Some((ai, nearest)) = wbest {
+            if best.is_none_or(|(bai, bn)| nearest > bn || (nearest == bn && ai < bai)) {
+                best = Some((ai, nearest));
+            }
         }
     }
     best.map(|(ai, d)| (active[ai as usize] as usize, d))
@@ -775,12 +669,8 @@ pub fn reference_rank(
     candidates: &[RuleInterval],
     found: &[DiscordRecord],
 ) -> Option<(Interval, f64)> {
-    let mut sib_pairs: Vec<(RuleId, u32)> = candidates
-        .iter()
-        .enumerate()
-        .filter_map(|(i, c)| c.rule.map(|r| (r, i as u32)))
-        .collect();
-    sib_pairs.sort_unstable();
+    let mut sib_pairs = Vec::new();
+    build_sibling_pairs(candidates, &mut sib_pairs);
     let stats = SeriesStats::new(values);
     let mut bufs = EvalBufs::default();
     let mut best: Option<(usize, f64)> = None;
@@ -808,25 +698,18 @@ pub fn nn_distance_profile(values: &[f64], candidates: &[RuleInterval]) -> Vec<(
     // One prefix build and one reusable buffer set for the whole profile
     // — the same statistics source as the search, so profile maxima and
     // search results agree bit for bit.
+    let mut sib_pairs = Vec::new();
+    build_sibling_pairs(candidates, &mut sib_pairs);
     let stats = SeriesStats::new(values);
     let mut bufs = EvalBufs::default();
     let mut out = Vec::with_capacity(candidates.len());
-    for (pi, p) in candidates.iter().enumerate() {
-        if p.interval.is_empty() {
+    for pi in 0..candidates.len() {
+        if !eligible(candidates, pi, &sib_pairs, &[]) {
             continue;
-        }
-        if let Some(r) = p.rule {
-            let has_admissible_sibling = candidates
-                .iter()
-                .enumerate()
-                .any(|(qi, q)| qi != pi && q.rule == Some(r) && admissible(p, q));
-            if !has_admissible_sibling {
-                continue;
-            }
         }
         let nearest = reference_nn_with(values, candidates, pi, &stats, &mut bufs);
         if nearest.is_finite() {
-            out.push((p.interval, nearest));
+            out.push((candidates[pi].interval, nearest));
         }
     }
     out

@@ -428,7 +428,8 @@ impl StreamingDetector {
 
     /// Rebuilds the curve over the retained region from a fresh grammar
     /// snapshot — the fallback when a journal event had no resolvable
-    /// position. O(horizon + occurrences), never O(stream).
+    /// position. Each occurrence goes through `apply_span`, the one
+    /// clipping rule. O(horizon + occurrences), never O(stream).
     fn recount_curve(&mut self) {
         self.curve_dirty = false;
         self.density_recounts += 1;
@@ -436,19 +437,9 @@ impl StreamingDetector {
             *c = 0;
         }
         let grammar = self.sequitur.snapshot();
-        let tail = self.horizon_start();
-        let window = self.config.window();
         for occ in grammar.occurrences() {
-            let start_pt = self.records[occ.token_start].offset;
-            let end_pt = self.records[occ.token_start + occ.token_len - 1].offset + window;
-            if end_pt <= tail {
-                continue;
-            }
-            let lo = start_pt.max(tail) - tail;
-            let hi = end_pt.min(self.seen) - tail;
-            for c in &mut self.curve.as_mut_slice()[lo..hi] {
-                *c += 1;
-            }
+            let token_start = self.tokens_dropped + occ.token_start as u64;
+            self.apply_span(token_start, occ.token_len as u64, 1);
         }
     }
 

@@ -14,7 +14,7 @@ use gv_timeseries::Interval;
 use serde::{Deserialize, Serialize};
 
 use crate::config::PipelineConfig;
-use crate::engine::{DensityDetector, EngineConfig, RraDetector};
+use crate::engine::{fan_out, DensityDetector, EngineConfig, RraDetector};
 use crate::error::Result;
 use crate::workspace::Workspace;
 
@@ -76,14 +76,14 @@ impl SweepGrid {
 /// ground-truth anomaly interval; a detector "hits" when its top report
 /// overlaps the truth widened by `slack` points.
 ///
-/// Grid points are striped over `threads` scoped workers (at least one);
-/// points come back in the serial `(window, paa, alphabet)` order
-/// whatever the thread count. Every point's pipeline stages and search
-/// counters accumulate into `recorder`: workers record into worker-local
-/// recorders that are merged into it after the join, in worker order, so
-/// counter totals and the span-tree shape do not depend on `threads`
-/// (span *times* are summed across workers and so exceed wall-clock time
-/// under parallelism).
+/// Grid points are striped over `threads` workers (at least one; see
+/// `engine::fan_out`); points come back in the serial `(window, paa,
+/// alphabet)` order whatever the thread count. Every point's pipeline
+/// stages and search counters accumulate into `recorder`: workers record
+/// into worker-local recorders that are merged into it after the join,
+/// in worker order, so counter totals and the span-tree shape do not
+/// depend on `threads` (span *times* are summed across workers and so
+/// exceed wall-clock time under parallelism).
 pub fn run(
     values: &[f64],
     truth: Interval,
@@ -112,39 +112,30 @@ pub fn run(
     // disabled sink gets no worker recorder at all, so the clock stays
     // unread.
     let (enabled, detailed) = (recorder.enabled(), recorder.detailed());
-    let mut out = Vec::with_capacity(combos.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let combos = &combos;
-                scope.spawn(move || {
-                    let local = enabled.then(|| LocalRecorder::with_detail(detailed));
-                    let sink: &dyn Recorder = match &local {
-                        Some(local) => local,
-                        None => &NoopRecorder,
-                    };
-                    // One workspace per worker: buffers warm up once and
-                    // are reused across every grid point this worker owns.
-                    let mut ws = Workspace::new();
-                    let mut mine = Vec::new();
-                    for (i, &(w, p, a)) in combos.iter().enumerate().skip(t).step_by(threads) {
-                        if let Ok(point) = evaluate_one(values, wide_truth, w, p, a, &mut ws, sink)
-                        {
-                            mine.push((i, point));
-                        }
-                    }
-                    (local, mine)
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (local, mine) = handle.join().expect("sweep worker panicked");
-            if let Some(local) = local {
-                local.merge_into(&recorder);
+    let results = fan_out(threads, |t| {
+        let local = enabled.then(|| LocalRecorder::with_detail(detailed));
+        let sink: &dyn Recorder = match &local {
+            Some(local) => local,
+            None => &NoopRecorder,
+        };
+        // One workspace per worker: buffers warm up once and are reused
+        // across every grid point this worker owns.
+        let mut ws = Workspace::new();
+        let mut mine = Vec::new();
+        for (i, &(w, p, a)) in combos.iter().enumerate().skip(t).step_by(threads) {
+            if let Ok(point) = evaluate_one(values, wide_truth, w, p, a, &mut ws, sink) {
+                mine.push((i, point));
             }
-            out.extend(mine);
         }
+        (local, mine)
     });
+    let mut out = Vec::with_capacity(combos.len());
+    for (local, mine) in results {
+        if let Some(local) = local {
+            local.merge_into(&recorder);
+        }
+        out.extend(mine);
+    }
     // Restore the serial ordering so callers see deterministic output.
     out.sort_unstable_by_key(|&(i, _)| i);
     out.into_iter().map(|(_, point)| point).collect()

@@ -1,7 +1,7 @@
 //! `forbid-unsafe`: every crate root forbids unsafe code.
 //!
 //! The workspace is pure safe Rust — even the parallel RRA's shared
-//! lower bound is a *safe* `AtomicU64` CAS loop, so no module currently
+//! lower bound is a *safe* `AtomicU64::fetch_max`, so no module currently
 //! needs an exception. `#![forbid(unsafe_code)]` at each crate root makes
 //! that a compile-time guarantee rather than a habit; this rule makes
 //! removing the attribute a CI failure. A root listed in

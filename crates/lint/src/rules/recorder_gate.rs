@@ -3,9 +3,9 @@
 //! PR 2's level-2 telemetry (histograms, event rings) is free only
 //! because every emit is gated on `Recorder::detailed()` — a
 //! compile-time `false` for `NoopRecorder`. An ungated `record_event` /
-//! `record_value` / `record_histogram` call in a library crate pays for
-//! event construction even when nobody is listening, and on the distance
-//! path that is a per-call cost.
+//! `record_value` / `record_histogram` / `record_events` call in a
+//! library crate pays for event construction even when nobody is
+//! listening, and on the distance path that is a per-call cost.
 //!
 //! The check is lexical: an emit call must have an enclosing `fn` whose
 //! body mentions the gate before the call site — `detailed` (a direct
@@ -18,7 +18,12 @@ use crate::source::{enclosing_fn_start, FileKind, SourceFile};
 use crate::violation::{LintViolation, RuleId};
 
 /// Emit methods that are only meaningful under `detailed()`.
-const GATED_METHODS: &[&str] = &["record_value", "record_event", "record_histogram"];
+const GATED_METHODS: &[&str] = &[
+    "record_value",
+    "record_event",
+    "record_histogram",
+    "record_events",
+];
 
 /// Idents accepted as evidence of the gate within the enclosing fn.
 const GATE_IDENTS: &[&str] = &["detailed", "detail", "armed"];

@@ -157,6 +157,16 @@ impl EventRing {
         self.recorded += 1;
     }
 
+    /// Pushes every event `other` holds, oldest first, and carries over
+    /// the events `other` dropped, so [`EventRing::recorded`] grows by
+    /// `other.recorded()`: a merged ring keeps its source's drop count.
+    pub fn absorb(&mut self, other: &EventRing) {
+        for event in other.iter() {
+            self.push(*event);
+        }
+        self.recorded += other.dropped();
+    }
+
     /// Number of events currently held.
     pub fn len(&self) -> usize {
         self.buf.len()

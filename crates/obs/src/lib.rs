@@ -109,5 +109,5 @@ pub use recorder::{NoopRecorder, Recorder};
 pub use span::{Span, SpanId, SpanSet, SpanTree};
 pub use stage::{Counter, Metric, Stage};
 pub use timer::{DetailTimer, SpanTimer, Stopwatch};
-pub use trace::{PipelineTrace, SCHEMA_VERSION};
+pub use trace::{format_json_f64, PipelineTrace, SCHEMA_VERSION};
 pub use window::{WindowStats, WindowedAggregator};

@@ -97,9 +97,9 @@ impl LocalRecorder {
 
     /// Folds this recorder's totals into another recorder — sums for
     /// ordinary counters, max for high-water marks, grafted spans, merges
-    /// for histograms, replayed pushes for events. Used to publish a hot
-    /// loop's local tallies to the caller's sink once, at the loop
-    /// boundary.
+    /// for histograms, the whole event ring with its drop count. Used to
+    /// publish a hot loop's local tallies to the caller's sink once, at
+    /// the loop boundary.
     pub fn merge_into<R: Recorder>(&self, target: &R) {
         self.merge_into_under(target, None);
     }
@@ -130,9 +130,7 @@ impl LocalRecorder {
                     target.record_histogram(m, h);
                 }
             }
-            for event in self.events.borrow().iter() {
-                target.record_event(*event);
-            }
+            target.record_events(&self.events.borrow());
         }
     }
 
@@ -190,6 +188,13 @@ impl Recorder for LocalRecorder {
     fn record_histogram(&self, metric: Metric, histogram: &Histogram) {
         if self.detailed {
             self.histograms.borrow_mut()[metric.index()].merge(histogram);
+        }
+    }
+
+    #[inline]
+    fn record_events(&self, events: &EventRing) {
+        if self.detailed {
+            self.events.borrow_mut().absorb(events);
         }
     }
 
@@ -281,6 +286,25 @@ mod tests {
         // Counters still work.
         rec.incr(Counter::DistanceCalls);
         assert_eq!(rec.counter(Counter::DistanceCalls), 1);
+    }
+
+    #[test]
+    fn merge_carries_the_event_ring_drop_count() {
+        let capacity = EventRing::DEFAULT_CAPACITY;
+        let src = LocalRecorder::new();
+        for i in 0..capacity + 10 {
+            src.record_event(Event {
+                position: i as u64,
+                ..Event::new(EventKind::Abandoned)
+            });
+        }
+        let dst = LocalRecorder::new();
+        src.merge_into(&dst);
+        let events = dst.events();
+        assert_eq!(events.recorded(), capacity as u64 + 10);
+        assert_eq!(events.dropped(), 10);
+        // The ring keeps the newest events.
+        assert_eq!(events.iter().next().map(|e| e.position), Some(10));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The [`Recorder`] trait and the zero-cost [`NoopRecorder`].
 
-use crate::event::Event;
+use crate::event::{Event, EventRing};
 use crate::histogram::Histogram;
 use crate::span::{SpanId, SpanSet};
 use crate::stage::{Counter, Metric, Stage};
@@ -47,6 +47,11 @@ pub trait Recorder {
     /// Merges a whole pre-aggregated histogram into a value histogram
     /// (used when a loop-local recorder publishes to a caller's sink).
     fn record_histogram(&self, metric: Metric, histogram: &Histogram);
+
+    /// Appends a whole event ring — its held events and its drop count
+    /// ([`EventRing::absorb`]) — when a loop-local recorder publishes to a
+    /// caller's sink.
+    fn record_events(&self, events: &EventRing);
 
     /// Finds or creates the span-tree node for `stage` under `parent`
     /// (`None` = a root span) and returns its handle, or `None` when this
@@ -122,6 +127,11 @@ impl<R: Recorder + ?Sized> Recorder for &R {
     }
 
     #[inline]
+    fn record_events(&self, events: &EventRing) {
+        (**self).record_events(events);
+    }
+
+    #[inline]
     fn span_id(&self, parent: Option<SpanId>, stage: Stage) -> Option<SpanId> {
         (**self).span_id(parent, stage)
     }
@@ -168,6 +178,9 @@ impl Recorder for NoopRecorder {
     fn record_histogram(&self, _metric: Metric, _histogram: &Histogram) {}
 
     #[inline(always)]
+    fn record_events(&self, _events: &EventRing) {}
+
+    #[inline(always)]
     fn span_id(&self, _parent: Option<SpanId>, _stage: Stage) -> Option<SpanId> {
         None
     }
@@ -195,6 +208,7 @@ mod tests {
         rec.record_value(crate::Metric::CandidateLen, 7);
         rec.record_event(crate::Event::new(crate::EventKind::Visited));
         rec.record_histogram(crate::Metric::AbandonPos, &crate::Histogram::new());
+        rec.record_events(&EventRing::new());
         assert_eq!(rec.span_id(None, Stage::Detect), None);
     }
 

@@ -277,12 +277,12 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// Formats a finite float as a JSON number token (floats here are ratios
-/// and means, so `{}`'s shortest round-trip form is always a valid token,
-/// modulo an integer-looking `0`/`1`). JSON has no NaN/Infinity tokens, so
+/// Formats a finite float as a JSON number token (`{}`'s shortest
+/// round-trip form is always a valid token, modulo an integer-looking
+/// `0`/`1`, which gains a `.0`). JSON has no NaN/Infinity tokens, so
 /// non-finite inputs — which only a misusing caller can produce — are
 /// coerced to `0.0`, loudly in debug builds.
-pub(crate) fn format_json_f64(x: f64) -> String {
+pub fn format_json_f64(x: f64) -> String {
     if !x.is_finite() {
         debug_assert!(x.is_finite(), "non-finite value {x} fed to JSON encoder");
         return "0.0".to_string();
