@@ -70,6 +70,10 @@ fn main() {
         assert_eq!(run_pass(values, &config), points);
         let mut best_ns = u64::MAX;
         for _ in 0..REPS {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "bench binaries exist to measure wall time"
+            )]
             let t0 = Instant::now();
             run_pass(values, &config);
             best_ns = best_ns.min(t0.elapsed().as_nanos() as u64);

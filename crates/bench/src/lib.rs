@@ -6,7 +6,6 @@
 //! check. Performance is measured by the repository benchmark in
 //! `gvbench/`, not here.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod report;

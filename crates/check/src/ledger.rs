@@ -109,7 +109,7 @@ pub fn scan_records(records: &[ParsedLedger]) -> LedgerReport {
     type RunKey = (String, u64, u64, u64, u64);
     /// Result digests seen within one group, each with its producing SHAs.
     type DigestShas = BTreeMap<u64, Vec<String>>;
-    // BTreeMap: deterministic group and issue order (no-nondeterminism).
+    // BTreeMap: deterministic group and issue order.
     let mut groups: BTreeMap<RunKey, DigestShas> = BTreeMap::new();
     for r in records {
         groups

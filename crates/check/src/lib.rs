@@ -30,7 +30,7 @@
 //! through all of it with a vendored, seeded PRNG; `gv check` exposes the
 //! same report on a user series.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod ledger;

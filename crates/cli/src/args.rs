@@ -1,6 +1,6 @@
 //! A tiny `--flag value` argument parser (no external dependencies).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Options that are switches, not `--key value` pairs: their presence
 /// alone means "on", so the parser must not consume the next token.
@@ -11,7 +11,7 @@ pub(crate) const BOOL_FLAGS: &[&str] = &["trace", "timing", "fail-on-breach"];
 pub struct Args {
     /// The subcommand (first non-flag argument).
     pub command: Option<String>,
-    options: HashMap<String, String>,
+    options: BTreeMap<String, String>,
 }
 
 impl Args {
@@ -83,9 +83,8 @@ impl Args {
     /// distance, the message suggests it ("did you mean --window?"), so a
     /// typo doesn't silently fall back to a default value.
     pub fn validate(&self, command: &str, allowed: &[&str]) -> Result<(), String> {
-        let mut keys: Vec<&str> = self.options.keys().map(String::as_str).collect();
-        keys.sort_unstable(); // HashMap order is random; keep errors deterministic
-        for key in keys {
+        // Sorted key order keeps the first reported unknown option deterministic.
+        for key in self.options.keys().map(String::as_str) {
             if allowed.contains(&key) {
                 continue;
             }

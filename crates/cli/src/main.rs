@@ -13,7 +13,6 @@
 //! column). The `density` and `rra` subcommands replace the two anomaly
 //! panes of the GrammarViz 2.0 GUI (paper Figures 11–12).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::process::ExitCode;

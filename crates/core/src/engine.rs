@@ -90,6 +90,10 @@ pub(crate) fn fan_out<T: Send>(workers: usize, work: impl Fn(usize) -> T + Sync)
         let handles: Vec<_> = (1..workers).map(|t| scope.spawn(move || work(t))).collect();
         let mut results = vec![work(0)];
         for handle in handles {
+            #[expect(
+                clippy::expect_used,
+                reason = "scoped-thread join in fan_out, the one place gv-core spawns threads (RRA ranks and the parameter sweep): propagating a worker panic is the only sound behavior; a rank or sweep missing one worker's share would be silently wrong"
+            )]
             results.push(handle.join().expect("worker thread panicked"));
         }
         results

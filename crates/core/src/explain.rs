@@ -225,7 +225,9 @@ impl ExplainReport {
     }
 
     /// Renders the human-readable provenance table — the CLI's `explain`
-    /// output.
+    /// output. Every number in it is a pure function of the input, so the
+    /// bytes are deterministic; the wall-clock distance timings stay in
+    /// [`ExplainReport::summary_jsonl`] (`distance_ns`).
     pub fn render_table(&self) -> String {
         let mut out = String::with_capacity(1024);
         let _ = writeln!(
@@ -274,16 +276,6 @@ impl ExplainReport {
                 row.distance_calls,
                 row.min_density,
                 row.word.as_deref().unwrap_or("-")
-            );
-        }
-        if !self.distance_ns.is_empty() {
-            let _ = writeln!(
-                out,
-                "  distance call ns: p50 {}  p90 {}  p99 {}  max {}",
-                self.distance_ns.p50(),
-                self.distance_ns.p90(),
-                self.distance_ns.p99(),
-                self.distance_ns.max()
             );
         }
         if !self.abandon_pos.is_empty() {
@@ -371,7 +363,7 @@ mod tests {
         let table = explain.render_table();
         assert!(table.contains("rank"));
         assert!(table.contains("density"));
-        assert!(table.contains("distance call ns"));
+        assert!(table.contains("abandon position"));
         let row = explain.rows[0].to_jsonl();
         assert!(row.starts_with("{\"schema\":4,\"type\":\"explain\""));
         for key in [
@@ -393,5 +385,22 @@ mod tests {
         assert!(summary.starts_with("{\"schema\":4,\"type\":\"explain_summary\""));
         assert!(summary.contains("\"distance_ns\":{\"count\":"));
         assert!(summary.contains("\"abandon_pos\":{\"count\":"));
+    }
+
+    #[test]
+    fn table_does_not_print_wall_clock_timings() {
+        // Two runs on one input read different distance-call nanoseconds;
+        // the table must not change with them, or default stdout is not
+        // deterministic. The `--events` summary keeps the histogram.
+        let (mut explain, _) = explained(1);
+        let table = explain.render_table();
+        let summary = explain.summary_jsonl();
+        let mut slower = Histogram::default();
+        for _ in 0..explain.distance_ns.count() {
+            slower.record(1_000_000);
+        }
+        explain.distance_ns = slower;
+        assert_eq!(explain.render_table(), table);
+        assert_ne!(explain.summary_jsonl(), summary);
     }
 }

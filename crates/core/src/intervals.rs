@@ -148,8 +148,8 @@ mod tests {
         let counts = m.grammar.occurrence_counts();
         // Every rule with occurrences contributes exactly that many
         // candidates.
-        use std::collections::HashMap;
-        let mut per_rule: HashMap<RuleId, usize> = HashMap::new();
+        use std::collections::BTreeMap;
+        let mut per_rule: BTreeMap<RuleId, usize> = BTreeMap::new();
         for c in &cands {
             if let Some(r) = c.rule {
                 *per_rule.entry(r).or_insert(0) += 1;

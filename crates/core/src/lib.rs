@@ -49,7 +49,7 @@
 //! assert!(!rra.discords.is_empty());
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 mod config;

@@ -882,7 +882,7 @@ mod tests {
         // the report should not all equal the window.
         let v = planted();
         let cands = candidates_from(&v, 100, 5, 4);
-        let lens: std::collections::HashSet<usize> =
+        let lens: std::collections::BTreeSet<usize> =
             cands.iter().map(|c| c.interval.len()).collect();
         assert!(lens.len() > 3, "only lengths {lens:?}");
     }

@@ -21,7 +21,7 @@
 //! assert_eq!(data.anomalies.len(), 1); // one premature beat
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 mod dataset;

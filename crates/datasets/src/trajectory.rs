@@ -217,8 +217,11 @@ pub fn generate(params: TrajectoryParams) -> TrajectoryData {
         let _ = rng.gen::<u32>(); // day separator draw keeps streams aligned
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the synthetic generator always emits >= 2 distinct points, so the bounding box cannot degenerate"
+    )]
     let mapper = TrajectoryMapper::fitting(params.hilbert_order, &points)
-        // gv-lint: allow(no-unwrap-in-lib) the synthetic generator always emits >= 2 distinct points, so the bounding box cannot degenerate
         .expect("commute track always spans a non-degenerate box");
     let series = mapper.transform(&points);
     let mut series = series;
@@ -289,11 +292,11 @@ mod tests {
             .interval;
         // Curve indexes inside the detour that appear nowhere else.
         let vals = t.dataset.series.values();
-        let inside: std::collections::HashSet<u64> = vals[detour.start..detour.end]
+        let inside: std::collections::BTreeSet<u64> = vals[detour.start..detour.end]
             .iter()
             .map(|&v| v as u64)
             .collect();
-        let outside: std::collections::HashSet<u64> = vals[..detour.start]
+        let outside: std::collections::BTreeSet<u64> = vals[..detour.start]
             .iter()
             .chain(&vals[detour.end..])
             .map(|&v| v as u64)

@@ -164,9 +164,11 @@ pub fn hotsax_discords(
     bucket_of.resize(count, 0);
     let mut buckets: Vec<Vec<u32>> = Vec::new();
     {
-        // gv-lint: allow(no-nondeterminism) bucket ids are assigned in record order and the map is never iterated
+        #[expect(
+            clippy::disallowed_types,
+            reason = "bucket ids are assigned in record order and the map is never iterated"
+        )]
         let mut index: std::collections::HashMap<&gv_sax::SaxWord, u32> =
-            // gv-lint: allow(no-nondeterminism) second half of the same lookup-only declaration
             std::collections::HashMap::new();
         for rec in records {
             let id = *index.entry(&rec.word).or_insert_with(|| {

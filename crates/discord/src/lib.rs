@@ -33,7 +33,7 @@
 //! assert!(stats.distance_calls > 0);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 mod brute;

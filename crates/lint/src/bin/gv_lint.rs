@@ -3,23 +3,20 @@
 //! exits non-zero on any violation.
 //!
 //! ```text
-//! gv_lint [--root PATH] [--format text|sarif] [--prune-baseline]
+//! gv_lint [--root PATH] [--format text|sarif]
 //! ```
 //!
 //! With no `--root`, walks upward from the current directory to the first
 //! `Cargo.toml` declaring `[workspace]` — so it runs identically from the
-//! repo root, a crate directory, or a CI checkout. `--prune-baseline`
-//! first rewrites `lint.toml` with the entries that no longer match any
-//! finding removed.
+//! repo root, a crate directory, or a CI checkout.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 /// Parsed command line.
 struct Cli {
     root: Option<PathBuf>,
     sarif: bool,
-    prune: bool,
 }
 
 fn main() -> ExitCode {
@@ -50,14 +47,8 @@ fn main() -> ExitCode {
             }
         }
     };
-    match gv_lint::run_full(&root) {
-        Ok((report, baseline)) => {
-            if cli.prune {
-                if let Err(e) = prune_baseline(&root, &baseline) {
-                    eprintln!("gv_lint: {e}");
-                    return ExitCode::from(2);
-                }
-            }
+    match gv_lint::run(&root) {
+        Ok(report) => {
             if cli.sarif {
                 print!("{}", gv_lint::sarif::render(&report));
             } else {
@@ -76,33 +67,10 @@ fn main() -> ExitCode {
     }
 }
 
-/// Rewrites `root/lint.toml` without the entries `baseline` never
-/// matched, reporting what it did on stderr.
-fn prune_baseline(root: &Path, baseline: &gv_lint::Baseline) -> Result<(), String> {
-    let path = root.join("lint.toml");
-    let Ok(original) = std::fs::read_to_string(&path) else {
-        eprintln!("gv_lint: no lint.toml at the workspace root, nothing to prune");
-        return Ok(());
-    };
-    let pruned = baseline.render_pruned(&original);
-    if pruned == original {
-        eprintln!("gv_lint: lint.toml already minimal, nothing pruned");
-        return Ok(());
-    }
-    std::fs::write(&path, &pruned).map_err(|e| format!("writing {}: {e}", path.display()))?;
-    match baseline.entries.iter().filter(|e| !e.used.get()).count() {
-        0 => eprintln!("gv_lint: normalized lint.toml (no stale entries)"),
-        1 => eprintln!("gv_lint: pruned 1 stale baseline entry from lint.toml"),
-        n => eprintln!("gv_lint: pruned {n} stale baseline entries from lint.toml"),
-    }
-    Ok(())
-}
-
 fn parse(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         root: None,
         sarif: false,
-        prune: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -117,13 +85,7 @@ fn parse(args: &[String]) -> Result<Cli, String> {
                 Some(other) => return Err(format!("unknown --format {other:?} (text|sarif)")),
                 None => return Err("--format needs a value".to_string()),
             },
-            "--prune-baseline" => cli.prune = true,
-            _ => {
-                return Err(
-                    "usage: gv_lint [--root PATH] [--format text|sarif] [--prune-baseline]"
-                        .to_string(),
-                )
-            }
+            _ => return Err("usage: gv_lint [--root PATH] [--format text|sarif]".to_string()),
         }
     }
     Ok(cli)

@@ -1,10 +1,9 @@
 //! The lint engine: walks the workspace, runs every rule over every
-//! analyzed file, applies inline allows and the baseline, and produces a
-//! [`LintReport`] with a per-rule tally.
+//! analyzed file, applies inline allows, and produces a [`LintReport`]
+//! with a per-rule tally.
 
-use crate::baseline::Baseline;
 use crate::callgraph::WorkspaceModel;
-use crate::rules::{all_rules, workspace_rules, Rule};
+use crate::rules::{all_rules, workspace_rules};
 use crate::source::{FileKind, SourceFile};
 use crate::violation::{LintViolation, RuleId, ALL_RULES};
 use std::collections::BTreeMap;
@@ -17,8 +16,8 @@ const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures", "shims", ".claude"];
 /// The outcome of a workspace lint run.
 #[derive(Debug, Default)]
 pub struct LintReport {
-    /// Surviving violations (not allowed, not baselined), sorted by
-    /// file, line, then rule.
+    /// Surviving violations (not allowed), sorted by file, line, then
+    /// rule.
     pub violations: Vec<LintViolation>,
     /// Per-rule surviving-violation tally; every active rule has an
     /// entry, including zeroes, so regressions diff cleanly in CI logs.
@@ -27,8 +26,6 @@ pub struct LintReport {
     pub files_scanned: usize,
     /// Findings suppressed by inline `allow` directives.
     pub inline_allowed: usize,
-    /// Findings suppressed by the checked-in baseline.
-    pub baselined: usize,
 }
 
 impl LintReport {
@@ -48,8 +45,6 @@ pub enum EngineError {
         /// Underlying error.
         source: std::io::Error,
     },
-    /// The baseline file exists but does not parse.
-    Baseline(String),
     /// `root` does not look like the workspace root.
     NotAWorkspace(PathBuf),
 }
@@ -58,7 +53,6 @@ impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EngineError::Io { path, source } => write!(f, "{}: {source}", path.display()),
-            EngineError::Baseline(msg) => write!(f, "baseline: {msg}"),
             EngineError::NotAWorkspace(p) => write!(
                 f,
                 "{}: not a workspace root (no Cargo.toml with [workspace])",
@@ -80,20 +74,12 @@ pub fn classify(rel: &str) -> Option<(String, FileKind)> {
         ["src", ..] => Some(("grammarviz".into(), FileKind::LibSrc)),
         ["tests", ..] => Some(("grammarviz".into(), FileKind::TestSrc)),
         ["examples", ..] => Some(("grammarviz".into(), FileKind::Example)),
-        ["crates", krate, "src", "bin", ..] => Some((
+        ["crates", krate, "src", rest @ ..] => Some((
             (*krate).into(),
-            if *krate == "bench" {
-                FileKind::BenchSrc
-            } else {
+            if matches!(*krate, "cli" | "bench") || rest.first() == Some(&"bin") {
                 FileKind::BinSrc
-            },
-        )),
-        ["crates", krate, "src", ..] => Some((
-            (*krate).into(),
-            match *krate {
-                "cli" => FileKind::BinSrc,
-                "bench" => FileKind::BenchSrc,
-                _ => FileKind::LibSrc,
+            } else {
+                FileKind::LibSrc
             },
         )),
         ["crates", krate, "tests", ..] => Some(((*krate).into(), FileKind::TestSrc)),
@@ -104,22 +90,13 @@ pub fn classify(rel: &str) -> Option<(String, FileKind)> {
 
 /// Runs the full rule set over the workspace at `root`.
 ///
-/// Reads `lint.toml` at the root when present. Violations suppressed by
-/// inline allows or baseline entries are counted, not listed; unused
-/// allows and stale baseline entries are themselves `lint-directive`
-/// violations, so suppression can only ever be deliberate and current.
+/// Violations suppressed by inline allows are counted, not listed; unused
+/// allows are themselves `lint-directive` violations, so suppression can
+/// only ever be deliberate and current.
 ///
 /// # Errors
-/// I/O failures, a malformed baseline, or a `root` that is not the
-/// workspace root.
+/// I/O failures, or a `root` that is not the workspace root.
 pub fn run(root: &Path) -> Result<LintReport, EngineError> {
-    run_full(root).map(|(report, _)| report)
-}
-
-/// Like [`run`], but also returns the parsed baseline with its per-entry
-/// usage marks populated — `--prune-baseline` rewrites `lint.toml` from
-/// exactly this state, so what it keeps is what a lint run still needs.
-pub fn run_full(root: &Path) -> Result<(LintReport, Baseline), EngineError> {
     let manifest = root.join("Cargo.toml");
     let manifest_text = std::fs::read_to_string(&manifest).map_err(|source| EngineError::Io {
         path: manifest.clone(),
@@ -128,17 +105,6 @@ pub fn run_full(root: &Path) -> Result<(LintReport, Baseline), EngineError> {
     if !manifest_text.contains("[workspace]") {
         return Err(EngineError::NotAWorkspace(root.to_path_buf()));
     }
-
-    let baseline_path = root.join("lint.toml");
-    let baseline = if baseline_path.exists() {
-        let text = std::fs::read_to_string(&baseline_path).map_err(|source| EngineError::Io {
-            path: baseline_path.clone(),
-            source,
-        })?;
-        Baseline::parse(&text).map_err(EngineError::Baseline)?
-    } else {
-        Baseline::default()
-    };
 
     let mut files = Vec::new();
     for top in ["src", "tests", "examples", "crates"] {
@@ -183,13 +149,13 @@ pub fn run_full(root: &Path) -> Result<(LintReport, Baseline), EngineError> {
     }
     let model = WorkspaceModel::build(&sources);
     for rule in workspace_rules() {
-        rule.check(&model, &baseline, &mut raw);
+        rule.check(&model, &mut raw);
     }
 
-    // One unified suppression pass. An inline allow suppresses a finding
-    // of its rule on its target line — or, for chained (interprocedural)
-    // findings, on any link of the chain. Baseline entries match the
-    // primary site. Allows that suppress nothing are themselves findings.
+    // One suppression pass. An inline allow suppresses a finding of its
+    // rule on its target line — or, for chained (interprocedural)
+    // findings, on any link of the chain. Allows that suppress nothing
+    // are themselves findings.
     let file_index: BTreeMap<&str, usize> = sources
         .iter()
         .enumerate()
@@ -219,11 +185,6 @@ pub fn run_full(root: &Path) -> Result<(LintReport, Baseline), EngineError> {
             report.inline_allowed += 1;
             continue;
         }
-        if let Some(entry) = baseline.entries.iter().find(|e| e.matches(&v)) {
-            entry.used.set(true);
-            report.baselined += 1;
-            continue;
-        }
         surviving.push(v);
     }
     for (fi, file) in sources.iter().enumerate() {
@@ -235,14 +196,13 @@ pub fn run_full(root: &Path) -> Result<(LintReport, Baseline), EngineError> {
         surviving.extend(file.directive_errors.iter().cloned());
     }
 
-    surviving.extend(baseline.stale(&relative_slash_path(root, &baseline_path)));
     surviving
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     for v in &surviving {
         *report.tally.entry(v.rule.as_str()).or_insert(0) += 1;
     }
     report.violations = surviving;
-    Ok((report, baseline))
+    Ok(report)
 }
 
 /// The `lint-directive` finding for an allow that suppressed nothing.
@@ -259,53 +219,6 @@ fn unused_allow_violation(file: &SourceFile, a: &crate::source::AllowDirective) 
         ),
         chain: Vec::new(),
     }
-}
-
-/// Runs every rule over one analyzed file, applying its inline allows.
-/// Exposed for fixture tests; `run` drives it across the workspace.
-pub fn check_file(
-    file: &SourceFile,
-    rules: &[Box<dyn Rule>],
-    baseline: &Baseline,
-    report: &mut LintReport,
-) -> Vec<LintViolation> {
-    let mut raw = Vec::new();
-    for rule in rules {
-        rule.check(file, &mut raw);
-    }
-
-    // Inline allows: each directive may suppress findings of its rule on
-    // its target line; a directive that suppresses nothing is itself a
-    // finding (so allows can't outlive the code they excused).
-    let mut used = vec![false; file.allows.len()];
-    let mut surviving = Vec::new();
-    for v in raw {
-        let allow = file
-            .allows
-            .iter()
-            .position(|a| a.rule == v.rule && a.target_line == v.line);
-        match allow {
-            Some(idx) => {
-                used[idx] = true;
-                report.inline_allowed += 1;
-            }
-            None => {
-                if let Some(entry) = baseline.entries.iter().find(|e| e.matches(&v)) {
-                    entry.used.set(true);
-                    report.baselined += 1;
-                } else {
-                    surviving.push(v);
-                }
-            }
-        }
-    }
-    for (idx, was_used) in used.iter().enumerate() {
-        if !was_used {
-            surviving.push(unused_allow_violation(file, &file.allows[idx]));
-        }
-    }
-    surviving.extend(file.directive_errors.iter().cloned());
-    surviving
 }
 
 /// Recursively collects `.rs` files, skipping [`SKIP_DIRS`], in sorted
@@ -381,7 +294,7 @@ mod tests {
         );
         assert_eq!(
             classify("crates/bench/src/bin/table1.rs"),
-            Some(("bench".into(), FileKind::BenchSrc))
+            Some(("bench".into(), FileKind::BinSrc))
         );
         assert_eq!(
             classify("crates/check/src/bin/invariant_fuzz.rs"),

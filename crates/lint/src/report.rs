@@ -20,11 +20,10 @@ pub fn render(report: &LintReport) -> String {
     }
     let _ = writeln!(
         out,
-        "{} file(s) scanned; {} violation(s), {} inline-allowed, {} baselined",
+        "{} file(s) scanned; {} violation(s), {} inline-allowed",
         report.files_scanned,
         report.violations.len(),
-        report.inline_allowed,
-        report.baselined
+        report.inline_allowed
     );
     let _ = writeln!(
         out,
@@ -56,17 +55,17 @@ mod tests {
     fn dirty_report_fails_and_lists_spans() {
         let mut r = LintReport::default();
         r.violations.push(LintViolation {
-            rule: RuleId::NoUnwrapInLib,
+            rule: RuleId::PanicReachability,
             file: "crates/core/src/rra.rs".into(),
             line: 12,
             col: 5,
             message: "boom".into(),
             chain: Vec::new(),
         });
-        r.tally.insert(RuleId::NoUnwrapInLib.as_str(), 1);
+        r.tally.insert(RuleId::PanicReachability.as_str(), 1);
         let text = render(&r);
         assert!(text.contains("FAIL"));
         assert!(text.contains("crates/core/src/rra.rs:12:5"));
-        assert!(text.contains("no-unwrap-in-lib"));
+        assert!(text.contains("panic-reachability"));
     }
 }

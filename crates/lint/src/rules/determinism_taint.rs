@@ -2,25 +2,24 @@
 //!
 //! The RRA guarantee (PAPER.md §5) is a deterministic, total visit order:
 //! the same series and parameters must rank the same discords, bit for
-//! bit, on any thread count. `no-wall-clock-outside-obs` and
-//! `no-nondeterminism` police the *sources* lexically — but a wall-clock
-//! reading taken in an allowed crate and *returned* into `core` is
-//! invisible to them. This rule follows the value: a nondeterministic
-//! source (`Instant::now`, `thread::current`, armed `HashMap` iteration)
-//! whose result is **consumed** (let-bound, assigned, returned, or in
-//! tail position), connected through consumed, ungated calls to a
-//! function on a result-producing path (a `RESULT_CRATES` library fn
-//! reachable from a detector or CLI entry), is reported at the source
-//! with the flow chain attached.
+//! bit, on any thread count. Clippy's `disallowed_methods` and
+//! `disallowed_types` police the *sources* where they are written — but
+//! a wall-clock reading taken where it is sanctioned and *returned* into
+//! `core` is invisible to them, and `thread::current` is on neither list.
+//! This rule follows the value: a nondeterministic source
+//! (`Instant::now`, `thread::current`, armed `HashMap` iteration) whose
+//! result is **consumed** (let-bound, assigned, returned, or in tail
+//! position), connected through consumed, ungated calls to a function on
+//! a result-producing path (a `RESULT_CRATES` library fn reachable from a
+//! detector or CLI entry), is reported at the source with the flow chain
+//! attached.
 //!
 //! The recorder-gate machinery exempts gated code: any site past a
 //! `detailed`/`detail`/`armed`/`enabled` gate check in its body is
-//! considered observability-only and never taints. Sanctions written for
-//! the lexical source rules carry over.
+//! considered observability-only and never taints.
 
-use crate::baseline::Baseline;
 use crate::callgraph::{CallSite, WorkspaceModel};
-use crate::rules::{chain_links, describe_site, sanctioned_by, WorkspaceRule, RESULT_CRATES};
+use crate::rules::{chain_links, describe_site, WorkspaceRule, RESULT_CRATES};
 use crate::source::FileKind;
 use crate::violation::{LintViolation, RuleId};
 
@@ -32,7 +31,7 @@ impl WorkspaceRule for DeterminismTaint {
         RuleId::DeterminismTaint
     }
 
-    fn check(&self, m: &WorkspaceModel<'_>, baseline: &Baseline, out: &mut Vec<LintViolation>) {
+    fn check(&self, m: &WorkspaceModel<'_>, out: &mut Vec<LintViolation>) {
         let call_ok = |s: &CallSite| !s.test;
         // Taint only flows through calls whose value is used and that sit
         // outside a recorder gate.
@@ -53,14 +52,6 @@ impl WorkspaceRule for DeterminismTaint {
             .collect();
         for (sidx, s) in m.sites.iter().enumerate() {
             if !s.externs.nondet || s.test || s.gated || !s.consumed {
-                continue;
-            }
-            if sanctioned_by(
-                m,
-                baseline,
-                s,
-                &[RuleId::NoWallClockOutsideObs, RuleId::NoNondeterminism],
-            ) {
                 continue;
             }
             let Some(chain) = m.chain_to(&result_fns, sidx, &flow_ok) else {

@@ -1,38 +1,27 @@
 //! The rule registry and the applicability tables shared across rules.
 //!
-//! Each rule is one file, one struct, one [`Rule`] impl. Rules are purely
-//! lexical: they see the analyzed [`SourceFile`] (tokens, regions) and
-//! push [`LintViolation`]s; allow-directives and baselines are applied by
-//! the engine afterwards, so rules never need to know about suppression.
+//! Each rule is one file, one struct, one [`Rule`] or [`WorkspaceRule`]
+//! impl. Rules see the analyzed [`SourceFile`]s (tokens, regions) and
+//! push [`LintViolation`]s; allow-directives are applied by the engine
+//! afterwards, so rules never need to know about suppression.
 
-use crate::baseline::Baseline;
 use crate::callgraph::{CallKind, CallSite, WorkspaceModel};
 use crate::source::SourceFile;
-use crate::violation::{ChainLink, LintViolation, RuleId};
+use crate::violation::{ChainLink, LintViolation};
 
 mod alloc_reach;
 mod determinism_taint;
 mod float_eq;
-mod forbid_unsafe;
-mod hot_alloc;
-mod nondeterminism;
 mod panic_reach;
 mod recorder_gate;
 mod schema_const;
-mod unwrap_in_lib;
-mod wall_clock;
 
 pub use alloc_reach::AllocReachability;
 pub use determinism_taint::DeterminismTaint;
 pub use float_eq::NoFloatEq;
-pub use forbid_unsafe::ForbidUnsafe;
-pub use hot_alloc::NoAllocInHotPath;
-pub use nondeterminism::NoNondeterminism;
 pub use panic_reach::PanicReachability;
 pub use recorder_gate::RecorderGate;
 pub use schema_const::JsonlSchemaConst;
-pub use unwrap_in_lib::NoUnwrapInLib;
-pub use wall_clock::NoWallClockOutsideObs;
 
 /// A single lint rule.
 pub trait Rule {
@@ -43,29 +32,19 @@ pub trait Rule {
 }
 
 /// An interprocedural rule: sees the whole workspace call graph (pass 2).
-///
-/// Workspace rules receive the baseline so that *existing* sanctions can
-/// carry over — a site whose panic is already argued infallible for
-/// `no-unwrap-in-lib` must not need a second, duplicate reason for
-/// `panic-reachability`.
 pub trait WorkspaceRule {
     /// The rule's id (stable, kebab-case via `RuleId::as_str`).
     fn id(&self) -> crate::violation::RuleId;
     /// Checks the workspace model, pushing findings into `out`.
-    fn check(&self, model: &WorkspaceModel<'_>, baseline: &Baseline, out: &mut Vec<LintViolation>);
+    fn check(&self, model: &WorkspaceModel<'_>, out: &mut Vec<LintViolation>);
 }
 
-/// Every active rule, in report order.
+/// Every active per-file rule, in report order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(NoUnwrapInLib),
-        Box::new(NoWallClockOutsideObs),
-        Box::new(NoAllocInHotPath),
         Box::new(NoFloatEq),
-        Box::new(NoNondeterminism),
         Box::new(RecorderGate),
         Box::new(JsonlSchemaConst),
-        Box::new(ForbidUnsafe),
     ]
 }
 
@@ -78,8 +57,10 @@ pub fn workspace_rules() -> Vec<Box<dyn WorkspaceRule>> {
     ]
 }
 
-/// Library crates whose non-test code must not panic (`no-unwrap-in-lib`).
-/// The CLI and bench crates are binaries — they may abort on bad input.
+/// Library crates whose non-test code must not panic: their roots deny
+/// clippy's `unwrap_used`, `expect_used` and `panic`, and their `pub` fns
+/// are `panic-reachability`'s exposure points. The CLI and bench crates
+/// are binaries — they may abort on bad input.
 pub const LIB_CRATES: &[&str] = &[
     "timeseries",
     "sax",
@@ -95,8 +76,8 @@ pub const LIB_CRATES: &[&str] = &[
 ];
 
 /// Crates whose outputs feed user-visible results — anomaly reports,
-/// grammars, invariants — and must therefore be iteration-order
-/// deterministic (`no-nondeterminism`).
+/// grammars, invariants — and must therefore be deterministic
+/// (`determinism-taint`).
 pub const RESULT_CRATES: &[&str] = &[
     "sax",
     "sequitur",
@@ -106,10 +87,6 @@ pub const RESULT_CRATES: &[&str] = &[
     "lint",
     "grammarviz",
 ];
-
-/// Crates that may read the wall clock (`no-wall-clock-outside-obs`):
-/// the obs layer owns timing, bench binaries measure it.
-pub const CLOCK_CRATES: &[&str] = &["obs", "bench"];
 
 /// Emits one violation at token index `i` of `file`.
 pub(crate) fn violation_at(
@@ -137,21 +114,6 @@ pub(crate) fn is_method_call(file: &SourceFile, i: usize, name: &str) -> bool {
         && file.tok_text(i - 1) == "."
         && i + 1 < tokens.len()
         && matches!(file.tok_text(i + 1), "(" | "::")
-}
-
-/// Is token `i` the head of a path call `Head::name`?
-pub(crate) fn is_path_call(file: &SourceFile, i: usize, head: &str, name: &str) -> bool {
-    let tokens = file.tokens();
-    file.tok_text(i) == head
-        && i + 2 < tokens.len()
-        && file.tok_text(i + 1) == "::"
-        && file.tok_text(i + 2) == name
-}
-
-/// Is token `i` a macro invocation `name!`?
-pub(crate) fn is_macro(file: &SourceFile, i: usize, name: &str) -> bool {
-    let tokens = file.tokens();
-    file.tok_text(i) == name && i + 1 < tokens.len() && file.tok_text(i + 1) == "!"
 }
 
 /// How a call site reads in a diagnostic: `.unwrap()`, `panic!`,
@@ -182,35 +144,4 @@ pub(crate) fn chain_links(m: &WorkspaceModel<'_>, sites: &[usize]) -> Vec<ChainL
             }
         })
         .collect()
-}
-
-/// Is the effect at site `s` already sanctioned for one of the given
-/// lexical rules — an inline allow on its line, or a baseline entry? The
-/// written infallibility argument carries over to the interprocedural
-/// rule instead of demanding a duplicate.
-pub(crate) fn sanctioned_by(
-    m: &WorkspaceModel<'_>,
-    baseline: &Baseline,
-    s: &CallSite,
-    rules: &[RuleId],
-) -> bool {
-    let file = &m.files[s.file];
-    if file
-        .allows
-        .iter()
-        .any(|a| rules.contains(&a.rule) && a.target_line == s.line)
-    {
-        return true;
-    }
-    rules.iter().any(|&rule| {
-        let probe = LintViolation {
-            rule,
-            file: file.rel_path.clone(),
-            line: s.line,
-            col: s.col,
-            message: String::new(),
-            chain: Vec::new(),
-        };
-        baseline.entries.iter().any(|e| e.matches(&probe))
-    })
 }

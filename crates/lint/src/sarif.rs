@@ -164,9 +164,8 @@ fn render_result(o: &mut String, v: &LintViolation, rules: &[RuleId]) {
     o.push('}');
 }
 
-/// A `physicalLocation`. Line 0 means "no real span" (stale-baseline
-/// findings point at the file, not a line) — the region is omitted, as
-/// SARIF regions are 1-based.
+/// A `physicalLocation`. Column 0 means "line only" (chain links carry
+/// no column) — `startColumn` is omitted, as SARIF columns are 1-based.
 fn physical_location(o: &mut String, file: &str, line: u32, col: u32) {
     o.push('{');
     field(o, "artifactLocation", |o| {
@@ -174,22 +173,20 @@ fn physical_location(o: &mut String, file: &str, line: u32, col: u32) {
         field(o, "uri", |o| string(o, file));
         o.push('}');
     });
-    if line > 0 {
-        o.push(',');
-        field(o, "region", |o| {
-            o.push('{');
-            field(o, "startLine", |o| {
-                let _ = write!(o, "{line}");
-            });
-            if col > 0 {
-                o.push(',');
-                field(o, "startColumn", |o| {
-                    let _ = write!(o, "{col}");
-                });
-            }
-            o.push('}');
+    o.push(',');
+    field(o, "region", |o| {
+        o.push('{');
+        field(o, "startLine", |o| {
+            let _ = write!(o, "{line}");
         });
-    }
+        if col > 0 {
+            o.push(',');
+            field(o, "startColumn", |o| {
+                let _ = write!(o, "{col}");
+            });
+        }
+        o.push('}');
+    });
     o.push('}');
 }
 
@@ -250,22 +247,6 @@ mod tests {
         assert!(sarif.contains("\"codeFlows\""));
         assert!(sarif.contains("\"startLine\":9"));
         assert!(sarif.contains("`top` calls `mid()`"));
-    }
-
-    #[test]
-    fn line_zero_omits_the_region() {
-        let mut report = LintReport::default();
-        report.violations.push(LintViolation {
-            rule: RuleId::LintDirective,
-            file: "lint.toml".into(),
-            line: 0,
-            col: 0,
-            message: "stale baseline entry".into(),
-            chain: Vec::new(),
-        });
-        let sarif = render(&report);
-        assert!(!sarif.contains("\"region\""));
-        assert!(sarif.contains("\"uri\":\"lint.toml\""));
     }
 
     #[test]

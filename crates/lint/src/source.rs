@@ -1,6 +1,7 @@
 //! Per-file analysis: token stream plus the *regions* lint rules need —
-//! `#[cfg(test)]` / `#[test]` spans, `// gv-lint: hot` regions, and
-//! inline `// gv-lint: allow(rule) reason` directives.
+//! `#[cfg(test)]` / `#[test]` spans, `#[expect(clippy::…)]` spans,
+//! `// gv-lint: hot` regions, and inline `// gv-lint: allow(rule) reason`
+//! directives.
 
 use crate::lexer::{lex, LexOutput, Token, TokenKind};
 use crate::violation::{LintViolation, RuleId};
@@ -10,10 +11,8 @@ use crate::violation::{LintViolation, RuleId};
 pub enum FileKind {
     /// Library source (`crates/<c>/src/**`, root `src/**`).
     LibSrc,
-    /// Binary source (`src/bin/**`, the CLI crate).
+    /// Binary source (`src/bin/**`, the CLI and bench crates).
     BinSrc,
-    /// Bench crate source (measurement binaries — may read the clock).
-    BenchSrc,
     /// Integration tests (`tests/**`).
     TestSrc,
     /// Examples (`examples/**`).
@@ -34,6 +33,16 @@ pub struct AllowDirective {
     pub target_line: u32,
 }
 
+/// A `#[expect(clippy::…)]` attribute and the lines of the item it covers.
+#[derive(Debug, Clone)]
+pub struct ClippyExpect {
+    /// The clippy lint names it expects (`unwrap_used`, `panic`, …).
+    pub lints: Vec<String>,
+    /// Inclusive 1-based line range, from the attribute to the end of its
+    /// item (to the end of the file for an inner `#![expect(…)]`).
+    pub lines: (u32, u32),
+}
+
 /// A lexed and region-analyzed source file, ready for rule checks.
 #[derive(Debug)]
 pub struct SourceFile {
@@ -50,6 +59,8 @@ pub struct SourceFile {
     pub lex: LexOutput,
     /// Inclusive 1-based line ranges lexically inside test-only code.
     pub test_ranges: Vec<(u32, u32)>,
+    /// `#[expect(clippy::…)]` attributes, in source order.
+    pub clippy_expects: Vec<ClippyExpect>,
     /// Inclusive 1-based line ranges between `gv-lint: hot` markers.
     pub hot_ranges: Vec<(u32, u32)>,
     /// Inline allow directives, in source order.
@@ -63,7 +74,7 @@ impl SourceFile {
     /// Lexes and analyzes `text` as the file at `rel_path`.
     pub fn analyze(rel_path: &str, crate_name: &str, kind: FileKind, text: String) -> SourceFile {
         let lex = lex(&text);
-        let test_ranges = find_test_ranges(&lex.tokens, &text);
+        let (test_ranges, clippy_expects) = find_marked_items(&lex.tokens, &text);
         let mut file = SourceFile {
             rel_path: rel_path.to_string(),
             crate_name: crate_name.to_string(),
@@ -71,6 +82,7 @@ impl SourceFile {
             text,
             lex,
             test_ranges,
+            clippy_expects,
             hot_ranges: Vec::new(),
             allows: Vec::new(),
             directive_errors: Vec::new(),
@@ -86,6 +98,13 @@ impl SourceFile {
                 .test_ranges
                 .iter()
                 .any(|&(lo, hi)| line >= lo && line <= hi)
+    }
+
+    /// Does an `#[expect(clippy::<lint>)]` cover the 1-based `line`?
+    pub fn expects_clippy(&self, lint: &str, line: u32) -> bool {
+        self.clippy_expects
+            .iter()
+            .any(|e| e.lines.0 <= line && line <= e.lines.1 && e.lints.iter().any(|l| l == lint))
     }
 
     /// Is the 1-based `line` inside a declared hot region?
@@ -254,21 +273,28 @@ impl SourceFile {
     }
 }
 
-/// Finds line ranges covered by `#[cfg(test)]` / `#[test]` items.
+/// Finds the line ranges of the items under two kinds of attribute:
+/// `#[cfg(test)]` / `#[test]` (test-only code) and `#[expect(clippy::…)]`
+/// (sanctioned sites, returned with their lint names).
 ///
 /// The scan is purely lexical: an attribute whose bracket group mentions
-/// both `cfg` and `test` (or is exactly `test`) marks the *next item* —
+/// both `cfg` and `test` (or is exactly `test`), or that starts with
+/// `expect` and names `clippy::` lints, marks the *next item* —
 /// attributes are skipped, then either a `{ … }` block is brace-matched
-/// or a `;`-terminated item is consumed.
-fn find_test_ranges(tokens: &[Token], src: &str) -> Vec<(u32, u32)> {
-    let mut ranges = Vec::new();
+/// or a `;`-terminated item is consumed. An inner `#![…]` marks the rest
+/// of the file.
+fn find_marked_items(tokens: &[Token], src: &str) -> (Vec<(u32, u32)>, Vec<ClippyExpect>) {
+    let mut test_ranges = Vec::new();
+    let mut expects = Vec::new();
+    let last_line = tokens.last().map_or(1, |t| t.line);
     let mut i = 0;
     while i < tokens.len() {
         if tokens[i].kind == TokenKind::Punct && tokens[i].text(src) == "#" {
             let attr_line = tokens[i].line;
             // `#[…]` or `#![…]`.
             let mut j = i + 1;
-            if j < tokens.len() && tokens[j].text(src) == "!" {
+            let inner = j < tokens.len() && tokens[j].text(src) == "!";
+            if inner {
                 j += 1;
             }
             if j < tokens.len() && tokens[j].text(src) == "[" {
@@ -276,16 +302,38 @@ fn find_test_ranges(tokens: &[Token], src: &str) -> Vec<(u32, u32)> {
                     Some(c) => c,
                     None => break,
                 };
-                let idents: Vec<&str> = tokens[j + 1..close]
+                let body = &tokens[j + 1..close];
+                let idents: Vec<&str> = body
                     .iter()
                     .filter(|t| t.kind == TokenKind::Ident)
                     .map(|t| t.text(src))
                     .collect();
                 let is_test_attr =
                     idents == ["test"] || (idents.contains(&"cfg") && idents.contains(&"test"));
-                if is_test_attr {
-                    if let Some(end_line) = item_end_line(tokens, src, close + 1) {
-                        ranges.push((attr_line, end_line));
+                let lints: Vec<String> = if idents.first() == Some(&"expect") {
+                    body.windows(3)
+                        .filter(|w| w[0].text(src) == "clippy" && w[1].text(src) == "::")
+                        .map(|w| w[2].text(src).to_string())
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                if is_test_attr || !lints.is_empty() {
+                    let end_line = if inner {
+                        Some(last_line)
+                    } else {
+                        item_end_line(tokens, src, close + 1)
+                    };
+                    if let Some(end_line) = end_line {
+                        if is_test_attr {
+                            test_ranges.push((attr_line, end_line));
+                        }
+                        if !lints.is_empty() {
+                            expects.push(ClippyExpect {
+                                lints,
+                                lines: (attr_line, end_line),
+                            });
+                        }
                     }
                 }
                 i = close + 1;
@@ -294,7 +342,7 @@ fn find_test_ranges(tokens: &[Token], src: &str) -> Vec<(u32, u32)> {
         }
         i += 1;
     }
-    ranges
+    (test_ranges, expects)
 }
 
 /// Given the token index just past a marking attribute, finds the last
@@ -428,6 +476,20 @@ mod tests {
     }
 
     #[test]
+    fn clippy_expect_covers_its_item() {
+        let f = analyze(
+            "fn a() {\n    #[expect(\n        clippy::expect_used,\n        reason = \"why\"\n    )]\n    \
+             let x = o\n        .expect(\"x\");\n    y.unwrap();\n}\n",
+        );
+        assert_eq!(f.clippy_expects.len(), 1);
+        assert_eq!(f.clippy_expects[0].lints, ["expect_used"]);
+        assert!(f.expects_clippy("expect_used", 7));
+        assert!(!f.expects_clippy("unwrap_used", 7));
+        assert!(!f.expects_clippy("expect_used", 8));
+        assert!(f.test_ranges.is_empty());
+    }
+
+    #[test]
     fn hot_region_markers() {
         let f =
             analyze("fn a() {}\n// gv-lint: hot\nfn kernel() {}\n// gv-lint: end-hot\nfn b() {}\n");
@@ -447,24 +509,24 @@ mod tests {
     #[test]
     fn allow_directive_standalone_targets_next_line() {
         let f = analyze(
-            "// gv-lint: allow(no-unwrap-in-lib) length checked above\nlet x = v.first().unwrap();\n",
+            "// gv-lint: allow(panic-reachability) length checked above\nlet x = v.first().unwrap();\n",
         );
         assert_eq!(f.allows.len(), 1);
-        assert_eq!(f.allows[0].rule, RuleId::NoUnwrapInLib);
+        assert_eq!(f.allows[0].rule, RuleId::PanicReachability);
         assert_eq!(f.allows[0].target_line, 2);
         assert!(f.directive_errors.is_empty());
     }
 
     #[test]
     fn allow_directive_trailing_targets_same_line() {
-        let f = analyze("let x = v.first().unwrap(); // gv-lint: allow(no-unwrap-in-lib) non-empty by construction\n");
+        let f = analyze("let x = v.first().unwrap(); // gv-lint: allow(panic-reachability) non-empty by construction\n");
         assert_eq!(f.allows.len(), 1);
         assert_eq!(f.allows[0].target_line, 1);
     }
 
     #[test]
     fn allow_without_reason_is_an_error() {
-        let f = analyze("// gv-lint: allow(no-unwrap-in-lib)\nlet x = 1;\n");
+        let f = analyze("// gv-lint: allow(panic-reachability)\nlet x = 1;\n");
         assert!(f.allows.is_empty());
         assert_eq!(f.directive_errors.len(), 1);
         assert!(f.directive_errors[0].message.contains("reason"));

@@ -4,67 +4,47 @@ use std::fmt;
 
 /// Every rule the engine knows, plus the meta rule for directive hygiene.
 ///
-/// The string forms (used in `allow(...)` directives, the baseline file,
-/// and reports) are kebab-case — see [`RuleId::as_str`].
+/// The string forms (used in `allow(...)` directives and reports) are
+/// kebab-case — see [`RuleId::as_str`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// No `unwrap()` / `expect()` / `panic!` in non-test library code.
-    NoUnwrapInLib,
-    /// `Instant` / `SystemTime` only in the obs crate and bench binaries.
-    NoWallClockOutsideObs,
-    /// No allocation inside `gv-lint: hot` regions.
-    NoAllocInHotPath,
     /// No `==` / `!=` against float operands in non-test library code.
     NoFloatEq,
-    /// No `HashMap`/`HashSet`/ambient RNG in result-producing crates.
-    NoNondeterminism,
     /// Detailed-only recorder emits must sit behind the `detailed()` gate.
     RecorderGate,
     /// JSONL writers must reference `SCHEMA_VERSION`, never a literal.
     JsonlSchemaConst,
-    /// Every crate root carries `#![forbid(unsafe_code)]`.
-    ForbidUnsafe,
     /// Interprocedural: a detector/CLI-reachable `pub` library fn can
     /// transitively panic.
     PanicReachability,
-    /// Interprocedural: a call made inside a `gv-lint: hot` region can
-    /// transitively allocate.
+    /// Interprocedural: a site inside a `gv-lint: hot` region allocates,
+    /// by itself or through the calls it makes.
     AllocReachability,
     /// Interprocedural: a nondeterministic value flows into a function on
     /// a result-producing path.
     DeterminismTaint,
-    /// Meta: malformed/unused `gv-lint:` directives and stale baselines.
+    /// Meta: malformed or unused `gv-lint:` directives.
     LintDirective,
 }
 
 /// All checkable rules, in report order (excludes the meta rule — it is
 /// emitted by the engine itself, not run over files).
 pub const ALL_RULES: &[RuleId] = &[
-    RuleId::NoUnwrapInLib,
-    RuleId::NoWallClockOutsideObs,
-    RuleId::NoAllocInHotPath,
     RuleId::NoFloatEq,
-    RuleId::NoNondeterminism,
     RuleId::RecorderGate,
     RuleId::JsonlSchemaConst,
-    RuleId::ForbidUnsafe,
     RuleId::PanicReachability,
     RuleId::AllocReachability,
     RuleId::DeterminismTaint,
 ];
 
 impl RuleId {
-    /// The kebab-case rule id used in directives, baselines, and reports.
+    /// The kebab-case rule id used in directives and reports.
     pub fn as_str(self) -> &'static str {
         match self {
-            RuleId::NoUnwrapInLib => "no-unwrap-in-lib",
-            RuleId::NoWallClockOutsideObs => "no-wall-clock-outside-obs",
-            RuleId::NoAllocInHotPath => "no-alloc-in-hot-path",
             RuleId::NoFloatEq => "no-float-eq",
-            RuleId::NoNondeterminism => "no-nondeterminism",
             RuleId::RecorderGate => "recorder-gate",
             RuleId::JsonlSchemaConst => "jsonl-schema-const",
-            RuleId::ForbidUnsafe => "forbid-unsafe",
             RuleId::PanicReachability => "panic-reachability",
             RuleId::AllocReachability => "alloc-reachability",
             RuleId::DeterminismTaint => "determinism-taint",
@@ -75,32 +55,21 @@ impl RuleId {
     /// One-line rule summary (SARIF `shortDescription`, docs).
     pub fn summary(self) -> &'static str {
         match self {
-            RuleId::NoUnwrapInLib => "No unwrap()/expect()/panic! in non-test library code",
-            RuleId::NoWallClockOutsideObs => {
-                "Instant/SystemTime only in the obs crate and bench binaries"
-            }
-            RuleId::NoAllocInHotPath => "No allocation inside gv-lint: hot regions",
             RuleId::NoFloatEq => "No ==/!= against float operands in library code",
-            RuleId::NoNondeterminism => "No HashMap/HashSet/ambient RNG in result-producing crates",
             RuleId::RecorderGate => {
                 "Detailed-only recorder emits must sit behind the detailed() gate"
             }
             RuleId::JsonlSchemaConst => {
                 "JSONL writers must reference SCHEMA_VERSION, never a literal"
             }
-            RuleId::ForbidUnsafe => "Every crate root carries #![forbid(unsafe_code)]",
             RuleId::PanicReachability => {
                 "No transitive panic path from pub library fns on detector/CLI paths"
             }
-            RuleId::AllocReachability => {
-                "No transitive allocation behind calls made in hot regions"
-            }
+            RuleId::AllocReachability => "No allocation in hot regions, direct or behind a call",
             RuleId::DeterminismTaint => {
                 "No nondeterministic value flow into result-producing paths"
             }
-            RuleId::LintDirective => {
-                "gv-lint directives and baseline entries must be well-formed and live"
-            }
+            RuleId::LintDirective => "gv-lint directives must be well-formed and live",
         }
     }
 
@@ -145,7 +114,7 @@ pub struct LintViolation {
     /// Human-readable explanation of the finding.
     pub message: String,
     /// Interprocedural call chain (entry → … → source); empty for the
-    /// per-file lexical rules, so their rendering is unchanged.
+    /// per-file lexical rules and for a hot site that allocates by itself.
     pub chain: Vec<ChainLink>,
 }
 
@@ -179,16 +148,16 @@ mod tests {
     #[test]
     fn display_includes_span_and_rule() {
         let v = LintViolation {
-            rule: RuleId::NoUnwrapInLib,
+            rule: RuleId::NoFloatEq,
             file: "crates/core/src/rra.rs".into(),
             line: 7,
             col: 3,
-            message: "call to unwrap()".into(),
+            message: "`==` against a float".into(),
             chain: Vec::new(),
         };
         assert_eq!(
             v.to_string(),
-            "crates/core/src/rra.rs:7:3: [no-unwrap-in-lib] call to unwrap()"
+            "crates/core/src/rra.rs:7:3: [no-float-eq] `==` against a float"
         );
     }
 }

@@ -1,14 +1,13 @@
-//! Fixture corpus: every rule fires on its `bad.rs` and stays silent on
-//! its `good.rs`, with spans pinned where the rule's value is the exact
-//! location.
+//! Fixture corpus: every per-file rule fires on its `bad.rs` and stays
+//! silent on its `good.rs`, with spans pinned where the rule's value is
+//! the exact location.
 
 use gv_lint::rules::all_rules;
 use gv_lint::{FileKind, RuleId, SourceFile};
 
-/// Runs the full rule set over one fixture, returning violations of
-/// `rule` only (fixtures are single-purpose, but a bad fixture for one
-/// rule may legitimately trip another — e.g. the hot-alloc fixture's
-/// `Vec` is fine outside a result crate but not inside one).
+/// Runs the full per-file rule set over one fixture, returning violations
+/// of `rule` only (fixtures are single-purpose, but a bad fixture for one
+/// rule may legitimately trip another).
 fn check(rule: RuleId, rel: &str, krate: &str, kind: FileKind, src: &str) -> Vec<(u32, u32)> {
     let file = SourceFile::analyze(rel, krate, kind, src.to_string());
     let mut out = Vec::new();
@@ -48,90 +47,6 @@ fn fires_and_silences(
 }
 
 #[test]
-fn no_unwrap_in_lib_fixture() {
-    fires_and_silences(
-        RuleId::NoUnwrapInLib,
-        "crates/core/src/fixture.rs",
-        "core",
-        FileKind::LibSrc,
-        include_str!("fixtures/unwrap/bad.rs"),
-        include_str!("fixtures/unwrap/good.rs"),
-        1,
-    );
-}
-
-#[test]
-fn unwrap_span_is_exact() {
-    // `    *values.first().unwrap()` — the violation anchors on the
-    // `unwrap` ident itself: line 5, column 21.
-    let spans = check(
-        RuleId::NoUnwrapInLib,
-        "crates/core/src/fixture.rs",
-        "core",
-        FileKind::LibSrc,
-        include_str!("fixtures/unwrap/bad.rs"),
-    );
-    assert_eq!(spans, vec![(5, 21)]);
-}
-
-#[test]
-fn no_wall_clock_fixture() {
-    // Two `Instant` idents: the import and the `now()` call.
-    fires_and_silences(
-        RuleId::NoWallClockOutsideObs,
-        "crates/discord/src/fixture.rs",
-        "discord",
-        FileKind::LibSrc,
-        include_str!("fixtures/wall_clock/bad.rs"),
-        include_str!("fixtures/wall_clock/good.rs"),
-        2,
-    );
-}
-
-#[test]
-fn wall_clock_exempts_the_clock_crates() {
-    let bad = include_str!("fixtures/wall_clock/bad.rs");
-    for (rel, krate, kind) in [
-        ("crates/obs/src/fixture.rs", "obs", FileKind::LibSrc),
-        (
-            "crates/bench/src/bin/fixture.rs",
-            "bench",
-            FileKind::BenchSrc,
-        ),
-    ] {
-        let spans = check(RuleId::NoWallClockOutsideObs, rel, krate, kind, bad);
-        assert!(spans.is_empty(), "{krate} owns the clock, got {spans:?}");
-    }
-}
-
-#[test]
-fn no_alloc_in_hot_path_fixture() {
-    fires_and_silences(
-        RuleId::NoAllocInHotPath,
-        "crates/discord/src/fixture.rs",
-        "discord",
-        FileKind::LibSrc,
-        include_str!("fixtures/hot_alloc/bad.rs"),
-        include_str!("fixtures/hot_alloc/good.rs"),
-        1,
-    );
-}
-
-#[test]
-fn hot_alloc_span_lands_inside_the_region() {
-    let spans = check(
-        RuleId::NoAllocInHotPath,
-        "crates/discord/src/fixture.rs",
-        "discord",
-        FileKind::LibSrc,
-        include_str!("fixtures/hot_alloc/bad.rs"),
-    );
-    // `.collect()` on line 6 — between the `hot` marker (line 3) and
-    // `end-hot` (line 9).
-    assert_eq!(spans, vec![(6, 58)]);
-}
-
-#[test]
 fn no_float_eq_fixture() {
     fires_and_silences(
         RuleId::NoFloatEq,
@@ -158,35 +73,6 @@ fn float_eq_span_anchors_on_the_operator() {
 }
 
 #[test]
-fn no_nondeterminism_fixture() {
-    // Three `HashMap` idents: the import, the annotation, the ctor.
-    fires_and_silences(
-        RuleId::NoNondeterminism,
-        "crates/core/src/fixture.rs",
-        "core",
-        FileKind::LibSrc,
-        include_str!("fixtures/nondeterminism/bad.rs"),
-        include_str!("fixtures/nondeterminism/good.rs"),
-        3,
-    );
-}
-
-#[test]
-fn nondeterminism_exempts_non_result_crates() {
-    let spans = check(
-        RuleId::NoNondeterminism,
-        "crates/datasets/src/fixture.rs",
-        "datasets",
-        FileKind::LibSrc,
-        include_str!("fixtures/nondeterminism/bad.rs"),
-    );
-    assert!(
-        spans.is_empty(),
-        "datasets is not a result crate: {spans:?}"
-    );
-}
-
-#[test]
 fn recorder_gate_fixture() {
     fires_and_silences(
         RuleId::RecorderGate,
@@ -210,26 +96,4 @@ fn jsonl_schema_const_fixture() {
         include_str!("fixtures/schema_const/good.rs"),
         1,
     );
-}
-
-#[test]
-fn forbid_unsafe_fixture() {
-    // Only fires when the file *is* a crate root.
-    fires_and_silences(
-        RuleId::ForbidUnsafe,
-        "crates/core/src/lib.rs",
-        "core",
-        FileKind::LibSrc,
-        include_str!("fixtures/forbid_unsafe/bad.rs"),
-        include_str!("fixtures/forbid_unsafe/good.rs"),
-        1,
-    );
-    let spans = check(
-        RuleId::ForbidUnsafe,
-        "crates/core/src/helper.rs",
-        "core",
-        FileKind::LibSrc,
-        include_str!("fixtures/forbid_unsafe/bad.rs"),
-    );
-    assert!(spans.is_empty(), "non-root files are exempt: {spans:?}");
 }

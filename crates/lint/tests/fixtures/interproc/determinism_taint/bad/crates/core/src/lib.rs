@@ -1,10 +1,8 @@
 //! Bad: a nondeterministic value (the current thread's handle) is minted
 //! in a private helper and flows through a return into the ranking that
-//! the detector's results depend on. No lexical rule sees it:
-//! `no-wall-clock-outside-obs` only matches `Instant`/`SystemTime`, and
-//! `no-nondeterminism` only matches hash-container idents.
-
-#![forbid(unsafe_code)]
+//! the detector's results depend on. No clippy lint sees it:
+//! `disallowed_methods` bans only `Instant::now`/`SystemTime::now`, and
+//! `disallowed_types` only the hash containers.
 
 use std::thread;
 

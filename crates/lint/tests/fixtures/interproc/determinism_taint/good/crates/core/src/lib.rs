@@ -1,8 +1,6 @@
 //! Good: the same call shape, but the tie-break is a pure function of
 //! the input — every run on every thread ranks identically.
 
-#![forbid(unsafe_code)]
-
 /// The detector trait the engine roots on.
 pub trait Detector {
     fn detect(&self, data: &[f64]) -> Vec<usize>;

@@ -1,8 +1,6 @@
-//! Bad: the public API panics two calls deep through an `assert!` no
-//! lexical rule can see — `no-unwrap-in-lib` matches only
-//! `unwrap`/`expect`/`panic!`, and every function here is locally clean.
-
-#![forbid(unsafe_code)]
+//! Bad: the public API panics two calls deep through an `assert!` that no
+//! clippy lint names — `unwrap_used`, `expect_used` and `panic` match only
+//! `unwrap`/`expect`/`panic!` — and every function here is locally clean.
 
 /// The detector trait the engine roots on.
 pub trait Detector {

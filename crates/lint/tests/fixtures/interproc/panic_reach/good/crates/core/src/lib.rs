@@ -2,8 +2,6 @@
 //! gracefully instead of asserting — no panic is reachable from the
 //! public surface.
 
-#![forbid(unsafe_code)]
-
 /// The detector trait the engine roots on.
 pub trait Detector {
     fn detect(&self, data: &[f64]) -> Vec<usize>;

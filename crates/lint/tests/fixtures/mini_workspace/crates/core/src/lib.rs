@@ -1,27 +1,19 @@
 //! Mini fixture crate: one surviving violation, one inline allow, one
-//! unused allow, one baselined violation.
-#![forbid(unsafe_code)]
+//! unused allow.
 
-use std::time::Instant;
-
-/// Survives: an unwrap with no allow.
-pub fn first(values: &[f64]) -> f64 {
-    *values.first().unwrap()
+/// Survives: an exact float comparison with no allow.
+pub fn first(d: f64) -> bool {
+    d == 0.0
 }
 
 /// Suppressed by the inline allow on the next line.
-pub fn second(values: &[f64]) -> f64 {
-    // gv-lint: allow(no-unwrap-in-lib) fixture: inline allow round-trip
-    *values.last().unwrap()
+pub fn second(d: f64) -> bool {
+    // gv-lint: allow(no-float-eq) fixture: inline allow round-trip
+    d != 1.0
 }
 
 /// Carries an allow that excuses nothing.
 pub fn third() -> u32 {
     // gv-lint: allow(no-float-eq) fixture: unused allow that must rot loudly
     1 + 1
-}
-
-/// Uses the baselined clock type so the entry above stays live.
-pub fn fourth() -> Instant {
-    Instant::now()
 }

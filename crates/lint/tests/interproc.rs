@@ -1,10 +1,10 @@
 //! Interprocedural rule round-trips over checked-in fixture workspaces:
-//! each rule's `bad` workspace fires on a call chain that no lexical
-//! rule can see (the bad fixtures are lexically clean by construction),
-//! and the matching `good` workspace — same call shape, effect removed —
-//! is silent. A generated-workspace test pins chain-link suppression:
-//! an inline allow on an intermediate hop of the chain, not just the
-//! effect site, suppresses the finding.
+//! each rule's `bad` workspace fires only that rule (the other gv-lint
+//! rules are silent on it by construction), and the matching `good`
+//! workspace — same call shape, effect removed — is clean. A
+//! generated-workspace test pins chain-link suppression: an inline allow
+//! on an intermediate hop of the chain, not just the effect site,
+//! suppresses the finding.
 
 use std::path::{Path, PathBuf};
 
@@ -25,13 +25,13 @@ fn line_of(src: &str, needle: &str) -> u32 {
         .unwrap_or_else(|| panic!("fixture lost its {needle:?} line"))
 }
 
-/// Runs the `bad` workspace: exactly one finding, of `rule` only — any
-/// other rule firing would mean the chain is lexically visible after
-/// all, which is exactly what these fixtures must rule out.
-fn check_bad(rule: RuleId, dir: &str) -> gv_lint::LintReport {
+/// Runs the `bad` workspace: exactly `count` findings, all of `rule` —
+/// any other rule firing would mean the fixture tests more than one
+/// contract.
+fn check_bad(rule: RuleId, dir: &str, count: usize) -> gv_lint::LintReport {
     let report = run(&fixture_root(dir, "bad")).expect("bad fixture lints");
     let rules: Vec<RuleId> = report.violations.iter().map(|v| v.rule).collect();
-    assert_eq!(rules, vec![rule], "{}", report_text(&report));
+    assert_eq!(rules, vec![rule; count], "{}", report_text(&report));
     report
 }
 
@@ -52,7 +52,7 @@ fn report_text(report: &gv_lint::LintReport) -> String {
 #[test]
 fn panic_reachability_sees_through_two_hops() {
     let src = include_str!("fixtures/interproc/panic_reach/bad/crates/core/src/lib.rs");
-    let report = check_bad(RuleId::PanicReachability, "panic_reach");
+    let report = check_bad(RuleId::PanicReachability, "panic_reach", 1);
     let v = &report.violations[0];
     // Anchored at the buried assert, not at the clean public surface.
     assert_eq!(v.line, line_of(src, "    assert!"));
@@ -72,24 +72,36 @@ fn panic_reachability_sees_through_two_hops() {
 }
 
 #[test]
-fn alloc_reachability_sees_through_the_helper() {
+fn alloc_reachability_sees_every_depth() {
     let src = include_str!("fixtures/interproc/alloc_reach/bad/crates/core/src/lib.rs");
-    let report = check_bad(RuleId::AllocReachability, "alloc_reach");
-    let v = &report.violations[0];
-    // Anchored at the hot-region call; the chain descends to the push.
-    assert_eq!(v.line, line_of(src, "self.record(x);"));
-    assert!(v.message.contains("`.push()`"), "{}", v.message);
+    let report = check_bad(RuleId::AllocReachability, "alloc_reach", 3);
+    let [helper, direct, named_push] = &report.violations[..] else {
+        unreachable!("check_bad pinned three findings");
+    };
+    // Depth 1: anchored at the hot-region call; the chain descends to the
+    // helper's push.
+    assert_eq!(helper.line, line_of(src, "self.record(x);"));
+    assert!(helper.message.contains("`.push()`"), "{}", helper.message);
     assert_eq!(
-        v.chain.last().map(|l| l.line),
+        helper.chain.last().map(|l| l.line),
         Some(line_of(src, "self.buf.push(x);"))
     );
+    // Depth 0: growth written in the region itself, and a hot call to a
+    // workspace helper named `push` — each reported where it is written,
+    // with no chain.
+    assert_eq!(direct.line, line_of(src, "self.log.push(x);"));
+    assert_eq!(named_push.line, line_of(src, "self.window.push(x);"));
+    for v in [direct, named_push] {
+        assert!(v.chain.is_empty(), "{v}");
+        assert!(v.message.contains("allocates inside a hot region"), "{v}");
+    }
     check_good("alloc_reach");
 }
 
 #[test]
 fn determinism_taint_follows_the_returned_value() {
     let src = include_str!("fixtures/interproc/determinism_taint/bad/crates/core/src/lib.rs");
-    let report = check_bad(RuleId::DeterminismTaint, "determinism_taint");
+    let report = check_bad(RuleId::DeterminismTaint, "determinism_taint", 1);
     let v = &report.violations[0];
     // Anchored where the nondeterministic value is minted and bound.
     assert_eq!(v.line, line_of(src, "thread::current()"));

@@ -6,8 +6,8 @@
 //! threshold attached, so an on-call reading a `health` JSONL record never
 //! has to re-derive *why* a stream went red.
 //!
-//! Rules load from a flat `key = value` config file (same `#`-comment,
-//! no-deps style as `lint.toml`):
+//! Rules load from a flat config file: one `key = value` per line, `#`
+//! starts a comment anywhere on a line, and each key may appear once:
 //!
 //! ```text
 //! # SLOs for the payments fleet

@@ -85,7 +85,7 @@
 //!
 //! The CLI's `gv monitor` subcommand drives all three over a live stream.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 mod event;

@@ -1,8 +1,9 @@
 //! Gate-carrying timers: the only way non-obs code reads the clock.
 //!
 //! Each timer carries its own gate, so library crates never see
-//! `Instant` (the `no-wall-clock-outside-obs` lint rule enforces that the
-//! type never appears outside this crate and the bench binaries):
+//! `Instant` (clippy's `disallowed_methods`, configured in `clippy.toml`,
+//! rejects `Instant::now` anywhere but here and the bench binary that
+//! measures stream throughput):
 //!
 //! - [`SpanTimer`] — a stage measurement landing on a node of the
 //!   recorder's span tree, the one stored timing of a pipeline run. It
@@ -15,6 +16,11 @@
 //!   the clock.
 //! - [`Stopwatch`] — plain wall time for coarse measurements outside the
 //!   pipeline (CLI ledger and monitor timing).
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the obs layer owns timing: every clock read in the workspace goes through these timers"
+)]
 
 use crate::recorder::Recorder;
 use crate::span::SpanId;
@@ -98,9 +104,9 @@ impl SpanTimer {
 
 /// A plain wall-clock stopwatch for coarse, *non-hot-path* measurements:
 /// monitor interval timing, run-ledger wall time. It lives in gv-obs
-/// because only this crate and the bench binaries may read the clock
-/// (the `no-wall-clock-outside-obs` lint rule) — callers elsewhere hold
-/// a `Stopwatch` instead of an `Instant`.
+/// because clippy's `disallowed_methods` keeps `Instant::now` out of
+/// every other crate — callers elsewhere hold a `Stopwatch` instead of
+/// an `Instant`.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch(Instant);
 

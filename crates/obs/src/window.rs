@@ -227,6 +227,10 @@ impl WindowedAggregator {
     /// wall-clock time (ignored unless timing is enabled). All three must
     /// be monotone across calls — like the snapshot itself, they describe
     /// the whole run so far, and the aggregator does the differencing.
+    #[expect(
+        clippy::expect_used,
+        reason = "the element was pushed on the previous line, so the deque is non-empty"
+    )]
     pub fn observe(
         &mut self,
         trace: &PipelineTrace,
@@ -294,7 +298,6 @@ impl WindowedAggregator {
             self.evicted += 1;
         }
         self.windows.push_back(window);
-        // gv-lint: allow(no-unwrap-in-lib) the element was pushed on the previous line, so the deque is non-empty
         self.windows.back().expect("just pushed")
     }
 

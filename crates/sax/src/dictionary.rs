@@ -4,7 +4,10 @@
 //! dictionary maps each distinct SAX word to a stable token id and back.
 
 use std::collections::hash_map::DefaultHasher;
-// gv-lint: allow(no-nondeterminism) imported for the lookup-only hash bucket index below
+#[expect(
+    clippy::disallowed_types,
+    reason = "imported for the lookup-only hash bucket index below"
+)]
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
@@ -23,7 +26,10 @@ pub struct SaxDictionary {
     by_token: Vec<SaxWord>,
     /// Word-hash → tokens with that hash. Buckets almost always hold one
     /// entry; collisions are resolved by comparing the stored words.
-    // gv-lint: allow(no-nondeterminism) probed by hash key only, never iterated; word order comes from by_token
+    #[expect(
+        clippy::disallowed_types,
+        reason = "probed by hash key only, never iterated; word order comes from by_token"
+    )]
     by_hash: HashMap<u64, Vec<u32>>,
 }
 

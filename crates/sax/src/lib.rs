@@ -31,7 +31,7 @@
 //! assert_eq!(records[0].offset, 0);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 mod alphabet;

@@ -105,6 +105,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the test exists to show SaxWord works as a hash key; the set is lookup-only"
+    )]
     fn hashable() {
         use std::collections::HashSet;
         let mut set = HashSet::new();

@@ -1,7 +1,10 @@
 //! The immutable grammar produced by Sequitur, with expansion and
 //! occurrence mapping.
 
-// gv-lint: allow(no-nondeterminism) HashMap is imported only for the lookup-only rule index
+#[expect(
+    clippy::disallowed_types,
+    reason = "HashMap is imported only for the lookup-only rule index"
+)]
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -109,7 +112,10 @@ pub struct Grammar {
     rules: Vec<GrammarRule>,
     /// id → dense index into `rules` (ids are dense post-`finish`, but keep
     /// the map so the representation tolerates sparse ids).
-    // gv-lint: allow(no-nondeterminism) lookup-only id->slot index; never iterated
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup-only id->slot index; never iterated"
+    )]
     index: HashMap<RuleId, usize>,
     /// Memoized expansion length (in terminals) per rule, same order as
     /// `rules`.
@@ -128,7 +134,10 @@ impl Grammar {
     pub fn from_rules(rules: Vec<GrammarRule>, input_len: usize) -> Self {
         // gv-lint: allow(panic-reachability) validation is this constructor's contract: a ruleless grammar is an induction bug, not user error
         assert!(!rules.is_empty(), "a grammar needs at least R0");
-        // gv-lint: allow(no-nondeterminism) populates the lookup-only index above
+        #[expect(
+            clippy::disallowed_types,
+            reason = "populates the lookup-only index above"
+        )]
         let mut index = HashMap::with_capacity(rules.len());
         for (i, r) in rules.iter().enumerate() {
             let dup = index.insert(r.id, i);
@@ -222,7 +231,10 @@ impl Grammar {
         let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
         let mut cursor_stack: Vec<usize> = vec![0];
         while let Some((ri, pos)) = stack.pop() {
-            // gv-lint: allow(no-unwrap-in-lib) cursor_stack is pushed/popped in lockstep with stack; desync is a bug, not an input error
+            #[expect(
+                clippy::expect_used,
+                reason = "cursor_stack is pushed/popped in lockstep with stack; desync is a bug, not an input error"
+            )]
             let mut cursor = cursor_stack.pop().expect("cursor stack in sync");
             let rhs = &self.rules[ri].rhs;
             let mut p = pos;
@@ -412,10 +424,13 @@ impl Grammar {
                 stack.push((ri, true));
                 for s in &self.rules[ri].rhs {
                     if let Symbol::Rule(r) = s {
+                        #[expect(
+                            clippy::panic,
+                            reason = "validate() exists to panic on malformed grammars; a dangling rule id is exactly what it reports"
+                        )]
                         let ci = *self
                             .index
                             .get(r)
-                            // gv-lint: allow(no-unwrap-in-lib) validate() exists to panic on malformed grammars; a dangling rule id is exactly what it reports
                             .unwrap_or_else(|| panic!("rule {r} referenced but not defined"));
                         if state[ci] == State::White {
                             stack.push((ci, false));

@@ -22,7 +22,10 @@
 //!   caller can maintain a rule-density curve by ±1 interval deltas instead
 //!   of recounting the grammar.
 
-// gv-lint: allow(no-nondeterminism) imported for the lookup-only digram table below
+#[expect(
+    clippy::disallowed_types,
+    reason = "imported for the lookup-only digram table below"
+)]
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::hash::DefaultHasher;
@@ -156,7 +159,10 @@ pub struct Sequitur {
     /// Dead rule slots available for reuse — without this, streaming rule
     /// churn would grow the `rules` arena linearly with stream length.
     free_rules: Vec<u32>,
-    // gv-lint: allow(no-nondeterminism) classic Sequitur digram table: probed and mutated by key, never iterated on a result path; fixed-seed hasher keeps capacities reproducible
+    #[expect(
+        clippy::disallowed_types,
+        reason = "classic Sequitur digram table: probed and mutated by key, never iterated on a result path; fixed-seed hasher keeps capacities reproducible"
+    )]
     digrams: HashMap<(Val, Val), u32, DigramHasher>,
     /// Number of *live* (retained) terminals.
     len: usize,
@@ -192,7 +198,10 @@ impl Sequitur {
             free: Vec::new(),
             rules: Vec::new(),
             free_rules: Vec::new(),
-            // gv-lint: allow(no-nondeterminism) allocates the lookup-only digram table
+            #[expect(
+                clippy::disallowed_types,
+                reason = "allocates the lookup-only digram table"
+            )]
             digrams: HashMap::default(),
             len: 0,
             evicted: 0,
@@ -322,10 +331,13 @@ impl Sequitur {
             let mut cur = self.nodes[guard as usize].next;
             while cur != guard {
                 let val = self.nodes[cur as usize].val;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "rule_uses bookkeeping guarantees referenced rules stay live until the referencing body is rewritten"
+                )]
                 rhs.push(match val {
                     Val::Term(t) => Symbol::Terminal(t),
                     Val::Rule(r) => {
-                        // gv-lint: allow(no-unwrap-in-lib) rule_uses bookkeeping guarantees referenced rules stay live until the referencing body is rewritten
                         Symbol::Rule(id_map[r as usize].expect("live rule referenced a dead rule"))
                     }
                     // gv-lint: allow(panic-reachability) guards delimit rule bodies; a guard inside a body is a broken induction invariant
@@ -333,8 +345,11 @@ impl Sequitur {
                 });
                 cur = self.nodes[cur as usize].next;
             }
+            #[expect(
+                clippy::unwrap_used,
+                reason = "id_map[i] was assigned for every live slot in the numbering pass just above"
+            )]
             rules.push(Some(GrammarRule {
-                // gv-lint: allow(no-unwrap-in-lib) id_map[i] was assigned for every live slot in the numbering pass just above
                 id: id_map[i].unwrap(),
                 rhs,
                 rule_uses: slot.uses as usize,

@@ -29,7 +29,7 @@
 //! assert!(matches!(r0.rhs[0], Symbol::Rule(_)));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 mod dot;

@@ -20,7 +20,7 @@
 //! assert!(z.iter().sum::<f64>().abs() < 1e-9); // zero mean
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 mod coverage;

@@ -19,7 +19,7 @@
 //! assert!(!report.anomalies.is_empty());
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 /// Time-series substrate (series type, z-norm, windows, intervals, IO).
