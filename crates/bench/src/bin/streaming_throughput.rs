@@ -1,11 +1,12 @@
 //! Streaming throughput flatness check: replays ECG records of 10k and
 //! 100k points through the bounded-horizon [`StreamingDetector`]
-//! (push every point, exact RRA re-detection every few thousand) and
-//! verifies the per-point cost stays **flat** — within 1.5x between the
-//! two history sizes. With the horizon fixed, the incremental engine's
-//! work per push is bounded by the retained window, never by how long
-//! the stream has been running; a super-linear drift here means eviction
-//! is leaking state.
+//! (push every point; every few thousand, an exact RRA re-detection and
+//! an alert scan, which reads the density curve) and verifies the
+//! per-point cost stays **flat** — within 1.5x between the two history
+//! sizes. With the horizon fixed, the engine's work per push and per read
+//! is bounded by the retained window, never by how long the stream has
+//! been running; a super-linear drift here means eviction is leaking
+//! state or a read scales with the stream.
 //!
 //! ```text
 //! cargo run -p gv-bench --release --bin streaming_throughput
@@ -34,8 +35,9 @@ const REPS: usize = 3;
 const MAX_RATIO: f64 = 1.5;
 
 /// One full pass: push every point through a fresh bounded stream, run
-/// the exact discord search every `DETECT_EVERY` points plus once at the
-/// end, and scan for alerts. Returns the number of points streamed.
+/// the exact discord search and scan for alerts every `DETECT_EVERY`
+/// points, and both once more at the end. Returns the number of points
+/// streamed.
 fn run_pass(values: &[f64], config: &PipelineConfig) -> usize {
     let rra = RraDetector::new(config.clone(), 2).with_engine(EngineConfig::sequential());
     let mut det = StreamingDetector::new(config.clone()).with_horizon(HORIZON);
@@ -43,6 +45,7 @@ fn run_pass(values: &[f64], config: &PipelineConfig) -> usize {
         det.push(v).expect("stream push");
         if (i + 1) % DETECT_EVERY == 0 {
             det.detect(&rra).expect("periodic detect");
+            let _ = det.alerts(0, 2 * config.window());
         }
     }
     det.detect(&rra).expect("final detect");
@@ -54,7 +57,7 @@ fn main() {
     let config = PipelineConfig::new(150, 4, 4).expect("valid params");
     println!(
         "Streaming throughput — horizon {HORIZON}, window 150, exact detect \
-         every {DETECT_EVERY} points\n"
+         and alert scan every {DETECT_EVERY} points\n"
     );
     println!(
         "{:<10} {:>12} {:>12} {:>12}",

@@ -5,10 +5,11 @@
 //! The incremental path earns its keep three ways, and each claim is
 //! checked bit-for-bit:
 //!
-//! * **Density**: the `±1`-delta curve maintained from the grammar
-//!   journal must equal a naive recount over the engine's own grammar
-//!   snapshot — any drift in the journal-to-interval bookkeeping (rule
-//!   birth, death, eviction, relearn) shows up here;
+//! * **Density**: the stream curve, counted from the live grammar's
+//!   occurrence walk, must equal a naive recount over the engine's own
+//!   grammar snapshot — any drift between the live arena and its
+//!   extracted grammar (cursors, expansion lengths, eviction, relearn) or
+//!   in the token-to-point mapping shows up here;
 //! * **Discords**: [`StreamingDetector::detect`] over the horizon view
 //!   must match a fresh batch detector on the same raw slice, interval
 //!   and distance bits included (workspace reuse must be invisible);
@@ -100,9 +101,10 @@ fn check_retained_values(det: &StreamingDetector, values: &[f64]) -> CheckResult
     result
 }
 
-/// The incrementally-maintained density curve must equal a naive recount
-/// over the engine's *own* grammar snapshot, clipped to the retained
-/// region — the streaming analogue of
+/// The stream curve must equal a naive recount over the engine's *own*
+/// grammar snapshot, one point at a time through
+/// `Grammar::occurrences`, clipped to the retained region — the streaming
+/// analogue of
 /// [`check_density_recount`](crate::check_density_recount).
 fn check_streaming_density(det: &StreamingDetector) -> CheckResult {
     let mut result =
@@ -130,7 +132,7 @@ fn check_streaming_density(det: &StreamingDetector) -> CheckResult {
     for (i, (&fast, &slow)) in curve.iter().zip(&naive).enumerate() {
         if fast != slow {
             result.violations.push(format!(
-                "density at retained point {i} (absolute {}): incremental curve \
+                "density at retained point {i} (absolute {}): stream curve \
                  says {fast}, recount {slow}",
                 tail + i
             ));

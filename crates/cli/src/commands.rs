@@ -615,6 +615,9 @@ fn stream(args: &Args) -> Result<(), String> {
     let threshold = args.usize_or("threshold", 0)? as i64;
     let maturity = args.usize_or("maturity", window)?;
     let check_every = args.usize_or("check-every", (series.len() / 20).max(100))?;
+    if check_every == 0 {
+        return Err("--check-every must be at least 1".to_string());
+    }
     let metrics_every = args.usize_or("metrics-every", 0)?;
     let horizon = args.usize_or("horizon", 0)?;
 

@@ -22,7 +22,8 @@ impl PipelineConfig {
     /// triple with the default (exact) numerosity reduction.
     ///
     /// # Errors
-    /// Propagates invalid SAX parameters as [`crate::Error::Sax`].
+    /// [`crate::Error::InvalidParameter`] for a zero window; other invalid
+    /// SAX parameters as [`crate::Error::Sax`].
     pub fn new(window: usize, paa: usize, alphabet: usize) -> Result<Self> {
         Ok(Self {
             sax: SaxConfig::new(window, paa, alphabet)?,
@@ -96,7 +97,10 @@ mod tests {
 
     #[test]
     fn invalid_parameters_rejected() {
-        assert!(PipelineConfig::new(0, 5, 4).is_err());
+        assert!(matches!(
+            PipelineConfig::new(0, 5, 4),
+            Err(crate::Error::InvalidParameter(_))
+        ));
         assert!(PipelineConfig::new(100, 0, 4).is_err());
         assert!(PipelineConfig::new(100, 101, 4).is_err());
         assert!(PipelineConfig::new(100, 5, 1).is_err());

@@ -70,6 +70,10 @@ impl From<gv_discord::Error> for Error {
 impl From<gv_sax::Error> for Error {
     fn from(e: gv_sax::Error) -> Self {
         match e {
+            // A zero window is a bad parameter, not a short series.
+            gv_sax::Error::Window { window: 0, .. } => {
+                Error::InvalidParameter("window must be at least 1".into())
+            }
             gv_sax::Error::Window { window, series_len } => {
                 Error::SeriesTooShort { window, series_len }
             }
@@ -97,6 +101,12 @@ mod tests {
             }
         );
         assert!(e.to_string().contains("too short"));
+        let zero: Error = gv_sax::Error::Window {
+            window: 0,
+            series_len: 0,
+        }
+        .into();
+        assert!(zero.to_string().contains("window must be at least 1"));
         let s: Error = gv_sax::Error::AlphabetSize(1).into();
         assert!(matches!(s, Error::Sax(_)));
         assert!(Error::NoCandidates

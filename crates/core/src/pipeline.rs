@@ -116,6 +116,7 @@ impl AnomalyPipeline {
         k: usize,
         recorder: &dyn Recorder,
     ) -> Result<ExplainReport> {
+        crate::engine::check_k(k)?;
         // Always collect detail locally — the join needs the events even
         // when the caller's sink is a Noop.
         let local = LocalRecorder::new();

@@ -18,11 +18,12 @@
 //!   lockstep with the grammar;
 //! * the grammar itself retires front tokens via
 //!   [`Sequitur::evict_front`] as they age out;
-//! * the rule-density curve is maintained *incrementally*: the grammar's
-//!   structural journal reports each rule-occurrence birth/death, which
-//!   becomes a ±1 delta over the covered points instead of a full recount
-//!   (a journal event without a resolvable position forces one recount,
-//!   counted by [`Counter::DensityRecounts`]);
+//! * a push does no density work: the rule-density curve is counted when
+//!   it is read ([`density_curve`](StreamingDetector::density_curve),
+//!   [`alerts`](StreamingDetector::alerts)), by one walk over the live
+//!   grammar's rule occurrences ([`Sequitur::for_each_occurrence`]) into a
+//!   difference array over the retained points — O(horizon +
+//!   occurrences) per read, the same count at every horizon;
 //! * [`detect`](StreamingDetector::detect) dispatches over the horizon
 //!   view only, so a from-scratch batch run over the same slice produces
 //!   bit-identical discords.
@@ -39,8 +40,8 @@ use std::collections::VecDeque;
 
 use gv_obs::{Counter, NoopRecorder, PipelineTrace};
 use gv_sax::{SaxDictionary, SaxRecord, SaxScratch, SaxWord};
-use gv_sequitur::{GrammarEvent, Sequitur};
-use gv_timeseries::Interval;
+use gv_sequitur::Sequitur;
+use gv_timeseries::{CoverageCounter, Interval};
 
 use crate::config::PipelineConfig;
 use crate::density::RuleDensity;
@@ -91,10 +92,6 @@ impl<T: Copy> SlidingBuf<T> {
         &self.buf[self.start..]
     }
 
-    fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.buf[self.start..]
-    }
-
     fn capacity(&self) -> usize {
         self.buf.capacity()
     }
@@ -126,31 +123,19 @@ pub struct StreamingDetector {
     sax: SaxScratch,
     /// The retained raw values (the whole stream when unbounded).
     values: SlidingBuf<f64>,
-    /// Incrementally-maintained rule-density curve, aligned with `values`
-    /// (only maintained when a horizon is set).
-    curve: SlidingBuf<i64>,
     /// Total points consumed.
     seen: usize,
     dictionary: SaxDictionary,
     sequitur: Sequitur,
     /// Surviving records (post numerosity reduction) over the horizon;
-    /// record `i` is retained grammar token `i`.
+    /// record `i` is retained grammar token `i`, absolute token
+    /// `i + sequitur.tokens_evicted()`.
     records: VecDeque<SaxRecord>,
-    /// Absolute token index of `records.front()` (tokens popped so far).
-    tokens_dropped: u64,
     /// Recycled word storage: boxes from evicted records are reused for
     /// new words, so steady-state pushes stop allocating.
     word_pool: Vec<Box<[u8]>>,
     /// Cumulative kept words (monotone even under eviction).
     words_emitted: u64,
-    /// Scratch for draining the grammar's structural journal.
-    journal: Vec<GrammarEvent>,
-    /// A journal event without a resolvable position invalidated the
-    /// incremental curve; a recount runs at the end of the push.
-    curve_dirty: bool,
-    /// Cumulative full curve recounts (the snapshots'
-    /// [`Counter::DensityRecounts`]).
-    density_recounts: u64,
     /// Reused across [`detect`](StreamingDetector::detect) calls, so
     /// periodic re-detection stops allocating once warmed up.
     workspace: Workspace,
@@ -174,17 +159,12 @@ impl StreamingDetector {
             horizon: 0,
             sax: SaxScratch::new(),
             values: SlidingBuf::new(0),
-            curve: SlidingBuf::new(0),
             seen: 0,
             dictionary: SaxDictionary::new(),
             sequitur: Sequitur::new(),
             records: VecDeque::new(),
-            tokens_dropped: 0,
             word_pool: Vec::new(),
             words_emitted: 0,
-            journal: Vec::new(),
-            curve_dirty: false,
-            density_recounts: 0,
             workspace: Workspace::new(),
             metrics_every: 0,
             last_flush_seen: 0,
@@ -209,9 +189,7 @@ impl StreamingDetector {
             horizon.max(self.config.window())
         };
         self.values = SlidingBuf::new(self.horizon);
-        self.curve = SlidingBuf::new(self.horizon);
         if self.horizon > 0 {
-            self.sequitur.enable_journal();
             // The pool never outgrows the peak retained-record count (one
             // box per kept word in flight), so reserving that up front
             // freezes its capacity for the lifetime of the stream.
@@ -285,10 +263,8 @@ impl StreamingDetector {
     pub fn capacity_signature(&self) -> Vec<usize> {
         let mut sig = vec![
             self.values.capacity(),
-            self.curve.capacity(),
             self.records.capacity(),
             self.word_pool.capacity(),
-            self.journal.capacity(),
             self.dictionary.capacity(),
         ];
         sig.extend(self.sax.capacities());
@@ -314,10 +290,6 @@ impl StreamingDetector {
         // gv-lint: hot
         // gv-lint: allow(alloc-reachability) amortized SlidingBuf growth: with a horizon, compaction freezes the capacity at about 2x the horizon (capacity_signature_freezes_on_long_stream); unbounded mode keeps the whole stream by design
         self.values.push(value);
-        if self.horizon > 0 {
-            // gv-lint: allow(alloc-reachability) amortized SlidingBuf growth: compaction freezes the capacity at about 2x the horizon (capacity_signature_freezes_on_long_stream)
-            self.curve.push(0);
-        }
         self.seen += 1;
         // The horizon holds at least one window, so the window ending at
         // this point is retained and contiguous.
@@ -346,11 +318,8 @@ impl StreamingDetector {
             }
         }
         if self.horizon > 0 {
-            // Rule births from this push become +1 curve deltas.
-            self.apply_journal();
             // Retire records whose window slid out of the horizon; the
-            // grammar evicts the same tokens, journaling every occurrence
-            // death (applied while the records can still resolve offsets).
+            // grammar evicts the same tokens.
             let boundary = self.seen.saturating_sub(self.horizon);
             let mut evict = 0usize;
             while let Some(rec) = self.records.get(evict) {
@@ -362,18 +331,12 @@ impl StreamingDetector {
             }
             if evict > 0 {
                 self.sequitur.evict_front(evict);
-                self.apply_journal();
                 for _ in 0..evict {
                     if let Some(rec) = self.records.pop_front() {
                         // gv-lint: allow(alloc-reachability) bounded pool: a buffer is minted only when the pool is empty, so pool plus retained records never exceed the peak record count and the pool stops growing after warmup
                         self.word_pool.push(rec.word.into_bytes());
                     }
                 }
-                self.tokens_dropped += evict as u64;
-            }
-            if self.curve_dirty {
-                // gv-lint: allow(alloc-reachability) fallback, not cold: recount_curve runs whenever the journal emits Dirty, on 5,688 of 7,849 kept words at horizon 800 (ROADMAP item 6 removes it)
-                self.recount_curve();
             }
         }
         // gv-lint: end-hot
@@ -381,70 +344,6 @@ impl StreamingDetector {
             self.flush_metrics();
         }
         Ok(())
-    }
-
-    /// Drains the grammar journal and folds each positioned occurrence
-    /// birth/death into the curve as a ±1 interval delta. An event whose
-    /// position the grammar could not track marks the curve dirty (one
-    /// recount at the end of the push).
-    fn apply_journal(&mut self) {
-        let mut events = std::mem::take(&mut self.journal);
-        self.sequitur.drain_journal(&mut events);
-        for e in events.drain(..) {
-            match e {
-                GrammarEvent::Born {
-                    token_start,
-                    token_len,
-                } => self.apply_span(token_start, token_len, 1),
-                GrammarEvent::Died {
-                    token_start,
-                    token_len,
-                } => self.apply_span(token_start, token_len, -1),
-                GrammarEvent::Dirty => self.curve_dirty = true,
-            }
-        }
-        self.journal = events;
-    }
-
-    /// Adds `delta` over the points covered by the token span
-    /// `[token_start, token_start + token_len)` (absolute token indexes),
-    /// clipped to the retained region.
-    fn apply_span(&mut self, token_start: u64, token_len: u64, delta: i64) {
-        if self.curve_dirty {
-            return; // a recount will rebuild everything anyway
-        }
-        debug_assert!(token_start >= self.tokens_dropped, "span below the front");
-        let rel = (token_start - self.tokens_dropped) as usize;
-        let last = rel + token_len as usize - 1;
-        debug_assert!(last < self.records.len(), "span beyond retained tokens");
-        let start_pt = self.records[rel].offset;
-        let end_pt = self.records[last].offset + self.config.window();
-        let tail = self.horizon_start();
-        if end_pt <= tail {
-            return;
-        }
-        let lo = start_pt.max(tail) - tail;
-        let hi = end_pt.min(self.seen) - tail;
-        for c in &mut self.curve.as_mut_slice()[lo..hi] {
-            *c += delta;
-        }
-    }
-
-    /// Rebuilds the curve over the retained region from a fresh grammar
-    /// snapshot — the fallback when a journal event had no resolvable
-    /// position. Each occurrence goes through `apply_span`, the one
-    /// clipping rule. O(horizon + occurrences), never O(stream).
-    fn recount_curve(&mut self) {
-        self.curve_dirty = false;
-        self.density_recounts += 1;
-        for c in self.curve.as_mut_slice() {
-            *c = 0;
-        }
-        let grammar = self.sequitur.snapshot();
-        for occ in grammar.occurrences() {
-            let token_start = self.tokens_dropped + occ.token_start as u64;
-            self.apply_span(token_start, occ.token_len as u64, 1);
-        }
     }
 
     /// Flushes a terminal metrics snapshot covering the tail of the
@@ -485,7 +384,6 @@ impl StreamingDetector {
         trace.counters[Counter::TokensEvicted.index()] = stats.tokens_evicted;
         trace.counters[Counter::RulesEvicted.index()] = stats.rules_evicted;
         trace.counters[Counter::RulesRelearned.index()] = stats.rules_relearned;
-        trace.counters[Counter::DensityRecounts.index()] = self.density_recounts;
         self.last_flush_seen = self.seen;
         self.snapshots.push(trace);
     }
@@ -504,16 +402,26 @@ impl StreamingDetector {
 
     /// The rule-density curve over the retained region, oldest point
     /// first (`curve[i]` describes absolute point `horizon_start() + i`).
-    /// Unbounded engines recount from a snapshot; bounded engines return
-    /// the incrementally-maintained curve — the differential tests assert
-    /// the two are bit-identical.
+    /// Counted on read from the live grammar: each rule occurrence covers
+    /// its first word's offset up to its last word's offset plus the
+    /// window — the batch mapping of [`RuleDensity::from_model`], so an
+    /// unbounded stream's curve is the batch curve to the bit. O(horizon +
+    /// occurrences); a push does no density work.
     pub fn density_curve(&self) -> Vec<i64> {
-        if self.horizon > 0 {
-            debug_assert!(!self.curve_dirty, "push always settles the curve");
-            self.curve.as_slice().to_vec()
-        } else {
-            RuleDensity::from_model(&self.model()).curve
-        }
+        let tail = self.horizon_start();
+        let evicted = self.sequitur.tokens_evicted();
+        let window = self.config.window();
+        let mut cc = CoverageCounter::new(self.values.len());
+        self.sequitur.for_each_occurrence(|cursor, len| {
+            let first = (cursor - evicted) as usize;
+            let start = self.records[first].offset;
+            let end = (self.records[first + len as usize - 1].offset + window).min(self.seen);
+            // Eviction retires every record whose offset precedes the
+            // horizon start, so no start needs clipping.
+            debug_assert!(start >= tail, "retained record before the horizon start");
+            cc.add(Interval::new(start - tail, end - tail));
+        });
+        cc.finish()
     }
 
     /// The retained points, oldest first (the whole stream when
@@ -943,8 +851,9 @@ mod tests {
     }
 
     /// A from-first-principles recount of the retained density curve from
-    /// the engine's own model — what the incremental ±1 deltas must equal
-    /// to the bit.
+    /// the engine's own model, one point at a time through the batch
+    /// occurrence mapping — what the counted-on-read curve must equal to
+    /// the bit.
     fn recount_from_model(det: &StreamingDetector) -> Vec<i64> {
         let model = det.model();
         let tail = det.horizon_start();
@@ -962,10 +871,9 @@ mod tests {
 
     #[test]
     fn horizon_covering_stream_matches_unbounded_engine() {
-        // With a horizon larger than the stream nothing evicts, but the
-        // incremental curve path is active — it must agree with the
-        // unbounded recount (and therefore with the batch pipeline) bit
-        // for bit.
+        // With a horizon larger than the stream nothing evicts, so the
+        // bounded engine must agree with the unbounded one (and therefore
+        // with the batch pipeline) bit for bit.
         let values = planted(1500, 700..760);
         let config = PipelineConfig::new(50, 4, 4).unwrap();
         let mut unbounded = StreamingDetector::new(config.clone());
@@ -981,24 +889,25 @@ mod tests {
 
     #[test]
     fn horizon_density_curve_matches_recount_from_own_model() {
-        // The incremental-vs-batch differential, curve half: after heavy
-        // eviction the delta-maintained curve equals a from-scratch
-        // recount over the engine's own grammar, bit for bit.
+        // The stream-vs-batch differential, curve half: after every push,
+        // through warmup and heavy eviction, the curve counted from the
+        // live grammar equals a from-scratch recount over the engine's own
+        // grammar snapshot, bit for bit.
         let values = planted(4000, 2500..2560);
         let config = PipelineConfig::new(40, 4, 4).unwrap();
-        let mut det = StreamingDetector::new(config).with_horizon(900);
-        for (i, &v) in values.iter().enumerate() {
-            det.push(v).unwrap();
-            if i % 397 == 0 || i + 1 == values.len() {
+        for horizon in [250, 900] {
+            let mut det = StreamingDetector::new(config.clone()).with_horizon(horizon);
+            for (i, &v) in values.iter().enumerate() {
+                det.push(v).unwrap();
                 assert_eq!(
                     det.density_curve(),
                     recount_from_model(&det),
-                    "curve deltas drifted at point {i}"
+                    "curve drifted at point {i}, horizon {horizon}"
                 );
             }
+            assert_eq!(det.values().len(), horizon);
+            assert_eq!(det.horizon_start(), 4000 - horizon);
         }
-        assert_eq!(det.values().len(), 900);
-        assert_eq!(det.horizon_start(), 4000 - 900);
     }
 
     #[test]

@@ -69,11 +69,15 @@ fn compressed_size(tokens: &[u32]) -> f64 {
 ///
 /// # Errors
 /// [`Error::NonFiniteInput`] for NaN/±∞ values;
+/// [`Error::InvalidParameter`] for a zero window;
 /// [`Error::Sax`] for bad tokenizer parameters;
 /// [`Error::SeriesTooShort`] when not even one window fits.
 pub fn wcad_scores(values: &[f64], config: &WcadConfig) -> Result<Vec<WcadScore>> {
     crate::engine::check_finite(values)?;
-    if values.len() < config.window || config.window == 0 {
+    if config.window == 0 {
+        return Err(Error::InvalidParameter("window must be at least 1".into()));
+    }
+    if values.len() < config.window {
         return Err(Error::SeriesTooShort {
             window: config.window,
             series_len: values.len(),
@@ -173,6 +177,10 @@ mod tests {
         assert!(matches!(
             wcad_scores(&[1.0; 10], &WcadConfig::new(128)),
             Err(Error::SeriesTooShort { .. })
+        ));
+        assert!(matches!(
+            wcad_scores(&[1.0; 10], &WcadConfig::new(0)),
+            Err(Error::InvalidParameter(_))
         ));
     }
 

@@ -92,8 +92,11 @@ pub enum Counter {
     /// Rules re-formed during eviction repair (an unrolled occurrence
     /// re-exposed a repeated digram over the retained suffix).
     RulesRelearned,
-    /// Full density-curve recounts forced by position-less grammar churn
-    /// (the incremental ±1 delta path couldn't absorb the event).
+    /// Retired: always 0. It counted the streaming detector's push-path
+    /// density recounts; the stream now counts its curve when the curve is
+    /// read, so nothing writes it. The `density_recounts` key stays in
+    /// schema-4 records, whose key set is fixed; drop it at the next
+    /// schema bump.
     DensityRecounts,
 }
 

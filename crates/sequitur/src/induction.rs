@@ -17,10 +17,10 @@
 //!   decrementing rule use-counts, inlining rules whose utility drops below
 //!   two, and re-checking digram uniqueness where an unrolled occurrence
 //!   exposes new adjacencies (which can *re-learn* rules);
-//! * an optional **structural journal** ([`GrammarEvent`]) reporting every
-//!   rule-occurrence birth and death with its absolute token span, so a
-//!   caller can maintain a rule-density curve by ±1 interval deltas instead
-//!   of recounting the grammar.
+//! * [`Sequitur::for_each_occurrence`] walks the live derivation from those
+//!   cursors, reporting every rule occurrence's absolute token span without
+//!   extracting a [`Grammar`] — what a streaming caller counts its
+//!   rule-density curve from.
 
 #[expect(
     clippy::disallowed_types,
@@ -116,41 +116,13 @@ pub struct InductionStats {
     pub rules_relearned: u64,
 }
 
-/// One structural change to the set of rule occurrences, reported through
-/// the journal (see [`Sequitur::enable_journal`]).
-///
-/// Token positions are absolute stream cursors (counting every terminal
-/// ever pushed, including evicted ones).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GrammarEvent {
-    /// A rule occurrence materialized, covering
-    /// `token_start..token_start + token_len`.
-    Born {
-        /// Absolute cursor of the occurrence's first terminal.
-        token_start: u64,
-        /// Terminal expansion length of the occurrence.
-        token_len: u64,
-    },
-    /// A rule occurrence dissolved (inlined, unrolled, or evicted).
-    Died {
-        /// Absolute cursor of the occurrence's first terminal.
-        token_start: u64,
-        /// Terminal expansion length of the occurrence.
-        token_len: u64,
-    },
-    /// A structural change happened at a site whose absolute position is
-    /// unknown (inside a rule body). Occurrence bookkeeping derived from
-    /// the journal must be recomputed from a fresh snapshot.
-    Dirty,
-}
-
 /// Incremental Sequitur inducer over `u32` terminal tokens.
 ///
 /// Feed tokens with [`Sequitur::push`], then call [`Sequitur::finish`]
 /// (or use the [`Sequitur::induce`] convenience) to obtain the final
 /// immutable [`Grammar`]. Streaming callers bound memory with
-/// [`Sequitur::evict_front`] and observe structural churn through the
-/// journal ([`Sequitur::enable_journal`]).
+/// [`Sequitur::evict_front`] and read the live occurrence set with
+/// [`Sequitur::for_each_occurrence`].
 #[derive(Debug)]
 pub struct Sequitur {
     nodes: Vec<Node>,
@@ -172,10 +144,6 @@ pub struct Sequitur {
     /// the progress signal for the eviction repair loop.
     rewrites: u64,
     stats: InductionStats,
-    journal_on: bool,
-    journal: Vec<GrammarEvent>,
-    /// Scratch for the eviction subtree walk (reused across calls).
-    death_stack: Vec<(u32, u64)>,
     /// Scratch for unrolling a straddling occurrence (reused across calls).
     unroll_buf: Vec<Val>,
     /// Rules whose use count fell to exactly one mid-cascade; drained
@@ -207,9 +175,6 @@ impl Sequitur {
             evicted: 0,
             rewrites: 0,
             stats: InductionStats::default(),
-            journal_on: false,
-            journal: Vec::new(),
-            death_stack: Vec::new(),
             unroll_buf: Vec::new(),
             pending_utility: Vec::new(),
         };
@@ -248,21 +213,6 @@ impl Sequitur {
         self.len == 0
     }
 
-    /// Turns on the structural journal: every rule-occurrence birth/death
-    /// from now on is recorded as a [`GrammarEvent`] for the caller to
-    /// drain with [`Sequitur::drain_journal`]. Off by default — the batch
-    /// path pays only an untaken branch.
-    pub fn enable_journal(&mut self) {
-        self.journal_on = true;
-    }
-
-    /// Moves all pending journal events into `into` (appending), leaving
-    /// the internal buffer empty but with its capacity retained.
-    pub fn drain_journal(&mut self, into: &mut Vec<GrammarEvent>) {
-        // gv-lint: allow(alloc-reachability) append moves the retained journal buffer wholesale; capacity_signature tests pin the zero-growth steady state
-        into.append(&mut self.journal);
-    }
-
     /// Capacities of every internal buffer — for bounded-memory tests: on
     /// a horizon-evicted stream the signature must freeze after warmup.
     pub fn capacity_signature(&self) -> Vec<usize> {
@@ -272,8 +222,6 @@ impl Sequitur {
             self.rules.capacity(),
             self.free_rules.capacity(),
             self.digrams.capacity(),
-            self.journal.capacity(),
-            self.death_stack.capacity(),
             self.unroll_buf.capacity(),
             self.pending_utility.capacity(),
         ]
@@ -306,6 +254,43 @@ impl Sequitur {
     /// Finalizes induction and extracts the immutable [`Grammar`].
     pub fn finish(self) -> Grammar {
         self.extract()
+    }
+
+    /// Visits every rule occurrence in `R0`'s derivation — nested uses at
+    /// every level, `R0` itself excluded — as `f(cursor, len)`: the
+    /// absolute cursor of its first terminal and its expansion length.
+    /// This is the occurrence set [`Grammar::occurrences`] reports on a
+    /// [`snapshot`](Sequitur::snapshot), shifted by
+    /// [`tokens_evicted`](Sequitur::tokens_evicted), read off the live arena
+    /// without extracting a grammar: `R0` symbols carry their cursors, and
+    /// a body symbol's cursor is its occurrence's plus the expansion
+    /// lengths before it. O(len() + occurrences) time.
+    pub fn for_each_occurrence(&self, mut f: impl FnMut(u64, u64)) {
+        let mut stack: Vec<(u32, u64)> = Vec::new();
+        let guard0 = self.rules[0].guard;
+        let mut top = self.next(guard0);
+        while top != guard0 {
+            if let Val::Rule(r) = self.val(top) {
+                let c = self.nodes[top as usize].cursor;
+                debug_assert_ne!(c, UNKNOWN, "R0 symbol without a cursor");
+                stack.push((r, c));
+            }
+            while let Some((r, base)) = stack.pop() {
+                f(base, self.rules[r as usize].exp_len);
+                let guard = self.rules[r as usize].guard;
+                let mut cur = self.next(guard);
+                let mut off = base;
+                while cur != guard {
+                    let v = self.val(cur);
+                    if let Val::Rule(q) = v {
+                        stack.push((q, off));
+                    }
+                    off += self.exp_len_of(v);
+                    cur = self.next(cur);
+                }
+            }
+            top = self.next(top);
+        }
     }
 
     fn extract(&self) -> Grammar {
@@ -367,8 +352,7 @@ impl Sequitur {
     /// straddling the cut is unrolled — replaced by a copy of its body —
     /// and the adjacencies this exposes are re-checked for digram
     /// uniqueness, which can re-form ("re-learn") rules over the retained
-    /// suffix. The digram index is kept consistent throughout; with the
-    /// journal enabled, every occurrence birth/death is reported.
+    /// suffix. The digram index is kept consistent throughout.
     pub fn evict_front(&mut self, count: usize) {
         let count = count.min(self.len);
         if count == 0 {
@@ -412,7 +396,6 @@ impl Sequitur {
                     if c + span <= cutoff {
                         // The whole occurrence falls out of the horizon: it
                         // and every occurrence nested under it die.
-                        self.journal_subtree_deaths(r, c);
                         self.delete_symbol(front);
                         self.evicted += span;
                         self.len -= span as usize;
@@ -463,56 +446,12 @@ impl Sequitur {
         }
     }
 
-    /// With the journal on, records the death of rule `r`'s occurrence at
-    /// absolute cursor `base` and of every occurrence nested below it —
-    /// eviction of a whole subtree removes all of them from the derivation.
-    fn journal_subtree_deaths(&mut self, r: u32, base: u64) {
-        if !self.journal_on {
-            return;
-        }
-        self.journal.push(GrammarEvent::Died {
-            token_start: base,
-            token_len: self.rules[r as usize].exp_len,
-        });
-        let mut stack = std::mem::take(&mut self.death_stack);
-        stack.push((r, base));
-        while let Some((q, qbase)) = stack.pop() {
-            let guard = self.rules[q as usize].guard;
-            let mut cur = self.next(guard);
-            let mut off = qbase;
-            while cur != guard {
-                match self.val(cur) {
-                    Val::Term(_) => off += 1,
-                    Val::Rule(p) => {
-                        let len = self.rules[p as usize].exp_len;
-                        self.journal.push(GrammarEvent::Died {
-                            token_start: off,
-                            token_len: len,
-                        });
-                        stack.push((p, off));
-                        off += len;
-                    }
-                    // gv-lint: allow(panic-reachability) guards delimit rule bodies; a guard inside a body is a broken induction invariant
-                    Val::Guard(_) => unreachable!("guard inside rule body"),
-                }
-                cur = self.next(cur);
-            }
-        }
-        self.death_stack = stack;
-    }
-
     /// Replaces the front non-terminal `front` (rule `r`, cursor `c`) with
     /// a fresh copy of `r`'s body, assigning cursors cumulatively. The body
     /// itself is shared with other occurrences and stays untouched. The new
     /// adjacencies are *not* digram-checked here — the caller re-checks
     /// them after the eviction loop ([`Sequitur::repair_all`]).
     fn unroll_front(&mut self, front: u32, r: u32, c: u64) {
-        if self.journal_on {
-            self.journal.push(GrammarEvent::Died {
-                token_start: c,
-                token_len: self.rules[r as usize].exp_len,
-            });
-        }
         let mut body = std::mem::take(&mut self.unroll_buf);
         body.clear();
         let guard_r = self.rules[r as usize].guard;
@@ -986,8 +925,7 @@ impl Sequitur {
     /// bodies (only possible transiently during eviction repair): every
     /// reference to `rn` is rewritten in place to reference `re`, then
     /// `rn`'s body is dismantled. Occurrence spans are unchanged (equal
-    /// expansion lengths at the same positions), so no journal events are
-    /// needed — the density curve is unaffected.
+    /// expansion lengths at the same positions).
     fn merge_rules(&mut self, rn: u32, re: u32) {
         debug_assert_ne!(rn, re, "a digram cannot duplicate itself");
         debug_assert_eq!(
@@ -1044,7 +982,7 @@ impl Sequitur {
     /// rule `r`, then re-checks the digrams around the new non-terminal.
     /// The occurrence algebra: the two replaced symbols persist positionally
     /// through `r`'s body, so the net change is exactly one new occurrence
-    /// of `r` — journaled as a birth when the site's cursor is known.
+    /// of `r`.
     fn substitute(&mut self, first: u32, r: u32) {
         let q = self.substitute_raw(first, r);
         self.seam_check(q);
@@ -1056,16 +994,6 @@ impl Sequitur {
     fn substitute_raw(&mut self, first: u32, r: u32) -> u32 {
         self.rewrites += 1;
         let cursor = self.nodes[first as usize].cursor;
-        if self.journal_on {
-            if cursor != UNKNOWN {
-                self.journal.push(GrammarEvent::Born {
-                    token_start: cursor,
-                    token_len: self.rules[r as usize].exp_len,
-                });
-            } else {
-                self.journal.push(GrammarEvent::Dirty);
-            }
-        }
         let q = self.prev(first);
         let second = self.next(first);
         self.delete_symbol(first);
@@ -1110,16 +1038,6 @@ impl Sequitur {
             _ => unreachable!("expand called on a non-rule symbol"),
         };
         let base = self.nodes[nt as usize].cursor;
-        if self.journal_on {
-            if base != UNKNOWN {
-                self.journal.push(GrammarEvent::Died {
-                    token_start: base,
-                    token_len: self.rules[r as usize].exp_len,
-                });
-            } else {
-                self.journal.push(GrammarEvent::Dirty);
-            }
-        }
         let guard = self.rules[r as usize].guard;
         let first = self.next(guard);
         let last = self.prev(guard);
@@ -1484,57 +1402,6 @@ mod tests {
         assert!(stats.rules_evicted >= 1, "stats: {stats:?}");
         // Relearned rules are also counted as created.
         assert!(stats.rules_created >= stats.rules_relearned);
-    }
-
-    #[test]
-    fn journal_reports_births_and_deaths() {
-        let mut s = Sequitur::new();
-        s.enable_journal();
-        let mut events = Vec::new();
-        for &t in &letters("abab") {
-            s.push(t);
-        }
-        s.drain_journal(&mut events);
-        // `abab` forms one rule with two occurrences: [0,2) and [2,4).
-        let births: Vec<_> = events
-            .iter()
-            .filter(|e| matches!(e, GrammarEvent::Born { .. }))
-            .collect();
-        assert_eq!(births.len(), 2, "events: {events:?}");
-        assert!(events.contains(&GrammarEvent::Born {
-            token_start: 0,
-            token_len: 2
-        }));
-        assert!(events.contains(&GrammarEvent::Born {
-            token_start: 2,
-            token_len: 2
-        }));
-        // Evicting the first occurrence reports its death.
-        events.clear();
-        s.evict_front(2);
-        s.drain_journal(&mut events);
-        assert!(
-            events.iter().any(|e| matches!(
-                e,
-                GrammarEvent::Died {
-                    token_start: 0,
-                    token_len: 2
-                }
-            )),
-            "events: {events:?}"
-        );
-    }
-
-    #[test]
-    fn journal_disabled_by_default() {
-        let mut s = Sequitur::new();
-        for &t in &letters("ababab") {
-            s.push(t);
-        }
-        s.evict_front(2);
-        let mut events = Vec::new();
-        s.drain_journal(&mut events);
-        assert!(events.is_empty());
     }
 
     #[test]

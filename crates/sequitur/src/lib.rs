@@ -40,4 +40,4 @@ pub use dot::to_dot;
 pub use grammar::{
     Grammar, GrammarRule, Invariant, InvariantViolation, RuleId, RuleOccurrence, Symbol,
 };
-pub use induction::{GrammarEvent, InductionStats, Sequitur};
+pub use induction::{InductionStats, Sequitur};

@@ -158,39 +158,34 @@ proptest! {
         );
     }
 
-    /// The journal's birth/death arithmetic is conservative: with the
-    /// journal enabled, every Born/Died event carries a span inside the
-    /// pushed stream, and events at known cursors never exceed the stream.
+    /// The live occurrence walk is the snapshot's derivation walk: under
+    /// random push/evict interleavings, the multiset of
+    /// `(cursor − tokens_evicted(), len)` pairs it reports equals that of
+    /// `snapshot().occurrences()` after every step.
     #[test]
-    fn journal_events_stay_in_bounds(
-        tokens in proptest::collection::vec(0u32..4, 1..200),
-        horizon in 4usize..32,
+    fn live_occurrence_walk_matches_snapshot(
+        steps in proptest::collection::vec((0u32..4, 0usize..8), 1..250),
     ) {
-        use gv_sequitur::GrammarEvent;
         let mut s = Sequitur::new();
-        s.enable_journal();
-        let mut events = Vec::new();
-        for &t in &tokens {
-            s.push(t);
-            if s.len() > horizon {
-                let over = s.len() - horizon;
-                s.evict_front(over);
+        for &(token, evict) in &steps {
+            s.push(token);
+            // Three steps in eight retire one to three front tokens, so
+            // the grammar grows while its front keeps evicting.
+            if evict >= 5 {
+                s.evict_front(evict - 4);
             }
-            s.drain_journal(&mut events);
-        }
-        let total = tokens.len() as u64;
-        for e in &events {
-            match *e {
-                GrammarEvent::Born { token_start, token_len }
-                | GrammarEvent::Died { token_start, token_len } => {
-                    prop_assert!(token_len >= 2, "rule spans at least two tokens");
-                    prop_assert!(
-                        token_start + token_len <= total,
-                        "event {:?} exceeds stream length {}", e, total
-                    );
-                }
-                GrammarEvent::Dirty => {}
-            }
+            let evicted = s.tokens_evicted();
+            let mut live = Vec::new();
+            s.for_each_occurrence(|cursor, len| live.push((cursor - evicted, len)));
+            let mut snap: Vec<(u64, u64)> = s
+                .snapshot()
+                .occurrences()
+                .iter()
+                .map(|o| (o.token_start as u64, o.token_len as u64))
+                .collect();
+            live.sort_unstable();
+            snap.sort_unstable();
+            prop_assert_eq!(live, snap);
         }
     }
 }
