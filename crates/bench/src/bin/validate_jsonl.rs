@@ -282,7 +282,11 @@ mod tests {
         validate_line(&trace.to_jsonl()).unwrap();
         let values: Vec<f64> = (0..600).map(|i| (i as f64 / 9.0).sin()).collect();
         let config = gva_core::PipelineConfig::new(40, 4, 4).unwrap();
-        let pipeline = gva_core::AnomalyPipeline::new(config);
+        // Sequential, like a trace without a `threads` param claims to be:
+        // check (c) holds its children to the parent's wall time, which a
+        // `GV_THREADS` engine's summed worker time may exceed.
+        let pipeline = gva_core::AnomalyPipeline::new(config)
+            .with_engine(gva_core::EngineConfig::sequential());
         let rec = LocalRecorder::new();
         pipeline.rra_discords(&values, 1, &rec).unwrap();
         validate_line(&rec.snapshot("rra").to_jsonl()).unwrap();
@@ -297,10 +301,7 @@ mod tests {
         use gva_core::obs::{
             HealthEngine, HealthRule, LedgerRecord, PipelineTrace, WindowedAggregator,
         };
-        let mut agg = WindowedAggregator::new();
-        let window = agg
-            .observe(&PipelineTrace::new("stream"), 100, 0, 0)
-            .clone();
+        let window = WindowedAggregator::new().observe(&PipelineTrace::new("stream"), 100, 0, 0);
         validate_line(&window.to_jsonl()).unwrap();
         let mut engine = HealthEngine::new(vec![HealthRule::MaxDiscordRate(0.1)]);
         let (report, _) = engine.evaluate(&window);

@@ -8,62 +8,10 @@
 //! between commits with nobody noticing. `gv check --ledger PATH` runs
 //! the scan from the CLI.
 
+use gv_obs::LedgerRecord;
 use serde::Value;
 use std::collections::BTreeMap;
 use std::path::Path;
-
-/// One parsed ledger line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedLedger {
-    /// What ran (`"rra"`, `"monitor"`, …).
-    pub label: String,
-    /// Short git SHA of the producing tree.
-    pub git_sha: String,
-    /// Fingerprint over the run's parameters.
-    pub config_fp: u64,
-    /// Digest over the input series.
-    pub input_digest: u64,
-    /// Input length in points.
-    pub points: u64,
-    /// Wall-clock nanoseconds (0 when unmeasured).
-    pub wall_ns: u64,
-    /// Results covered by the digest.
-    pub k: u64,
-    /// Digest over the ranked results.
-    pub result_digest: u64,
-}
-
-impl ParsedLedger {
-    /// Parses one ledger JSONL line.
-    ///
-    /// # Errors
-    /// A message naming the missing or mistyped field, a non-`ledger`
-    /// record type, or a schema mismatch.
-    pub fn from_jsonl(line: &str) -> Result<Self, String> {
-        let v: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
-        let kind = str_field(&v, "type")?;
-        if kind != "ledger" {
-            return Err(format!("not a ledger record (type {kind:?})"));
-        }
-        let schema = u64_field(&v, "schema")?;
-        if schema != gv_obs::SCHEMA_VERSION {
-            return Err(format!(
-                "schema {schema}, expected {}",
-                gv_obs::SCHEMA_VERSION
-            ));
-        }
-        Ok(ParsedLedger {
-            label: str_field(&v, "label")?.to_string(),
-            git_sha: str_field(&v, "git_sha")?.to_string(),
-            config_fp: u64_field(&v, "config_fp")?,
-            input_digest: u64_field(&v, "input_digest")?,
-            points: u64_field(&v, "points")?,
-            wall_ns: u64_field(&v, "wall_ns")?,
-            k: u64_field(&v, "k")?,
-            result_digest: u64_field(&v, "result_digest")?,
-        })
-    }
-}
 
 /// The outcome of a ledger drift scan.
 #[derive(Debug, Clone, Default)]
@@ -99,12 +47,12 @@ impl LedgerReport {
     }
 }
 
-/// Scans parsed ledger records for result drift: within each
+/// Scans ledger records for result drift: within each
 /// `(label, config_fp, input_digest, points, k)` group, every
 /// `result_digest` must agree. A disagreement names the group and each
 /// digest with the git SHAs that produced it, so the offending commit
 /// range is immediately visible.
-pub fn scan_records(records: &[ParsedLedger]) -> LedgerReport {
+pub fn scan_records(records: &[LedgerRecord]) -> LedgerReport {
     /// The drift-scan grouping key: `(label, config_fp, input_digest, points, k)`.
     type RunKey = (String, u64, u64, u64, u64);
     /// Result digests seen within one group, each with its producing SHAs.
@@ -146,15 +94,43 @@ pub fn scan_records(records: &[ParsedLedger]) -> LedgerReport {
 ///
 /// # Errors
 /// I/O failure or the first malformed line (with its line number).
-pub fn load_ledger(path: &Path) -> Result<Vec<ParsedLedger>, String> {
+pub fn load_ledger(path: &Path) -> Result<Vec<LedgerRecord>, String> {
     let body = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     body.lines()
         .enumerate()
         .filter(|(_, line)| !line.trim().is_empty())
-        .map(|(i, line)| {
-            ParsedLedger::from_jsonl(line).map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))
-        })
+        .map(|(i, line)| parse_line(line).map_err(|e| format!("{}:{}: {e}", path.display(), i + 1)))
         .collect()
+}
+
+/// Parses one ledger JSONL line back into the record that wrote it.
+///
+/// # Errors
+/// A message naming the missing or mistyped field, a non-`ledger`
+/// record type, or a schema mismatch.
+fn parse_line(line: &str) -> Result<LedgerRecord, String> {
+    let v: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
+    let kind = str_field(&v, "type")?;
+    if kind != "ledger" {
+        return Err(format!("not a ledger record (type {kind:?})"));
+    }
+    let schema = u64_field(&v, "schema")?;
+    if schema != gv_obs::SCHEMA_VERSION {
+        return Err(format!(
+            "schema {schema}, expected {}",
+            gv_obs::SCHEMA_VERSION
+        ));
+    }
+    Ok(LedgerRecord {
+        label: str_field(&v, "label")?.to_string(),
+        git_sha: str_field(&v, "git_sha")?.to_string(),
+        config_fp: u64_field(&v, "config_fp")?,
+        input_digest: u64_field(&v, "input_digest")?,
+        points: u64_field(&v, "points")?,
+        wall_ns: u64_field(&v, "wall_ns")?,
+        k: u64_field(&v, "k")?,
+        result_digest: u64_field(&v, "result_digest")?,
+    })
 }
 
 /// Loads a ledger file and scans it for drift — the `gv check --ledger`
@@ -184,7 +160,6 @@ fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gv_obs::LedgerRecord;
 
     fn record(label: &str, sha: &str, result_digest: u64) -> LedgerRecord {
         LedgerRecord {
@@ -202,43 +177,30 @@ mod tests {
     #[test]
     fn obs_record_round_trips_through_parser() {
         let r = record("rra", "abc1234", 99);
-        let parsed = ParsedLedger::from_jsonl(&r.to_jsonl()).unwrap();
-        assert_eq!(parsed.label, "rra");
-        assert_eq!(parsed.git_sha, "abc1234");
-        assert_eq!(parsed.result_digest, 99);
-        assert_eq!(parsed.points, 1000);
+        assert_eq!(parse_line(&r.to_jsonl()).unwrap(), r);
     }
 
     #[test]
     fn parser_rejects_foreign_and_stale_records() {
-        assert!(ParsedLedger::from_jsonl("{\"type\":\"bench\"}").is_err());
-        assert!(ParsedLedger::from_jsonl("not json").is_err());
+        assert!(parse_line("{\"type\":\"bench\"}").is_err());
+        assert!(parse_line("not json").is_err());
         let stale = record("rra", "abc", 1).to_jsonl().replacen(
             &format!("\"schema\":{}", gv_obs::SCHEMA_VERSION),
             "\"schema\":1",
             1,
         );
-        assert!(ParsedLedger::from_jsonl(&stale)
-            .unwrap_err()
-            .contains("schema"));
+        assert!(parse_line(&stale).unwrap_err().contains("schema"));
     }
 
     #[test]
     fn agreeing_runs_pass_drifting_runs_fail() {
-        let parse = |r: &LedgerRecord| ParsedLedger::from_jsonl(&r.to_jsonl()).unwrap();
         // Same group, same digest, different SHAs: fine.
-        let ok = scan_records(&[
-            parse(&record("rra", "aaa1111", 7)),
-            parse(&record("rra", "bbb2222", 7)),
-        ]);
+        let ok = scan_records(&[record("rra", "aaa1111", 7), record("rra", "bbb2222", 7)]);
         assert!(ok.passed());
         assert_eq!((ok.records, ok.groups), (2, 1));
 
         // Same group, different digests: drift, naming both SHAs.
-        let drift = scan_records(&[
-            parse(&record("rra", "aaa1111", 7)),
-            parse(&record("rra", "bbb2222", 8)),
-        ]);
+        let drift = scan_records(&[record("rra", "aaa1111", 7), record("rra", "bbb2222", 8)]);
         assert!(!drift.passed());
         assert_eq!(drift.issues.len(), 1);
         assert!(drift.issues[0].contains("aaa1111"), "{}", drift.issues[0]);
@@ -246,10 +208,8 @@ mod tests {
         assert!(drift.render().starts_with("FAIL"));
 
         // Different labels are different groups — no cross-contamination.
-        let separate = scan_records(&[
-            parse(&record("rra", "aaa1111", 7)),
-            parse(&record("density", "aaa1111", 8)),
-        ]);
+        let separate =
+            scan_records(&[record("rra", "aaa1111", 7), record("density", "aaa1111", 8)]);
         assert!(separate.passed());
         assert_eq!(separate.groups, 2);
     }

@@ -28,9 +28,9 @@ commands:
             aggregates and SLO `health` verdicts (--interval N points,
             --rules FILE loads `key = value` SLO thresholds, --out PATH
             appends JSONL instead of stdout, --fail-on-breach exits
-            non-zero on a breached verdict, --timing adds wall-clock
-            fields at the cost of run-to-run determinism, --file - reads
-            stdin)
+            non-zero on a breached verdict, --timing fills wall_ns and
+            throughput_pps at the cost of run-to-run determinism,
+            --file - reads stdin)
   check     verify the paper invariants on a series (PASS/FAIL report),
             or scan a run ledger for result drift (--ledger PATH)
   demo      run density + RRA on a built-in synthetic dataset
@@ -179,7 +179,9 @@ fn sink(recorder: &Option<LocalRecorder>) -> &dyn Recorder {
 }
 
 /// Appends JSONL lines (one per element) to `path`, creating it if needed.
+/// Errors name the option the path came from (`--{flag} PATH: ...`).
 fn append_jsonl_lines(
+    flag: &str,
     path: &str,
     lines: impl IntoIterator<Item = String>,
 ) -> Result<usize, String> {
@@ -188,10 +190,10 @@ fn append_jsonl_lines(
         .create(true)
         .append(true)
         .open(path)
-        .map_err(|e| format!("--events {path}: {e}"))?;
+        .map_err(|e| format!("--{flag} {path}: {e}"))?;
     let mut n = 0;
     for line in lines {
-        writeln!(file, "{line}").map_err(|e| format!("--events {path}: {e}"))?;
+        writeln!(file, "{line}").map_err(|e| format!("--{flag} {path}: {e}"))?;
         n += 1;
     }
     Ok(n)
@@ -232,6 +234,20 @@ fn pipeline_trace(
     match p.engine().threads() {
         1 => trace,
         threads => trace.with_param("threads", threads as u64),
+    }
+}
+
+/// `--top K` for the commands whose result list is cut in the CLI
+/// (`motifs`, `wcad`): `k = 0` is refused with the same `invalid
+/// parameter` error the discord searches raise, not answered with an
+/// empty table.
+fn top_k(args: &Args, default: usize) -> Result<usize, String> {
+    match args.usize_or("top", default)? {
+        0 => Err(gva_core::Error::InvalidParameter(
+            "k = 0: at least one result must be requested".into(),
+        )
+        .to_string()),
+        k => Ok(k),
     }
 }
 
@@ -412,7 +428,7 @@ fn rra(args: &Args) -> Result<(), String> {
         if let Some(path) = args.get("events") {
             let events = rec.events();
             let (recorded, dropped) = (events.recorded(), events.dropped());
-            let n = append_jsonl_lines(path, events.iter().map(|e| e.to_jsonl()))?;
+            let n = append_jsonl_lines("events", path, events.iter().map(|e| e.to_jsonl()))?;
             warn(format_args!(
                 "appended {n} event lines to {path} ({recorded} recorded, {dropped} dropped)"
             ));
@@ -454,7 +470,7 @@ fn explain(args: &Args) -> Result<(), String> {
             .map(|r| r.to_jsonl())
             .chain(report.events.iter().map(|e| e.to_jsonl()))
             .chain(std::iter::once(report.summary_jsonl()));
-        let n = append_jsonl_lines(path, lines)?;
+        let n = append_jsonl_lines("events", path, lines)?;
         warn(format_args!("appended {n} JSONL lines to {path}"));
     }
     outln!("series: {} ({} points)", series.name(), series.len());
@@ -499,7 +515,7 @@ fn hotsax(args: &Args) -> Result<(), String> {
 fn wcad(args: &Args) -> Result<(), String> {
     let series = load_series(args)?;
     let window = args.required_usize("window")?;
-    let k = args.usize_or("top", 3)?;
+    let k = top_k(args, 3)?;
     let cfg = gva_core::wcad::WcadConfig::new(window);
     let scores = gva_core::wcad::wcad_scores(series.values(), &cfg).map_err(|e| e.to_string())?;
     outln!("series: {} ({} points)", series.name(), series.len());
@@ -517,7 +533,7 @@ fn wcad(args: &Args) -> Result<(), String> {
 fn motifs_cmd(args: &Args) -> Result<(), String> {
     let series = load_series(args)?;
     let p = pipeline_for(args, &series)?;
-    let k = args.usize_or("top", 5)?;
+    let k = top_k(args, 5)?;
     let model = p
         .model(series.values(), &NoopRecorder)
         .map_err(|e| e.to_string())?;
@@ -619,12 +635,11 @@ fn stream(args: &Args) -> Result<(), String> {
         return Err("--check-every must be at least 1".to_string());
     }
     let metrics_every = args.usize_or("metrics-every", 0)?;
+    let periodic = |seen: usize| metrics_every > 0 && seen.is_multiple_of(metrics_every);
     let horizon = args.usize_or("horizon", 0)?;
 
     let config = PipelineConfig::new(window, paa, alphabet).map_err(|e| e.to_string())?;
-    let mut det = gva_core::StreamingDetector::new(config)
-        .with_horizon(horizon)
-        .metrics_every(metrics_every);
+    let mut det = gva_core::StreamingDetector::new(config).with_horizon(horizon);
     outln!(
         "streaming {} points (W={window} P={paa} A={alphabet}, \
          alert threshold {threshold}, maturity {maturity}{})",
@@ -636,8 +651,12 @@ fn stream(args: &Args) -> Result<(), String> {
         }
     );
     let mut reported: Vec<Interval> = Vec::new();
+    let mut snapshots: Vec<PipelineTrace> = Vec::new();
     for (i, v) in series.iter() {
         det.push(v).map_err(|e| format!("point {}: {e}", i + 1))?;
+        if periodic(i + 1) {
+            snapshots.push(det.snapshot());
+        }
         if (i + 1) % check_every == 0 || i + 1 == series.len() {
             for alert in det.alerts(threshold, maturity) {
                 if !reported.iter().any(|r| r.overlaps(&alert)) {
@@ -653,13 +672,19 @@ fn stream(args: &Args) -> Result<(), String> {
         outln!("{} alert region(s) in total", reported.len());
     }
     if metrics_every > 0 || args.get("metrics").is_some() {
-        // Terminal flush: without it the final partial window (up to
+        // Terminal snapshot: without it the final partial window (up to
         // `metrics_every - 1` points) would silently vanish from the
         // trajectory, and `--metrics` alone would write nothing.
-        det.flush_now();
-        let snapshots = det.take_snapshots();
+        if !det.is_empty() && !periodic(det.len()) {
+            snapshots.push(det.snapshot());
+        }
         if let Some(path) = args.get("metrics") {
-            let n = append_jsonl_lines(path, snapshots.iter().map(|s| s.to_jsonl()))?;
+            // A 1-based `flush` param numbers each snapshot's place in the
+            // trajectory.
+            let lines = (1..)
+                .zip(snapshots)
+                .map(|(flush, s)| s.with_param("flush", flush).to_jsonl());
+            let n = append_jsonl_lines("metrics", path, lines)?;
             warn(format_args!("appended {n} metric snapshots to {path}"));
         } else {
             warn(format_args!(
@@ -673,7 +698,7 @@ fn stream(args: &Args) -> Result<(), String> {
 
 /// `gv monitor` — live telemetry over the online detector: replays a CSV
 /// (or stdin with `--file -`) through [`gva_core::StreamingDetector`],
-/// flushing a cumulative snapshot every `--interval` points. A
+/// reading a cumulative snapshot every `--interval` points. A
 /// [`WindowedAggregator`](gva_core::obs::WindowedAggregator) differences
 /// consecutive snapshots into per-interval `window` JSONL records; a
 /// [`HealthEngine`](gva_core::obs::HealthEngine) loaded from `--rules`
@@ -710,32 +735,33 @@ fn monitor(args: &Args) -> Result<(), String> {
 
     let config = PipelineConfig::new(window, paa, alphabet).map_err(|e| e.to_string())?;
     let mut det = gva_core::StreamingDetector::new(config).with_horizon(horizon);
-    let mut agg = WindowedAggregator::new().with_timing(timing);
+    let mut agg = WindowedAggregator::new();
     let watch = timing.then(Stopwatch::start);
     let mut lines: Vec<String> = Vec::new();
     let mut reported: Vec<Interval> = Vec::new();
+    let mut windows = 0u64;
     let mut breached = false;
     for (i, v) in series.iter() {
         det.push(v).map_err(|e| format!("point {}: {e}", i + 1))?;
         if (i + 1) % interval != 0 && i + 1 != series.len() {
             continue;
         }
-        if !det.flush_now() {
-            continue; // end-of-stream landed exactly on an interval boundary
-        }
-        let Some(snapshot) = det.take_snapshots().pop() else {
-            continue;
-        };
         for alert in det.alerts(threshold, maturity) {
             if !reported.iter().any(|r| r.overlaps(&alert)) {
                 reported.push(alert);
             }
         }
         let wall_ns = watch.as_ref().map(|w| w.elapsed_ns()).unwrap_or(0);
-        let stats = agg.observe(&snapshot, (i + 1) as u64, reported.len() as u64, wall_ns);
+        let stats = agg.observe(
+            &det.snapshot(),
+            (i + 1) as u64,
+            reported.len() as u64,
+            wall_ns,
+        );
+        windows += 1;
         lines.push(stats.to_jsonl());
         if let Some(engine) = engine.as_mut() {
-            let (report, transition) = engine.evaluate(stats);
+            let (report, transition) = engine.evaluate(&stats);
             breached |= report.verdict == Verdict::Breached;
             if transition {
                 lines.push(report.to_jsonl());
@@ -743,10 +769,9 @@ fn monitor(args: &Args) -> Result<(), String> {
         }
     }
 
-    let windows = agg.len() as u64 + agg.evicted();
     match args.get("out") {
         Some(path) => {
-            let n = append_jsonl_lines(path, lines)?;
+            let n = append_jsonl_lines("out", path, lines)?;
             warn(format_args!("appended {n} monitoring records to {path}"));
         }
         None => {
@@ -1073,13 +1098,14 @@ mod tests {
             stream_metrics.display()
         )))
         .is_ok());
-        // 4 periodic snapshots plus the terminal flush covering the final
-        // partial window (2300 % 500 = 300 points).
+        // 4 periodic snapshots plus the terminal one covering the final
+        // partial window (2300 % 500 = 300 points), numbered from 1.
         let text = std::fs::read_to_string(&stream_metrics).unwrap();
         assert_eq!(text.lines().count(), 2300 / 500 + 1);
-        assert!(text
-            .lines()
-            .all(|l| l.starts_with("{\"schema\":4,\"label\":\"stream\"")));
+        for (i, line) in text.lines().enumerate() {
+            assert!(line.starts_with("{\"schema\":4,\"label\":\"stream\""));
+            assert!(line.contains(&format!("\"flush\":{}", i + 1)), "{line}");
+        }
         assert!(text.lines().last().unwrap().contains("\"seen\":2300"));
         // --metrics alone appends the one terminal snapshot.
         let stream_final = dir.join("stream_final.jsonl");
@@ -1217,6 +1243,10 @@ mod tests {
         let text = std::fs::read_to_string(&metrics).unwrap();
         assert!(text.contains("\"horizon\":800"), "{text}");
         assert!(text.contains("\"tokens_evicted\":"), "{text}");
+        // 2000 points at --metrics-every 1000: the last periodic snapshot
+        // already covers the tail, so no terminal one repeats it.
+        assert_eq!(text.lines().count(), 2, "{text}");
+        assert!(text.lines().last().unwrap().contains("\"seen\":2000"));
         // Bounded monitor runs are as deterministic as unbounded ones.
         let mut bodies = Vec::new();
         for run_i in 0..2 {

@@ -24,14 +24,24 @@ fn gv(args: &[&str]) -> (Option<i32>, String, String) {
 #[test]
 fn hostile_values_exit_1_with_a_message() {
     let window_zero = "gv: invalid parameter: window must be at least 1";
-    let cases: [(&[&str], &str); 7] = [
+    let k_zero = "gv: invalid parameter: k = 0";
+    let cases: [(&[&str], &str); 10] = [
         (
             &["stream", "--window", "100", "--check-every", "0"],
             "gv: --check-every must be at least 1",
         ),
+        (&["explain", "--window", "100", "--top", "0"], k_zero),
+        (&["motifs", "--window", "100", "--top", "0"], k_zero),
+        (&["wcad", "--window", "100", "--top", "0"], k_zero),
         (
-            &["explain", "--window", "100", "--top", "0"],
-            "gv: invalid parameter: k = 0",
+            &[
+                "monitor",
+                "--window",
+                "100",
+                "--out",
+                "/nonexistent/dir/m.jsonl",
+            ],
+            "gv: --out /nonexistent/dir/m.jsonl: ",
         ),
         (&["rra", "--window", "0"], window_zero),
         (&["density", "--window", "0"], window_zero),

@@ -139,20 +139,12 @@ pub struct StreamingDetector {
     /// Reused across [`detect`](StreamingDetector::detect) calls, so
     /// periodic re-detection stops allocating once warmed up.
     workspace: Workspace,
-    /// Emit a metrics snapshot every this many points (`0`: never).
-    metrics_every: usize,
-    /// Stream length at the last flush — lets
-    /// [`flush_now`](StreamingDetector::flush_now) emit a terminal
-    /// snapshot only when the tail holds unflushed points.
-    last_flush_seen: usize,
-    /// The periodic snapshots, oldest first.
-    snapshots: Vec<PipelineTrace>,
 }
 
 impl StreamingDetector {
     /// Creates a detector; no data is required up front. Its counters are
-    /// read through [`snapshots`](StreamingDetector::snapshots), which it
-    /// derives from its own state.
+    /// read through [`snapshot`](StreamingDetector::snapshot), which
+    /// derives them from its own state.
     pub fn new(config: PipelineConfig) -> Self {
         Self {
             config,
@@ -166,9 +158,6 @@ impl StreamingDetector {
             word_pool: Vec::new(),
             words_emitted: 0,
             workspace: Workspace::new(),
-            metrics_every: 0,
-            last_flush_seen: 0,
-            snapshots: Vec::new(),
         }
     }
 
@@ -196,30 +185,6 @@ impl StreamingDetector {
             self.word_pool = Vec::with_capacity(self.horizon - self.config.window() + 2);
         }
         self
-    }
-
-    /// Builder-style: emit a metrics snapshot every `n` pushed points
-    /// (`0` disables, the default). Each flush appends a [`PipelineTrace`]
-    /// labelled `"stream"` — stream length, surviving tokens, and grammar
-    /// churn so far — to [`snapshots`](StreamingDetector::snapshots), so a
-    /// long-running monitor produces a time-resolved metric trajectory
-    /// instead of one final record.
-    #[must_use]
-    pub fn metrics_every(mut self, n: usize) -> Self {
-        self.metrics_every = n;
-        self
-    }
-
-    /// The periodic metrics snapshots accumulated so far, oldest first
-    /// (empty unless [`metrics_every`](StreamingDetector::metrics_every)
-    /// was configured).
-    pub fn snapshots(&self) -> &[PipelineTrace] {
-        &self.snapshots
-    }
-
-    /// Drains the accumulated snapshots (e.g. after exporting them).
-    pub fn take_snapshots(&mut self) -> Vec<PipelineTrace> {
-        std::mem::take(&mut self.snapshots)
     }
 
     /// The configuration in use.
@@ -340,40 +305,23 @@ impl StreamingDetector {
             }
         }
         // gv-lint: end-hot
-        if self.metrics_every > 0 && self.seen.is_multiple_of(self.metrics_every) {
-            self.flush_metrics();
-        }
         Ok(())
     }
 
-    /// Flushes a terminal metrics snapshot covering the tail of the
-    /// stream, if any points arrived since the last periodic flush.
-    /// Without this, a stream whose length is not a multiple of
-    /// `metrics_every` silently drops its final partial window's metrics.
-    /// Returns whether a snapshot was emitted. Callable regardless of the
-    /// `metrics_every` setting — a monitor that never configured periodic
-    /// flushes can still snapshot at end of stream.
-    pub fn flush_now(&mut self) -> bool {
-        if self.seen == 0 || self.seen == self.last_flush_seen {
-            return false;
-        }
-        self.flush_metrics();
-        true
-    }
-
-    /// Builds one periodic snapshot from the detector's own state — the
-    /// detector's one counting path.
-    fn flush_metrics(&mut self) {
+    /// The stream's metrics so far, read from its own state — the
+    /// detector's one counting path. A [`PipelineTrace`] labelled
+    /// `"stream"` with the stream length, the surviving tokens and the
+    /// horizon as params, and the cumulative pipeline and grammar-churn
+    /// counters: what `WindowedAggregator::observe` differences per
+    /// interval. Reading costs O(1) and leaves the stream untouched, so a
+    /// caller snapshots as often as it likes.
+    pub fn snapshot(&self) -> PipelineTrace {
         let stats = self.sequitur.stats();
-        let window = self.config.window();
-        let windows_processed = (self.seen + 1).saturating_sub(window) as u64;
+        let windows_processed = (self.seen + 1).saturating_sub(self.config.window()) as u64;
         let mut trace = PipelineTrace::new("stream")
             .with_param("seen", self.seen as u64)
             .with_param("tokens", self.records.len() as u64)
-            .with_param("horizon", self.horizon as u64)
-            .with_param("flush", self.snapshots.len() as u64 + 1);
-        // Cumulative pipeline counters, derived from detector state — this
-        // is what `WindowedAggregator::observe` differences per interval.
+            .with_param("horizon", self.horizon as u64);
         trace.counters[Counter::WindowsProcessed.index()] = windows_processed;
         trace.counters[Counter::WordsEmitted.index()] = self.words_emitted;
         trace.counters[Counter::WordsDropped.index()] =
@@ -384,8 +332,7 @@ impl StreamingDetector {
         trace.counters[Counter::TokensEvicted.index()] = stats.tokens_evicted;
         trace.counters[Counter::RulesEvicted.index()] = stats.rules_evicted;
         trace.counters[Counter::RulesRelearned.index()] = stats.rules_relearned;
-        self.last_flush_seen = self.seen;
-        self.snapshots.push(trace);
+        trace
     }
 
     /// Snapshots the current grammar model over the retained region (the
@@ -439,7 +386,7 @@ impl StreamingDetector {
     /// internal [`Workspace`] is reused across calls, so periodic
     /// re-detection stops allocating once the buffers have warmed up. The
     /// detector runs under a [`NoopRecorder`]: the stream's counters are
-    /// its [`snapshots`](StreamingDetector::snapshots).
+    /// its [`snapshot`](StreamingDetector::snapshot).
     ///
     /// This is the §7 "online RRA" shape: the incremental grammar answers
     /// the cheap density question continuously
@@ -716,81 +663,43 @@ mod tests {
     }
 
     #[test]
-    fn metrics_every_emits_periodic_snapshots() {
+    fn snapshot_reads_the_stream_state() {
         let config = PipelineConfig::new(50, 4, 4).unwrap();
-        let mut det = StreamingDetector::new(config.clone()).metrics_every(200);
+        let mut det = StreamingDetector::new(config.clone());
+        let mut snapshots = Vec::new();
         for i in 0..1000usize {
             det.push((i as f64 / 12.0).sin()).unwrap();
+            if (i + 1) % 200 == 0 {
+                snapshots.push(det.snapshot());
+            }
         }
-        assert_eq!(det.snapshots().len(), 5);
-        for (i, snap) in det.snapshots().iter().enumerate() {
+        let param =
+            |snap: &PipelineTrace, key: &str| snap.params.iter().find(|(k, _)| k == key).unwrap().1;
+        for (i, snap) in snapshots.iter().enumerate() {
             assert_eq!(snap.label, "stream");
-            let seen = snap.params.iter().find(|(k, _)| k == "seen").unwrap().1;
-            assert_eq!(seen, 200 * (i as u64 + 1));
+            assert_eq!(param(snap, "seen"), 200 * (i as u64 + 1));
             assert!(snap.to_jsonl().starts_with("{\"schema\":4,"));
         }
-        // Monotone token counts across flushes.
-        let tokens: Vec<u64> = det
-            .snapshots()
-            .iter()
-            .map(|s| s.params.iter().find(|(k, _)| k == "tokens").unwrap().1)
-            .collect();
+        // Monotone token counts across reads.
+        let tokens: Vec<u64> = snapshots.iter().map(|s| param(s, "tokens")).collect();
         assert!(tokens.windows(2).all(|w| w[0] <= w[1]));
-        // Snapshots must not perturb the model: same tokens as a plain run.
-        let mut plain = StreamingDetector::new(config);
-        for i in 0..1000usize {
-            plain.push((i as f64 / 12.0).sin()).unwrap();
-        }
-        assert_eq!(plain.num_tokens(), det.num_tokens());
-        assert_eq!(det.take_snapshots().len(), 5);
-        assert!(det.snapshots().is_empty());
+        // Reading twice without a push reads the same thing.
+        assert_eq!(det.snapshot(), det.snapshot());
+        assert_eq!(det.snapshot(), snapshots[4]);
+        // An empty stream reads zeros.
+        let empty = StreamingDetector::new(config).snapshot();
+        assert_eq!(param(&empty, "seen"), 0);
+        assert_eq!(empty.counter(Counter::WindowsProcessed), 0);
     }
 
     #[test]
-    fn terminal_flush_covers_partial_tail() {
-        // Satellite regression: 1000 points at metrics-every 300 used to
-        // leave the last 100 points invisible in the snapshot trajectory.
+    fn snapshot_carries_cumulative_pipeline_counters() {
         let config = PipelineConfig::new(50, 4, 4).unwrap();
-        let mut det = StreamingDetector::new(config.clone()).metrics_every(300);
-        for i in 0..1000usize {
-            det.push((i as f64 / 12.0).sin()).unwrap();
-        }
-        assert_eq!(det.snapshots().len(), 3); // 300, 600, 900
-        assert!(det.flush_now(), "tail points must force a snapshot");
-        assert_eq!(det.snapshots().len(), 4);
-        let tail = det.snapshots().last().unwrap();
-        let seen = tail.params.iter().find(|(k, _)| k == "seen").unwrap().1;
-        assert_eq!(seen, 1000);
-        // Idempotent: nothing new arrived, so no second terminal flush.
-        assert!(!det.flush_now());
-        assert_eq!(det.snapshots().len(), 4);
-        // After more points, flush_now works again.
-        det.push(0.0).unwrap();
-        assert!(det.flush_now());
-
-        // Exact-multiple stream: the periodic flush already covered the
-        // tail, so the terminal flush must not duplicate it.
-        let mut exact = StreamingDetector::new(config.clone()).metrics_every(500);
-        for i in 0..1000usize {
-            exact.push((i as f64 / 12.0).sin()).unwrap();
-        }
-        assert_eq!(exact.snapshots().len(), 2);
-        assert!(!exact.flush_now());
-        assert_eq!(exact.snapshots().len(), 2);
-
-        // An empty detector has nothing to flush.
-        let mut empty = StreamingDetector::new(config);
-        assert!(!empty.flush_now());
-    }
-
-    #[test]
-    fn flush_snapshots_carry_cumulative_pipeline_counters() {
-        let config = PipelineConfig::new(50, 4, 4).unwrap();
-        let mut det = StreamingDetector::new(config).metrics_every(200);
+        let mut det = StreamingDetector::new(config);
         for i in 0..800usize {
             det.push((i as f64 / 12.0).sin()).unwrap();
         }
-        let last = det.snapshots().last().unwrap();
+        let last = det.snapshot();
         // Every window is processed once, and each either becomes a
         // retained token or is dropped by numerosity reduction.
         let windows = last.counter(Counter::WindowsProcessed);

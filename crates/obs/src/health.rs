@@ -11,20 +11,20 @@
 //!
 //! ```text
 //! # SLOs for the payments fleet
-//! max_latency_ns = 500000
-//! max_distance_calls_per_point = 8.0
 //! max_discord_rate = 0.002
+//! min_throughput = 100000.0
 //! stale_windows = 3
 //! degraded_ratio = 0.8
 //! ```
 //!
-//! Grading: a `Max*` rule breaches when the observed value exceeds its
-//! threshold and degrades past `degraded_ratio × threshold`; `Min*` rules
-//! mirror that below the threshold. [`HealthRule::StaleStream`] counts
-//! *consecutive* windows in which numerosity reduction emitted no words at
-//! all (a flat-lined input): one such window degrades, `stale_windows` in
-//! a row breach. [`HealthRule::MinThroughput`] needs measured wall time —
-//! in deterministic (timing-off) monitoring it reports `Healthy` with an
+//! Grading: [`HealthRule::MaxDiscordRate`] breaches when the observed
+//! value exceeds its threshold and degrades past `degraded_ratio ×
+//! threshold`; [`HealthRule::MinThroughput`] mirrors that below the
+//! threshold. [`HealthRule::StaleStream`] counts *consecutive* windows
+//! in which numerosity reduction emitted no words at all (a flat-lined
+//! input): one such window degrades, `stale_windows` in a row breach.
+//! [`HealthRule::MinThroughput`] needs measured wall time — in
+//! deterministic (timing-off) monitoring it reports `Healthy` with an
 //! observed value of 0, documented in DESIGN.md §10.
 
 use crate::trace::format_json_f64;
@@ -57,11 +57,6 @@ impl Verdict {
 /// key spelling is [`HealthRule::name`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum HealthRule {
-    /// p95 per-call distance latency must stay at or under this many
-    /// nanoseconds (requires timing; unmeasured windows grade Healthy).
-    MaxLatencyNs(u64),
-    /// Distance-kernel calls per point must stay at or under this rate.
-    MaxDistanceCallsPerPoint(f64),
     /// Throughput must stay at or above this many points per second
     /// (requires timing; unmeasured windows grade Healthy).
     MinThroughput(f64),
@@ -76,8 +71,6 @@ impl HealthRule {
     /// The stable machine-readable name — also the config-file key.
     pub const fn name(&self) -> &'static str {
         match self {
-            HealthRule::MaxLatencyNs(_) => "max_latency_ns",
-            HealthRule::MaxDistanceCallsPerPoint(_) => "max_distance_calls_per_point",
             HealthRule::MinThroughput(_) => "min_throughput",
             HealthRule::MaxDiscordRate(_) => "max_discord_rate",
             HealthRule::StaleStream(_) => "stale_windows",
@@ -87,8 +80,6 @@ impl HealthRule {
     /// The threshold as a float (what the JSONL record reports).
     pub fn threshold(&self) -> f64 {
         match *self {
-            HealthRule::MaxLatencyNs(t) => t as f64,
-            HealthRule::MaxDistanceCallsPerPoint(t) => t,
             HealthRule::MinThroughput(t) => t,
             HealthRule::MaxDiscordRate(t) => t,
             HealthRule::StaleStream(t) => t as f64,
@@ -225,10 +216,6 @@ impl HealthEngine {
                     .map_err(|_| format!("line {}: invalid integer `{v}`", lineno + 1))
             };
             match key {
-                "max_latency_ns" => rules.push(HealthRule::MaxLatencyNs(parse_u64(value)?)),
-                "max_distance_calls_per_point" => {
-                    rules.push(HealthRule::MaxDistanceCallsPerPoint(parse_f64(value)?))
-                }
                 "min_throughput" => rules.push(HealthRule::MinThroughput(parse_f64(value)?)),
                 "max_discord_rate" => rules.push(HealthRule::MaxDiscordRate(parse_f64(value)?)),
                 "stale_windows" => {
@@ -253,9 +240,8 @@ impl HealthEngine {
                 }
                 other => {
                     return Err(format!(
-                        "line {}: unknown rule `{other}` (expected one of max_latency_ns, \
-                         max_distance_calls_per_point, min_throughput, max_discord_rate, \
-                         stale_windows, degraded_ratio)",
+                        "line {}: unknown rule `{other}` (expected one of min_throughput, \
+                         max_discord_rate, stale_windows, degraded_ratio)",
                         lineno + 1
                     ))
                 }
@@ -301,18 +287,6 @@ impl HealthEngine {
         let mut outcomes = Vec::with_capacity(self.rules.len());
         for rule in &self.rules {
             let (verdict, observed) = match *rule {
-                HealthRule::MaxLatencyNs(t) => {
-                    let observed = window.latency_p95 as f64;
-                    if window.wall_ns == 0 {
-                        (Verdict::Healthy, observed)
-                    } else {
-                        (grade_max(observed, t as f64, ratio), observed)
-                    }
-                }
-                HealthRule::MaxDistanceCallsPerPoint(t) => {
-                    let observed = window.distance_calls_per_point();
-                    (grade_max(observed, t, ratio), observed)
-                }
                 HealthRule::MinThroughput(t) => {
                     let observed = window.throughput_pps();
                     if window.wall_ns == 0 {
@@ -391,16 +365,9 @@ mod tests {
     use crate::stage::Counter;
     use crate::window::WindowStats;
 
-    fn window(
-        seq: u64,
-        points: u64,
-        emitted: u64,
-        distance_calls: u64,
-        discords: u64,
-    ) -> WindowStats {
+    fn window(seq: u64, points: u64, emitted: u64, discords: u64) -> WindowStats {
         let mut counters = [0u64; Counter::COUNT];
         counters[Counter::WordsEmitted.index()] = emitted;
-        counters[Counter::DistanceCalls.index()] = distance_calls;
         WindowStats {
             seq,
             start: seq * points,
@@ -408,10 +375,6 @@ mod tests {
             wall_ns: 0,
             counters,
             discords,
-            latency_p50: 0,
-            latency_p95: 0,
-            latency_max: 0,
-            span_shares: Vec::new(),
         }
     }
 
@@ -424,77 +387,79 @@ mod tests {
 
     #[test]
     fn max_rule_grades_healthy_degraded_breached() {
-        let mut engine = HealthEngine::new(vec![HealthRule::MaxDistanceCallsPerPoint(10.0)]);
-        // 5 calls/point: healthy.
-        let (r, first) = engine.evaluate(&window(0, 100, 50, 500, 0));
+        let mut engine = HealthEngine::new(vec![HealthRule::MaxDiscordRate(0.1)]);
+        // 0.05 discords/point: healthy.
+        let (r, first) = engine.evaluate(&window(0, 100, 50, 5));
         assert_eq!(r.verdict, Verdict::Healthy);
         assert!(first, "first evaluation is a transition");
-        // 9 calls/point: past 80% of 10 -> degraded.
-        let (r, t) = engine.evaluate(&window(1, 100, 50, 900, 0));
+        // 0.09 discords/point: past 80% of 0.1 -> degraded.
+        let (r, t) = engine.evaluate(&window(1, 100, 50, 9));
         assert_eq!(r.verdict, Verdict::Degraded);
         assert!(t);
-        assert_eq!(r.outcomes[0].rule, "max_distance_calls_per_point");
-        assert!((r.outcomes[0].observed - 9.0).abs() < 1e-12);
-        assert!((r.outcomes[0].threshold - 10.0).abs() < 1e-12);
-        // 20 calls/point: breached.
-        let (r, t) = engine.evaluate(&window(2, 100, 50, 2_000, 0));
+        assert_eq!(r.outcomes[0].rule, "max_discord_rate");
+        assert!((r.outcomes[0].observed - 0.09).abs() < 1e-12);
+        assert!((r.outcomes[0].threshold - 0.1).abs() < 1e-12);
+        // 0.2 discords/point: breached.
+        let (r, t) = engine.evaluate(&window(2, 100, 50, 20));
         assert_eq!(r.verdict, Verdict::Breached);
         assert!(t);
         // Same again: no transition.
-        let (_, t) = engine.evaluate(&window(3, 100, 50, 2_000, 0));
+        let (_, t) = engine.evaluate(&window(3, 100, 50, 20));
         assert!(!t);
     }
 
     #[test]
     fn stale_stream_counts_consecutive_empty_windows() {
         let mut engine = HealthEngine::new(vec![HealthRule::StaleStream(3)]);
-        let (r, _) = engine.evaluate(&window(0, 100, 0, 0, 0));
+        let (r, _) = engine.evaluate(&window(0, 100, 0, 0));
         assert_eq!(r.verdict, Verdict::Degraded);
-        let (r, _) = engine.evaluate(&window(1, 100, 0, 0, 0));
+        let (r, _) = engine.evaluate(&window(1, 100, 0, 0));
         assert_eq!(r.verdict, Verdict::Degraded);
-        let (r, _) = engine.evaluate(&window(2, 100, 0, 0, 0));
+        let (r, _) = engine.evaluate(&window(2, 100, 0, 0));
         assert_eq!(r.verdict, Verdict::Breached);
         // Words flowing again resets the run.
-        let (r, _) = engine.evaluate(&window(3, 100, 5, 0, 0));
+        let (r, _) = engine.evaluate(&window(3, 100, 5, 0));
         assert_eq!(r.verdict, Verdict::Healthy);
         assert_eq!(r.outcomes[0].observed, 0.0);
     }
 
     #[test]
-    fn timing_dependent_rules_pass_when_unmeasured() {
-        let mut engine = HealthEngine::new(vec![
-            HealthRule::MaxLatencyNs(1),
-            HealthRule::MinThroughput(1e12),
-        ]);
-        // wall_ns == 0: both rules would fail if graded, but deterministic
-        // monitoring never measures them.
-        let (r, _) = engine.evaluate(&window(0, 100, 10, 0, 0));
+    fn throughput_rule_passes_when_unmeasured() {
+        let mut engine = HealthEngine::new(vec![HealthRule::MinThroughput(1e12)]);
+        // wall_ns == 0: the rule would fail if graded, but deterministic
+        // monitoring never measures it.
+        let (r, _) = engine.evaluate(&window(0, 100, 10, 0));
         assert_eq!(r.verdict, Verdict::Healthy);
         // With wall time measured, the impossible throughput floor trips.
-        let mut w = window(1, 100, 10, 0, 0);
+        let mut w = window(1, 100, 10, 0);
         w.wall_ns = 1_000_000;
-        w.latency_p95 = 50;
         let (r, _) = engine.evaluate(&w);
         assert_eq!(r.verdict, Verdict::Breached);
-        assert_eq!(r.outcomes[0].verdict, Verdict::Breached); // latency 50 > 1
-        assert_eq!(r.outcomes[1].verdict, Verdict::Breached);
+        assert_eq!(r.outcomes[0].rule, "min_throughput");
+        assert!((r.outcomes[0].observed - 100_000.0).abs() < 1e-6);
     }
 
     #[test]
     fn config_round_trip_and_errors() {
         let engine = HealthEngine::from_config(
-            "# fleet SLOs\nmax_latency_ns = 500000\nmax_discord_rate = 0.002 # tight\nstale_windows = 3\ndegraded_ratio = 0.9\n",
+            "# fleet SLOs\nmin_throughput = 500000\nmax_discord_rate = 0.002 # tight\nstale_windows = 3\ndegraded_ratio = 0.9\n",
         )
         .unwrap();
         assert_eq!(engine.rules().len(), 3);
-        assert_eq!(engine.rules()[0], HealthRule::MaxLatencyNs(500_000));
+        assert_eq!(engine.rules()[0], HealthRule::MinThroughput(500_000.0));
         assert_eq!(engine.rules()[2], HealthRule::StaleStream(3));
 
         for (bad, needle) in [
             ("max_latency = 5", "unknown rule"),
-            ("max_latency_ns = abc", "invalid integer"),
+            // Retired: no stream window measures latency or distance calls.
+            ("max_latency_ns = 500000", "unknown rule `max_latency_ns`"),
+            (
+                "max_distance_calls_per_point = 8.0",
+                "unknown rule `max_distance_calls_per_point`",
+            ),
+            ("stale_windows = abc", "invalid integer"),
             ("max_discord_rate = -1", "non-negative"),
-            ("max_latency_ns = 5\nmax_latency_ns = 6", "duplicate"),
+            ("max_discord_rate = 1\nmax_discord_rate = 2", "duplicate"),
             ("degraded_ratio = 1.5", "(0, 1]"),
             ("stale_windows = 0", "at least 1"),
             ("# only comments\n", "no rules"),
@@ -512,7 +477,7 @@ mod tests {
             HealthRule::MaxDiscordRate(0.01),
             HealthRule::StaleStream(2),
         ]);
-        let (r, _) = engine.evaluate(&window(7, 100, 10, 0, 5));
+        let (r, _) = engine.evaluate(&window(7, 100, 10, 5));
         let json = r.to_jsonl();
         assert!(json.starts_with("{\"schema\":4,\"type\":\"health\""));
         assert!(json.contains("\"seq\":7"));

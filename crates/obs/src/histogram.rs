@@ -105,47 +105,6 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
-    /// The samples recorded in `self` but not yet in `earlier`, as a new
-    /// histogram: bucket-wise saturating subtraction of an older snapshot
-    /// of the *same* growing histogram from the current one.
-    ///
-    /// This is the windowed-aggregation primitive: cumulative recorder
-    /// snapshots differ only by the samples of the last interval, and the
-    /// bucket counts of that interval are recovered exactly. The only
-    /// lossy field is `max` — the exact per-interval maximum is not
-    /// recoverable from cumulative state, so it is approximated by the
-    /// ceiling of the highest bucket that gained samples, clamped to the
-    /// cumulative exact maximum. That keeps the approximation inside the
-    /// same ≤ 12.5% relative-error bound the quantiles carry.
-    pub fn delta_since(&self, earlier: &Histogram) -> Histogram {
-        let mut out = Histogram::new();
-        let mut highest: Option<usize> = None;
-        for (idx, (cur, old)) in self.counts.iter().zip(&earlier.counts).enumerate() {
-            let d = cur.saturating_sub(*old);
-            out.counts[idx] = d;
-            if d > 0 {
-                highest = Some(idx);
-            }
-        }
-        out.count = self.count.saturating_sub(earlier.count);
-        out.sum = self.sum.saturating_sub(earlier.sum);
-        out.max = match highest {
-            None => 0,
-            Some(idx) => {
-                // Ceiling of the highest non-empty delta bucket: one below
-                // the next bucket's floor (the last bucket has no ceiling —
-                // fall back to the cumulative max, which bounds it).
-                let ceiling = if idx + 1 < Histogram::BUCKETS {
-                    Histogram::bucket_floor(idx + 1).saturating_sub(1)
-                } else {
-                    self.max
-                };
-                ceiling.min(self.max)
-            }
-        };
-        out
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -210,11 +169,6 @@ impl Histogram {
     /// 99th percentile.
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
-    }
-
-    /// Raw bucket counts, indexed by [`Histogram::bucket_of`].
-    pub fn buckets(&self) -> &[u64; Histogram::BUCKETS] {
-        &self.counts
     }
 
     /// Encodes the summary as a JSON object token:
@@ -360,37 +314,6 @@ mod tests {
         let hi = floor as f64;
         assert!((p50 - lo).abs() / lo <= 0.125, "p50 {p50} vs {lo}");
         assert!((p95 - hi).abs() / hi <= 0.125, "p95 {p95} vs {hi}");
-    }
-
-    #[test]
-    fn delta_since_recovers_interval_samples() {
-        let mut cum = Histogram::new();
-        for v in [5u64, 17, 300] {
-            cum.record(v);
-        }
-        let snap = cum.clone();
-        for v in [9u64, 1024, 1024, 90_000] {
-            cum.record(v);
-        }
-        let delta = cum.delta_since(&snap);
-        assert_eq!(delta.count(), 4);
-        assert_eq!(delta.sum(), 9 + 1024 + 1024 + 90_000);
-        // Exact bucket recovery: the delta holds exactly the interval's
-        // samples, so its quantiles match a histogram built from scratch.
-        let mut fresh = Histogram::new();
-        for v in [9u64, 1024, 1024, 90_000] {
-            fresh.record(v);
-        }
-        assert_eq!(delta.buckets(), fresh.buckets());
-        assert_eq!(delta.p50(), fresh.p50());
-        // Approximated max stays within the documented bucket bound.
-        let err = (delta.max() as f64 - 90_000.0).abs() / 90_000.0;
-        assert!(err <= 0.125, "delta max {} vs 90000", delta.max());
-        // Empty interval -> empty delta.
-        let none = cum.delta_since(&cum);
-        assert!(none.is_empty());
-        assert_eq!(none.max(), 0);
-        assert_eq!(none.p50(), 0);
     }
 
     #[test]

@@ -71,11 +71,11 @@
 //! this stream behaving *over time*, is that within budget, and did an
 //! upgrade change the results?" Three pieces, all schema-4 JSONL:
 //!
-//! - [`WindowedAggregator`] differences periodic cumulative snapshots
-//!   into a bounded ring of per-window [`WindowStats`] deltas (counter
-//!   rates, latency quantiles, span shares, discord rate) — contents
-//!   deterministic and thread-count-invariant unless wall-clock timing is
-//!   explicitly enabled;
+//! - [`WindowedAggregator`] keeps the previous cumulative totals and
+//!   differences each new snapshot against them into one [`WindowStats`]
+//!   (counter deltas, token and discord rates, throughput) — contents
+//!   deterministic and thread-count-invariant unless the caller passes
+//!   measured wall time;
 //! - [`HealthEngine`] grades each window against typed SLO
 //!   [`HealthRule`]s into `Healthy`/`Degraded`/`Breached` [`Verdict`]s,
 //!   loadable from a flat `key = value` config file;

@@ -1,8 +1,8 @@
 //! Online anomaly monitoring — the paper's §7 future-work direction in
 //! action: points arrive one at a time, the detector raises an alert as
 //! soon as an incompressible region matures, and the live-telemetry stack
-//! turns the periodic metric flushes into per-interval `window` records
-//! and SLO `health` verdicts (the library equivalent of `gv monitor`).
+//! turns periodic metric snapshots into per-interval `window` records and
+//! SLO `health` verdicts (the library equivalent of `gv monitor`).
 //!
 //! ```text
 //! cargo run --release --example streaming_monitor
@@ -29,7 +29,7 @@ fn main() {
     };
 
     let config = PipelineConfig::new(100, 4, 4).expect("valid parameters");
-    let mut detector = StreamingDetector::new(config).metrics_every(2000);
+    let mut detector = StreamingDetector::new(config);
 
     // The monitoring stack: difference every cumulative snapshot into a
     // per-interval window, and grade each window against two SLOs. The
@@ -42,6 +42,7 @@ fn main() {
 
     println!("streaming 10,000 points; fault injected at {fault}\n");
     let mut reported: Vec<Interval> = Vec::new();
+    let mut snapshots = Vec::new();
     let mut first_alert: Option<(usize, Interval)> = None;
     for t in 0..10_000usize {
         detector.push(signal(t)).expect("finite signal");
@@ -57,6 +58,9 @@ fn main() {
                 }
             }
         }
+        if (t + 1) % 2000 == 0 {
+            snapshots.push(detector.snapshot());
+        }
         if t % 2000 == 0 && t > 0 {
             println!(
                 "t={t:>6}: {} tokens, grammar over {} points so far",
@@ -65,9 +69,6 @@ fn main() {
             );
         }
     }
-    // Terminal flush: never drop the final partial interval.
-    detector.flush_now();
-
     match first_alert {
         Some((t, alert)) => {
             let delay = t.saturating_sub(fault.end);
@@ -84,17 +85,17 @@ fn main() {
     }
 
     // Replay the cumulative snapshot trajectory through the aggregator:
-    // one deterministic `window` record per flush interval, plus a
+    // one deterministic `window` record per snapshot interval, plus a
     // `health` record whenever the SLO verdict changes (the CLI
     // equivalent is `gv monitor --interval N --rules FILE`).
     println!("\nwindow + health records:");
-    for snapshot in detector.take_snapshots() {
+    for snapshot in &snapshots {
         let seen = snapshot.params.iter().find(|(k, _)| k == "seen");
         let points = seen.map(|(_, v)| *v).unwrap_or(0);
         let discords = reported.iter().filter(|r| (r.end as u64) <= points).count() as u64;
-        let window = aggregator.observe(&snapshot, points, discords, 0);
+        let window = aggregator.observe(snapshot, points, discords, 0);
         println!("  {}", window.to_jsonl());
-        let (report, transition) = health.evaluate(window);
+        let (report, transition) = health.evaluate(&window);
         if transition {
             println!("  {}", report.to_jsonl());
         }

@@ -267,9 +267,9 @@ fn explain_event_ledger_matches_search_stats() {
     assert_eq!(visited, rec.counter(Counter::RraCandidates));
 }
 
-/// Stream versus batch, counter half: the stream's terminal snapshot
-/// derives its discretization counters from its own state, and they must
-/// equal what the batch pipeline records on the same values.
+/// Stream versus batch, counter half: the stream's snapshot derives its
+/// discretization counters from its own state, and they must equal what
+/// the batch pipeline records on the same values.
 #[test]
 fn stream_snapshot_counters_match_batch_model() {
     let values: Vec<f64> = (0..1500usize)
@@ -286,8 +286,7 @@ fn stream_snapshot_counters_match_batch_model() {
     for &v in &values {
         stream.push(v).unwrap();
     }
-    assert!(stream.flush_now());
-    let snapshot = stream.take_snapshots().pop().unwrap();
+    let snapshot = stream.snapshot();
 
     let batch = LocalRecorder::new();
     AnomalyPipeline::new(config).model(&values, &batch).unwrap();
