@@ -4,8 +4,9 @@
 //! Every line must parse as a JSON object carrying the current schema
 //! number, and each record shape (trace, event, explain row, explain
 //! summary, monitor window, health verdict, ledger) must carry its
-//! required keys. Trace records must also reconcile with their own span
-//! tree: each `stages_ns` entry equals the summed `total_ns` of the spans
+//! required keys, and a trace's or window's `counters` object exactly the
+//! counter keys its record type writes. Trace records must also reconcile
+//! with their own span tree: each `stages_ns` entry equals the summed `total_ns` of the spans
 //! of that stage, `derived.total_ns` equals the summed root spans, and
 //! (sequential runs only) no span's children outlast it. An explain
 //! summary's `events_recorded` must equal the events its counters imply.
@@ -83,19 +84,9 @@ fn required_keys(record: &Value) -> Result<&'static [&'static str], String> {
             "distance_ns",
             "abandon_pos",
         ]),
-        // Schema-4 live-monitoring records (`gv monitor`, run ledger).
+        // Live-monitoring records (`gv monitor`, run ledger).
         "window" => Ok(&[
-            "schema",
-            "seq",
-            "start",
-            "end",
-            "points",
-            "wall_ns",
-            "counters",
-            "discords",
-            "latency_ns",
-            "span_shares",
-            "derived",
+            "schema", "seq", "start", "end", "points", "wall_ns", "counters", "discords", "derived",
         ]),
         "health" => Ok(&["schema", "seq", "verdict", "rules"]),
         "ledger" => Ok(&[
@@ -127,9 +118,42 @@ fn validate_line(line: &str) -> Result<(), String> {
             .map_err(|_| format!("missing required key {key:?}"))?;
     }
     match record.field("type") {
-        Err(_) => reconcile_trace(&record)?,
+        Err(_) => {
+            let all: Vec<&str> = gv_obs::Counter::ALL.iter().map(|c| c.name()).collect();
+            check_counter_keys(&record, &all)?;
+            reconcile_trace(&record)?;
+        }
         Ok(Value::Str(kind)) if kind == "explain_summary" => reconcile_explain_summary(&record)?,
+        Ok(Value::Str(kind)) if kind == "window" => check_counter_keys(&record, &WINDOW_COUNTERS)?,
         Ok(_) => {}
+    }
+    Ok(())
+}
+
+/// The counters a schema-5 `window` record writes: the ones a stream
+/// snapshot moves. A stream runs no discord search and no batch
+/// discretizer, so the search counters and `windows_fallback` are absent.
+const WINDOW_COUNTERS: [&str; 9] = [
+    "windows_processed",
+    "words_emitted",
+    "words_dropped",
+    "rules_created",
+    "rules_deleted",
+    "peak_digram_entries",
+    "tokens_evicted",
+    "rules_evicted",
+    "rules_relearned",
+];
+
+/// Checks that a record's `counters` object has exactly the `want` keys,
+/// in order.
+fn check_counter_keys(record: &Value, want: &[&str]) -> Result<(), String> {
+    let got: Vec<&str> = entries(field(record, "counters")?, "\"counters\"")?
+        .iter()
+        .map(|(key, _)| key.as_str())
+        .collect();
+    if got != want {
+        return Err(format!("\"counters\" has keys {got:?}, expected {want:?}"));
     }
     Ok(())
 }
@@ -319,8 +343,18 @@ mod tests {
         validate_line(&ledger.to_jsonl()).unwrap();
     }
 
+    /// Every counter key at 0, as a trace writes them.
+    fn zero_counters() -> String {
+        let keys: Vec<String> = gv_obs::Counter::ALL
+            .iter()
+            .map(|c| format!("\"{}\":0", c.name()))
+            .collect();
+        keys.join(",")
+    }
+
     /// A trace line with the given params, stage totals, spans, and root
-    /// total (counters and histograms are irrelevant to reconciliation).
+    /// total (counter values and histograms are irrelevant to
+    /// reconciliation).
     fn trace_line(params: &str, stages: &str, spans: &[(&str, u64)], total: u64) -> String {
         let spans: Vec<String> = spans
             .iter()
@@ -330,10 +364,37 @@ mod tests {
             .collect();
         format!(
             "{{\"schema\":{},\"label\":\"x\",\"params\":{{{params}}},\"stages_ns\":{{{stages}}},\
-             \"counters\":{{}},\"histograms\":{{}},\"spans\":[{}],\"derived\":{{\"total_ns\":{total}}}}}",
+             \"counters\":{{{}}},\"histograms\":{{}},\"spans\":[{}],\"derived\":{{\"total_ns\":{total}}}}}",
             gv_obs::SCHEMA_VERSION,
+            zero_counters(),
             spans.join(",")
         )
+    }
+
+    #[test]
+    fn rejects_counter_keys_of_another_schema() {
+        let line = trace_line("", "\"detect\":100,\"density\":40", SPANS, 100);
+        validate_line(&line).unwrap();
+        // A schema-4 counter set: `density_recounts`, no `windows_fallback`.
+        let old = line.replace("\"windows_fallback\":0,", "").replace(
+            "\"rules_relearned\":0",
+            "\"rules_relearned\":0,\"density_recounts\":0",
+        );
+        let err = validate_line(&old).unwrap_err();
+        assert!(err.contains("density_recounts"), "{err}");
+        // A window record that writes a search counter no stream moves.
+        let mut agg = gv_obs::WindowedAggregator::new();
+        let window = agg
+            .observe(&gv_obs::PipelineTrace::new("stream"), 100, 0, 0)
+            .to_jsonl();
+        validate_line(&window).unwrap();
+        let forged = window.replace(
+            "\"rules_relearned\":0",
+            "\"rules_relearned\":0,\"distance_calls\":0",
+        );
+        assert!(validate_line(&forged)
+            .unwrap_err()
+            .contains("distance_calls"));
     }
 
     const SPANS: &[(&str, u64)] = &[("detect", 100), ("detect;density", 40)];

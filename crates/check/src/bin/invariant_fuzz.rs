@@ -6,7 +6,12 @@
 //! incremental engine vs a from-scratch batch run on its retained slice,
 //! at a randomized horizon that mixes evicting and non-evicting runs),
 //! and the error-path contracts (non-finite rejection,
-//! shorter-than-window rejection, streaming push rejection). The PRNG is
+//! shorter-than-window rejection, streaming push rejection). Every family
+//! also replays its series window by window through the SAX window kernel
+//! against the batch discretizer (check 7), whatever the detectors make of
+//! it: the constant and near-constant families put PAA values exactly on
+//! the breakpoint 0 at even alphabets, where the batch pass must fall
+//! back, and the NaN/Inf family gives it non-finite blocks. The PRNG is
 //! the vendored xoshiro256++, so a given `--seed` reproduces the exact
 //! same series on every machine.
 //!
@@ -23,7 +28,7 @@
 
 use std::process::ExitCode;
 
-use gv_check::{check_series, check_streaming};
+use gv_check::{check_sax_symbols, check_series, check_streaming};
 use gv_discord::HotSaxConfig;
 use gv_obs::NoopRecorder;
 use gva_core::{
@@ -228,6 +233,9 @@ fn fuzz_valid(
     ws: &mut Workspace,
     tally: &mut FamilyTally,
 ) {
+    if !sax_replay(i, values, config, tally) {
+        return;
+    }
     match check_series(values, config, k, threads) {
         Ok(report) => {
             if report.passed() {
@@ -264,6 +272,28 @@ fn fuzz_valid(
             "series {i}: streaming engine refused a valid series at horizon {horizon}: {e}"
         )),
     }
+}
+
+/// Check 7 on any series, valid or not: the batch discretizer's records
+/// (none when it refuses the series) against a window-kernel replay.
+/// Records a violation and returns `false` on a mismatch.
+fn sax_replay(i: usize, values: &[f64], config: &PipelineConfig, tally: &mut FamilyTally) -> bool {
+    let records = config
+        .sax()
+        .discretize(values, config.numerosity_reduction())
+        .unwrap_or_default();
+    let result = check_sax_symbols(values, config, &records);
+    if !result.passed() {
+        tally.violations.push(format!(
+            "series {i} (len {}, window {}, paa {}, alphabet {}): {}",
+            values.len(),
+            config.window(),
+            config.paa(),
+            config.alphabet(),
+            result.violations.join("; ")
+        ));
+    }
+    result.passed()
 }
 
 /// Brute force and HOTSAX are both exact fixed-length searches, so given
@@ -339,6 +369,7 @@ fn fuzz_non_finite(
     }
     let first_bad = values.iter().position(|v| !v.is_finite()).unwrap();
     let expected = Error::NonFiniteInput { index: first_bad };
+    let mut ok = sax_replay(i, &values, config, tally);
 
     let series = SeriesView::new(&values);
     let detectors: [Box<dyn Detector>; 4] = [
@@ -350,7 +381,6 @@ fn fuzz_non_finite(
             k,
         )),
     ];
-    let mut ok = true;
     for det in &detectors {
         match det.detect(&series, ws, &NoopRecorder) {
             Err(ref e) if *e == expected => {}
@@ -407,7 +437,7 @@ fn fuzz_short(
 ) {
     let n = rng.gen_range(2..window);
     let values: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let mut ok = true;
+    let mut ok = sax_replay(i, &values, config, tally);
 
     if let Ok(report) = check_series(&values, config, k, threads) {
         ok = false;

@@ -21,7 +21,12 @@
 //! 6. **Streaming differential** (§7): a bounded-horizon incremental
 //!    engine is indistinguishable — density curve, discords, grammar
 //!    structure — from a from-scratch batch run on the slice it retains
-//!    ([`check_streaming`]).
+//!    ([`check_streaming`]);
+//! 7. **SAX symbols** (§3.1–3.2): the batch discretizer's records — read
+//!    from block prefix sums wherever its rounding certificate allows —
+//!    equal, offset for offset and symbol for symbol, a window-by-window
+//!    replay through the two-pass window kernel
+//!    ([`check_sax_symbols`]).
 //!
 //! The checkers are callable piecemeal on any [`GrammarModel`] /
 //! [`RraReport`], or wholesale through [`check_series`], which runs the
@@ -40,6 +45,7 @@ pub use streaming::check_streaming;
 
 use gv_discord::DiscordRecord;
 use gv_obs::NoopRecorder;
+use gv_sax::{SaxRecord, SaxScratch};
 use gva_core::{
     reference_nn, reference_rank, search_candidates, Detector, EngineConfig, GrammarModel,
     PipelineConfig, RraDetector, RraReport, RuleInterval, SeriesView, Workspace,
@@ -284,8 +290,58 @@ pub fn check_rra_against_brute_force(
     result
 }
 
+/// Check 7 — SAX symbols (§3.1–3.2): replays every window of `values`
+/// through [`SaxConfig::next_word`](gv_sax::SaxConfig::next_word) — the
+/// two-pass window kernel, with a fresh [`SaxScratch`] and the config's
+/// numerosity reduction — and demands exactly the kept `records` the
+/// batch discretizer produced: the same offsets, the same symbols.
+pub fn check_sax_symbols(
+    values: &[f64],
+    config: &PipelineConfig,
+    records: &[SaxRecord],
+) -> CheckResult {
+    let mut result = CheckResult::pass("batch SAX words equal a window-kernel replay");
+    let window = config.window();
+    let mut state = SaxScratch::new();
+    let mut batch = records.iter();
+    for (offset, win) in values.windows(window).enumerate() {
+        let Some(symbols) = config
+            .sax()
+            .next_word(win, config.numerosity_reduction(), &mut state)
+        else {
+            continue;
+        };
+        match batch.next() {
+            Some(rec) if rec.offset == offset && rec.word.symbols() == symbols => {}
+            Some(rec) => {
+                result.violations.push(format!(
+                    "window {offset}: the kernel keeps {symbols:?}, the batch pass \
+                     has {:?} at offset {}",
+                    rec.word.symbols(),
+                    rec.offset
+                ));
+                return result;
+            }
+            None => {
+                result.violations.push(format!(
+                    "window {offset}: the kernel keeps a word past the batch pass's last record"
+                ));
+                return result;
+            }
+        }
+    }
+    if let Some(rec) = batch.next() {
+        result.violations.push(format!(
+            "the batch pass keeps a word at offset {} that the kernel drops",
+            rec.offset
+        ));
+    }
+    result
+}
+
 /// Runs the full pipeline on `values` and every checker on its outputs:
-/// the four model invariants, the RRA-vs-brute-force differential at
+/// the four model invariants, the SAX-symbol replay, the
+/// RRA-vs-brute-force differential at
 /// `threads` workers, and (when `threads > 1`) bit-identity between the
 /// parallel and sequential searches.
 ///
@@ -312,6 +368,9 @@ pub fn check_series(
     report
         .results
         .push(check_density_recount(&model, curve.curve()));
+    report
+        .results
+        .push(check_sax_symbols(values, config, &model.records));
 
     let candidates = search_candidates(&model);
     let series = SeriesView::new(values);
@@ -397,7 +456,7 @@ mod tests {
             let report =
                 check_series(&v, &PipelineConfig::new(100, 5, 4).unwrap(), 2, threads).unwrap();
             assert!(report.passed(), "{}", report.render());
-            let expected = if threads > 1 { 6 } else { 5 };
+            let expected = if threads > 1 { 7 } else { 6 };
             assert_eq!(report.results.len(), expected);
             assert_eq!(report.num_violations(), 0);
         }
@@ -469,6 +528,26 @@ mod tests {
             result.violations.iter().any(|v| v.contains("stopped at")),
             "{result:?}"
         );
+    }
+
+    #[test]
+    fn sax_check_catches_a_flipped_symbol_and_a_moved_offset() {
+        let v = planted();
+        let config = PipelineConfig::new(100, 5, 4).unwrap();
+        let model = model_of(&v);
+        assert!(check_sax_symbols(&v, &config, &model.records).passed());
+        let mut records = model.records.clone();
+        let mut symbols = records[3].word.symbols().to_vec();
+        symbols[0] = (symbols[0] + 1) % 4;
+        records[3].word = gv_sax::SaxWord::new(symbols);
+        let result = check_sax_symbols(&v, &config, &records);
+        assert!(!result.passed());
+        assert!(result.violations[0].contains("window"), "{result:?}");
+        let mut records = model.records.clone();
+        records[5].offset += 1;
+        assert!(!check_sax_symbols(&v, &config, &records).passed());
+        records.truncate(4);
+        assert!(!check_sax_symbols(&v, &config, &records).passed());
     }
 
     #[test]

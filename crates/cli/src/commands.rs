@@ -1058,7 +1058,7 @@ mod tests {
         assert!(text.contains("\"label\":\"density\""));
         assert!(text.contains("\"label\":\"rra\""));
         assert!(text.lines().all(|l| {
-            l.starts_with("{\"schema\":4,") && l.ends_with('}') && l.contains("\"distance_calls\":")
+            l.starts_with("{\"schema\":5,") && l.ends_with('}') && l.contains("\"distance_calls\":")
         }));
         // explain: provenance table on stdout, full JSONL stream to --events.
         let events = dir.join("events.jsonl");
@@ -1075,7 +1075,7 @@ mod tests {
         assert!(text.contains("\"type\":\"explain_summary\""));
         assert!(text
             .lines()
-            .all(|l| l.starts_with("{\"schema\":4,") && l.ends_with('}')));
+            .all(|l| l.starts_with("{\"schema\":5,") && l.ends_with('}')));
         // rra --events appends raw event lines too.
         let rra_events = dir.join("rra_events.jsonl");
         let _ = std::fs::remove_file(&rra_events);
@@ -1088,7 +1088,7 @@ mod tests {
         assert!(!text.is_empty());
         assert!(text
             .lines()
-            .all(|l| l.starts_with("{\"schema\":4,\"type\":\"event\"") && l.ends_with('}')));
+            .all(|l| l.starts_with("{\"schema\":5,\"type\":\"event\"") && l.ends_with('}')));
         // stream --metrics-every exports a snapshot trajectory.
         let stream_metrics = dir.join("stream_metrics.jsonl");
         let _ = std::fs::remove_file(&stream_metrics);
@@ -1103,7 +1103,7 @@ mod tests {
         let text = std::fs::read_to_string(&stream_metrics).unwrap();
         assert_eq!(text.lines().count(), 2300 / 500 + 1);
         for (i, line) in text.lines().enumerate() {
-            assert!(line.starts_with("{\"schema\":4,\"label\":\"stream\""));
+            assert!(line.starts_with("{\"schema\":5,\"label\":\"stream\""));
             assert!(line.contains(&format!("\"flush\":{}", i + 1)), "{line}");
         }
         assert!(text.lines().last().unwrap().contains("\"seen\":2300"));
@@ -1118,7 +1118,7 @@ mod tests {
         .is_ok());
         let text = std::fs::read_to_string(&stream_final).unwrap();
         assert_eq!(text.lines().count(), 1);
-        assert!(text.starts_with("{\"schema\":4,\"label\":\"stream\""));
+        assert!(text.starts_with("{\"schema\":5,\"label\":\"stream\""));
         assert!(text.contains("\"seen\":2300"));
     }
 
@@ -1167,10 +1167,11 @@ mod tests {
         assert!(health[0].contains("\"verdict\":\"healthy\""));
         assert!(text
             .lines()
-            .all(|l| l.starts_with("{\"schema\":4,") && l.ends_with('}')));
+            .all(|l| l.starts_with("{\"schema\":5,") && l.ends_with('}')));
         // Deterministic mode: no wall-clock-derived fields populated.
         assert!(text.contains("\"wall_ns\":0"));
-        assert!(text.contains("\"span_shares\":{}"));
+        // Schema 5 windows carry only the counters a stream moves.
+        assert!(!text.contains("span_shares") && !text.contains("distance_calls"));
 
         // The tight SLO breaches on the planted anomaly's alert: non-zero
         // exit under --fail-on-breach, and the health stream records the
@@ -1329,7 +1330,7 @@ mod tests {
         assert_eq!(text.lines().count(), 4);
         assert!(text
             .lines()
-            .all(|l| l.starts_with("{\"schema\":4,\"type\":\"ledger\"")));
+            .all(|l| l.starts_with("{\"schema\":5,\"type\":\"ledger\"")));
         assert!(text.contains("\"label\":\"rra\""));
         assert!(text.contains("\"label\":\"density\""));
         assert!(text.contains("\"label\":\"monitor\""));

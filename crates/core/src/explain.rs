@@ -365,7 +365,7 @@ mod tests {
         assert!(table.contains("density"));
         assert!(table.contains("abandon position"));
         let row = explain.rows[0].to_jsonl();
-        assert!(row.starts_with("{\"schema\":4,\"type\":\"explain\""));
+        assert!(row.starts_with("{\"schema\":5,\"type\":\"explain\""));
         for key in [
             "rank",
             "position",
@@ -382,7 +382,7 @@ mod tests {
             assert!(row.contains(&format!("\"{key}\":")), "{key} in {row}");
         }
         let summary = explain.summary_jsonl();
-        assert!(summary.starts_with("{\"schema\":4,\"type\":\"explain_summary\""));
+        assert!(summary.starts_with("{\"schema\":5,\"type\":\"explain_summary\""));
         assert!(summary.contains("\"distance_ns\":{\"count\":"));
         assert!(summary.contains("\"abandon_pos\":{\"count\":"));
     }

@@ -678,7 +678,7 @@ mod tests {
         for (i, snap) in snapshots.iter().enumerate() {
             assert_eq!(snap.label, "stream");
             assert_eq!(param(snap, "seen"), 200 * (i as u64 + 1));
-            assert!(snap.to_jsonl().starts_with("{\"schema\":4,"));
+            assert!(snap.to_jsonl().starts_with("{\"schema\":5,"));
         }
         // Monotone token counts across reads.
         let tokens: Vec<u64> = snapshots.iter().map(|s| param(s, "tokens")).collect();

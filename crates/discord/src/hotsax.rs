@@ -99,14 +99,17 @@ impl HotSaxScratch {
 
     /// Current capacities of the reusable buffers, for allocation-stability
     /// assertions.
-    pub fn capacities(&self) -> [usize; 10] {
-        let [zbuf, pbuf, symbols, last] = self.sax.capacities();
+    pub fn capacities(&self) -> [usize; 13] {
+        let [zbuf, pbuf, symbols, last, bounds, sum, sum_sq] = self.sax.capacities();
         [
             self.records.capacity(),
             zbuf,
             pbuf,
             symbols,
             last,
+            bounds,
+            sum,
+            sum_sq,
             self.bucket_of.capacity(),
             self.outer.capacity(),
             self.inner.capacity(),

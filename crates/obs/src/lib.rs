@@ -69,7 +69,7 @@
 //!
 //! One-shot traces answer "what did this run do"; a fleet needs "how is
 //! this stream behaving *over time*, is that within budget, and did an
-//! upgrade change the results?" Three pieces, all schema-4 JSONL:
+//! upgrade change the results?" Three pieces, all schema-5 JSONL:
 //!
 //! - [`WindowedAggregator`] keeps the previous cumulative totals and
 //!   differences each new snapshot against them into one [`WindowStats`]

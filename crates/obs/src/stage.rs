@@ -69,6 +69,9 @@ pub enum Counter {
     WordsEmitted,
     /// SAX words dropped by numerosity reduction.
     WordsDropped,
+    /// Batch windows whose O(P) block symbols the rounding certificate
+    /// could not clear, so the two-pass window kernel ran instead.
+    WindowsFallback,
     /// Sequitur rules created during induction.
     RulesCreated,
     /// Sequitur rules deleted (rule utility) during induction.
@@ -92,12 +95,6 @@ pub enum Counter {
     /// Rules re-formed during eviction repair (an unrolled occurrence
     /// re-exposed a repeated digram over the retained suffix).
     RulesRelearned,
-    /// Retired: always 0. It counted the streaming detector's push-path
-    /// density recounts; the stream now counts its curve when the curve is
-    /// read, so nothing writes it. The `density_recounts` key stays in
-    /// schema-4 records, whose key set is fixed; drop it at the next
-    /// schema bump.
-    DensityRecounts,
 }
 
 impl Counter {
@@ -109,6 +106,7 @@ impl Counter {
         Counter::WindowsProcessed,
         Counter::WordsEmitted,
         Counter::WordsDropped,
+        Counter::WindowsFallback,
         Counter::RulesCreated,
         Counter::RulesDeleted,
         Counter::PeakDigramEntries,
@@ -120,7 +118,6 @@ impl Counter {
         Counter::TokensEvicted,
         Counter::RulesEvicted,
         Counter::RulesRelearned,
-        Counter::DensityRecounts,
     ];
 
     /// Dense index (0-based).
@@ -135,6 +132,7 @@ impl Counter {
             Counter::WindowsProcessed => "windows_processed",
             Counter::WordsEmitted => "words_emitted",
             Counter::WordsDropped => "words_dropped",
+            Counter::WindowsFallback => "windows_fallback",
             Counter::RulesCreated => "rules_created",
             Counter::RulesDeleted => "rules_deleted",
             Counter::PeakDigramEntries => "peak_digram_entries",
@@ -146,7 +144,6 @@ impl Counter {
             Counter::TokensEvicted => "tokens_evicted",
             Counter::RulesEvicted => "rules_evicted",
             Counter::RulesRelearned => "rules_relearned",
-            Counter::DensityRecounts => "density_recounts",
         }
     }
 

@@ -18,8 +18,11 @@ use std::path::Path;
 /// self-time), the `detect` root stage, and a bench run-history record
 /// (no longer emitted), 4 = adds the live-monitoring record types
 /// (`window` per-interval aggregates, `health` SLO verdict transitions,
-/// `ledger` run-provenance records).
-pub const SCHEMA_VERSION: u64 = 4;
+/// `ledger` run-provenance records), 5 = adds the `windows_fallback`
+/// counter, drops the retired `density_recounts` counter, and cuts the
+/// `window` record to the counters a stream moves (no `latency_ns`,
+/// `span_shares` or `distance_calls_per_point`).
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// Everything one instrumented run measured: the span tree (its only
 /// timing), the hot-path counters, and the value histograms, plus a
@@ -109,7 +112,7 @@ impl PipelineTrace {
 
     /// Encodes the trace as one JSON line (no trailing newline).
     ///
-    /// Schema 4: `{"schema": 4, "label": str, "params": {name: int, ...},
+    /// Schema 5: `{"schema": 5, "label": str, "params": {name: int, ...},
     /// "stages_ns": {stage: int, ...}, "counters": {counter: int, ...},
     /// "histograms": {metric: {"count","mean","p50","p90","p99","max"}, ...},
     /// "spans": [{"path": str, "total_ns": int, "self_ns": int,
@@ -413,7 +416,7 @@ mod tests {
                 metric.name()
             );
         }
-        assert!(json.starts_with("{\"schema\":4,"));
+        assert!(json.starts_with("{\"schema\":5,"));
         assert!(json.ends_with('}'));
         assert!(!json.contains('\n'));
         assert!(json.contains("\"spans\":[{\"path\":\"discretize\","));

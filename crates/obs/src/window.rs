@@ -7,7 +7,8 @@
 //! [`WindowedAggregator`] keeps the previous totals and differences each
 //! new snapshot (the one `StreamingDetector::snapshot` reads) against
 //! them into one [`WindowStats`]: counter deltas, token and discord
-//! rates, and throughput.
+//! rates, and throughput. A high-water mark (`peak_digram_entries`) is not
+//! a total, so it is carried as it stands: the peak so far.
 //!
 //! ## Determinism contract
 //!
@@ -17,14 +18,28 @@
 //! an untimed caller passes 0, so `wall_ns` and `throughput_pps` read 0
 //! and `gv monitor` output stays byte-identical for `GV_THREADS=1` vs `4`.
 //!
-//! The schema-4 `window` record still carries the retired `latency_ns`
-//! and `span_shares` keys, written as constants (all-zero quantiles, an
-//! empty object): a stream snapshot holds no distance-latency histogram
-//! and no span, so there was never anything to difference.
+//! A `window` record writes only the counters a stream snapshot can
+//! move. A stream runs no discord search and discretizes through the
+//! window kernel alone, so the search counters and `windows_fallback`
+//! would read 0 in every window; schema 5 leaves them out.
 
 use crate::stage::Counter;
 use crate::trace::{format_json_f64, PipelineTrace, SCHEMA_VERSION};
 use std::fmt::Write as _;
+
+/// The counters a `window` record writes: the ones a stream snapshot
+/// moves, in [`Counter::ALL`] order.
+const WINDOW_COUNTERS: [Counter; 9] = [
+    Counter::WindowsProcessed,
+    Counter::WordsEmitted,
+    Counter::WordsDropped,
+    Counter::RulesCreated,
+    Counter::RulesDeleted,
+    Counter::PeakDigramEntries,
+    Counter::TokensEvicted,
+    Counter::RulesEvicted,
+    Counter::RulesRelearned,
+];
 
 /// One interval's worth of activity, differenced from two consecutive
 /// cumulative snapshots. Every counter field is exact.
@@ -39,7 +54,8 @@ pub struct WindowStats {
     /// Wall-clock nanoseconds spent in this window (0 when untimed — see
     /// the module docs).
     pub wall_ns: u64,
-    /// Per-window counter deltas, indexed by [`Counter::index`].
+    /// Per-window counter deltas, indexed by [`Counter::index`]; a
+    /// high-water mark ([`Counter::merges_by_max`]) holds the peak so far.
     pub counters: [u64; Counter::COUNT],
     /// Discords/alerts emitted during this window.
     pub discords: u64,
@@ -71,12 +87,6 @@ impl WindowStats {
         )
     }
 
-    /// Distance-kernel calls per point in this window — the paper's cost
-    /// metric as a live rate.
-    pub fn distance_calls_per_point(&self) -> f64 {
-        ratio(self.counter(Counter::DistanceCalls), self.points())
-    }
-
     /// Discords/alerts emitted per point in this window.
     pub fn discords_per_point(&self) -> f64 {
         ratio(self.discords, self.points())
@@ -94,15 +104,13 @@ impl WindowStats {
 
     /// Encodes this window as one JSON line (no trailing newline).
     ///
-    /// Schema 4 `window` record: `{"schema":4,"type":"window","seq":int,
+    /// Schema 5 `window` record: `{"schema":5,"type":"window","seq":int,
     /// "start":int,"end":int,"points":int,"wall_ns":int,
     /// "counters":{counter:int,...},"discords":int,
-    /// "latency_ns":{"p50":0,"p95":0,"max":0},"span_shares":{},
     /// "derived":{"tokens_per_point":float,"drop_ratio":float,
-    /// "distance_calls_per_point":float,"discords_per_point":float,
-    /// "throughput_pps":float}}` — every counter and derived key always
-    /// present. `latency_ns` and `span_shares` are retired constants;
-    /// schema 4 keeps the keys.
+    /// "discords_per_point":float,"throughput_pps":float}}` — the nine
+    /// counters a stream snapshot moves and every derived key, always
+    /// present.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(512);
         let _ = write!(
@@ -115,7 +123,7 @@ impl WindowStats {
             self.wall_ns
         );
         out.push_str(",\"counters\":{");
-        for (i, counter) in Counter::ALL.iter().enumerate() {
+        for (i, counter) in WINDOW_COUNTERS.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -123,12 +131,11 @@ impl WindowStats {
         }
         let _ = write!(
             out,
-            "}},\"discords\":{},\"latency_ns\":{{\"p50\":0,\"p95\":0,\"max\":0}},\"span_shares\":{{}},\
-             \"derived\":{{\"tokens_per_point\":{},\"drop_ratio\":{},\"distance_calls_per_point\":{},\"discords_per_point\":{},\"throughput_pps\":{}}}}}",
+            "}},\"discords\":{},\
+             \"derived\":{{\"tokens_per_point\":{},\"drop_ratio\":{},\"discords_per_point\":{},\"throughput_pps\":{}}}}}",
             self.discords,
             format_json_f64(self.tokens_per_point()),
             format_json_f64(self.drop_ratio()),
-            format_json_f64(self.distance_calls_per_point()),
             format_json_f64(self.discords_per_point()),
             format_json_f64(self.throughput_pps()),
         );
@@ -154,7 +161,9 @@ impl WindowedAggregator {
         Self::default()
     }
 
-    /// Ingests the next cumulative snapshot and returns its window.
+    /// Ingests the next cumulative snapshot and returns its window: each
+    /// counter's growth since the previous snapshot, except a high-water
+    /// mark, which is copied as the peak so far.
     ///
     /// `points` is the cumulative stream position, `discords` the
     /// cumulative discord/alert count, and `wall_ns` the cumulative
@@ -169,11 +178,15 @@ impl WindowedAggregator {
         wall_ns: u64,
     ) -> WindowStats {
         let mut counters = [0u64; Counter::COUNT];
-        for (slot, (cur, old)) in counters
-            .iter_mut()
+        for (counter, (cur, old)) in Counter::ALL
+            .iter()
             .zip(trace.counters.iter().zip(&self.prev_counters))
         {
-            *slot = cur.saturating_sub(*old);
+            counters[counter.index()] = if counter.merges_by_max() {
+                *cur
+            } else {
+                cur.saturating_sub(*old)
+            };
         }
         let window = WindowStats {
             seq: self.seq,
@@ -231,19 +244,32 @@ mod tests {
     }
 
     #[test]
-    fn untimed_windows_write_zero_wall_fields_and_retired_constants() {
-        let mut t = snapshot(100, 40, 60);
-        // A histogram in the snapshot is not differenced: the retired
-        // latency keys stay constant.
-        t.histograms[crate::stage::Metric::DistanceNanos.index()].record(5_000);
-        let w = WindowedAggregator::new().observe(&t, 100, 0, 0);
+    fn untimed_windows_write_zero_wall_fields() {
+        let w = WindowedAggregator::new().observe(&snapshot(100, 40, 60), 100, 0, 0);
         assert_eq!(w.wall_ns, 0);
         assert_eq!(w.throughput_pps(), 0.0);
         let json = w.to_jsonl();
         assert!(json.contains("\"wall_ns\":0"));
-        assert!(json.contains("\"latency_ns\":{\"p50\":0,\"p95\":0,\"max\":0}"));
-        assert!(json.contains("\"span_shares\":{}"));
         assert!(json.contains("\"throughput_pps\":0.0"));
+    }
+
+    #[test]
+    fn a_window_carries_the_peak_so_far_not_its_growth() {
+        let mut t = snapshot(100, 40, 60);
+        t.counters[Counter::PeakDigramEntries.index()] = 148;
+        let mut agg = WindowedAggregator::new();
+        assert_eq!(
+            agg.observe(&t, 200, 0, 0)
+                .counter(Counter::PeakDigramEntries),
+            148
+        );
+        // The next snapshot sits at the same peak: the window still
+        // reports it, where a difference would read 0.
+        t.counters[Counter::WindowsProcessed.index()] = 300;
+        let w = agg.observe(&t, 400, 0, 0);
+        assert_eq!(w.counter(Counter::PeakDigramEntries), 148);
+        assert_eq!(w.counter(Counter::WindowsProcessed), 200);
+        assert!(w.to_jsonl().contains("\"peak_digram_entries\":148"));
     }
 
     #[test]
@@ -277,23 +303,18 @@ mod tests {
     fn window_jsonl_has_every_key() {
         let mut agg = WindowedAggregator::new();
         let json = agg.observe(&snapshot(10, 4, 6), 50, 2, 0).to_jsonl();
-        assert!(json.starts_with("{\"schema\":4,\"type\":\"window\""));
+        assert!(json.starts_with("{\"schema\":5,\"type\":\"window\""));
         for key in [
-            "seq",
-            "start",
-            "end",
-            "points",
-            "wall_ns",
-            "counters",
-            "discords",
-            "latency_ns",
-            "span_shares",
-            "derived",
+            "seq", "start", "end", "points", "wall_ns", "counters", "discords", "derived",
         ] {
             assert!(json.contains(&format!("\"{key}\":")), "{key} in {json}");
         }
         for counter in Counter::ALL {
-            assert!(json.contains(&format!("\"{}\":", counter.name())));
+            let written = json.contains(&format!("\"{}\":", counter.name()));
+            assert_eq!(written, WINDOW_COUNTERS.contains(&counter), "{counter:?}");
+        }
+        for retired in ["latency_ns", "span_shares", "distance_calls_per_point"] {
+            assert!(!json.contains(retired), "{retired} in {json}");
         }
         assert!(json.contains("\"discords\":2"));
         assert!(!json.contains('\n'));

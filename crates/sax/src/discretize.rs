@@ -1,11 +1,15 @@
 //! The SAX discretizer (paper §3.1–3.2): one window kernel — z-normalize
 //! → PAA → symbols — plus the numerosity-reduction state, shared by the
-//! batch pass, the streaming detector, HOTSAX and chunked SAX.
+//! batch pass, the streaming detector, HOTSAX and chunked SAX. The batch
+//! pass reads most windows from block prefix sums instead, in O(P), and
+//! keeps a window's fast symbols only where a rounding bound proves them
+//! equal to the kernel's (see `block.rs`).
 
 use gv_obs::{Counter, NoopRecorder, Recorder};
 use gv_timeseries::{znorm_into, DEFAULT_ZNORM_THRESHOLD};
 
 use crate::alphabet::Alphabet;
+use crate::block::BlockStats;
 use crate::error::{Error, Result};
 use crate::mindist::mindist_is_zero;
 use crate::paa::paa_into;
@@ -56,9 +60,11 @@ pub struct SaxRecord {
 }
 
 /// The discretizer's state: z-norm, PAA and symbol scratch for one window,
-/// plus the symbols of the last kept word (the numerosity-reduction
-/// state). A batch pass resets it on entry; a stream keeps one for its
-/// whole life, so stream and batch words agree by construction.
+/// the batch pass's block prefix sums (O(W)), and the symbols of the last
+/// kept word (the numerosity-reduction state). A batch pass resets it on
+/// entry; a stream keeps one for its whole life. Stream and batch words
+/// agree by certificate: a batch window keeps its block symbols only when
+/// they provably equal the window kernel's.
 #[derive(Debug, Clone, Default)]
 pub struct SaxScratch {
     zbuf: Vec<f64>,
@@ -66,6 +72,7 @@ pub struct SaxScratch {
     symbols: Vec<u8>,
     /// Empty until a word is kept (a word has at least one symbol).
     last: Vec<u8>,
+    block: BlockStats,
 }
 
 impl SaxScratch {
@@ -74,14 +81,31 @@ impl SaxScratch {
         Self::default()
     }
 
-    /// Capacities of the four buffers, for allocation-stability assertions.
-    pub fn capacities(&self) -> [usize; 4] {
+    /// Capacities of the seven buffers, for allocation-stability
+    /// assertions.
+    pub fn capacities(&self) -> [usize; 7] {
+        let [bounds, sum, sum_sq] = self.block.capacities();
         [
             self.zbuf.capacity(),
             self.pbuf.capacity(),
             self.symbols.capacity(),
             self.last.capacity(),
+            bounds,
+            sum,
+            sum_sq,
         ]
+    }
+
+    /// Applies numerosity reduction to the word in `symbols` against the
+    /// last kept word: `Some` (and the word becomes the reference) when
+    /// kept, `None` when `nr` drops it.
+    fn keep(&mut self, nr: NumerosityReduction) -> Option<&[u8]> {
+        if !self.last.is_empty() && nr.drops(&self.last, &self.symbols) {
+            return None;
+        }
+        self.last.clear();
+        self.last.extend_from_slice(&self.symbols);
+        Some(&self.last)
     }
 }
 
@@ -181,12 +205,7 @@ impl SaxConfig {
         state: &'s mut SaxScratch,
     ) -> Option<&'s [u8]> {
         self.symbolize(window, state);
-        if !state.last.is_empty() && nr.drops(&state.last, &state.symbols) {
-            return None;
-        }
-        state.last.clear();
-        state.last.extend_from_slice(&state.symbols);
-        Some(&state.last)
+        state.keep(nr)
     }
 
     /// Discretizes a single subsequence (of any length ≥ PAA size) into a
@@ -229,6 +248,13 @@ impl SaxConfig {
     /// its record. Timing is the caller's: the detection workspace wraps
     /// this call in its `discretize` span.
     ///
+    /// Each window costs O(P): its mean, σ and segment sums come from
+    /// prefix sums over a block of `W` windows, rebuilt in `state` around
+    /// a block-local shift. A window whose symbols a written rounding
+    /// bound cannot certify equal to [`SaxConfig::next_word`]'s runs that
+    /// kernel instead and counts in [`Counter::WindowsFallback`], so every
+    /// word is the one `next_word` would produce.
+    ///
     /// # Errors
     /// Same as [`SaxConfig::discretize`].
     pub fn discretize_into<R: Recorder>(
@@ -250,19 +276,39 @@ impl SaxConfig {
             });
         }
         state.last.clear();
-        for (offset, window) in values.windows(self.window).enumerate() {
-            if let Some(symbols) = self.next_word(window, nr, state) {
-                records.push(SaxRecord {
-                    word: SaxWord::new(symbols),
-                    offset,
-                });
+        state.symbols.resize(self.paa_size, 0);
+        state.block.prepare(self.window, self.paa_size);
+        let windows = values.len() - self.window + 1;
+        let mut fallback = 0u64;
+        for start in (0..windows).step_by(self.window) {
+            let count = self.window.min(windows - start);
+            state.block.rebuild(values, start, count + self.window - 1);
+            for a in 0..count {
+                let offset = start + a;
+                if !state.block.symbols(
+                    values,
+                    a,
+                    &self.alphabet,
+                    self.znorm_threshold,
+                    &mut state.symbols,
+                ) {
+                    fallback += 1;
+                    self.symbolize(&values[offset..offset + self.window], state);
+                }
+                if let Some(symbols) = state.keep(nr) {
+                    records.push(SaxRecord {
+                        word: SaxWord::new(symbols),
+                        offset,
+                    });
+                }
             }
         }
-        let windows_processed = (values.len() - self.window + 1) as u64;
+        let windows_processed = windows as u64;
         let words_emitted = records.len() as u64;
         recorder.add(Counter::WindowsProcessed, windows_processed);
         recorder.add(Counter::WordsEmitted, words_emitted);
         recorder.add(Counter::WordsDropped, windows_processed - words_emitted);
+        recorder.add(Counter::WindowsFallback, fallback);
         Ok(())
     }
 }
@@ -442,6 +488,110 @@ mod tests {
         }
         // Timing belongs to the caller's span, not the discretizer.
         assert!(rec.span_tree().is_empty());
+    }
+
+    /// Runs `discretize_into` and a window-by-window `next_word` replay
+    /// with no numerosity reduction; asserts they agree on every window
+    /// and returns how many windows fell back to the two-pass kernel.
+    fn fallbacks_matching_replay(cfg: &SaxConfig, values: &[f64]) -> u64 {
+        let rec = gv_obs::LocalRecorder::new();
+        let (mut batch, mut state) = (Vec::new(), SaxScratch::new());
+        cfg.discretize_into(
+            values,
+            NumerosityReduction::None,
+            &rec,
+            &mut batch,
+            &mut state,
+        )
+        .unwrap();
+        let mut replay = SaxScratch::new();
+        for (offset, window) in values.windows(cfg.window()).enumerate() {
+            let kernel = cfg
+                .next_word(window, NumerosityReduction::None, &mut replay)
+                .unwrap();
+            assert_eq!(batch[offset].word.symbols(), kernel, "window {offset}");
+        }
+        rec.counter(Counter::WindowsFallback)
+    }
+
+    #[test]
+    fn knife_edge_windows_fall_back_and_match_the_kernel() {
+        // Every PAA value exactly on the breakpoint 0 (α = 4): each
+        // two-point segment of the ±1 alternation averages to the window
+        // mean, on both branches of the σ threshold.
+        let alternating: Vec<f64> = (0..64)
+            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+            .collect();
+        let cfg = SaxConfig::new(8, 4, 4).unwrap();
+        assert_eq!(fallbacks_matching_replay(&cfg, &alternating), 64 - 8 + 1);
+        let tiny: Vec<f64> = alternating.iter().map(|x| 1e-3 * x).collect();
+        assert_eq!(fallbacks_matching_replay(&cfg, &tiny), 64 - 8 + 1);
+
+        // A PAA value on, one ulp above and one ulp below a breakpoint:
+        // with every window unscaled (threshold 1e9) and one point per
+        // segment, window [2p, 0] has the exact PAA value p.
+        for alphabet in [3, 5, 8] {
+            let cfg = SaxConfig::new(2, 2, alphabet)
+                .unwrap()
+                .with_znorm_threshold(1e9);
+            let b = cfg.alphabet().breakpoints()[0];
+            let mut values = Vec::new();
+            for p in [b, b.next_up(), b.next_down()] {
+                values.extend([2.0 * p, 0.0]);
+            }
+            // Windows [2p, 0] (offsets 0, 2, 4) sit on the knife edge;
+            // the straddling windows [0, 2p'] do not.
+            let fallbacks = fallbacks_matching_replay(&cfg, &values);
+            assert!(fallbacks >= 3, "α = {alphabet}: {fallbacks} fallbacks");
+        }
+
+        // σ at the threshold: a window whose two-pass σ is exactly τ, and
+        // τ one ulp either side of it.
+        let values: Vec<f64> = (0..40).map(|i| (i as f64 / 3.0).sin()).collect();
+        let sd = gv_timeseries::mean_std(&values[5..15]).1;
+        for threshold in [sd, sd.next_up(), sd.next_down()] {
+            let cfg = SaxConfig::new(10, 5, 3)
+                .unwrap()
+                .with_znorm_threshold(threshold);
+            assert!(
+                fallbacks_matching_replay(&cfg, &values) >= 1,
+                "τ = {threshold}"
+            );
+        }
+    }
+
+    #[test]
+    fn magnitudes_outside_the_rounding_model_fall_back() {
+        // The rounding bound assumes every operation errs relatively:
+        // near underflow the error of a product is absolute, and near
+        // overflow sums and squares saturate. Neither range is certified.
+        let cfg = SaxConfig::new(200, 5, 4).unwrap();
+        let wave = |i: usize| (i as f64 / 7.0).sin();
+        for scale in [1e300, 1e-310] {
+            let values: Vec<f64> = (0..600).map(|i| scale * wave(i)).collect();
+            assert_eq!(fallbacks_matching_replay(&cfg, &values), 401, "{scale:e}");
+        }
+    }
+
+    #[test]
+    fn well_conditioned_windows_take_the_block_path() {
+        let values: Vec<f64> = (0..3000).map(|i| (i as f64 / 25.0).sin()).collect();
+        let cfg = SaxConfig::new(100, 5, 4).unwrap();
+        assert_eq!(fallbacks_matching_replay(&cfg, &values), 0);
+        // The block path's scratch is O(W): it does not grow with the
+        // series.
+        let mut state = SaxScratch::new();
+        let mut records = Vec::new();
+        cfg.discretize_into(
+            &values,
+            NumerosityReduction::Exact,
+            &NoopRecorder,
+            &mut records,
+            &mut state,
+        )
+        .unwrap();
+        let [.., sum, sum_sq] = state.capacities();
+        assert!(sum <= 2 * 100 && sum_sq <= 2 * 100, "{sum} {sum_sq}");
     }
 
     #[test]

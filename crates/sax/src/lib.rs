@@ -16,7 +16,11 @@
 //!   reduction* state ([`SaxScratch`], [`NumerosityReduction`]), driven
 //!   over a whole series by [`SaxConfig::discretize`] (`(word, offset)`
 //!   records) or one window at a time by [`SaxConfig::next_word`] — the
-//!   streaming detector's path, so stream and batch words agree bit for
+//!   streaming detector's path. The whole-series pass reads each window
+//!   in O(P) from prefix sums over a block of `W` windows and keeps those
+//!   symbols only where a written rounding bound certifies them equal to
+//!   the window kernel's; any other window runs the kernel and counts in
+//!   `windows_fallback`. Stream and batch words therefore agree bit for
 //!   bit;
 //! * a [`SaxDictionary`] interning words into dense `u32` tokens for the
 //!   grammar-induction stage.
@@ -35,6 +39,7 @@
 #![warn(missing_docs)]
 
 mod alphabet;
+mod block;
 mod dictionary;
 mod discretize;
 mod error;

@@ -1,7 +1,28 @@
 //! Property tests for the SAX stage.
 
-use gv_sax::{paa, Alphabet, NumerosityReduction, SaxConfig};
+use gv_obs::{Counter, LocalRecorder};
+use gv_sax::{paa, Alphabet, NumerosityReduction, SaxConfig, SaxScratch};
 use proptest::prelude::*;
+
+const STRATEGIES: [NumerosityReduction; 3] = [
+    NumerosityReduction::None,
+    NumerosityReduction::Exact,
+    NumerosityReduction::MinDist,
+];
+
+/// The `(offset, symbols)` of every word a window-by-window replay through
+/// the two-pass window kernel keeps.
+fn replay(cfg: &SaxConfig, values: &[f64], nr: NumerosityReduction) -> Vec<(usize, Vec<u8>)> {
+    let mut state = SaxScratch::new();
+    values
+        .windows(cfg.window())
+        .enumerate()
+        .filter_map(|(offset, w)| {
+            cfg.next_word(w, nr, &mut state)
+                .map(|s| (offset, s.to_vec()))
+        })
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -95,6 +116,50 @@ proptest! {
         let rv = cfg.discretize(&v, NumerosityReduction::Exact).unwrap();
         let rt = cfg.discretize(&t, NumerosityReduction::Exact).unwrap();
         prop_assert_eq!(rv, rt);
+    }
+
+    /// The batch discretizer reads windows from block prefix sums under a
+    /// rounding certificate; whatever it certifies or sends back to the
+    /// two-pass kernel, it keeps exactly the words a window-by-window
+    /// `next_word` replay keeps, under every numerosity-reduction
+    /// strategy — on a random walk at levels 0, 1e4 and 1e8, across a 1e8
+    /// level step, and across a constant plateau (whose windows put PAA
+    /// values exactly on the breakpoint 0 at even alphabets, forcing the
+    /// fallback).
+    #[test]
+    fn discretize_into_equals_a_next_word_replay(
+        steps in proptest::collection::vec(-1.0f64..1.0, 80..360),
+        window in 2usize..40,
+        paa in 1usize..9,
+        alphabet in 2usize..9,
+        level in 0usize..3,
+        shape in 0usize..3,
+    ) {
+        let paa = paa.min(window);
+        let offset = [0.0, 1e4, 1e8][level];
+        let n = steps.len();
+        let mut acc = 0.0;
+        let mut values: Vec<f64> = steps.iter().map(|s| { acc += s; acc + offset }).collect();
+        match shape {
+            // A 1e8 level step halfway.
+            1 => values[n / 2..].iter_mut().for_each(|v| *v += 1e8),
+            // A constant plateau over the middle third.
+            2 => values[n / 3..2 * n / 3].iter_mut().for_each(|v| *v = offset),
+            _ => {}
+        }
+        let cfg = SaxConfig::new(window, paa, alphabet).unwrap();
+        let rec = LocalRecorder::new();
+        let (mut batch, mut state) = (Vec::new(), SaxScratch::new());
+        for nr in STRATEGIES {
+            rec.reset();
+            cfg.discretize_into(&values, nr, &rec, &mut batch, &mut state).unwrap();
+            let got: Vec<(usize, Vec<u8>)> =
+                batch.iter().map(|r| (r.offset, r.word.symbols().to_vec())).collect();
+            prop_assert_eq!(got, replay(&cfg, &values, nr), "{:?}", nr);
+            if shape == 2 && alphabet % 2 == 0 && n / 3 >= window {
+                prop_assert!(rec.counter(Counter::WindowsFallback) > 0);
+            }
+        }
     }
 
     /// A word's symbols always fit the configured alphabet.

@@ -3,8 +3,9 @@
 //! just the synthetic fuzz families), and the edge-case error contracts
 //! must bubble unchanged through the top-level `AnomalyPipeline` facade.
 
-use gv_check::{check_series, CheckReport};
-use gva_core::obs::NoopRecorder;
+use gv_check::{check_sax_symbols, check_series, CheckReport};
+use gv_sax::{NumerosityReduction, SaxScratch};
+use gva_core::obs::{Counter, LocalRecorder, NoopRecorder};
 use gva_core::{search_candidates, AnomalyPipeline, Error, PipelineConfig, Workspace};
 
 fn assert_clean(report: &CheckReport, label: &str) {
@@ -13,6 +14,41 @@ fn assert_clean(report: &CheckReport, label: &str) {
         "{label}: invariant violations\n{}",
         report.render()
     );
+}
+
+/// A power-demand analogue lifted to a 1e8 level, where the two-pass
+/// window kernel's own rounding (its sums carry the level) reaches ~1e-6:
+/// the batch pass's certificate must cover that kernel's error as well as
+/// its own, or a window whose PAA value sits 7.9e-8 from a breakpoint
+/// takes a symbol the kernel does not.
+#[test]
+fn block_symbols_match_the_kernel_on_power_demand_at_1e8() {
+    let data = gv_datasets::power::generate(gv_datasets::power::PowerParams {
+        seed: 0x9076,
+        ..Default::default()
+    });
+    let values: Vec<f64> = data.series.values().iter().map(|v| v + 1e8).collect();
+    let config = PipelineConfig::new(750, 6, 3)
+        .unwrap()
+        .with_numerosity_reduction(NumerosityReduction::None);
+    let rec = LocalRecorder::new();
+    let mut records = Vec::new();
+    config
+        .sax()
+        .discretize_into(
+            &values,
+            NumerosityReduction::None,
+            &rec,
+            &mut records,
+            &mut SaxScratch::new(),
+        )
+        .unwrap();
+    assert_eq!(records.len(), values.len() - 750 + 1);
+    let check = check_sax_symbols(&values, &config, &records);
+    assert!(check.passed(), "{:?}", check.violations);
+    // The level pushes some windows back to the kernel, but few.
+    let fallback = rec.counter(Counter::WindowsFallback);
+    assert!(fallback > 0 && fallback < 1000, "{fallback} fallbacks");
 }
 
 #[test]
@@ -33,8 +69,8 @@ fn invariants_hold_on_realistic_datasets() {
             let report = check_series(data.series.values(), &config, 2, threads)
                 .unwrap_or_else(|e| panic!("{label}: pipeline failed: {e}"));
             assert_clean(&report, label);
-            // 5 model/search checks, +1 parallel-determinism check.
-            let expected = if threads > 1 { 6 } else { 5 };
+            // 6 model/search checks, +1 parallel-determinism check.
+            let expected = if threads > 1 { 7 } else { 6 };
             assert_eq!(report.results.len(), expected, "{label}");
         }
     }

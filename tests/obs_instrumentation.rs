@@ -218,16 +218,16 @@ fn jsonl_exports_carry_schema_version() {
     let rec = LocalRecorder::new();
     p.rra_discords(&values, 1, &rec).unwrap();
     let trace_line = rec.snapshot("schema").to_jsonl();
-    assert!(trace_line.starts_with("{\"schema\":4,"), "{trace_line}");
+    assert!(trace_line.starts_with("{\"schema\":5,"), "{trace_line}");
     assert!(trace_line.contains("\"histograms\":{"), "{trace_line}");
-    assert_eq!(json_u64(&trace_line, "schema"), Some(4));
+    assert_eq!(json_u64(&trace_line, "schema"), Some(5));
 
     let explain = p.explain(&values, 1, &NoopRecorder).unwrap();
-    assert_eq!(json_u64(&explain.rows[0].to_jsonl(), "schema"), Some(4));
-    assert_eq!(json_u64(&explain.summary_jsonl(), "schema"), Some(4));
+    assert_eq!(json_u64(&explain.rows[0].to_jsonl(), "schema"), Some(5));
+    assert_eq!(json_u64(&explain.summary_jsonl(), "schema"), Some(5));
     assert!(!explain.events.is_empty());
     for event in &explain.events {
-        assert_eq!(json_u64(&event.to_jsonl(), "schema"), Some(4));
+        assert_eq!(json_u64(&event.to_jsonl(), "schema"), Some(5));
     }
 }
 
