@@ -184,6 +184,7 @@ mod tests {
     fn parser_rejects_foreign_and_stale_records() {
         assert!(parse_line("{\"type\":\"bench\"}").is_err());
         assert!(parse_line("not json").is_err());
+        assert!(parse_line(&"[".repeat(100_000)).is_err());
         let stale = record("rra", "abc", 1).to_jsonl().replacen(
             &format!("\"schema\":{}", gv_obs::SCHEMA_VERSION),
             "\"schema\":1",

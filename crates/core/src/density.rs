@@ -6,12 +6,11 @@
 //! O(m + occurrences) with a difference array.
 
 use gv_timeseries::{CoverageCounter, Interval};
-use serde::{Deserialize, Serialize};
 
 use crate::model::GrammarModel;
 
 /// A ranked density-minimum interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DensityAnomaly {
     /// The maximal contiguous run of low-density points.
     pub interval: Interval,

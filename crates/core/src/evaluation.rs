@@ -8,10 +8,9 @@
 //! counts, exact boundaries are not expected).
 
 use gv_timeseries::Interval;
-use serde::{Deserialize, Serialize};
 
 /// Evaluation outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Evaluation {
     /// Truth intervals overlapped by at least one report.
     pub truths_found: usize,

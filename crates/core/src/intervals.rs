@@ -7,13 +7,12 @@
 
 use gv_sequitur::{RuleId, Symbol};
 use gv_timeseries::Interval;
-use serde::{Deserialize, Serialize};
 
 use crate::model::GrammarModel;
 
 /// One RRA candidate: a rule-corresponding subsequence (or an uncovered
 /// terminal run) with its rule-usage frequency.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleInterval {
     /// The covered raw-series interval.
     pub interval: Interval,

@@ -9,13 +9,12 @@
 
 use gv_sequitur::RuleId;
 use gv_timeseries::Interval;
-use serde::{Deserialize, Serialize};
 
 use crate::model::GrammarModel;
 
 /// A recurrent variable-length pattern: one grammar rule and every place
 /// its expansion occurs in the series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Motif {
     /// The grammar rule behind the pattern.
     pub rule: RuleId,

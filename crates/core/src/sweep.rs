@@ -11,7 +11,6 @@
 use gv_obs::{LocalRecorder, NoopRecorder, Recorder};
 use gv_sax::reconstruction_error;
 use gv_timeseries::Interval;
-use serde::{Deserialize, Serialize};
 
 use crate::config::PipelineConfig;
 use crate::engine::{fan_out, DensityDetector, EngineConfig, RraDetector};
@@ -19,7 +18,7 @@ use crate::error::Result;
 use crate::workspace::Workspace;
 
 /// One grid point of the sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// Sliding-window length.
     pub window: usize,

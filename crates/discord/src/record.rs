@@ -2,10 +2,9 @@
 
 use gv_obs::{Counter, LocalRecorder};
 use gv_timeseries::Interval;
-use serde::{Deserialize, Serialize};
 
 /// One discovered discord.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiscordRecord {
     /// Start index in the series.
     pub position: usize,
@@ -26,7 +25,7 @@ impl DiscordRecord {
 }
 
 /// Cost accounting for a discord search (the paper's Table 1 metric).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Calls into the distance function, including early-abandoned ones.
     pub distance_calls: u64,

@@ -13,10 +13,10 @@
 //! library code — is configured in `[workspace.lints]` and `clippy.toml`
 //! instead (DESIGN.md §9).
 //!
-//! It has six rules. Three are per-file and lexical (`no-float-eq`,
-//! `recorder-gate`, `jsonl-schema-const`): a hand-rolled, comment/string/
-//! attribute-aware [`lexer`] (no `syn`, per the vendored-shims policy)
-//! feeds the [`rules`] engine. Three are interprocedural
+//! It has five rules. Two are per-file and lexical (`no-float-eq`,
+//! `recorder-gate`): a hand-rolled, comment/string/attribute-aware
+//! [`lexer`] (no `syn`, per the vendored-shims policy) feeds the
+//! [`rules`] engine. Three are interprocedural
 //! (`panic-reachability`, `alloc-reachability`, `determinism-taint`):
 //! they run over a name-resolved [`callgraph`] of the whole workspace.
 //! Findings are typed [`LintViolation`]s with `file:line:col` spans.

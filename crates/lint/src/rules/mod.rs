@@ -14,14 +14,12 @@ mod determinism_taint;
 mod float_eq;
 mod panic_reach;
 mod recorder_gate;
-mod schema_const;
 
 pub use alloc_reach::AllocReachability;
 pub use determinism_taint::DeterminismTaint;
 pub use float_eq::NoFloatEq;
 pub use panic_reach::PanicReachability;
 pub use recorder_gate::RecorderGate;
-pub use schema_const::JsonlSchemaConst;
 
 /// A single lint rule.
 pub trait Rule {
@@ -41,11 +39,7 @@ pub trait WorkspaceRule {
 
 /// Every active per-file rule, in report order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(NoFloatEq),
-        Box::new(RecorderGate),
-        Box::new(JsonlSchemaConst),
-    ]
+    vec![Box::new(NoFloatEq), Box::new(RecorderGate)]
 }
 
 /// Every active interprocedural rule, in report order.

@@ -12,8 +12,6 @@ pub enum RuleId {
     NoFloatEq,
     /// Detailed-only recorder emits must sit behind the `detailed()` gate.
     RecorderGate,
-    /// JSONL writers must reference `SCHEMA_VERSION`, never a literal.
-    JsonlSchemaConst,
     /// Interprocedural: a detector/CLI-reachable `pub` library fn can
     /// transitively panic.
     PanicReachability,
@@ -32,7 +30,6 @@ pub enum RuleId {
 pub const ALL_RULES: &[RuleId] = &[
     RuleId::NoFloatEq,
     RuleId::RecorderGate,
-    RuleId::JsonlSchemaConst,
     RuleId::PanicReachability,
     RuleId::AllocReachability,
     RuleId::DeterminismTaint,
@@ -44,7 +41,6 @@ impl RuleId {
         match self {
             RuleId::NoFloatEq => "no-float-eq",
             RuleId::RecorderGate => "recorder-gate",
-            RuleId::JsonlSchemaConst => "jsonl-schema-const",
             RuleId::PanicReachability => "panic-reachability",
             RuleId::AllocReachability => "alloc-reachability",
             RuleId::DeterminismTaint => "determinism-taint",
@@ -58,9 +54,6 @@ impl RuleId {
             RuleId::NoFloatEq => "No ==/!= against float operands in library code",
             RuleId::RecorderGate => {
                 "Detailed-only recorder emits must sit behind the detailed() gate"
-            }
-            RuleId::JsonlSchemaConst => {
-                "JSONL writers must reference SCHEMA_VERSION, never a literal"
             }
             RuleId::PanicReachability => {
                 "No transitive panic path from pub library fns on detector/CLI paths"

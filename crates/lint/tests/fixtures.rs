@@ -84,16 +84,3 @@ fn recorder_gate_fixture() {
         1,
     );
 }
-
-#[test]
-fn jsonl_schema_const_fixture() {
-    fires_and_silences(
-        RuleId::JsonlSchemaConst,
-        "crates/core/src/fixture.rs",
-        "core",
-        FileKind::LibSrc,
-        include_str!("fixtures/schema_const/bad.rs"),
-        include_str!("fixtures/schema_const/good.rs"),
-        1,
-    );
-}

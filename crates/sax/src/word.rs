@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A SAX word: a fixed-length string of symbol indexes (`0..α`).
 ///
 /// Stored as raw symbol indexes rather than letters so that MINDIST lookups
 /// and comparisons avoid character arithmetic; [`fmt::Display`] renders the
 /// usual `a..t` letters.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SaxWord(Box<[u8]>);
 
 impl SaxWord {

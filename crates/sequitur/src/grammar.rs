@@ -8,10 +8,8 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a grammar rule. `RuleId(0)` is always the start rule `R0`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RuleId(pub u32);
 
 impl fmt::Display for RuleId {
@@ -21,7 +19,7 @@ impl fmt::Display for RuleId {
 }
 
 /// A symbol on a rule's right-hand side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Symbol {
     /// A terminal token (a SAX word id in the anomaly pipeline).
     Terminal(u32),
@@ -30,7 +28,7 @@ pub enum Symbol {
 }
 
 /// One grammar rule: `id → rhs`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GrammarRule {
     /// The rule's identifier (dense; `RuleId(0)` = `R0`).
     pub id: RuleId,
@@ -44,7 +42,7 @@ pub struct GrammarRule {
 /// One occurrence of a rule inside the input token stream, located by the
 /// derivation walk: the rule's expansion covers input tokens
 /// `[token_start, token_start + token_len)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuleOccurrence {
     /// Which rule occurred.
     pub rule: RuleId,
@@ -56,7 +54,7 @@ pub struct RuleOccurrence {
 
 /// The Sequitur invariants (paper §3; Nevill-Manning & Witten) that
 /// [`Grammar::check_invariants`] verifies mechanically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Invariant {
     /// `R0` must expand exactly to the original input token sequence.
     RoundTrip,

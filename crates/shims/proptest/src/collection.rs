@@ -4,7 +4,7 @@ use crate::{Strategy, TestRng};
 use rand::Rng;
 use std::ops::{Range, RangeInclusive};
 
-/// Acceptable size specifications for [`vec`].
+/// Acceptable size specifications for [`vec()`].
 pub trait SizeRange {
     /// Draws a concrete length.
     fn sample_len(&self, rng: &mut TestRng) -> usize;
@@ -34,7 +34,7 @@ pub fn vec<S: Strategy, Z: SizeRange>(element: S, size: Z) -> VecStrategy<S, Z> 
     VecStrategy { element, size }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S, Z> {
     element: S,

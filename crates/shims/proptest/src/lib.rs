@@ -303,7 +303,6 @@ mod tests {
     #[should_panic(expected = "case")]
     fn failing_property_panics() {
         proptest! {
-            #[test]
             fn always_fails(x in 0u32..10) {
                 prop_assert!(x > 100, "x was {x}");
             }

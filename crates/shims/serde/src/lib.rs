@@ -1,31 +1,28 @@
-//! Vendored, dependency-free stand-in for `serde`.
+//! Vendored, dependency-free JSON data model.
 //!
-//! The build environment resolves crates offline, so the workspace ships a
-//! minimal self-describing data model instead of the real serde: types
-//! convert to and from a [`Value`] tree, and `serde_json` (also vendored)
-//! renders that tree as JSON text. The trait names, derive-macro names,
-//! and module layout (`serde::Serialize`, `serde::de::DeserializeOwned`,
-//! `#[derive(Serialize, Deserialize)]`) match upstream so every consumer
-//! in the repository compiles unchanged; swapping the real crates back in
-//! later is a Cargo.toml-only change.
+//! The build environment resolves crates offline, so the workspace ships
+//! one self-describing tree, [`Value`], in place of the real serde. Its
+//! readers walk it with [`Value::field`] and [`Value::as_array`], and
+//! `serde_json` (also vendored) renders it as JSON text and parses text
+//! back into it. Every JSONL writer formats its records by hand, so the
+//! tree is the whole data model, with no serialization traits. Upstream
+//! serde has no `Value` type, so moving to the real crates means
+//! rewriting these readers against `serde_json::Value`.
 
 use std::fmt;
 
-#[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
-
-/// A self-describing tree — the shim's entire serialization data model.
+/// A self-describing tree — the shim's entire data model.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
-    /// JSON `null` (also how `None` and non-finite floats serialize).
+    /// JSON `null`.
     Null,
     /// A boolean.
     Bool(bool),
     /// A non-negative integer.
     U64(u64),
-    /// A negative integer (non-negative integers normalize to [`Value::U64`]).
+    /// A negative integer (non-negative integers parse as [`Value::U64`]).
     I64(i64),
-    /// A finite float.
+    /// A float; `serde_json` writes a non-finite one as `null`.
     F64(f64),
     /// A string.
     Str(String),
@@ -38,7 +35,7 @@ pub enum Value {
 
 impl Value {
     /// Looks up a field of an object, erroring on non-objects and missing
-    /// keys (the derive-generated struct decoder calls this).
+    /// keys.
     pub fn field(&self, name: &str) -> Result<&Value, Error> {
         match self {
             Value::Object(entries) => entries
@@ -54,38 +51,15 @@ impl Value {
     pub fn as_array(&self) -> Result<&[Value], Error> {
         match self {
             Value::Array(items) => Ok(items),
-            _ => Err(Error::shape()),
-        }
-    }
-
-    /// The single `(key, value)` entry of a one-entry object — the
-    /// externally-tagged enum encoding.
-    pub fn as_single_entry(&self) -> Result<(&str, &Value), Error> {
-        match self {
-            Value::Object(entries) if entries.len() == 1 => {
-                Ok((entries[0].0.as_str(), &entries[0].1))
-            }
-            _ => Err(Error::shape()),
+            _ => Err(Error("value does not match the expected shape".to_string())),
         }
     }
 }
 
-/// Deserialization failure: a shape mismatch between the value tree and the
-/// target type.
+/// A lookup failure: a shape mismatch between the tree and what its
+/// reader expected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error(String);
-
-impl Error {
-    /// A generic "value had the wrong shape" error.
-    pub fn shape() -> Self {
-        Error("value does not match the expected shape".to_string())
-    }
-
-    /// An error carrying a caller-provided message.
-    pub fn custom(msg: impl Into<String>) -> Self {
-        Error(msg.into())
-    }
-}
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -95,240 +69,9 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Conversion into the [`Value`] data model.
-pub trait Serialize {
-    /// This value as a self-describing tree.
-    fn to_value(&self) -> Value;
-}
-
-/// Conversion out of the [`Value`] data model.
-pub trait Deserialize: Sized {
-    /// Rebuilds `Self` from a value tree.
-    fn from_value(v: &Value) -> Result<Self, Error>;
-}
-
-pub mod de {
-    //! Upstream-compatible module path for the owning-deserialize bound.
-
-    /// Owned deserialization — in this shim every [`Deserialize`] type
-    /// already deserializes without borrowing, so this is a pure alias
-    /// bound kept for upstream signature compatibility.
-    pub trait DeserializeOwned: super::Deserialize {}
-    impl<T: super::Deserialize> DeserializeOwned for T {}
-
-    pub use super::Deserialize;
-}
-
-pub mod ser {
-    //! Upstream-compatible module path for the serialize trait.
-    pub use super::Serialize;
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-macro_rules! serialize_uint {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::U64(*self as u64)
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let raw = match v {
-                    Value::U64(u) => *u,
-                    Value::I64(i) if *i >= 0 => *i as u64,
-                    _ => return Err(Error::shape()),
-                };
-                <$t>::try_from(raw).map_err(|_| Error::shape())
-            }
-        }
-    )*};
-}
-serialize_uint!(u8, u16, u32, u64, usize);
-
-macro_rules! serialize_int {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                if *self >= 0 {
-                    Value::U64(*self as u64)
-                } else {
-                    Value::I64(*self as i64)
-                }
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let raw: i64 = match v {
-                    Value::I64(i) => *i,
-                    Value::U64(u) => i64::try_from(*u).map_err(|_| Error::shape())?,
-                    _ => return Err(Error::shape()),
-                };
-                <$t>::try_from(raw).map_err(|_| Error::shape())
-            }
-        }
-    )*};
-}
-serialize_int!(i8, i16, i32, i64, isize);
-
-// Identity impls: `Value` is its own data model, so schema-agnostic
-// consumers (e.g. JSONL validators) can deserialize straight into it.
-impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
-    }
-}
-
-impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
-    }
-}
-
-impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        if self.is_finite() {
-            Value::F64(*self)
-        } else {
-            // JSON has no NaN/Infinity; mirror serde_json's `null` encoding.
-            Value::Null
-        }
-    }
-}
-
-impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::F64(x) => Ok(*x),
-            Value::U64(u) => Ok(*u as f64),
-            Value::I64(i) => Ok(*i as f64),
-            _ => Err(Error::shape()),
-        }
-    }
-}
-
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        f64::from(*self).to_value()
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        f64::from_value(v).map(|x| x as f32)
-    }
-}
-
-impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-}
-
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(Error::shape()),
-        }
-    }
-}
-
-impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            _ => Err(Error::shape()),
-        }
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_array()?.iter().map(T::from_value).collect()
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(x) => x.to_value(),
-            None => Value::Null,
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
-impl Serialize for Box<[u8]> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(|b| Value::U64(u64::from(*b))).collect())
-    }
-}
-
-impl Deserialize for Box<[u8]> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Vec::<u8>::from_value(v).map(Vec::into_boxed_slice)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn primitives_round_trip() {
-        assert_eq!(u32::from_value(&42u32.to_value()), Ok(42));
-        assert_eq!(i64::from_value(&(-7i64).to_value()), Ok(-7));
-        assert_eq!(f64::from_value(&1.5f64.to_value()), Ok(1.5));
-        assert_eq!(bool::from_value(&true.to_value()), Ok(true));
-        assert_eq!(
-            String::from_value(&"hi".to_string().to_value()),
-            Ok("hi".to_string())
-        );
-        assert_eq!(Option::<u32>::from_value(&Value::Null), Ok(None));
-        assert_eq!(
-            Vec::<u8>::from_value(&vec![1u8, 2, 3].to_value()),
-            Ok(vec![1, 2, 3])
-        );
-    }
-
-    #[test]
-    fn nonnegative_signed_normalizes_to_u64_and_back() {
-        assert_eq!(5i64.to_value(), Value::U64(5));
-        assert_eq!(i64::from_value(&Value::U64(5)), Ok(5));
-        assert_eq!(u64::from_value(&Value::I64(-1)), Err(Error::shape()));
-    }
 
     #[test]
     fn field_lookup() {
@@ -336,5 +79,12 @@ mod tests {
         assert_eq!(obj.field("a"), Ok(&Value::U64(1)));
         assert!(obj.field("b").is_err());
         assert!(Value::Null.field("a").is_err());
+    }
+
+    #[test]
+    fn array_access() {
+        let arr = Value::Array(vec![Value::Bool(true), Value::Null]);
+        assert_eq!(arr.as_array(), Ok(&[Value::Bool(true), Value::Null][..]));
+        assert!(Value::Object(Vec::new()).as_array().is_err());
     }
 }

@@ -3,8 +3,14 @@
 //! them, exposing the two entry points this repository uses
 //! ([`to_string`] and [`from_str`]).
 
-use serde::{de::DeserializeOwned, Serialize, Value};
+use serde::Value;
 use std::fmt;
+
+/// The deepest array/object nesting [`from_str`] accepts (upstream
+/// serde_json's recursion limit). The parser recurses once per level, so
+/// without a cap a line of `[`s overflows the stack. The deepest JSON this
+/// repository reads, a SARIF log with a code flow, nests 14 levels.
+const MAX_DEPTH: usize = 128;
 
 /// JSON encoding/decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,32 +24,28 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<serde::Error> for Error {
-    fn from(e: serde::Error) -> Self {
-        Error(e.to_string())
-    }
-}
-
-/// Serializes a value to compact JSON text.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+/// Renders a value as compact JSON text. Never fails; the `Result` keeps
+/// upstream's signature.
+pub fn to_string(value: &Value) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out);
+    write_value(value, &mut out);
     Ok(out)
 }
 
-/// Parses JSON text into any deserializable type.
-pub fn from_str<T: DeserializeOwned>(s: &str) -> Result<T, Error> {
+/// Parses JSON text into a value tree.
+pub fn from_str(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
-        bytes: s.as_bytes(),
+        text: s,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != s.len() {
         return Err(Error(format!("trailing input at byte {}", p.pos)));
     }
-    Ok(T::from_value(&value)?)
+    Ok(value)
 }
 
 // ---------------------------------------------------------------------------
@@ -60,6 +62,8 @@ fn write_value(v: &Value, out: &mut String) {
         Value::I64(i) => {
             out.push_str(&i.to_string());
         }
+        // JSON has no NaN or infinity; upstream serde_json writes `null`.
+        Value::F64(x) if !x.is_finite() => out.push_str("null"),
         Value::F64(x) => {
             // `{}` prints the shortest representation that round-trips; add
             // `.0` when it would otherwise read as an integer so the token
@@ -119,19 +123,23 @@ fn write_json_string(s: &str, out: &mut String) {
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Always on a character boundary: the parser steps over single ASCII
+    /// bytes or over whole runs of string characters.
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), Error> {
@@ -147,7 +155,7 @@ impl Parser<'_> {
     }
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+        if self.text[self.pos..].starts_with(kw) {
             self.pos += kw.len();
             true
         } else {
@@ -161,11 +169,25 @@ impl Parser<'_> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(Error(format!("unexpected input at byte {}", self.pos))),
         }
+    }
+
+    /// Parses one array or object one level deeper, up to [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {
@@ -223,6 +245,13 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote or
+            // backslash in one step. Both are ASCII, so the run ends on a
+            // character boundary, and each input byte is read once.
+            let rest = &self.text[self.pos..];
+            let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+            out.push_str(&rest[..run]);
+            self.pos += run;
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -241,11 +270,9 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| Error("truncated \\u escape".to_string()))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| Error("bad \\u escape".to_string()))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| Error("bad \\u escape".to_string()))?;
                             // Basic-plane only: this encoder never emits
@@ -260,15 +287,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Advance one full UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error("invalid UTF-8".to_string()))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err(Error("unterminated string".to_string())),
+                _ => return Err(Error("unterminated string".to_string())),
             }
         }
     }
@@ -289,25 +308,15 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error("invalid number".to_string()))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::F64)
-                .map_err(|_| Error(format!("invalid number `{text}`")))
-        } else if let Some(rest) = text.strip_prefix('-') {
-            rest.parse::<u64>()
-                .map_err(|_| Error(format!("invalid number `{text}`")))
-                .and_then(|_| {
-                    text.parse::<i64>()
-                        .map(Value::I64)
-                        .map_err(|_| Error(format!("invalid number `{text}`")))
-                })
+        let text = &self.text[start..self.pos];
+        let value = if is_float {
+            text.parse().map(Value::F64).ok()
+        } else if text.starts_with('-') {
+            text.parse().map(Value::I64).ok()
         } else {
-            text.parse::<u64>()
-                .map(Value::U64)
-                .map_err(|_| Error(format!("invalid number `{text}`")))
-        }
+            text.parse().map(Value::U64).ok()
+        };
+        value.ok_or_else(|| Error(format!("invalid number `{text}`")))
     }
 }
 
@@ -315,47 +324,116 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
+    fn s(text: &str) -> Value {
+        Value::Str(text.to_string())
+    }
+
     #[test]
-    fn scalar_round_trips() {
-        assert_eq!(to_string(&3u32).unwrap(), "3");
-        assert_eq!(to_string(&-3i64).unwrap(), "-3");
-        assert_eq!(to_string(&1.5f64).unwrap(), "1.5");
-        assert_eq!(to_string(&2.0f64).unwrap(), "2.0");
-        assert_eq!(from_str::<u32>("3").unwrap(), 3);
-        assert_eq!(from_str::<i64>("-3").unwrap(), -3);
-        assert_eq!(from_str::<f64>("1.5").unwrap(), 1.5);
-        assert_eq!(from_str::<f64>("2.0").unwrap(), 2.0);
-        assert_eq!(from_str::<bool>("true").unwrap(), true);
-        assert_eq!(from_str::<Option<u32>>("null").unwrap(), None);
+    fn scalars_encode_and_parse() {
+        assert_eq!(to_string(&Value::U64(3)).unwrap(), "3");
+        assert_eq!(to_string(&Value::I64(-3)).unwrap(), "-3");
+        assert_eq!(to_string(&Value::F64(1.5)).unwrap(), "1.5");
+        assert_eq!(to_string(&Value::F64(2.0)).unwrap(), "2.0");
+        assert_eq!(to_string(&Value::Bool(false)).unwrap(), "false");
+        assert_eq!(from_str("3").unwrap(), Value::U64(3));
+        assert_eq!(from_str("-3").unwrap(), Value::I64(-3));
+        assert_eq!(from_str("1.5").unwrap(), Value::F64(1.5));
+        assert_eq!(from_str("2.0").unwrap(), Value::F64(2.0));
+        assert_eq!(from_str("true").unwrap(), Value::Bool(true));
+        assert_eq!(from_str("null").unwrap(), Value::Null);
+        assert!(from_str("1.2.3").is_err());
+        assert!(from_str("-").is_err());
+    }
+
+    #[test]
+    fn non_finite_floats_encode_as_null() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let json = to_string(&Value::Array(vec![Value::F64(x)])).unwrap();
+            assert_eq!(json, "[null]");
+            assert_eq!(from_str(&json).unwrap(), Value::Array(vec![Value::Null]));
+        }
     }
 
     #[test]
     fn string_escapes_round_trip() {
-        let s = "line\n\"quote\"\tend \\ λ".to_string();
-        let json = to_string(&s).unwrap();
-        assert_eq!(from_str::<String>(&json).unwrap(), s);
+        let v = s("line\n\"quote\"\tend \\ λ \u{1}");
+        let json = to_string(&v).unwrap();
+        assert_eq!(json, "\"line\\n\\\"quote\\\"\\tend \\\\ λ \\u0001\"");
+        assert_eq!(from_str(&json).unwrap(), v);
+        assert_eq!(
+            from_str(r#""\u00e9\/\b\f\r""#).unwrap(),
+            s("é/\u{8}\u{c}\r")
+        );
+        for bad in [r#""abc"#, r#""\x""#, r#""\u12""#, r#""\ud800""#] {
+            assert!(from_str(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
-    fn containers_round_trip() {
-        let v = vec![1u64, 2, 3];
+    fn long_mixed_string_round_trips() {
+        // Multi-byte characters (2-, 3- and 4-byte UTF-8) between escapes,
+        // long enough that a parser re-reading the rest of the input per
+        // character would take seconds.
+        let text = "ab λ€😀\"\\\n\tz".repeat(20_000);
+        let json = to_string(&Value::Object(vec![("label".to_string(), s(&text))])).unwrap();
+        assert_eq!(from_str(&json).unwrap().field("label"), Ok(&s(&text)));
+    }
+
+    #[test]
+    fn every_truncation_is_an_error() {
+        let doc = r#"{"a":[1,-2,3.5e-1,true,null],"s":"éé\n😀","o":{}}"#;
+        assert!(from_str(doc).is_ok());
+        for (cut, _) in doc.char_indices().skip(1) {
+            assert!(from_str(&doc[..cut]).is_err(), "{}", &doc[..cut]);
+        }
+    }
+
+    #[test]
+    fn containers_encode_and_parse() {
+        let v = Value::Array(vec![Value::U64(1), Value::U64(2), Value::U64(3)]);
         assert_eq!(to_string(&v).unwrap(), "[1,2,3]");
-        assert_eq!(from_str::<Vec<u64>>("[1, 2, 3]").unwrap(), v);
-        assert_eq!(from_str::<Vec<u64>>("[]").unwrap(), Vec::<u64>::new());
+        assert_eq!(from_str("[1, 2, 3]").unwrap(), v);
+        assert_eq!(from_str("[]").unwrap(), Value::Array(Vec::new()));
+        let obj = Value::Object(vec![
+            ("a".to_string(), Value::Null),
+            ("b".to_string(), Value::Object(Vec::new())),
+        ]);
+        assert_eq!(to_string(&obj).unwrap(), r#"{"a":null,"b":{}}"#);
+        assert_eq!(from_str(r#"{ "a" : null , "b" : { } }"#).unwrap(), obj);
     }
 
     #[test]
     fn whitespace_tolerated_trailing_rejected() {
-        assert_eq!(from_str::<Vec<u64>>(" [ 1 , 2 ] ").unwrap(), vec![1, 2]);
-        assert!(from_str::<u32>("3 x").is_err());
-        assert!(from_str::<Vec<u64>>("[1,]").is_err());
+        assert_eq!(
+            from_str(" [ 1 , 2 ] ").unwrap(),
+            Value::Array(vec![Value::U64(1), Value::U64(2)])
+        );
+        assert!(from_str("3 x").is_err());
+        assert!(from_str("[1,]").is_err());
+        assert!(from_str(r#"{"a":1,}"#).is_err());
     }
 
     #[test]
     fn float_shortest_form_round_trips() {
         for x in [0.1, 1e300, -2.5e-10, 123456.789] {
-            let json = to_string(&x).unwrap();
-            assert_eq!(from_str::<f64>(&json).unwrap(), x);
+            let json = to_string(&Value::F64(x)).unwrap();
+            assert_eq!(from_str(&json).unwrap(), Value::F64(x));
         }
+    }
+
+    #[test]
+    fn nesting_stops_at_the_depth_limit() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(
+            err.to_string().contains(&format!("at byte {MAX_DEPTH}")),
+            "{err}"
+        );
+        // Objects count toward the same limit, and an unclosed line far
+        // past it fails at the limit instead of overflowing the stack.
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH) + "[]" + &"}".repeat(MAX_DEPTH);
+        assert!(from_str(&objects).is_err());
+        assert!(from_str(&"[".repeat(100_000)).is_err());
     }
 }

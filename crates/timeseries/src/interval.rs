@@ -4,10 +4,8 @@
 //! intervals; the overlap arithmetic here implements the paper's non-self
 //! match check (§2) and the Table 1 "discord overlap" column.
 
-use serde::{Deserialize, Serialize};
-
 /// A half-open interval of series indexes: `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Interval {
     /// First index covered.
     pub start: usize,
