@@ -185,6 +185,16 @@ mod tests {
         assert!(parse_line("{\"type\":\"bench\"}").is_err());
         assert!(parse_line("not json").is_err());
         assert!(parse_line(&"[".repeat(100_000)).is_err());
+        // Not JSON: a signed `\u` escape, a leading zero, a raw tab.
+        let line = record("rra", "abc", 1).to_jsonl();
+        for lenient in [
+            line.replacen(r#""label":"rra""#, r#""label":"\u+041x""#, 1),
+            line.replacen(r#""config_fp":11"#, r#""config_fp":01"#, 1),
+            line.replacen(r#""label":"rra""#, "\"label\":\"r\ta\"", 1),
+        ] {
+            assert_ne!(lenient, line);
+            assert!(parse_line(&lenient).is_err(), "{lenient}");
+        }
         let stale = record("rra", "abc", 1).to_jsonl().replacen(
             &format!("\"schema\":{}", gv_obs::SCHEMA_VERSION),
             "\"schema\":1",

@@ -425,8 +425,7 @@ fn rra(args: &Args) -> Result<(), String> {
     }
     if let Some(rec) = &recorder {
         emit_trace(args, &pipeline_trace(rec, "rra", &p, series.len(), k))?;
-        if let Some(path) = args.get("events") {
-            let events = rec.events();
+        if let (Some(path), Some(events)) = (args.get("events"), rec.events()) {
             let (recorded, dropped) = (events.recorded(), events.dropped());
             let n = append_jsonl_lines("events", path, events.iter().map(|e| e.to_jsonl()))?;
             warn(format_args!(

@@ -38,15 +38,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Overrides the z-normalization σ threshold (see
-    /// [`gv_timeseries::DEFAULT_ZNORM_THRESHOLD`]). Raise it for data with
-    /// long flat stretches so sensor noise is not amplified into spurious
-    /// SAX words.
-    pub fn with_znorm_threshold(mut self, threshold: f64) -> Self {
-        self.sax = self.sax.with_znorm_threshold(threshold);
-        self
-    }
-
     /// Overrides the RNG seed used by RRA's randomized inner ordering.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -111,21 +102,8 @@ mod tests {
         let c = PipelineConfig::new(64, 4, 3)
             .unwrap()
             .with_numerosity_reduction(NumerosityReduction::MinDist)
-            .with_seed(99)
-            .with_znorm_threshold(0.5);
+            .with_seed(99);
         assert_eq!(c.numerosity_reduction(), NumerosityReduction::MinDist);
         assert_eq!(c.seed(), 99);
-        // The threshold reaches the SAX stage: with a huge threshold a
-        // shallow ramp is treated as constant and words change.
-        let shallow: Vec<f64> = (0..64).map(|i| i as f64 * 0.001).collect();
-        let lax = PipelineConfig::new(64, 4, 3)
-            .unwrap()
-            .with_znorm_threshold(1e9);
-        let strict = PipelineConfig::new(64, 4, 3)
-            .unwrap()
-            .with_znorm_threshold(1e-12);
-        let w_lax = lax.sax().word(&shallow).unwrap();
-        let w_strict = strict.sax().word(&shallow).unwrap();
-        assert_ne!(w_lax, w_strict);
     }
 }

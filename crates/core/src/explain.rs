@@ -128,10 +128,9 @@ impl ExplainReport {
     /// to the search (a detailed one — [`LocalRecorder::new`]).
     pub fn from_run(model: &GrammarModel, report: &RraReport, recorder: &LocalRecorder) -> Self {
         let events = recorder.events_vec();
-        let (events_recorded, events_dropped) = {
-            let ring = recorder.events();
-            (ring.recorded(), ring.dropped())
-        };
+        let (events_recorded, events_dropped) = recorder
+            .events()
+            .map_or((0, 0), |ring| (ring.recorded(), ring.dropped()));
         let density = RuleDensity::from_model(model);
         let rows = report
             .discords

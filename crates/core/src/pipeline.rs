@@ -106,7 +106,7 @@ impl AnomalyPipeline {
     /// [`ExplainReport`] (rule id, SAX word, frequency, siblings, distance
     /// calls spent, rule-density floor). The run's counters, spans,
     /// histograms and events are also published to `recorder` (detail
-    /// flows through only when `recorder.detailed()`).
+    /// flows through only when `recorder.detail()` is `Some`).
     ///
     /// # Errors
     /// Same as [`rra_discords`](Self::rra_discords).

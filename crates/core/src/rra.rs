@@ -260,14 +260,13 @@ fn scan_candidate(
 ) -> (f64, bool) {
     let p = &candidates[pi];
     let p_len = p.interval.len();
-    let detail = local.detailed();
     let best_so_far = || f64::from_bits(bound.load(Ordering::Relaxed));
     local.incr(Counter::RraCandidates);
     let calls_before = local.counter(Counter::DistanceCalls);
-    if detail {
-        local.record_value(Metric::CandidateLen, p_len as u64);
-        local.record_value(Metric::RuleUses, p.frequency as u64);
-        local.record_event(Event {
+    if let Some(detail) = local.detail() {
+        detail.record_value(Metric::CandidateLen, p_len as u64);
+        detail.record_value(Metric::RuleUses, p.frequency as u64);
+        detail.record_event(Event {
             position: p.interval.start as u64,
             length: p_len as u64,
             rule: p.rule.map(|r| r.0),
@@ -337,7 +336,7 @@ fn scan_candidate(
     }
 
     inner_timer.finish(local);
-    if detail {
+    if let Some(detail) = local.detail() {
         // A pruned candidate's `nearest` is finite by construction
         // (it dropped below `best_so_far`); a completed one may
         // have found no admissible match at all — encode that as
@@ -347,7 +346,7 @@ fn scan_candidate(
         } else {
             EventKind::Completed
         };
-        local.record_event(Event {
+        detail.record_event(Event {
             position: p.interval.start as u64,
             length: p_len as u64,
             rule: p.rule.map(|r| r.0),
@@ -394,7 +393,7 @@ pub(crate) fn search_in<R: Recorder>(
     // The search-local tally only keeps decision-level detail (events,
     // histograms, per-call timings) when the caller's sink wants it;
     // otherwise it only counts — no clock reads on the distance path.
-    let local = LocalRecorder::with_detail(recorder.detailed());
+    let local = LocalRecorder::with_detail(recorder.detail().is_some());
     let timing = recorder.enabled();
     // Spans accumulate in `local` (rooted at rra-outer) and are grafted
     // under the caller's `parent` at the final merge. The inner node is
@@ -505,7 +504,7 @@ fn search_rank(
     let workers = threads.clamp(1, active.len());
     let active: &[u32] = active;
     let bound = AtomicU64::new(0.0f64.to_bits());
-    let detail = local.detailed();
+    let detail = local.detail().is_some();
 
     let results = fan_out(workers, |t| {
         let wlocal = LocalRecorder::with_detail(detail);

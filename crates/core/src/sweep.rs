@@ -110,9 +110,9 @@ pub fn run(
     // Workers never touch `recorder` (it need not be `Sync`), and a
     // disabled sink gets no worker recorder at all, so the clock stays
     // unread.
-    let (enabled, detailed) = (recorder.enabled(), recorder.detailed());
+    let (enabled, detail) = (recorder.enabled(), recorder.detail().is_some());
     let results = fan_out(threads, |t| {
-        let local = enabled.then(|| LocalRecorder::with_detail(detailed));
+        let local = enabled.then(|| LocalRecorder::with_detail(detail));
         let sink: &dyn Recorder = match &local {
             Some(local) => local,
             None => &NoopRecorder,

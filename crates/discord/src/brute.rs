@@ -43,7 +43,7 @@ pub fn brute_force_call_count(m: usize, n: usize) -> u128 {
 /// re-allocating once it has warmed up to the largest `count * n` seen.
 /// Distance calls and candidates are counted into a search-local
 /// [`LocalRecorder`] that keeps decision-level detail only when
-/// `recorder` is [`detailed`](Recorder::detailed); the returned
+/// `recorder` hands out a [`detail`](Recorder::detail); the returned
 /// [`SearchStats`] are read back from it, and it is merged into
 /// `recorder` at the end.
 ///
@@ -67,7 +67,7 @@ pub fn brute_force_discords(
         });
     }
     let count = values.len() - n + 1;
-    let local = LocalRecorder::with_detail(recorder.detailed());
+    let local = LocalRecorder::with_detail(recorder.detail().is_some());
     let mut found: Vec<DiscordRecord> = Vec::new();
 
     // Pre-normalize every window once via prefix-sum statistics — the

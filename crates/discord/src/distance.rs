@@ -67,8 +67,8 @@ fn accumulate_chunk(acc: &mut [f64; LANES], a: &[f64], b: &[f64]) {
 /// With `abandon_at = f64::INFINITY` this never abandons and returns
 /// the full distance.
 ///
-/// Per-call timing gates on `Recorder::detailed()` via [`DetailTimer`]
-/// (a compile-time `false` on `NoopRecorder`), so the uninstrumented
+/// Per-call timing gates on `Recorder::detail()` via [`DetailTimer`]
+/// (a compile-time `None` on `NoopRecorder`), so the uninstrumented
 /// kernel never reads the clock.
 ///
 /// # Panics
@@ -108,8 +108,8 @@ pub fn euclidean_early<R: Recorder>(
 /// The shared abandon exit of the early-abandoning kernels: counts the
 /// abandon and finishes the per-call timer — symmetric with the
 /// completion path, a no-op when unarmed. Decision-level detail (the
-/// abandon-position histogram and the structured event) still gates on
-/// the timer's armed state, i.e. on `Recorder::detailed()`.
+/// abandon-position histogram and the structured event) goes through
+/// `Recorder::detail()`, the same gate the timer armed on.
 #[inline]
 fn abandon_exit<R: Recorder>(
     recorder: &R,
@@ -119,11 +119,10 @@ fn abandon_exit<R: Recorder>(
     abandon_at: f64,
 ) {
     recorder.incr(Counter::EarlyAbandons);
-    let detailed = timer.armed();
     timer.finish(recorder);
-    if detailed {
-        recorder.record_value(Metric::AbandonPos, pos as u64);
-        recorder.record_event(Event {
+    if let Some(detail) = recorder.detail() {
+        detail.record_value(Metric::AbandonPos, pos as u64);
+        detail.record_event(Event {
             position: pos as u64,
             length: len as u64,
             value: abandon_at,
@@ -455,10 +454,10 @@ mod tests {
         }
     }
 
-    /// Satellite contract: an abandon under a detailed (armed) recorder
-    /// and under a counters-only (unarmed) recorder leave identical
-    /// *counter* state — the armed/unarmed asymmetry is confined to
-    /// decision-level detail (histograms + events).
+    /// An abandon under a detailed (armed) recorder and under a
+    /// counters-only (unarmed) recorder leave identical *counter* state —
+    /// the armed/unarmed asymmetry is confined to decision-level detail
+    /// (histograms + events).
     #[test]
     fn armed_and_unarmed_abandons_count_identically() {
         let a = vec![0.0; 64];
@@ -466,7 +465,7 @@ mod tests {
         b[0] = 10.0;
         let armed = LocalRecorder::new();
         let unarmed = LocalRecorder::with_detail(false);
-        assert!(armed.detailed() && !unarmed.detailed());
+        assert!(armed.detail().is_some() && unarmed.detail().is_none());
         for rec in [&armed, &unarmed] {
             assert!(euclidean_early(rec, &a, &b, 5.0).is_none());
             assert!(euclidean_early(rec, &a, &b, 50.0).is_some());
@@ -487,6 +486,6 @@ mod tests {
         assert_eq!(armed.histogram(Metric::AbandonPos).count(), 1);
         assert!(unarmed.histogram(Metric::DistanceNanos).is_empty());
         assert!(unarmed.histogram(Metric::AbandonPos).is_empty());
-        assert!(unarmed.events().is_empty());
+        assert!(unarmed.events().is_none());
     }
 }

@@ -127,8 +127,8 @@ impl HotSaxScratch {
 /// The working state lives in the caller's [`HotSaxScratch`], so repeated
 /// searches stop re-allocating. Distance calls and candidate outcomes are
 /// counted into a search-local [`LocalRecorder`] that keeps
-/// decision-level detail only when `recorder` is
-/// [`detailed`](Recorder::detailed); the returned [`SearchStats`] are
+/// decision-level detail only when `recorder` hands out a
+/// [`detail`](Recorder::detail); the returned [`SearchStats`] are
 /// read back from it, and it is merged into `recorder` at the end.
 ///
 /// # Errors
@@ -198,7 +198,7 @@ pub fn hotsax_discords(
     inner.extend(0..count as u32);
     inner.shuffle(&mut rng);
 
-    let local = LocalRecorder::with_detail(recorder.detailed());
+    let local = LocalRecorder::with_detail(recorder.detail().is_some());
     let mut found: Vec<DiscordRecord> = Vec::new();
     scratch.stats.rebuild(values);
     let wstats = &scratch.stats;

@@ -18,9 +18,9 @@ use crate::source::SourceFile;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Idents accepted as evidence that telemetry/wall-clock use is behind a
-/// recorder gate (the `recorder-gate` machinery, plus the obs layer's own
-/// `enabled` gate).
-const GATE_IDENTS: &[&str] = &["detailed", "detail", "armed", "enabled"];
+/// recorder gate: `Recorder::detail` (decision-level telemetry) and
+/// `Recorder::enabled` (the obs layer's span timing).
+const GATE_IDENTS: &[&str] = &["detail", "enabled"];
 
 /// How a call site was written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +68,8 @@ pub struct CallSite {
     /// The call's value flows onward: `let`/`=`/`return` position or the
     /// body's tail expression.
     pub consumed: bool,
-    /// A recorder-gate ident precedes the site in the enclosing body.
+    /// A recorder gate ident (`detail`, `enabled`) precedes the site in
+    /// the enclosing body.
     pub gated: bool,
     /// The site's line is inside a `// gv-lint: hot` region.
     pub hot: bool,
@@ -729,7 +730,7 @@ mod tests {
     #[test]
     fn consumed_and_gated_flags() {
         let src = "pub fn f() -> u64 { let t = now(); t }\n\
-                   pub fn g(r: &R) { if r.detailed() { drop(now()); } }\n\
+                   pub fn g(r: &R) { if let Some(d) = r.detail() { drop(now()); } }\n\
                    pub fn h() { now(); }\n";
         let files = vec![lib("crates/core/src/a.rs", "core", src)];
         let m = model_of(&files);

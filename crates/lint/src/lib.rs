@@ -13,12 +13,12 @@
 //! library code — is configured in `[workspace.lints]` and `clippy.toml`
 //! instead (DESIGN.md §9).
 //!
-//! It has five rules. Two are per-file and lexical (`no-float-eq`,
-//! `recorder-gate`): a hand-rolled, comment/string/attribute-aware
-//! [`lexer`] (no `syn`, per the vendored-shims policy) feeds the
-//! [`rules`] engine. Three are interprocedural
-//! (`panic-reachability`, `alloc-reachability`, `determinism-taint`):
-//! they run over a name-resolved [`callgraph`] of the whole workspace.
+//! It has four rules. One is per-file and lexical (`no-float-eq`): a
+//! hand-rolled, comment/string/attribute-aware [`lexer`] (no `syn`, per
+//! the vendored-shims policy) feeds the [`rules`] engine. Three are
+//! interprocedural (`panic-reachability`, `alloc-reachability`,
+//! `determinism-taint`): they run over a name-resolved [`callgraph`] of
+//! the whole workspace.
 //! Findings are typed [`LintViolation`]s with `file:line:col` spans.
 //! Suppression is always written down, as an inline
 //! `// gv-lint: allow(rule-id) reason` directive, and it rots loudly: an

@@ -20,10 +20,10 @@
 //!   finding carries a descent chain down to one concrete allocation
 //!   site.
 //!
-//! Gated sites (behind a `detailed`/`armed`/`enabled` recorder check) are
-//! exempt as sources and as hot callers: detailed-mode telemetry buys
-//! its allocations knowingly, and the default path never takes the
-//! branch. Amortized growth into a retained buffer is sanctioned per site
+//! Gated sites (behind a `detail`/`enabled` recorder check) are exempt
+//! as sources and as hot callers: detailed-mode telemetry buys its
+//! allocations knowingly, and the default path never takes the branch.
+//! Amortized growth into a retained buffer is sanctioned per site
 //! with an inline allow that says why it stays bounded.
 
 use crate::callgraph::{CallSite, WorkspaceModel};

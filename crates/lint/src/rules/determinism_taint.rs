@@ -14,9 +14,9 @@
 //! detector or CLI entry), is reported at the source with the flow chain
 //! attached.
 //!
-//! The recorder-gate machinery exempts gated code: any site past a
-//! `detailed`/`detail`/`armed`/`enabled` gate check in its body is
-//! considered observability-only and never taints.
+//! Gated code is exempt: any site past a recorder gate check
+//! (`detail`/`enabled`) in its body is considered observability-only and
+//! never taints.
 
 use crate::callgraph::{CallSite, WorkspaceModel};
 use crate::rules::{chain_links, describe_site, WorkspaceRule, RESULT_CRATES};

@@ -13,13 +13,11 @@ mod alloc_reach;
 mod determinism_taint;
 mod float_eq;
 mod panic_reach;
-mod recorder_gate;
 
 pub use alloc_reach::AllocReachability;
 pub use determinism_taint::DeterminismTaint;
 pub use float_eq::NoFloatEq;
 pub use panic_reach::PanicReachability;
-pub use recorder_gate::RecorderGate;
 
 /// A single lint rule.
 pub trait Rule {
@@ -39,7 +37,7 @@ pub trait WorkspaceRule {
 
 /// Every active per-file rule, in report order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
-    vec![Box::new(NoFloatEq), Box::new(RecorderGate)]
+    vec![Box::new(NoFloatEq)]
 }
 
 /// Every active interprocedural rule, in report order.
@@ -98,16 +96,6 @@ pub(crate) fn violation_at(
         message,
         chain: Vec::new(),
     }
-}
-
-/// Is token `i` a method-call receiver position: `.` `name` `(`?
-pub(crate) fn is_method_call(file: &SourceFile, i: usize, name: &str) -> bool {
-    let tokens = file.tokens();
-    file.tok_text(i) == name
-        && i > 0
-        && file.tok_text(i - 1) == "."
-        && i + 1 < tokens.len()
-        && matches!(file.tok_text(i + 1), "(" | "::")
 }
 
 /// How a call site reads in a diagnostic: `.unwrap()`, `panic!`,

@@ -398,45 +398,6 @@ fn match_bracket(
     None
 }
 
-/// Finds the innermost `fn` body containing token index `i`; returns the
-/// token-index range `(body_open_brace, i)` for backward gate scans.
-pub fn enclosing_fn_start(file: &SourceFile, i: usize) -> Option<usize> {
-    // Walk backwards tracking brace balance; on each net-negative `{`
-    // (an enclosing block), keep going until we see `fn` right before a
-    // signature at depth 0 relative to that block.
-    let mut depth: i32 = 0;
-    let mut k = i;
-    while k > 0 {
-        k -= 1;
-        match file.tok_text(k) {
-            "}" => depth += 1,
-            "{" => {
-                if depth == 0 {
-                    // An enclosing open brace: is it a fn body? Scan back
-                    // for `fn` before hitting another brace or `;`.
-                    let mut m = k;
-                    while m > 0 {
-                        m -= 1;
-                        let t = file.tok_text(m);
-                        if t == "fn" {
-                            return Some(m);
-                        }
-                        if t == "{" || t == "}" || t == ";" {
-                            break;
-                        }
-                    }
-                    // Not a fn body (e.g. a struct literal or mod block);
-                    // keep searching outwards.
-                } else {
-                    depth -= 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,19 +498,5 @@ mod tests {
         let f = analyze("// gv-lint: allow(no-such-rule) whatever\nlet x = 1;\n");
         assert!(f.allows.is_empty());
         assert_eq!(f.directive_errors.len(), 1);
-    }
-
-    #[test]
-    fn enclosing_fn_lookup() {
-        let src = "fn outer() { let c = || { target(); }; }";
-        let f = analyze(src);
-        let idx = f
-            .tokens()
-            .iter()
-            .position(|t| t.text(src) == "target")
-            .expect("token");
-        let fn_idx = enclosing_fn_start(&f, idx).expect("enclosing fn");
-        assert_eq!(f.tok_text(fn_idx), "fn");
-        assert_eq!(f.tok_text(fn_idx + 1), "outer");
     }
 }

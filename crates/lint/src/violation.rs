@@ -10,8 +10,6 @@ use std::fmt;
 pub enum RuleId {
     /// No `==` / `!=` against float operands in non-test library code.
     NoFloatEq,
-    /// Detailed-only recorder emits must sit behind the `detailed()` gate.
-    RecorderGate,
     /// Interprocedural: a detector/CLI-reachable `pub` library fn can
     /// transitively panic.
     PanicReachability,
@@ -29,7 +27,6 @@ pub enum RuleId {
 /// emitted by the engine itself, not run over files).
 pub const ALL_RULES: &[RuleId] = &[
     RuleId::NoFloatEq,
-    RuleId::RecorderGate,
     RuleId::PanicReachability,
     RuleId::AllocReachability,
     RuleId::DeterminismTaint,
@@ -40,7 +37,6 @@ impl RuleId {
     pub fn as_str(self) -> &'static str {
         match self {
             RuleId::NoFloatEq => "no-float-eq",
-            RuleId::RecorderGate => "recorder-gate",
             RuleId::PanicReachability => "panic-reachability",
             RuleId::AllocReachability => "alloc-reachability",
             RuleId::DeterminismTaint => "determinism-taint",
@@ -52,9 +48,6 @@ impl RuleId {
     pub fn summary(self) -> &'static str {
         match self {
             RuleId::NoFloatEq => "No ==/!= against float operands in library code",
-            RuleId::RecorderGate => {
-                "Detailed-only recorder emits must sit behind the detailed() gate"
-            }
             RuleId::PanicReachability => {
                 "No transitive panic path from pub library fns on detector/CLI paths"
             }

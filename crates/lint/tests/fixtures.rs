@@ -71,16 +71,3 @@ fn float_eq_span_anchors_on_the_operator() {
     // `    d == 0.0` — the `==` sits at line 5, column 7.
     assert_eq!(spans, vec![(5, 7)]);
 }
-
-#[test]
-fn recorder_gate_fixture() {
-    fires_and_silences(
-        RuleId::RecorderGate,
-        "crates/core/src/fixture.rs",
-        "core",
-        FileKind::LibSrc,
-        include_str!("fixtures/recorder_gate/bad.rs"),
-        include_str!("fixtures/recorder_gate/good.rs"),
-        1,
-    );
-}

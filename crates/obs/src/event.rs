@@ -198,13 +198,6 @@ impl EventRing {
     pub fn to_vec(&self) -> Vec<Event> {
         self.iter().copied().collect()
     }
-
-    /// Drops every held event (the drop/recorded accounting resets too).
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.head = 0;
-        self.recorded = 0;
-    }
 }
 
 impl Default for EventRing {
@@ -235,9 +228,6 @@ mod tests {
         assert_eq!(ring.dropped(), 2);
         let positions: Vec<u64> = ring.iter().map(|e| e.position).collect();
         assert_eq!(positions, vec![2, 3, 4]);
-        ring.clear();
-        assert!(ring.is_empty());
-        assert_eq!(ring.dropped(), 0);
     }
 
     #[test]

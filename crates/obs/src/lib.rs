@@ -47,9 +47,11 @@
 //! *decisions*: a log-linear [`Histogram`] per [`Metric`] (per-call
 //! distance nanoseconds, candidate lengths, rule-use counts, abandon
 //! positions) and a bounded [`EventRing`] of structured [`Event`]s from
-//! the RRA loops and the distance kernels. Both gate on
-//! [`Recorder::detailed`], which is `false` on [`NoopRecorder`], so the
-//! uninstrumented hot path still never reads the clock.
+//! the RRA loops and the distance kernels. Both live on [`Detail`], which
+//! code outside this crate reaches only through [`Recorder::detail`]: an
+//! ungated emit does not compile, and the gate is a compile-time `None`
+//! on [`NoopRecorder`], so the uninstrumented hot path still never reads
+//! the clock.
 
 //! ## Level 3: hierarchical spans
 //!
@@ -105,7 +107,7 @@ pub use health::{HealthEngine, HealthReport, HealthRule, RuleOutcome, Verdict};
 pub use histogram::Histogram;
 pub use ledger::{digest_series, git_sha, Fingerprint, LedgerRecord};
 pub use local::LocalRecorder;
-pub use recorder::{NoopRecorder, Recorder};
+pub use recorder::{Detail, NoopRecorder, Recorder};
 pub use span::{Span, SpanId, SpanSet, SpanTree};
 pub use stage::{Counter, Metric, Stage};
 pub use timer::{DetailTimer, SpanTimer, Stopwatch};

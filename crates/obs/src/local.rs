@@ -2,7 +2,7 @@
 
 use crate::event::{Event, EventRing};
 use crate::histogram::Histogram;
-use crate::recorder::Recorder;
+use crate::recorder::{Detail, Recorder};
 use crate::span::{SpanId, SpanSet, SpanTree};
 use crate::stage::{Counter, Metric, Stage};
 use crate::trace::PipelineTrace;
@@ -13,21 +13,19 @@ use std::cell::{Cell, Ref, RefCell};
 /// `u64` — which is exactly what the distance kernels did before this
 /// crate existed.
 ///
-/// Histograms and events live behind `RefCell`s, borrowed only for the
-/// duration of one `record_*` call; [`LocalRecorder::with_detail`]`(false)`
-/// builds a recorder with `detailed() == false` so a search-local tally
-/// skips the detail work — and the per-call clock reads gated on it —
-/// when nobody upstream wants it.
+/// Histograms and events live in its [`Detail`], borrowed only for the
+/// duration of one emit; [`LocalRecorder::with_detail`]`(false)` builds a
+/// recorder with no `Detail` at all, so a search-local tally skips the
+/// detail work — and the per-call clock reads gated on it — when nobody
+/// upstream wants it.
 ///
 /// Not `Sync`: a parallel search gives each worker thread its own
 /// recorder and merges them at the join.
 #[derive(Debug, Clone)]
 pub struct LocalRecorder {
     counters: [Cell<u64>; Counter::COUNT],
-    histograms: RefCell<[Histogram; Metric::COUNT]>,
-    events: RefCell<EventRing>,
     spans: RefCell<SpanSet>,
-    detailed: bool,
+    detail: Option<Detail>,
 }
 
 impl Default for LocalRecorder {
@@ -43,17 +41,15 @@ impl LocalRecorder {
         Self::with_detail(true)
     }
 
-    /// A recorder whose `detailed()` is `detailed`. Counters and spans are
-    /// always kept; with `false`, histograms and events are ignored, so hot
-    /// paths skip per-call clock reads and event construction. A
-    /// search-local tally passes its sink's `detailed()` here.
-    pub fn with_detail(detailed: bool) -> Self {
+    /// A recorder whose [`Recorder::detail`] is `Some` exactly when
+    /// `detail` is true. Counters and spans are always kept; without
+    /// detail, hot paths skip per-call clock reads and event construction.
+    /// A search-local tally passes `sink.detail().is_some()` here.
+    pub fn with_detail(detail: bool) -> Self {
         Self {
             counters: std::array::from_fn(|_| Cell::new(0)),
-            histograms: RefCell::new(std::array::from_fn(|_| Histogram::new())),
-            events: RefCell::new(EventRing::new()),
             spans: RefCell::new(SpanSet::new()),
-            detailed,
+            detail: detail.then(Detail::new),
         }
     }
 
@@ -62,20 +58,23 @@ impl LocalRecorder {
         self.counters[counter.index()].get()
     }
 
-    /// A clone of one metric's histogram.
+    /// A clone of one metric's histogram (empty without detail).
     pub fn histogram(&self, metric: Metric) -> Histogram {
-        self.histograms.borrow()[metric.index()].clone()
+        self.detail.as_ref().map_or_else(Histogram::new, |d| {
+            d.histograms.borrow()[metric.index()].clone()
+        })
     }
 
     /// The recorded events (shared borrow of the ring; release it before
-    /// recording more).
-    pub fn events(&self) -> Ref<'_, EventRing> {
-        self.events.borrow()
+    /// recording more), or `None` when built without detail.
+    pub fn events(&self) -> Option<Ref<'_, EventRing>> {
+        self.detail.as_ref().map(|d| d.events.borrow())
     }
 
-    /// The recorded events as an owned vector, oldest first.
+    /// The recorded events as an owned vector, oldest first (empty
+    /// without detail).
     pub fn events_vec(&self) -> Vec<Event> {
-        self.events.borrow().to_vec()
+        self.events().map_or_else(Vec::new, |ring| ring.to_vec())
     }
 
     /// A deterministic snapshot of the recorded span tree.
@@ -83,23 +82,11 @@ impl LocalRecorder {
         self.spans.borrow().snapshot()
     }
 
-    /// Resets every counter, histogram, event, and span to zero.
-    pub fn reset(&self) {
-        for c in &self.counters {
-            c.set(0);
-        }
-        for h in self.histograms.borrow_mut().iter_mut() {
-            *h = Histogram::new();
-        }
-        self.events.borrow_mut().clear();
-        self.spans.borrow_mut().clear();
-    }
-
     /// Folds this recorder's totals into another recorder — sums for
-    /// ordinary counters, max for high-water marks, grafted spans, merges
-    /// for histograms, the whole event ring with its drop count. Used to
-    /// publish a hot loop's local tallies to the caller's sink once, at
-    /// the loop boundary.
+    /// ordinary counters, max for high-water marks, grafted spans, and,
+    /// when both sides carry a [`Detail`], merged histograms and the
+    /// whole event ring with its drop count. Used to publish a hot loop's
+    /// local tallies to the caller's sink once, at the loop boundary.
     pub fn merge_into<R: Recorder>(&self, target: &R) {
         self.merge_into_under(target, None);
     }
@@ -122,26 +109,18 @@ impl LocalRecorder {
             }
         }
         target.merge_spans(&self.spans.borrow(), under);
-        if target.detailed() {
-            let histograms = self.histograms.borrow();
-            for m in Metric::ALL {
-                let h = &histograms[m.index()];
-                if !h.is_empty() {
-                    target.record_histogram(m, h);
-                }
-            }
-            target.record_events(&self.events.borrow());
+        if let (Some(mine), Some(theirs)) = (&self.detail, target.detail()) {
+            theirs.absorb(mine);
         }
     }
 
     /// Snapshots the current state into a labelled [`PipelineTrace`].
     pub fn snapshot(&self, label: impl Into<String>) -> PipelineTrace {
-        let histograms = self.histograms.borrow();
         PipelineTrace {
             label: label.into(),
             params: Vec::new(),
             counters: std::array::from_fn(|i| self.counters[i].get()),
-            histograms: std::array::from_fn(|i| histograms[i].clone()),
+            histograms: Metric::ALL.map(|m| self.histogram(m)),
             spans: self.span_tree(),
         }
     }
@@ -166,36 +145,8 @@ impl Recorder for LocalRecorder {
     }
 
     #[inline]
-    fn detailed(&self) -> bool {
-        self.detailed
-    }
-
-    #[inline]
-    fn record_value(&self, metric: Metric, value: u64) {
-        if self.detailed {
-            self.histograms.borrow_mut()[metric.index()].record(value);
-        }
-    }
-
-    #[inline]
-    fn record_event(&self, event: Event) {
-        if self.detailed {
-            self.events.borrow_mut().push(event);
-        }
-    }
-
-    #[inline]
-    fn record_histogram(&self, metric: Metric, histogram: &Histogram) {
-        if self.detailed {
-            self.histograms.borrow_mut()[metric.index()].merge(histogram);
-        }
-    }
-
-    #[inline]
-    fn record_events(&self, events: &EventRing) {
-        if self.detailed {
-            self.events.borrow_mut().absorb(events);
-        }
+    fn detail(&self) -> Option<&Detail> {
+        self.detail.as_ref()
     }
 
     #[inline]
@@ -228,8 +179,6 @@ mod tests {
         rec.update_max(Counter::PeakDigramEntries, 3);
         assert_eq!(rec.counter(Counter::DistanceCalls), 3);
         assert_eq!(rec.counter(Counter::PeakDigramEntries), 5);
-        rec.reset();
-        assert_eq!(rec.counter(Counter::DistanceCalls), 0);
     }
 
     #[test]
@@ -251,10 +200,10 @@ mod tests {
     #[test]
     fn records_histograms_and_events() {
         let rec = LocalRecorder::new();
-        assert!(rec.detailed());
-        rec.record_value(Metric::CandidateLen, 120);
-        rec.record_value(Metric::CandidateLen, 80);
-        rec.record_event(Event {
+        let detail = rec.detail().unwrap();
+        detail.record_value(Metric::CandidateLen, 120);
+        detail.record_value(Metric::CandidateLen, 80);
+        detail.record_event(Event {
             position: 42,
             ..Event::new(EventKind::Visited)
         });
@@ -264,25 +213,15 @@ mod tests {
         assert_eq!(rec.events_vec()[0].position, 42);
         let trace = rec.snapshot("t");
         assert_eq!(trace.histogram(Metric::CandidateLen).count(), 2);
-        rec.reset();
-        assert!(rec.histogram(Metric::CandidateLen).is_empty());
-        assert!(rec.events().is_empty());
     }
 
     #[test]
-    fn without_detail_skips_detail() {
+    fn without_detail_hands_out_no_detail() {
         let rec = LocalRecorder::with_detail(false);
         assert!(rec.enabled());
-        assert!(!rec.detailed());
-        rec.record_value(Metric::DistanceNanos, 99);
-        rec.record_event(Event::new(EventKind::Abandoned));
-        rec.record_histogram(Metric::DistanceNanos, &{
-            let mut h = Histogram::new();
-            h.record(1);
-            h
-        });
+        assert!(rec.detail().is_none());
         assert!(rec.histogram(Metric::DistanceNanos).is_empty());
-        assert!(rec.events().is_empty());
+        assert!(rec.events().is_none());
         // Counters still work.
         rec.incr(Counter::DistanceCalls);
         assert_eq!(rec.counter(Counter::DistanceCalls), 1);
@@ -292,15 +231,16 @@ mod tests {
     fn merge_carries_the_event_ring_drop_count() {
         let capacity = EventRing::DEFAULT_CAPACITY;
         let src = LocalRecorder::new();
+        let detail = src.detail().unwrap();
         for i in 0..capacity + 10 {
-            src.record_event(Event {
+            detail.record_event(Event {
                 position: i as u64,
                 ..Event::new(EventKind::Abandoned)
             });
         }
         let dst = LocalRecorder::new();
         src.merge_into(&dst);
-        let events = dst.events();
+        let events = dst.events().unwrap();
         assert_eq!(events.recorded(), capacity as u64 + 10);
         assert_eq!(events.dropped(), 10);
         // The ring keeps the newest events.
@@ -310,8 +250,9 @@ mod tests {
     #[test]
     fn merge_carries_detail_to_detailed_targets_only() {
         let src = LocalRecorder::new();
-        src.record_value(Metric::RuleUses, 3);
-        src.record_event(Event::new(EventKind::Completed));
+        let detail = src.detail().unwrap();
+        detail.record_value(Metric::RuleUses, 3);
+        detail.record_event(Event::new(EventKind::Completed));
         let detailed = LocalRecorder::new();
         src.merge_into(&detailed);
         assert_eq!(detailed.histogram(Metric::RuleUses).count(), 1);
@@ -319,6 +260,6 @@ mod tests {
         let coarse = LocalRecorder::with_detail(false);
         src.merge_into(&coarse);
         assert!(coarse.histogram(Metric::RuleUses).is_empty());
-        assert!(coarse.events().is_empty());
+        assert!(coarse.events().is_none());
     }
 }

@@ -1,9 +1,11 @@
-//! The [`Recorder`] trait and the zero-cost [`NoopRecorder`].
+//! The [`Recorder`] trait, the zero-cost [`NoopRecorder`], and the
+//! [`Detail`] handle that carries decision-level telemetry.
 
 use crate::event::{Event, EventRing};
 use crate::histogram::Histogram;
 use crate::span::{SpanId, SpanSet};
 use crate::stage::{Counter, Metric, Stage};
+use std::cell::RefCell;
 
 /// A sink for pipeline instrumentation events.
 ///
@@ -26,32 +28,34 @@ pub trait Recorder {
     /// Raises a high-water-mark counter to at least `value`.
     fn update_max(&self, counter: Counter, value: u64);
 
-    /// Whether decision-level detail (value histograms and events) should
-    /// be recorded. Per-call timing on the distance hot path gates on
-    /// this, so a recorder can collect aggregate counters without paying
-    /// for a clock read per distance call. Defaults to [`enabled`]
-    /// (enabled recorders want everything).
+    /// The decision-level sink (value histograms and events), or `None`
+    /// when this recorder does not want them. The emits live on
+    /// [`Detail`], so they are reachable only through this gate: per-call
+    /// timing on the distance hot path, event construction and histogram
+    /// samples all sit behind one `Option`, which is a compile-time
+    /// `None` on [`NoopRecorder`].
     ///
-    /// [`enabled`]: Recorder::enabled
+    /// ```
+    /// use gv_obs::{Event, EventKind, LocalRecorder, Recorder};
+    ///
+    /// let rec = LocalRecorder::new();
+    /// if let Some(detail) = rec.detail() {
+    ///     detail.record_event(Event::new(EventKind::Visited));
+    /// }
+    /// assert_eq!(rec.events_vec().len(), 1);
+    /// ```
+    ///
+    /// An ungated emit does not compile:
+    ///
+    /// ```compile_fail,E0599
+    /// use gv_obs::{Event, EventKind, LocalRecorder, Recorder};
+    ///
+    /// LocalRecorder::new().record_event(Event::new(EventKind::Visited));
+    /// ```
     #[inline]
-    fn detailed(&self) -> bool {
-        self.enabled()
+    fn detail(&self) -> Option<&Detail> {
+        None
     }
-
-    /// Records one sample into a value histogram.
-    fn record_value(&self, metric: Metric, value: u64);
-
-    /// Records one structured decision event.
-    fn record_event(&self, event: Event);
-
-    /// Merges a whole pre-aggregated histogram into a value histogram
-    /// (used when a loop-local recorder publishes to a caller's sink).
-    fn record_histogram(&self, metric: Metric, histogram: &Histogram);
-
-    /// Appends a whole event ring — its held events and its drop count
-    /// ([`EventRing::absorb`]) — when a loop-local recorder publishes to a
-    /// caller's sink.
-    fn record_events(&self, events: &EventRing);
 
     /// Finds or creates the span-tree node for `stage` under `parent`
     /// (`None` = a root span) and returns its handle, or `None` when this
@@ -107,28 +111,8 @@ impl<R: Recorder + ?Sized> Recorder for &R {
     }
 
     #[inline]
-    fn detailed(&self) -> bool {
-        (**self).detailed()
-    }
-
-    #[inline]
-    fn record_value(&self, metric: Metric, value: u64) {
-        (**self).record_value(metric, value);
-    }
-
-    #[inline]
-    fn record_event(&self, event: Event) {
-        (**self).record_event(event);
-    }
-
-    #[inline]
-    fn record_histogram(&self, metric: Metric, histogram: &Histogram) {
-        (**self).record_histogram(metric, histogram);
-    }
-
-    #[inline]
-    fn record_events(&self, events: &EventRing) {
-        (**self).record_events(events);
+    fn detail(&self) -> Option<&Detail> {
+        (**self).detail()
     }
 
     #[inline]
@@ -164,23 +148,6 @@ impl Recorder for NoopRecorder {
     fn update_max(&self, _counter: Counter, _value: u64) {}
 
     #[inline(always)]
-    fn detailed(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn record_value(&self, _metric: Metric, _value: u64) {}
-
-    #[inline(always)]
-    fn record_event(&self, _event: Event) {}
-
-    #[inline(always)]
-    fn record_histogram(&self, _metric: Metric, _histogram: &Histogram) {}
-
-    #[inline(always)]
-    fn record_events(&self, _events: &EventRing) {}
-
-    #[inline(always)]
     fn span_id(&self, _parent: Option<SpanId>, _stage: Stage) -> Option<SpanId> {
         None
     }
@@ -192,6 +159,48 @@ impl Recorder for NoopRecorder {
     fn merge_spans(&self, _spans: &SpanSet, _under: Option<SpanId>) {}
 }
 
+/// Decision-level telemetry: one value [`Histogram`] per [`Metric`] and
+/// a bounded [`EventRing`] of structured [`Event`]s. Code outside gv-obs
+/// gets one only from [`Recorder::detail`], so every emit is gated by
+/// construction; a [`LocalRecorder`](crate::LocalRecorder) owns one
+/// unless it was built `with_detail(false)`.
+#[derive(Debug, Clone)]
+pub struct Detail {
+    pub(crate) histograms: RefCell<[Histogram; Metric::COUNT]>,
+    pub(crate) events: RefCell<EventRing>,
+}
+
+impl Detail {
+    pub(crate) fn new() -> Self {
+        Self {
+            histograms: RefCell::new(std::array::from_fn(|_| Histogram::new())),
+            events: RefCell::new(EventRing::new()),
+        }
+    }
+
+    /// Records one sample into a value histogram.
+    #[inline]
+    pub fn record_value(&self, metric: Metric, value: u64) {
+        self.histograms.borrow_mut()[metric.index()].record(value);
+    }
+
+    /// Records one structured decision event.
+    #[inline]
+    pub fn record_event(&self, event: Event) {
+        self.events.borrow_mut().push(event);
+    }
+
+    /// Merges `other`'s histograms and its whole event ring — held events
+    /// and drop count ([`EventRing::absorb`]) — into this detail.
+    pub(crate) fn absorb(&self, other: &Detail) {
+        let others = other.histograms.borrow();
+        for (mine, theirs) in self.histograms.borrow_mut().iter_mut().zip(others.iter()) {
+            mine.merge(theirs);
+        }
+        self.events.borrow_mut().absorb(&other.events.borrow());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,14 +210,10 @@ mod tests {
     fn noop_is_disabled_and_silent() {
         let rec = NoopRecorder;
         assert!(!rec.enabled());
-        assert!(!rec.detailed());
+        assert!(rec.detail().is_none());
         rec.add(Counter::DistanceCalls, 5);
         rec.incr(Counter::DistanceCalls);
         rec.update_max(Counter::PeakDigramEntries, 10);
-        rec.record_value(crate::Metric::CandidateLen, 7);
-        rec.record_event(crate::Event::new(crate::EventKind::Visited));
-        rec.record_histogram(crate::Metric::AbandonPos, &crate::Histogram::new());
-        rec.record_events(&EventRing::new());
         assert_eq!(rec.span_id(None, Stage::Detect), None);
     }
 

@@ -102,11 +102,6 @@ impl SpanSet {
         }
     }
 
-    /// Clears all nodes.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-    }
-
     /// Flattens into a deterministic [`SpanTree`]: depth-first from the
     /// roots, siblings ordered by [`Stage::index`]. Because nodes are
     /// deduplicated by `(parent, stage)`, this ordering is total — the

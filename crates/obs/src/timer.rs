@@ -11,7 +11,7 @@
 //!   the RRA search times its loops into a search-local recorder while
 //!   gating on the *caller's* sink.
 //! - [`DetailTimer`] — a *per-call* measurement gated on
-//!   [`Recorder::detailed`]: armed only when someone wants decision-level
+//!   [`Recorder::detail`]: armed only when someone wants decision-level
 //!   histograms, so the distance kernel's uninstrumented path never reads
 //!   the clock.
 //! - [`Stopwatch`] — plain wall time for coarse measurements outside the
@@ -86,12 +86,6 @@ impl SpanTimer {
         self.span
     }
 
-    /// Whether this timer is actually measuring.
-    #[inline]
-    pub fn armed(&self) -> bool {
-        self.started.is_some()
-    }
-
     /// Records the elapsed nanoseconds on the span node; a no-op when
     /// unarmed or when the recorder does not track spans.
     #[inline]
@@ -122,7 +116,7 @@ impl Stopwatch {
     }
 }
 
-/// A per-call value timer gated on [`Recorder::detailed`]; finish with
+/// A per-call value timer gated on [`Recorder::detail`]; finish with
 /// [`DetailTimer::finish`] to record the elapsed nanoseconds into a
 /// value histogram.
 #[derive(Debug)]
@@ -134,30 +128,22 @@ pub struct DetailTimer {
 
 impl DetailTimer {
     /// Starts timing into `metric` if `recorder` wants decision-level
-    /// detail. `NoopRecorder::detailed()` is a compile-time `false`, so
+    /// detail. `NoopRecorder::detail()` is a compile-time `None`, so
     /// uninstrumented kernels never read the clock.
     #[inline]
     pub fn start<R: Recorder>(recorder: &R, metric: Metric) -> Self {
         DetailTimer {
             metric,
-            started: recorder.detailed().then(Instant::now),
+            started: recorder.detail().is_some().then(Instant::now),
         }
-    }
-
-    /// Whether this timer is actually measuring — callers use this as
-    /// the carried `detailed()` gate for emits grouped with the timing
-    /// (e.g. the abandon event in the early-abandoning distance kernel).
-    #[inline]
-    pub fn armed(&self) -> bool {
-        self.started.is_some()
     }
 
     /// Records one sample of elapsed nanoseconds into the metric's
     /// histogram; a no-op when unarmed.
     #[inline]
     pub fn finish<R: Recorder>(self, recorder: &R) {
-        if let Some(t0) = self.started {
-            recorder.record_value(self.metric, t0.elapsed().as_nanos() as u64);
+        if let (Some(t0), Some(detail)) = (self.started, recorder.detail()) {
+            detail.record_value(self.metric, t0.elapsed().as_nanos() as u64);
         }
     }
 }
@@ -187,7 +173,6 @@ mod tests {
     #[test]
     fn span_timer_noop_when_disabled() {
         let t = SpanTimer::start(&NoopRecorder, None, Stage::Detect);
-        assert!(!t.armed());
         assert_eq!(t.span(), None);
         t.finish(&NoopRecorder);
     }
@@ -215,17 +200,13 @@ mod tests {
     }
 
     #[test]
-    fn detail_timer_gates_on_detailed() {
+    fn detail_timer_gates_on_detail() {
         let full = LocalRecorder::new();
-        let t = DetailTimer::start(&full, Metric::DistanceNanos);
-        assert!(t.armed());
-        t.finish(&full);
+        DetailTimer::start(&full, Metric::DistanceNanos).finish(&full);
         assert_eq!(full.histogram(Metric::DistanceNanos).count(), 1);
 
         let coarse = LocalRecorder::with_detail(false);
-        let t = DetailTimer::start(&coarse, Metric::DistanceNanos);
-        assert!(!t.armed());
-        t.finish(&coarse);
+        DetailTimer::start(&coarse, Metric::DistanceNanos).finish(&coarse);
         assert!(coarse.histogram(Metric::DistanceNanos).is_empty());
     }
 }

@@ -466,14 +466,13 @@ mod tests {
     fn instrumented_discretize_matches_plain_and_counts() {
         let values: Vec<f64> = (0..300).map(|i| (i as f64 / 9.0).sin()).collect();
         let cfg = SaxConfig::new(24, 4, 4).unwrap();
-        let rec = gv_obs::LocalRecorder::new();
         let (mut instrumented, mut state) = (Vec::new(), SaxScratch::new());
         for nr in [
             NumerosityReduction::None,
             NumerosityReduction::Exact,
             NumerosityReduction::MinDist,
         ] {
-            rec.reset();
+            let rec = gv_obs::LocalRecorder::new();
             let plain = cfg.discretize(&values, nr).unwrap();
             cfg.discretize_into(&values, nr, &rec, &mut instrumented, &mut state)
                 .unwrap();
@@ -485,9 +484,9 @@ mod tests {
                 rec.counter(Counter::WordsEmitted) + rec.counter(Counter::WordsDropped),
                 windows
             );
+            // Timing belongs to the caller's span, not the discretizer.
+            assert!(rec.span_tree().is_empty());
         }
-        // Timing belongs to the caller's span, not the discretizer.
-        assert!(rec.span_tree().is_empty());
     }
 
     /// Runs `discretize_into` and a window-by-window `next_word` replay

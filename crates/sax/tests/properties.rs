@@ -148,10 +148,9 @@ proptest! {
             _ => {}
         }
         let cfg = SaxConfig::new(window, paa, alphabet).unwrap();
-        let rec = LocalRecorder::new();
         let (mut batch, mut state) = (Vec::new(), SaxScratch::new());
         for nr in STRATEGIES {
-            rec.reset();
+            let rec = LocalRecorder::new();
             cfg.discretize_into(&values, nr, &rec, &mut batch, &mut state).unwrap();
             let got: Vec<(usize, Vec<u8>)> =
                 batch.iter().map(|r| (r.offset, r.word.symbols().to_vec())).collect();

@@ -245,11 +245,14 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            // Copy the run of plain characters up to the next quote or
-            // backslash in one step. Both are ASCII, so the run ends on a
-            // character boundary, and each input byte is read once.
+            // Copy the run of plain characters up to the next quote,
+            // backslash or control character in one step. All three are
+            // ASCII, so the run ends on a character boundary, and each
+            // input byte is read once.
             let rest = &self.text[self.pos..];
-            let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+            let run = rest
+                .find(|c: char| c == '"' || c == '\\' || c < ' ')
+                .unwrap_or(rest.len());
             out.push_str(&rest[..run]);
             self.pos += run;
             match self.peek() {
@@ -257,66 +260,103 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .text
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error("truncated \\u escape".to_string()))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error("bad \\u escape".to_string()))?;
-                            // Basic-plane only: this encoder never emits
-                            // surrogate pairs (it writes astral chars raw).
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error("bad \\u code point".to_string()))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(Error("bad escape".to_string())),
-                    }
-                    self.pos += 1;
+                Some(b'\\') => out.push(self.parse_escape()?),
+                Some(_) => {
+                    return Err(Error(format!(
+                        "control character in string at byte {}",
+                        self.pos
+                    )))
                 }
-                _ => return Err(Error("unterminated string".to_string())),
+                None => return Err(Error("unterminated string".to_string())),
             }
         }
     }
 
+    /// Decodes one escape sequence starting at the backslash under `pos`.
+    /// A `\u` escape of a high surrogate must be followed by one of a low
+    /// surrogate; the pair decodes to one character.
+    fn parse_escape(&mut self) -> Result<char, Error> {
+        let at = self.pos;
+        let letter = self.text.as_bytes().get(at + 1).copied();
+        self.pos += 2;
+        Ok(match letter {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let mut code = self.hex4()?;
+                if (0xD800..0xDC00).contains(&code) && self.text[self.pos..].starts_with("\\u") {
+                    self.pos += 2;
+                    let low = self.hex4()?;
+                    if (0xDC00..0xE000).contains(&low) {
+                        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                    }
+                }
+                // A surrogate left unpaired is not a character.
+                char::from_u32(code)
+                    .ok_or_else(|| Error(format!("unpaired surrogate at byte {at}")))?
+            }
+            _ => return Err(Error(format!("bad escape at byte {at}"))),
+        })
+    }
+
+    /// Reads the four hex digits of a `\u` escape at `pos`.
+    fn hex4(&mut self) -> Result<u32, Error> {
+        let code = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+            .ok_or_else(|| Error(format!("bad \\u escape at byte {}", self.pos)))?;
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// Parses `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`; a fraction
+    /// or an exponent makes the number an `F64`.
     fn parse_number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
+        self.eat_one_of(b"-");
+        let int = self.eat_one_of(b"0") || self.digits();
+        let frac = !self.eat_one_of(b".") || self.digits();
+        let exp = !self.eat_one_of(b"eE") || {
+            self.eat_one_of(b"+-");
+            self.digits()
+        };
         let text = &self.text[start..self.pos];
-        let value = if is_float {
+        let value = if !(int && frac && exp) {
+            None
+        } else if text.contains(['.', 'e', 'E']) {
             text.parse().map(Value::F64).ok()
         } else if text.starts_with('-') {
             text.parse().map(Value::I64).ok()
         } else {
             text.parse().map(Value::U64).ok()
         };
-        value.ok_or_else(|| Error(format!("invalid number `{text}`")))
+        value.ok_or_else(|| Error(format!("invalid number `{text}` at byte {start}")))
+    }
+
+    /// Steps over the next byte if it is one of `set`.
+    fn eat_one_of(&mut self, set: &[u8]) -> bool {
+        let hit = self.peek().is_some_and(|b| set.contains(&b));
+        if hit {
+            self.pos += 1;
+        }
+        hit
+    }
+
+    /// Steps over a run of ASCII digits; whether there was at least one.
+    fn digits(&mut self) -> bool {
+        let from = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos > from
     }
 }
 
@@ -366,6 +406,46 @@ mod tests {
         );
         for bad in [r#""abc"#, r#""\x""#, r#""\u12""#, r#""\ud800""#] {
             assert!(from_str(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn follows_rfc_8259() {
+        let accepted = [
+            // A surrogate-pair escape, as Python's `json.dumps` writes it.
+            (r#""\ud83d\ude00""#, s("😀")),
+            ("\"\u{7f}\"", s("\u{7f}")),
+            ("0", Value::U64(0)),
+            ("-0", Value::I64(0)),
+            ("10", Value::U64(10)),
+            ("0.5", Value::F64(0.5)),
+            ("-1.5e-3", Value::F64(-1.5e-3)),
+            ("1E+5", Value::F64(1e5)),
+        ];
+        for (text, value) in accepted {
+            assert_eq!(from_str(text), Ok(value), "{text:?}");
+        }
+        let rejected = [
+            // `\u` takes exactly four hex digits.
+            r#""\u+041x""#,
+            // Lone surrogates, and a high one before a non-surrogate.
+            r#""\ud83d""#,
+            r#""\ude00""#,
+            r#""\ud83d\u0041""#,
+            // Raw control characters inside a string.
+            "\"a\tb\"",
+            "\"\u{0}\"",
+            "\"\u{1f}\"",
+            // Numbers outside the grammar.
+            r#"{"config_fp":01}"#,
+            "00",
+            "-01",
+            "1.",
+            "1.e5",
+            "1e+",
+        ];
+        for text in rejected {
+            assert!(from_str(text).is_err(), "{text:?}");
         }
     }
 

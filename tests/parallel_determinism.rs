@@ -134,7 +134,7 @@ fn event_ledger_balances_under_parallel_search() {
             .detect(&SeriesView::new(&v), &mut Workspace::new(), &recorder)
             .unwrap();
         assert_eq!(
-            recorder.events().dropped(),
+            recorder.events().unwrap().dropped(),
             0,
             "ring must keep every event on this fixture"
         );
