@@ -9,7 +9,9 @@
 //! with their own span tree: each `stages_ns` entry equals the summed `total_ns` of the spans
 //! of that stage, `derived.total_ns` equals the summed root spans, and
 //! (sequential runs only) no span's children outlast it. An explain
-//! summary's `events_recorded` must equal the events its counters imply.
+//! summary's `events_recorded` must equal the events its counters imply,
+//! and an explain row's `visits` must be its `rank + 1` (the discord found
+//! at rank r was scanned once at each rank 0..=r).
 //! CI runs this over the CLI's `--metrics`, `--events`, `gv monitor` and
 //! ledger output so a schema drift fails the build instead of silently
 //! producing unparseable metrics.
@@ -123,6 +125,7 @@ fn validate_line(line: &str) -> Result<(), String> {
             check_counter_keys(&record, &all)?;
             reconcile_trace(&record)?;
         }
+        Ok(Value::Str(kind)) if kind == "explain" => check_explain_visits(&record)?,
         Ok(Value::Str(kind)) if kind == "explain_summary" => reconcile_explain_summary(&record)?,
         Ok(Value::Str(kind)) if kind == "window" => check_counter_keys(&record, &WINDOW_COUNTERS)?,
         Ok(_) => {}
@@ -171,6 +174,19 @@ fn reconcile_explain_summary(record: &Value) -> Result<(), String> {
         return Err(format!(
             "events_recorded is {recorded} but its counters imply {implied}"
         ));
+    }
+    Ok(())
+}
+
+/// Checks an explain row's visits against its rank: a candidate only
+/// loses eligibility as discords are found, and every eligible candidate
+/// is scanned once per rank, so the rank-`r` discord was visited `r + 1`
+/// times, however many events the ring kept.
+fn check_explain_visits(record: &Value) -> Result<(), String> {
+    let rank = as_u64(field(record, "rank")?, "rank")?;
+    let visits = as_u64(field(record, "visits")?, "visits")?;
+    if visits.checked_sub(1) != Some(rank) {
+        return Err(format!("explain visits {visits} != rank {rank} + 1"));
     }
     Ok(())
 }
@@ -316,6 +332,9 @@ mod tests {
         validate_line(&rec.snapshot("rra").to_jsonl()).unwrap();
         let explain = pipeline.explain(&values, 2, &NoopRecorder).unwrap();
         validate_line(&explain.summary_jsonl()).unwrap();
+        for row in &explain.rows {
+            validate_line(&row.to_jsonl()).unwrap();
+        }
         let event = Event::new(EventKind::Visited);
         validate_line(&event.to_jsonl()).unwrap();
     }
@@ -423,6 +442,23 @@ mod tests {
         assert!(err.contains("children sum to 140"), "{err}");
         // Parallel workers' time sums across threads: not a violation.
         validate_line(&trace_line("\"threads\":4", stages, &spans, 100)).unwrap();
+    }
+
+    #[test]
+    fn rejects_explain_rows_whose_visits_are_not_rank_plus_one() {
+        // Visits read off the surviving events of an overflowed ring.
+        let row = |visits: u64| {
+            format!(
+                "{{\"schema\":{},\"type\":\"explain\",\"rank\":2,\"position\":10,\"length\":5,\
+                 \"distance\":0.5,\"rule\":null,\"word\":null,\"frequency\":0,\"siblings\":0,\
+                 \"visits\":{visits},\"calls\":7,\"min_density\":1}}",
+                gv_obs::SCHEMA_VERSION
+            )
+        };
+        validate_line(&row(3)).unwrap();
+        let err = validate_line(&row(1)).unwrap_err();
+        assert!(err.contains("explain visits 1 != rank 2 + 1"), "{err}");
+        assert!(validate_line(&row(0)).is_err());
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! the vendored xoshiro256++, so a given `--seed` reproduces the exact
 //! same series on every machine.
 //!
-//! The RRA thread count is taken from `GV_THREADS` (default 4), so CI can
-//! gate both the sequential and the parallel search:
+//! The RRA thread count is taken from `GV_THREADS`, read as
+//! `EngineConfig::from_env` reads it, so CI can gate both the sequential
+//! and the parallel search:
 //!
 //! ```text
 //! GV_THREADS=1 cargo run -p gv-check --release --bin invariant_fuzz -- --seed 42 --count 1000
@@ -32,8 +33,8 @@ use gv_check::{check_sax_symbols, check_series, check_streaming};
 use gv_discord::HotSaxConfig;
 use gv_obs::NoopRecorder;
 use gva_core::{
-    engine::THREADS_ENV, BruteForceDetector, Detector, Error, HotSaxDetector, PipelineConfig,
-    SeriesView, StreamingDetector, Workspace,
+    BruteForceDetector, Detector, EngineConfig, Error, HotSaxDetector, PipelineConfig, SeriesView,
+    StreamingDetector, Workspace,
 };
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -66,10 +67,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let threads: usize = std::env::var(THREADS_ENV)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
+    let threads = EngineConfig::from_env().threads();
 
     println!("invariant_fuzz: seed {seed}, {count} series, {threads} RRA thread(s)");
     let mut rng = StdRng::seed_from_u64(seed);

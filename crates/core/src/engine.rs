@@ -22,7 +22,7 @@
 //! sequentially and parallel.
 
 use gv_discord::{brute_force_discords, hotsax_discords, DiscordRecord, HotSaxConfig, SearchStats};
-use gv_obs::{Recorder, SpanId, SpanTimer, Stage};
+use gv_obs::{Recorder, SpanTimer, Stage};
 use gv_timeseries::Interval;
 
 use crate::config::PipelineConfig;
@@ -35,7 +35,7 @@ use crate::workspace::Workspace;
 
 /// Environment variable consulted by [`EngineConfig::default`] for the
 /// worker-thread count.
-pub const THREADS_ENV: &str = "GV_THREADS";
+const THREADS_ENV: &str = "GV_THREADS";
 
 /// Execution knobs shared by every detector dispatched through the
 /// engine: currently the RRA worker-thread count.
@@ -50,8 +50,8 @@ impl EngineConfig {
         Self { threads: 1 }
     }
 
-    /// Reads the thread count from [`THREADS_ENV`]; missing, empty, or
-    /// unparsable values mean sequential.
+    /// Reads the thread count from `GV_THREADS`; missing, empty,
+    /// unparsable or zero values mean sequential.
     pub fn from_env() -> Self {
         let threads = std::env::var(THREADS_ENV)
             .ok()
@@ -321,20 +321,6 @@ impl RraDetector {
         ws: &mut Workspace,
         recorder: &dyn Recorder,
     ) -> Result<RraReport> {
-        self.search_model_under(values, model, ws, recorder, None)
-    }
-
-    /// [`RraDetector::search_model`] with the search spans grafted under
-    /// `parent` in the recorder's span tree; `None` leaves `rra-outer` as
-    /// a root span.
-    pub(crate) fn search_model_under(
-        &self,
-        values: &[f64],
-        model: &GrammarModel,
-        ws: &mut Workspace,
-        recorder: &dyn Recorder,
-        parent: Option<SpanId>,
-    ) -> Result<RraReport> {
         let Workspace {
             candidates, rra, ..
         } = ws;
@@ -349,7 +335,6 @@ impl RraDetector {
             self.engine.threads(),
             rra,
             &recorder,
-            parent,
         )
     }
 }
@@ -366,9 +351,9 @@ impl Detector for RraDetector {
         recorder: &dyn Recorder,
     ) -> Result<Report> {
         check_k(self.k)?;
-        let root = SpanTimer::start(&recorder, None, Stage::Detect);
-        let model = ws.build_model_under(&self.config, series.values(), &recorder, root.span())?;
-        let searched = self.search_model_under(series.values(), &model, ws, recorder, root.span());
+        let root = SpanTimer::start(&recorder, Stage::Detect);
+        let model = ws.build_model(&self.config, series.values(), &recorder)?;
+        let searched = self.search_model(series.values(), &model, ws, recorder);
         let grammar_size = model.grammar.grammar_size();
         ws.recycle_model(model);
         root.finish(&recorder);
@@ -415,19 +400,8 @@ impl DensityDetector {
     /// Runs the density stage against an already-built model (the sweep
     /// builds one model and runs both detectors on it).
     pub fn report_model(&self, model: &GrammarModel, recorder: &dyn Recorder) -> DensityReport {
-        self.report_model_under(model, recorder, None)
-    }
-
-    /// [`DensityDetector::report_model`] with the density span grafted
-    /// under `parent` in the recorder's span tree.
-    pub(crate) fn report_model_under(
-        &self,
-        model: &GrammarModel,
-        recorder: &dyn Recorder,
-        parent: Option<SpanId>,
-    ) -> DensityReport {
         let edge = self.trim_edge.unwrap_or_else(|| self.config.window());
-        let timer = SpanTimer::start(&recorder, parent, Stage::Density);
+        let timer = SpanTimer::start(&recorder, Stage::Density);
         let report = RuleDensity::from_model(model).report_trimmed(self.k, edge);
         timer.finish(&recorder);
         report
@@ -442,9 +416,9 @@ impl DensityDetector {
         recorder: &dyn Recorder,
     ) -> Result<(DensityReport, usize)> {
         check_k(self.k)?;
-        let root = SpanTimer::start(&recorder, None, Stage::Detect);
-        let model = ws.build_model_under(&self.config, values, &recorder, root.span())?;
-        let report = self.report_model_under(&model, recorder, root.span());
+        let root = SpanTimer::start(&recorder, Stage::Detect);
+        let model = ws.build_model(&self.config, values, &recorder)?;
+        let report = self.report_model(&model, recorder);
         let grammar_size = model.grammar.grammar_size();
         ws.recycle_model(model);
         root.finish(&recorder);
@@ -513,7 +487,7 @@ impl Detector for BruteForceDetector {
     ) -> Result<Report> {
         check_k(self.k)?;
         check_finite(series.values())?;
-        let root = SpanTimer::start(&recorder, None, Stage::Detect);
+        let root = SpanTimer::start(&recorder, Stage::Detect);
         let (discords, stats) = brute_force_discords(
             series.values(),
             self.discord_len,
@@ -561,7 +535,7 @@ impl Detector for HotSaxDetector {
     ) -> Result<Report> {
         check_k(self.k)?;
         check_finite(series.values())?;
-        let root = SpanTimer::start(&recorder, None, Stage::Detect);
+        let root = SpanTimer::start(&recorder, Stage::Detect);
         let (discords, stats) = hotsax_discords(
             series.values(),
             &self.config,

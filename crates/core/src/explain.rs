@@ -10,13 +10,18 @@
 //! rule-density floor at the discord — the §4.1 signal the §4.2 search is
 //! supposed to agree with.
 //!
-//! Join semantics: RRA emits a `Visited` event each time the outer loop
-//! takes up a candidate, and exactly one `Pruned`/`Completed` outcome
-//! event per visit, keyed by the candidate's `(position, length)` — which
-//! is unique in the candidate list. A discord's per-candidate cost is the
-//! sum of its outcome events' `calls` deltas; the report-wide total over
-//! *all* outcome events must equal [`SearchStats::distance_calls`], which
-//! [`ExplainReport::distance_calls_from_events`] exposes so tests can
+//! Join semantics: rule and frequency come from the discord's own entry in
+//! [`search_candidates`], the list the search ran on, where an interval is
+//! unique; visits come from the rank alone. A candidate only loses
+//! eligibility as discords are found, never regains it, and every eligible
+//! candidate is scanned once per rank, so the discord found at rank `r` was
+//! scanned at ranks `0..=r`: `r + 1` visits. None of these reads the ring,
+//! so they stay exact when it overflows. The cost does: RRA emits one
+//! `Pruned`/`Completed` outcome event per visit, keyed by the candidate's
+//! `(position, length)`, and a discord's cost sums their `calls` deltas, a
+//! lower bound once the ring drops events. Over *all* outcome events the
+//! total equals [`SearchStats::distance_calls`] when nothing was dropped,
+//! which [`ExplainReport::distance_calls_from_events`] exposes so tests can
 //! assert the books balance.
 
 use std::fmt::Write as _;
@@ -27,6 +32,7 @@ use gv_sequitur::RuleId;
 use gv_timeseries::Interval;
 
 use crate::density::RuleDensity;
+use crate::intervals::search_candidates;
 use crate::model::GrammarModel;
 use crate::rra::RraReport;
 
@@ -50,8 +56,9 @@ pub struct DiscordProvenance {
     pub frequency: u64,
     /// Same-rule occurrence siblings the inner loop tried first.
     pub siblings: u64,
-    /// Times the outer loop took this candidate up (once per rank round
-    /// it stayed unpruned and non-overlapping).
+    /// Times the outer loop took this candidate up: once per rank round
+    /// up to and including its own, `rank + 1` (a candidate pruned at one
+    /// rank is scanned again at the next).
     pub visits: u64,
     /// Distance calls the search spent on this candidate, summed across
     /// all its visits.
@@ -132,29 +139,22 @@ impl ExplainReport {
             .events()
             .map_or((0, 0), |ring| (ring.recorded(), ring.dropped()));
         let density = RuleDensity::from_model(model);
+        let candidates = search_candidates(model);
         let rows = report
             .discords
             .iter()
             .map(|d| {
+                let candidate = candidates.iter().find(|c| c.interval == d.interval());
+                let frequency = candidate.map_or(0, |c| c.frequency as u64);
                 let key = (d.position as u64, d.length as u64);
-                let mut rule = None;
-                let mut frequency = 0u64;
-                let mut visits = 0u64;
-                let mut distance_calls = 0u64;
-                for e in &events {
-                    if (e.position, e.length) != key {
-                        continue;
-                    }
-                    match e.kind {
-                        EventKind::Visited => {
-                            visits += 1;
-                            rule = e.rule;
-                            frequency = e.frequency;
-                        }
-                        EventKind::Pruned | EventKind::Completed => distance_calls += e.calls,
-                        _ => {}
-                    }
-                }
+                let distance_calls = events
+                    .iter()
+                    .filter(|e| {
+                        (e.position, e.length) == key
+                            && matches!(e.kind, EventKind::Pruned | EventKind::Completed)
+                    })
+                    .map(|e| e.calls)
+                    .sum();
                 let word = model
                     .records
                     .binary_search_by_key(&d.position, |r| r.offset)
@@ -165,11 +165,11 @@ impl ExplainReport {
                     position: d.position,
                     length: d.length,
                     distance: d.distance,
-                    rule: rule.map(RuleId),
+                    rule: candidate.and_then(|c| c.rule),
                     word,
                     frequency,
                     siblings: frequency.saturating_sub(1),
-                    visits,
+                    visits: d.rank as u64 + 1,
                     distance_calls,
                     min_density: density.min_in(&d.interval()).unwrap_or(-1),
                 }
@@ -306,7 +306,7 @@ mod tests {
     use crate::engine::{EngineConfig, RraDetector};
     use crate::pipeline::AnomalyPipeline;
     use crate::workspace::Workspace;
-    use gv_obs::NoopRecorder;
+    use gv_obs::{EventRing, NoopRecorder, Recorder};
 
     fn planted() -> Vec<f64> {
         let mut v: Vec<f64> = (0..2400).map(|i| (i as f64 / 20.0).sin()).collect();
@@ -340,6 +340,54 @@ mod tests {
             assert!(row.distance_calls > 0, "no calls attributed");
             assert!(row.word.is_some(), "start offset must map to a word");
             assert!(row.min_density >= 0, "curve covers the discord");
+        }
+    }
+
+    #[test]
+    fn rows_stay_exact_when_the_ring_overflows() {
+        let v = planted();
+        let pipeline = AnomalyPipeline::new(PipelineConfig::new(100, 5, 4).unwrap());
+        let model = pipeline.model(&v, &NoopRecorder).unwrap();
+        let recorder = LocalRecorder::new();
+        let report = RraDetector::new(pipeline.config().clone(), 3)
+            .with_engine(EngineConfig::sequential())
+            .search_model(&v, &model, &mut Workspace::new(), &recorder)
+            .unwrap();
+        let intact = ExplainReport::from_run(&model, &report, &recorder);
+        assert!(intact.rows.len() >= 2, "need a discord past rank 0");
+        assert!(intact.rows.iter().any(|r| r.rule.is_some()), "need a rule");
+        // With every event held, rank + 1 is what the Visited events
+        // count, and the candidate's rule and frequency what they carry.
+        for row in &intact.rows {
+            let key = (row.position as u64, row.length as u64);
+            let visited: Vec<&Event> = intact
+                .events
+                .iter()
+                .filter(|e| e.kind == EventKind::Visited && (e.position, e.length) == key)
+                .collect();
+            assert_eq!(visited.len() as u64, row.rank as u64 + 1);
+            let rule = row.rule.map(|r| r.0);
+            assert!(visited
+                .iter()
+                .all(|e| (e.rule, e.frequency) == (rule, row.frequency)));
+        }
+        // Evict every event of the search: the rows must not change.
+        let filler = Event {
+            position: u64::MAX,
+            ..Event::new(EventKind::Abandoned)
+        };
+        let detail = recorder.detail().unwrap();
+        for _ in 0..EventRing::DEFAULT_CAPACITY {
+            detail.record_event(filler);
+        }
+        let evicted = ExplainReport::from_run(&model, &report, &recorder);
+        assert!(evicted.events.iter().all(|e| *e == filler));
+        for (row, kept) in evicted.rows.iter().zip(&intact.rows) {
+            assert_eq!(row.visits, row.rank as u64 + 1);
+            assert_eq!(
+                (row.rule, row.frequency, row.siblings),
+                (kept.rule, kept.frequency, kept.siblings)
+            );
         }
     }
 

@@ -24,14 +24,6 @@ pub struct GrammarModel {
 }
 
 impl GrammarModel {
-    /// The series offset of input token `idx`.
-    ///
-    /// # Panics
-    /// Panics when `idx` is out of range.
-    pub fn token_offset(&self, idx: usize) -> usize {
-        self.records[idx].offset
-    }
-
     /// Number of surviving tokens (the grammar's input length).
     pub fn num_tokens(&self) -> usize {
         self.records.len()
@@ -100,14 +92,6 @@ mod tests {
             series_len: 40,
             window: 10,
         }
-    }
-
-    #[test]
-    fn token_offsets() {
-        let m = model();
-        assert_eq!(m.num_tokens(), 4);
-        assert_eq!(m.token_offset(0), 0);
-        assert_eq!(m.token_offset(3), 27);
     }
 
     #[test]

@@ -121,10 +121,10 @@ impl AnomalyPipeline {
         // when the caller's sink is a Noop.
         let local = LocalRecorder::new();
         let mut ws = Workspace::new();
-        let root = SpanTimer::start(&local, None, Stage::Detect);
-        let model = ws.build_model_under(&self.config, values, &local, root.span())?;
+        let root = SpanTimer::start(&local, Stage::Detect);
+        let model = ws.build_model(&self.config, values, &local)?;
         let detector = RraDetector::new(self.config.clone(), k).with_engine(self.engine);
-        let report = detector.search_model_under(values, &model, &mut ws, &local, root.span())?;
+        let report = detector.search_model(values, &model, &mut ws, &local)?;
         root.finish(&local);
         let explain = ExplainReport::from_run(&model, &report, &local);
         local.merge_into(&recorder);

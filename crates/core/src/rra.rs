@@ -47,8 +47,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use gv_discord::{distance, DiscordRecord, SearchStats};
 use gv_obs::{
-    Counter, Event, EventKind, LocalRecorder, Metric, NoopRecorder, Recorder, SpanId, SpanTimer,
-    Stage,
+    Counter, Event, EventKind, LocalRecorder, Metric, NoopRecorder, Recorder, SpanTimer, Stage,
 };
 use gv_sequitur::RuleId;
 use gv_timeseries::{Interval, Resampled, SeriesStats, DEFAULT_ZNORM_THRESHOLD};
@@ -243,8 +242,8 @@ fn eligible(
 /// event plus the pruned/completed counter. Returns `(nearest, pruned)`.
 ///
 /// `bound` is read after every evaluation, so workers prune against each
-/// other's completed candidates as soon as they land. `inner_span` is the
-/// worker's `rra-inner` node, `None` when the search is untimed.
+/// other's completed candidates as soon as they land. `timed` arms the
+/// `rra-inner` timer; it is false when the search is untimed.
 #[allow(clippy::too_many_arguments)]
 fn scan_candidate(
     candidates: &[RuleInterval],
@@ -256,7 +255,7 @@ fn scan_candidate(
     options: SearchOptions,
     bound: &AtomicU64,
     local: &LocalRecorder,
-    inner_span: Option<SpanId>,
+    timed: bool,
 ) -> (f64, bool) {
     let p = &candidates[pi];
     let p_len = p.interval.len();
@@ -278,7 +277,7 @@ fn scan_candidate(
 
     let mut nearest = f64::INFINITY;
     let mut pruned = false;
-    let inner_timer = SpanTimer::start_at(inner_span.is_some(), inner_span);
+    let inner_timer = SpanTimer::start_if(timed, Stage::RraInner);
 
     // Inner phase 1: same-rule siblings.
     if options.siblings_first {
@@ -369,9 +368,8 @@ fn scan_candidate(
 ///
 /// Counting happens once, in a search-local [`LocalRecorder`] the distance
 /// kernels increment directly; [`SearchStats`] is derived from it and it
-/// is merged into `recorder` under `parent` at the end. Spans are only
-/// timed when `recorder` is enabled, so a [`NoopRecorder`] never reads the
-/// clock.
+/// is merged into `recorder` at the end. Spans are only timed when
+/// `recorder` is enabled, so a [`NoopRecorder`] never reads the clock.
 ///
 /// # Errors
 /// [`Error::NoCandidates`] when fewer than two candidates are supplied.
@@ -385,7 +383,6 @@ pub(crate) fn search_in<R: Recorder>(
     threads: usize,
     scratch: &mut RraScratch,
     recorder: &R,
-    parent: Option<SpanId>,
 ) -> Result<RraReport> {
     if candidates.len() < 2 {
         return Err(Error::NoCandidates);
@@ -394,16 +391,8 @@ pub(crate) fn search_in<R: Recorder>(
     // histograms, per-call timings) when the caller's sink wants it;
     // otherwise it only counts — no clock reads on the distance path.
     let local = LocalRecorder::with_detail(recorder.detail().is_some());
-    let timing = recorder.enabled();
-    // Spans accumulate in `local` (rooted at rra-outer) and are grafted
-    // under the caller's `parent` at the final merge. The inner node is
-    // resolved up front so the tree's *shape* is the same for every
-    // thread count, even when a rank scans zero candidates.
-    let outer_timer = SpanTimer::start_if(timing, &local, None, Stage::RraOuter);
-    let outer_span = outer_timer.span();
-    if timing {
-        local.span_id(outer_span, Stage::RraInner);
-    }
+    let timed = recorder.enabled();
+    let outer_timer = SpanTimer::start_if(timed, Stage::RraOuter);
     let mut rng = StdRng::seed_from_u64(seed);
     let n = candidates.len();
 
@@ -444,7 +433,7 @@ pub(crate) fn search_in<R: Recorder>(
     for rank in 0..k {
         let selected = search_rank(
             candidates, norms, norm_off, outer, inner, active, sib_pairs, &found, options, threads,
-            &local, outer_span,
+            &local, timed,
         );
         match selected {
             Some((pi, distance)) => found.push(DiscordRecord {
@@ -463,7 +452,7 @@ pub(crate) fn search_in<R: Recorder>(
     // wall-clock figure — workers overlap.
     outer_timer.finish(&local);
     let stats = SearchStats::from_recorder(&local);
-    local.merge_into_under(recorder, parent);
+    local.merge_into(recorder);
     Ok(RraReport {
         discords: found,
         stats,
@@ -472,9 +461,9 @@ pub(crate) fn search_in<R: Recorder>(
 }
 
 /// One rank of Algorithm 1 at any thread count (see the module docs).
-/// Each worker counts into its own recorder, merged into `local` under
-/// `outer_span` in worker order. Returns the winning candidate index and
-/// its NN distance.
+/// Each worker counts into its own recorder, merged into `local` in
+/// worker order; `timed` arms the workers' `rra-inner` timers. Returns
+/// the winning candidate index and its NN distance.
 #[allow(clippy::too_many_arguments)]
 fn search_rank(
     candidates: &[RuleInterval],
@@ -488,7 +477,7 @@ fn search_rank(
     options: SearchOptions,
     threads: usize,
     local: &LocalRecorder,
-    outer_span: Option<SpanId>,
+    timed: bool,
 ) -> Option<(usize, f64)> {
     active.clear();
     active.extend(
@@ -508,15 +497,11 @@ fn search_rank(
 
     let results = fan_out(workers, |t| {
         let wlocal = LocalRecorder::with_detail(detail);
-        // SpanIds are per-recorder: each worker roots its own rra-inner
-        // node in `wlocal` (only when the search is timed), and the merge
-        // under rra-outer folds them into the node `search_in` resolved.
-        let wspan = outer_span.and_then(|_| wlocal.span_id(None, Stage::RraInner));
         let mut best: Option<(u32, f64)> = None;
         for (ai, &pi) in active.iter().enumerate().skip(t).step_by(workers) {
             let pi = pi as usize;
             let (nearest, pruned) = scan_candidate(
-                candidates, norms, norm_off, pi, sib_pairs, inner, options, &bound, &wlocal, wspan,
+                candidates, norms, norm_off, pi, sib_pairs, inner, options, &bound, &wlocal, timed,
             );
             // Only finite, fully-searched distances may enter the bound or
             // win: a candidate with no admissible match has an infinite
@@ -535,7 +520,7 @@ fn search_rank(
     // earlier outer position.
     let mut best: Option<(u32, f64)> = None;
     for (wlocal, wbest) in results {
-        wlocal.merge_into_under(local, outer_span);
+        wlocal.merge_into(local);
         if let Some((ai, nearest)) = wbest {
             if best.is_none_or(|(bai, bn)| nearest > bn || (nearest == bn && ai < bai)) {
                 best = Some((ai, nearest));
@@ -746,7 +731,6 @@ mod tests {
             1,
             &mut RraScratch::default(),
             &NoopRecorder,
-            None,
         )
     }
 
@@ -951,7 +935,6 @@ mod tests {
             1,
             &mut RraScratch::default(),
             &rec,
-            None,
         )
         .unwrap();
         let events = rec.events_vec();
@@ -1008,7 +991,6 @@ mod tests {
                 threads,
                 &mut RraScratch::default(),
                 &NoopRecorder,
-                None,
             )
             .unwrap()
         };
@@ -1083,7 +1065,6 @@ mod tests {
                 1,
                 &mut scratch,
                 &NoopRecorder,
-                None,
             )
             .unwrap();
             assert_eq!(fresh.discords.len(), again.discords.len());

@@ -17,7 +17,7 @@
 //! retained) when a detector is done with the model.
 
 use gv_discord::HotSaxScratch;
-use gv_obs::{Counter, Recorder, SpanId, SpanTimer, Stage};
+use gv_obs::{Counter, Recorder, SpanTimer, Stage};
 use gv_sax::{SaxDictionary, SaxRecord, SaxScratch};
 use gv_sequitur::Sequitur;
 
@@ -63,21 +63,8 @@ impl Workspace {
         values: &[f64],
         recorder: &R,
     ) -> Result<GrammarModel> {
-        self.build_model_under(config, values, recorder, None)
-    }
-
-    /// [`Workspace::build_model`] with the three model stages recorded as
-    /// span-tree children of `parent` (the detector's `detect` root);
-    /// `None` leaves them as root spans.
-    pub(crate) fn build_model_under<R: Recorder>(
-        &mut self,
-        config: &PipelineConfig,
-        values: &[f64],
-        recorder: &R,
-        parent: Option<SpanId>,
-    ) -> Result<GrammarModel> {
         crate::engine::check_finite(values)?;
-        let disc = SpanTimer::start(recorder, parent, Stage::Discretize);
+        let disc = SpanTimer::start(recorder, Stage::Discretize);
         config.sax().discretize_into(
             values,
             config.numerosity_reduction(),
@@ -90,10 +77,10 @@ impl Workspace {
         let mut dictionary = std::mem::take(&mut self.dictionary);
         let tokens = &mut self.tokens;
         tokens.clear();
-        let intern = SpanTimer::start(recorder, parent, Stage::Intern);
+        let intern = SpanTimer::start(recorder, Stage::Intern);
         tokens.extend(records.iter().map(|rec| dictionary.intern(&rec.word)));
         intern.finish(recorder);
-        let induce = SpanTimer::start(recorder, parent, Stage::Induce);
+        let induce = SpanTimer::start(recorder, Stage::Induce);
         let grammar = {
             let mut seq = Sequitur::new();
             for &tok in tokens.iter() {

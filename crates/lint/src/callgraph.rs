@@ -137,11 +137,6 @@ impl<'a> WorkspaceModel<'a> {
         model
     }
 
-    /// The function at `idx`.
-    pub fn fn_at(&self, idx: usize) -> &FnItem {
-        &self.fns[idx]
-    }
-
     /// Root entry points for reachability: every `Detector::detect` impl,
     /// `StreamingDetector::push`, and the CLI entry functions.
     pub fn roots(&self) -> Vec<usize> {

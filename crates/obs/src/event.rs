@@ -137,7 +137,7 @@ impl EventRing {
 
     /// An empty ring holding at most `capacity` events (min 1). Memory is
     /// allocated lazily as events arrive, not up front.
-    pub fn with_capacity(capacity: usize) -> Self {
+    fn with_capacity(capacity: usize) -> Self {
         Self {
             buf: Vec::new(),
             head: 0,

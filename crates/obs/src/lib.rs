@@ -30,7 +30,7 @@
 //! use gv_obs::{Counter, LocalRecorder, Recorder, SpanTimer, Stage};
 //!
 //! let rec = LocalRecorder::new();
-//! let timer = SpanTimer::start(&rec, None, Stage::Density);
+//! let timer = SpanTimer::start(&rec, Stage::Density);
 //! let sum: u64 = (0..10u64).sum();
 //! timer.finish(&rec);
 //! rec.add(Counter::DistanceCalls, sum);
@@ -57,15 +57,17 @@
 //!
 //! [`Span`]s are the one stored timing. They answer *how long* (per-stage
 //! sums and the root total are derived from the tree at export) and
-//! *where*: stages form an explicit parent/child tree rooted at
-//! [`Stage::Detect`], with self-time derived structurally (parent total
-//! minus children totals). Nodes are keyed by `(parent, stage)` so the tree's shape is a
-//! function of the code path — per-worker subtrees merged under a stable
-//! key yield a [`SpanTree`] that is bit-identical across thread counts,
-//! the same contract the parallel RRA search honors for its ranks. The
-//! tree exports as a schema-3 JSONL array. All span methods default to
-//! no-ops and return `None` on [`NoopRecorder`], so the zero-overhead
-//! contract is untouched.
+//! *where*: a recorder keeps one `(total_ns, count)` tally per [`Stage`],
+//! and a snapshot lays the stages that ran out on the pipeline's fixed
+//! tree, written once as [`Stage::parent`] — each under its nearest
+//! ancestor that ran, rooted at [`Stage::Detect`] when a detector ran,
+//! with self-time derived structurally (parent total minus children
+//! totals). Merging recorders sums the tallies, so per-worker recorders
+//! yield a [`SpanTree`] that is bit-identical across thread counts — the
+//! same contract the parallel RRA search honors for its ranks. The tree
+//! exports as a schema-3 JSONL array. [`Recorder::record_span`] defaults
+//! to a no-op, and [`NoopRecorder`] never arms a [`SpanTimer`], so the
+//! zero-overhead contract is untouched.
 
 //! ## Level 4: live monitoring, SLOs, and the run ledger
 //!
@@ -108,7 +110,7 @@ pub use histogram::Histogram;
 pub use ledger::{digest_series, git_sha, Fingerprint, LedgerRecord};
 pub use local::LocalRecorder;
 pub use recorder::{Detail, NoopRecorder, Recorder};
-pub use span::{Span, SpanId, SpanSet, SpanTree};
+pub use span::{Span, SpanTree};
 pub use stage::{Counter, Metric, Stage};
 pub use timer::{DetailTimer, SpanTimer, Stopwatch};
 pub use trace::{format_json_f64, PipelineTrace, SCHEMA_VERSION};

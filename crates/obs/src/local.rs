@@ -3,10 +3,10 @@
 use crate::event::{Event, EventRing};
 use crate::histogram::Histogram;
 use crate::recorder::{Detail, Recorder};
-use crate::span::{SpanId, SpanSet, SpanTree};
+use crate::span::SpanTree;
 use crate::stage::{Counter, Metric, Stage};
 use crate::trace::PipelineTrace;
-use std::cell::{Cell, Ref, RefCell};
+use std::cell::{Cell, Ref};
 
 /// A `Cell`-backed recorder: increments are plain loads and stores, so
 /// counting inside a tight loop costs the same as maintaining an ad-hoc
@@ -24,7 +24,7 @@ use std::cell::{Cell, Ref, RefCell};
 #[derive(Debug, Clone)]
 pub struct LocalRecorder {
     counters: [Cell<u64>; Counter::COUNT],
-    spans: RefCell<SpanSet>,
+    spans: [Cell<(u64, u64)>; Stage::COUNT],
     detail: Option<Detail>,
 }
 
@@ -48,7 +48,7 @@ impl LocalRecorder {
     pub fn with_detail(detail: bool) -> Self {
         Self {
             counters: std::array::from_fn(|_| Cell::new(0)),
-            spans: RefCell::new(SpanSet::new()),
+            spans: std::array::from_fn(|_| Cell::new((0, 0))),
             detail: detail.then(Detail::new),
         }
     }
@@ -77,26 +77,21 @@ impl LocalRecorder {
         self.events().map_or_else(Vec::new, |ring| ring.to_vec())
     }
 
-    /// A deterministic snapshot of the recorded span tree.
+    /// A deterministic snapshot of the span tree, built from one
+    /// `(total_ns, count)` tally per stage: one span per stage that ran,
+    /// nested by [`Stage::parent`].
     pub fn span_tree(&self) -> SpanTree {
-        self.spans.borrow().snapshot()
+        SpanTree::from_tallies(&self.spans.each_ref().map(Cell::get))
     }
 
     /// Folds this recorder's totals into another recorder — sums for
-    /// ordinary counters, max for high-water marks, grafted spans, and,
+    /// ordinary counters and span tallies, max for high-water marks, and,
     /// when both sides carry a [`Detail`], merged histograms and the
     /// whole event ring with its drop count. Used to publish a hot loop's
-    /// local tallies to the caller's sink once, at the loop boundary.
+    /// local tallies to the caller's sink once, at the loop boundary;
+    /// since spans merge by sum, per-worker recorders fold into the same
+    /// tree at any thread count.
     pub fn merge_into<R: Recorder>(&self, target: &R) {
-        self.merge_into_under(target, None);
-    }
-
-    /// Like [`LocalRecorder::merge_into`], but grafts this recorder's
-    /// *root* spans under an existing span of the target (`None` keeps
-    /// them as roots). This is how a search-local span subtree ends up
-    /// below the caller's `detect` span, and how per-worker subtrees land
-    /// under one stable `rra-outer` node regardless of thread count.
-    pub fn merge_into_under<R: Recorder>(&self, target: &R, under: Option<SpanId>) {
         for c in Counter::ALL {
             let v = self.counter(c);
             if v == 0 {
@@ -108,7 +103,12 @@ impl LocalRecorder {
                 target.add(c, v);
             }
         }
-        target.merge_spans(&self.spans.borrow(), under);
+        for stage in Stage::ALL {
+            let (nanos, count) = self.spans[stage.index()].get();
+            if count > 0 {
+                target.record_span(stage, nanos, count);
+            }
+        }
         if let (Some(mine), Some(theirs)) = (&self.detail, target.detail()) {
             theirs.absorb(mine);
         }
@@ -150,18 +150,10 @@ impl Recorder for LocalRecorder {
     }
 
     #[inline]
-    fn span_id(&self, parent: Option<SpanId>, stage: Stage) -> Option<SpanId> {
-        Some(self.spans.borrow_mut().span_id(parent, stage))
-    }
-
-    #[inline]
-    fn record_span(&self, id: SpanId, nanos: u64, count: u64) {
-        self.spans.borrow_mut().record(id, nanos, count);
-    }
-
-    #[inline]
-    fn merge_spans(&self, spans: &SpanSet, under: Option<SpanId>) {
-        self.spans.borrow_mut().merge_from(spans, under);
+    fn record_span(&self, stage: Stage, nanos: u64, count: u64) {
+        let cell = &self.spans[stage.index()];
+        let (total, n) = cell.get();
+        cell.set((total + nanos, n + count));
     }
 }
 
@@ -186,8 +178,7 @@ mod tests {
         let a = LocalRecorder::new();
         a.add(Counter::DistanceCalls, 10);
         a.update_max(Counter::PeakDigramEntries, 7);
-        let inner = a.span_id(None, Stage::RraInner).unwrap();
-        a.record_span(inner, 500, 1);
+        a.record_span(Stage::RraInner, 500, 1);
         let b = LocalRecorder::new();
         b.add(Counter::DistanceCalls, 5);
         b.update_max(Counter::PeakDigramEntries, 9);
@@ -195,6 +186,34 @@ mod tests {
         assert_eq!(b.counter(Counter::DistanceCalls), 15);
         assert_eq!(b.counter(Counter::PeakDigramEntries), 9);
         assert_eq!(b.span_tree().get("rra-inner").unwrap().total_ns, 500);
+    }
+
+    #[test]
+    fn merge_sums_worker_span_tallies() {
+        // Two workers' inner loops merged into a search that timed its
+        // outer loop read as one recording of all five scans.
+        let search = LocalRecorder::new();
+        search.record_span(Stage::RraOuter, 1_000, 1);
+        for (nanos, scans) in [(300, 3), (200, 2)] {
+            let worker = LocalRecorder::new();
+            worker.record_span(Stage::RraInner, nanos, scans);
+            worker.merge_into(&search);
+        }
+        let tree = search.span_tree();
+        let inner = tree.get("rra-outer;rra-inner").unwrap();
+        assert_eq!((inner.total_ns, inner.count), (500, 5));
+    }
+
+    #[test]
+    fn a_stage_timed_in_and_out_of_detect_is_one_span() {
+        // Nesting comes from `Stage::parent`, not from where the timer ran.
+        let rec = LocalRecorder::new();
+        rec.record_span(Stage::Density, 40, 1);
+        rec.record_span(Stage::Detect, 100, 1);
+        rec.record_span(Stage::Density, 30, 1);
+        let tree = rec.span_tree();
+        assert_eq!(tree.spans().len(), 2);
+        assert_eq!(tree.get("detect;density").unwrap().count, 2);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 
 use crate::event::{Event, EventRing};
 use crate::histogram::Histogram;
-use crate::span::{SpanId, SpanSet};
 use crate::stage::{Counter, Metric, Stage};
 use std::cell::RefCell;
 
@@ -57,34 +56,14 @@ pub trait Recorder {
         None
     }
 
-    /// Finds or creates the span-tree node for `stage` under `parent`
-    /// (`None` = a root span) and returns its handle, or `None` when this
-    /// recorder does not track spans. Nodes are keyed by
-    /// `(parent, stage)`, so asking twice returns the same node and
-    /// repeated timings accumulate — the tree's shape depends only on the
-    /// code path taken, never on iteration counts or thread schedules.
-    #[inline]
-    fn span_id(&self, parent: Option<SpanId>, stage: Stage) -> Option<SpanId> {
-        let _ = (parent, stage);
-        None
-    }
-
     /// Accumulates `nanos` of wall-clock time and `count` completions
-    /// into a span node previously issued by [`Recorder::span_id`].
-    /// [`SpanTimer`](crate::SpanTimer) passes `count = 1` per finish;
-    /// merges pass a whole node's tally at once.
+    /// into `stage`'s span tally. [`SpanTimer`](crate::SpanTimer) passes
+    /// `count = 1` per finish; merges pass a whole tally at once. The
+    /// span's place in the tree follows from [`Stage::parent`] when the
+    /// recorder is snapshotted.
     #[inline]
-    fn record_span(&self, id: SpanId, nanos: u64, count: u64) {
-        let _ = (id, nanos, count);
-    }
-
-    /// Grafts a whole [`SpanSet`] into this recorder's span tree,
-    /// attaching the set's roots under `under` (`None` keeps them roots).
-    /// Used when a loop-local recorder publishes its subtree to the
-    /// caller's sink at the loop boundary.
-    #[inline]
-    fn merge_spans(&self, spans: &SpanSet, under: Option<SpanId>) {
-        let _ = (spans, under);
+    fn record_span(&self, stage: Stage, nanos: u64, count: u64) {
+        let _ = (stage, nanos, count);
     }
 
     /// Adds 1 to a counter.
@@ -116,18 +95,8 @@ impl<R: Recorder + ?Sized> Recorder for &R {
     }
 
     #[inline]
-    fn span_id(&self, parent: Option<SpanId>, stage: Stage) -> Option<SpanId> {
-        (**self).span_id(parent, stage)
-    }
-
-    #[inline]
-    fn record_span(&self, id: SpanId, nanos: u64, count: u64) {
-        (**self).record_span(id, nanos, count);
-    }
-
-    #[inline]
-    fn merge_spans(&self, spans: &SpanSet, under: Option<SpanId>) {
-        (**self).merge_spans(spans, under);
+    fn record_span(&self, stage: Stage, nanos: u64, count: u64) {
+        (**self).record_span(stage, nanos, count);
     }
 }
 
@@ -148,15 +117,7 @@ impl Recorder for NoopRecorder {
     fn update_max(&self, _counter: Counter, _value: u64) {}
 
     #[inline(always)]
-    fn span_id(&self, _parent: Option<SpanId>, _stage: Stage) -> Option<SpanId> {
-        None
-    }
-
-    #[inline(always)]
-    fn record_span(&self, _id: SpanId, _nanos: u64, _count: u64) {}
-
-    #[inline(always)]
-    fn merge_spans(&self, _spans: &SpanSet, _under: Option<SpanId>) {}
+    fn record_span(&self, _stage: Stage, _nanos: u64, _count: u64) {}
 }
 
 /// Decision-level telemetry: one value [`Histogram`] per [`Metric`] and
@@ -214,7 +175,7 @@ mod tests {
         rec.add(Counter::DistanceCalls, 5);
         rec.incr(Counter::DistanceCalls);
         rec.update_max(Counter::PeakDigramEntries, 10);
-        assert_eq!(rec.span_id(None, Stage::Detect), None);
+        rec.record_span(Stage::Detect, 10, 1);
     }
 
     #[test]

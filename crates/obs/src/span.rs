@@ -1,4 +1,4 @@
-//! Hierarchical spans: stages arranged in an explicit parent/child tree.
+//! Hierarchical spans: stages laid out on the pipeline's fixed tree.
 //!
 //! The span tree is the only timing a recorder stores. It answers both
 //! "how long did discretization take in total" (the per-stage sum,
@@ -6,143 +6,19 @@
 //! call structure" — with self-time derived structurally (parent total
 //! minus children totals).
 //!
-//! The storage model mirrors the rest of the crate: recorders own a
-//! mutable [`SpanSet`] keyed by `(parent, stage)` — find-or-create, so
-//! repeated timings of the same edge accumulate into one node and the
-//! tree shape is a function of the code path, not the iteration count or
-//! thread schedule. A finished run snapshots into a [`SpanTree`]: a
-//! depth-first, stage-ordered flattening with derived self-time, exported
-//! as a JSON array (schema 3).
+//! The storage model mirrors the rest of the crate: a recorder keeps one
+//! `(total_ns, count)` tally per [`Stage`], a flat array like its
+//! counters, and merging recorders sums the tallies. The nesting is not
+//! stored at all: [`Stage::parent`] writes it once, and a snapshot lays
+//! the tallies out as a [`SpanTree`] — each stage that ran (count > 0) is
+//! one span, hung under its nearest ancestor that ran, or at the root
+//! when none did, with siblings in [`Stage`] order. The tree's shape is
+//! therefore a function of which stages ran, never of iteration counts,
+//! insertion order or thread schedules. It exports as a depth-first JSON
+//! array (schema 3).
 
 use crate::stage::Stage;
 use std::fmt::Write as _;
-
-/// An opaque handle to one node in a recorder's span tree.
-///
-/// Obtained from [`Recorder::span_id`](crate::Recorder::span_id) and fed
-/// back to [`Recorder::record_span`](crate::Recorder::record_span); only
-/// meaningful for the recorder that issued it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SpanId(u32);
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Node {
-    stage: Stage,
-    parent: Option<SpanId>,
-    total_ns: u64,
-    count: u64,
-}
-
-/// The mutable span storage inside a recorder.
-///
-/// Nodes are keyed by `(parent, stage)`: asking for the same edge twice
-/// returns the same node, so per-iteration timers accumulate instead of
-/// fanning out one node per call. Creation order guarantees a parent's
-/// storage index precedes its children's, which [`SpanSet::merge_from`]
-/// exploits to graft one set under another in a single forward walk.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SpanSet {
-    nodes: Vec<Node>,
-}
-
-impl SpanSet {
-    /// An empty set.
-    pub const fn new() -> Self {
-        Self { nodes: Vec::new() }
-    }
-
-    /// `true` when no span has been created.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Finds or creates the node for `stage` under `parent` (`None` =
-    /// root) and returns its id.
-    pub fn span_id(&mut self, parent: Option<SpanId>, stage: Stage) -> SpanId {
-        for (i, node) in self.nodes.iter().enumerate() {
-            if node.parent == parent && node.stage == stage {
-                return SpanId(i as u32);
-            }
-        }
-        self.nodes.push(Node {
-            stage,
-            parent,
-            total_ns: 0,
-            count: 0,
-        });
-        SpanId((self.nodes.len() - 1) as u32)
-    }
-
-    /// Accumulates `nanos` of wall-clock time and `count` completions
-    /// into a node ([`SpanTimer`](crate::SpanTimer) passes `count = 1`
-    /// per finish; merges pass the source node's whole tally).
-    pub fn record(&mut self, id: SpanId, nanos: u64, count: u64) {
-        let node = &mut self.nodes[id.0 as usize];
-        node.total_ns += nanos;
-        node.count += count;
-    }
-
-    /// Grafts every node of `other` into this set, attaching `other`'s
-    /// roots under `under`. Tallies on already-existing edges accumulate,
-    /// so merging per-worker sets produces the same tree as one
-    /// sequential recording — the determinism contract the parallel RRA
-    /// search relies on.
-    pub fn merge_from(&mut self, other: &SpanSet, under: Option<SpanId>) {
-        let mut mapped: Vec<SpanId> = Vec::with_capacity(other.nodes.len());
-        for node in &other.nodes {
-            // Parents are created before their children, so the parent's
-            // mapping is always already available.
-            let parent = match node.parent {
-                Some(p) => Some(mapped[p.0 as usize]),
-                None => under,
-            };
-            let id = self.span_id(parent, node.stage);
-            self.record(id, node.total_ns, node.count);
-            mapped.push(id);
-        }
-    }
-
-    /// Flattens into a deterministic [`SpanTree`]: depth-first from the
-    /// roots, siblings ordered by [`Stage::index`]. Because nodes are
-    /// deduplicated by `(parent, stage)`, this ordering is total — the
-    /// exported tree is bit-identical for any thread count or insertion
-    /// order.
-    pub fn snapshot(&self) -> SpanTree {
-        let mut spans = Vec::with_capacity(self.nodes.len());
-        self.flatten(None, "", 0, &mut spans);
-        SpanTree { spans }
-    }
-
-    fn flatten(&self, parent: Option<SpanId>, prefix: &str, depth: usize, out: &mut Vec<Span>) {
-        let mut children: Vec<usize> = (0..self.nodes.len())
-            .filter(|&i| self.nodes[i].parent == parent)
-            .collect();
-        children.sort_unstable_by_key(|&i| self.nodes[i].stage.index());
-        for i in children {
-            let node = &self.nodes[i];
-            let path = if prefix.is_empty() {
-                node.stage.name().to_string()
-            } else {
-                format!("{prefix};{}", node.stage.name())
-            };
-            let child_total: u64 = self
-                .nodes
-                .iter()
-                .filter(|n| n.parent == Some(SpanId(i as u32)))
-                .map(|n| n.total_ns)
-                .sum();
-            out.push(Span {
-                stage: node.stage,
-                depth,
-                path: path.clone(),
-                total_ns: node.total_ns,
-                self_ns: node.total_ns.saturating_sub(child_total),
-                count: node.count,
-            });
-            self.flatten(Some(SpanId(i as u32)), &path, depth + 1, out);
-        }
-    }
-}
 
 /// One flattened node of a finished [`SpanTree`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,6 +47,40 @@ pub struct SpanTree {
 }
 
 impl SpanTree {
+    /// Lays per-stage `(total_ns, count)` tallies out on the fixed stage
+    /// tree (see the module docs), leaving out the stages that never ran.
+    /// [`Stage::ALL`] is a depth-first order of that tree, so one pass
+    /// over it meets each parent before its children and yields the
+    /// spans depth-first with siblings in stage order.
+    pub(crate) fn from_tallies(tallies: &[(u64, u64); Stage::COUNT]) -> Self {
+        let mut spans: Vec<Span> = Vec::new();
+        for stage in Stage::ALL {
+            let (total_ns, count) = tallies[stage.index()];
+            if count == 0 {
+                continue;
+            }
+            let parent = std::iter::successors(stage.parent(), |p| p.parent())
+                .find_map(|p| spans.iter().position(|s| s.stage == p));
+            let (depth, path) = match parent {
+                Some(i) => {
+                    let p = &mut spans[i];
+                    p.self_ns = p.self_ns.saturating_sub(total_ns);
+                    (p.depth + 1, format!("{};{}", p.path, stage.name()))
+                }
+                None => (0, stage.name().to_string()),
+            };
+            spans.push(Span {
+                stage,
+                depth,
+                path,
+                total_ns,
+                self_ns: total_ns,
+                count,
+            });
+        }
+        SpanTree { spans }
+    }
+
     /// The flattened spans, depth-first from the roots.
     pub fn spans(&self) -> &[Span] {
         &self.spans
@@ -186,15 +96,13 @@ impl SpanTree {
         self.spans.iter().find(|s| s.path == path)
     }
 
-    /// Total nanoseconds of `stage`: the sum of `total_ns` over every
-    /// span of that stage, wherever it sits in the tree (the `stages_ns`
-    /// export). Same-stage spans never nest, so nothing is counted twice.
+    /// Total nanoseconds of `stage`: its span's `total_ns`, 0 when it
+    /// never ran (the `stages_ns` export). A stage has at most one span.
     pub fn stage_total_ns(&self, stage: Stage) -> u64 {
         self.spans
             .iter()
-            .filter(|s| s.stage == stage)
-            .map(|s| s.total_ns)
-            .sum()
+            .find(|s| s.stage == stage)
+            .map_or(0, |s| s.total_ns)
     }
 
     /// Encodes the tree as a JSON array token:
@@ -223,143 +131,90 @@ impl SpanTree {
 mod tests {
     use super::*;
 
-    #[test]
-    fn span_ids_deduplicate_by_parent_and_stage() {
-        let mut set = SpanSet::new();
-        let root = set.span_id(None, Stage::Detect);
-        let outer = set.span_id(Some(root), Stage::RraOuter);
-        assert_eq!(set.span_id(None, Stage::Detect), root);
-        assert_eq!(set.span_id(Some(root), Stage::RraOuter), outer);
-        assert_ne!(root, outer);
-        // Same stage under a different parent is a different node.
-        assert_ne!(set.span_id(None, Stage::RraOuter), outer);
+    /// A tree from `(stage, total_ns, count)` tallies; unnamed stages
+    /// never ran.
+    fn tree(ran: &[(Stage, u64, u64)]) -> SpanTree {
+        let mut tallies = [(0, 0); Stage::COUNT];
+        for &(stage, ns, count) in ran {
+            tallies[stage.index()] = (ns, count);
+        }
+        SpanTree::from_tallies(&tallies)
+    }
+
+    fn paths(tree: &SpanTree) -> Vec<&str> {
+        tree.spans().iter().map(|s| s.path.as_str()).collect()
     }
 
     #[test]
-    fn record_accumulates_time_and_count() {
-        let mut set = SpanSet::new();
-        let id = set.span_id(None, Stage::Induce);
-        set.record(id, 100, 1);
-        set.record(id, 50, 1);
-        let tree = set.snapshot();
-        let span = tree.get("induce").unwrap();
-        assert_eq!(span.total_ns, 150);
-        assert_eq!(span.count, 2);
-        assert_eq!(span.self_ns, 150);
+    fn spans_hang_under_the_nearest_ancestor_that_ran() {
+        // Without a detect root, the pipeline stages are roots.
+        let roots = tree(&[
+            (Stage::Discretize, 3, 1),
+            (Stage::RraOuter, 10, 1),
+            (Stage::RraInner, 8, 4),
+        ]);
+        assert_eq!(
+            paths(&roots),
+            ["discretize", "rra-outer", "rra-outer;rra-inner"]
+        );
+        // A stage that never ran has no span, not a zero-count one (a
+        // timed search that scanned no candidate), and its children skip
+        // it to the next ancestor that ran.
+        let unscanned = tree(&[(Stage::Detect, 20, 1), (Stage::RraOuter, 10, 1)]);
+        assert_eq!(paths(&unscanned), ["detect", "detect;rra-outer"]);
+        let skipped = tree(&[(Stage::Detect, 10, 1), (Stage::RraInner, 8, 4)]);
+        assert_eq!(paths(&skipped), ["detect", "detect;rra-inner"]);
+        assert!(tree(&[]).is_empty());
+    }
+
+    #[test]
+    fn spans_are_depth_first_in_stage_order() {
+        let all: Vec<(Stage, u64, u64)> = Stage::ALL.iter().map(|&s| (s, 1, 1)).collect();
+        let full = tree(&all);
+        let shape: Vec<(&str, usize)> = full
+            .spans()
+            .iter()
+            .map(|s| (s.path.as_str(), s.depth))
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                ("detect", 0),
+                ("detect;discretize", 1),
+                ("detect;intern", 1),
+                ("detect;induce", 1),
+                ("detect;density", 1),
+                ("detect;rra-outer", 1),
+                ("detect;rra-outer;rra-inner", 2),
+            ]
+        );
     }
 
     #[test]
     fn self_time_is_parent_minus_children() {
-        let mut set = SpanSet::new();
-        let root = set.span_id(None, Stage::Detect);
-        let a = set.span_id(Some(root), Stage::Discretize);
-        let b = set.span_id(Some(root), Stage::Induce);
-        set.record(root, 1_000, 1);
-        set.record(a, 300, 1);
-        set.record(b, 450, 1);
-        let tree = set.snapshot();
-        assert_eq!(tree.get("detect").unwrap().self_ns, 250);
-        assert_eq!(tree.get("detect").unwrap().total_ns, 1_000);
-        assert_eq!(tree.get("detect;discretize").unwrap().self_ns, 300);
-        assert_eq!(tree.get("detect;induce").unwrap().depth, 1);
-    }
-
-    #[test]
-    fn snapshot_orders_siblings_by_stage_regardless_of_insertion() {
-        let mut forward = SpanSet::new();
-        let r = forward.span_id(None, Stage::Detect);
-        let a = forward.span_id(Some(r), Stage::Discretize);
-        forward.record(a, 1, 1);
-        let b = forward.span_id(Some(r), Stage::Induce);
-        forward.record(b, 2, 1);
-        forward.record(r, 10, 1);
-
-        let mut backward = SpanSet::new();
-        let r = backward.span_id(None, Stage::Detect);
-        let b = backward.span_id(Some(r), Stage::Induce);
-        backward.record(b, 2, 1);
-        let a = backward.span_id(Some(r), Stage::Discretize);
-        backward.record(a, 1, 1);
-        backward.record(r, 10, 1);
-
-        assert_eq!(forward.snapshot(), backward.snapshot());
-    }
-
-    #[test]
-    fn merge_from_grafts_roots_under_key_and_accumulates() {
-        // Two "workers" each timed rra-inner at their root; merging both
-        // under the same outer span must equal one sequential recording.
-        let mut main = SpanSet::new();
-        let outer = main.span_id(None, Stage::RraOuter);
-        main.record(outer, 1_000, 1);
-
-        for (ns, n) in [(300u64, 3u64), (200, 2)] {
-            let mut worker = SpanSet::new();
-            let inner = worker.span_id(None, Stage::RraInner);
-            worker.record(inner, ns, n);
-            main.merge_from(&worker, Some(outer));
-        }
-
-        let mut sequential = SpanSet::new();
-        let outer = sequential.span_id(None, Stage::RraOuter);
-        sequential.record(outer, 1_000, 1);
-        let inner = sequential.span_id(Some(outer), Stage::RraInner);
-        sequential.record(inner, 500, 5);
-
-        assert_eq!(main.snapshot(), sequential.snapshot());
-        let tree = main.snapshot();
-        assert_eq!(tree.get("rra-outer;rra-inner").unwrap().count, 5);
-        assert_eq!(tree.get("rra-outer").unwrap().self_ns, 500);
-    }
-
-    #[test]
-    fn merge_preserves_nested_structure() {
-        let mut child = SpanSet::new();
-        let o = child.span_id(None, Stage::RraOuter);
-        let i = child.span_id(Some(o), Stage::RraInner);
-        child.record(o, 100, 1);
-        child.record(i, 60, 4);
-
-        let mut main = SpanSet::new();
-        let root = main.span_id(None, Stage::Detect);
-        main.record(root, 150, 1);
-        main.merge_from(&child, Some(root));
-
-        let tree = main.snapshot();
-        let paths: Vec<&str> = tree.spans().iter().map(|s| s.path.as_str()).collect();
-        assert_eq!(
-            paths,
-            ["detect", "detect;rra-outer", "detect;rra-outer;rra-inner"]
-        );
-        assert_eq!(tree.get("detect").unwrap().self_ns, 50);
-        assert_eq!(tree.get("detect;rra-outer;rra-inner").unwrap().count, 4);
-    }
-
-    #[test]
-    fn stage_totals_sum_every_span_of_the_stage() {
-        let mut set = SpanSet::new();
-        let a = set.span_id(None, Stage::Detect);
-        let b = set.span_id(None, Stage::Density);
-        let nested = set.span_id(Some(a), Stage::Density);
-        set.record(a, 1_000, 1);
-        set.record(b, 30, 1);
-        set.record(nested, 400, 2);
-        let tree = set.snapshot();
-        assert_eq!(tree.stage_total_ns(Stage::Density), 430);
-        assert_eq!(tree.stage_total_ns(Stage::Detect), 1_000);
-        assert_eq!(tree.stage_total_ns(Stage::Induce), 0);
+        let t = tree(&[
+            (Stage::Detect, 1_000, 1),
+            (Stage::Discretize, 300, 1),
+            (Stage::Induce, 450, 1),
+            (Stage::RraOuter, 200, 1),
+            (Stage::RraInner, 150, 5),
+        ]);
+        assert_eq!(t.get("detect").unwrap().self_ns, 50);
+        assert_eq!(t.get("detect;discretize").unwrap().self_ns, 300);
+        assert_eq!(t.get("detect;rra-outer").unwrap().self_ns, 50);
+        assert_eq!(t.stage_total_ns(Stage::RraInner), 150);
+        assert_eq!(t.stage_total_ns(Stage::Density), 0);
+        // Children that outlast their parent (summed parallel workers)
+        // floor its self-time at zero.
+        let parallel = tree(&[(Stage::RraOuter, 100, 1), (Stage::RraInner, 180, 6)]);
+        assert_eq!(parallel.get("rra-outer").unwrap().self_ns, 0);
     }
 
     #[test]
     fn json_rendering() {
-        let mut set = SpanSet::new();
-        let root = set.span_id(None, Stage::Detect);
-        let inner = set.span_id(Some(root), Stage::Density);
-        set.record(root, 100, 1);
-        set.record(inner, 40, 2);
-        let tree = set.snapshot();
+        let t = tree(&[(Stage::Detect, 100, 1), (Stage::Density, 40, 2)]);
         assert_eq!(
-            tree.to_json_array(),
+            t.to_json_array(),
             "[{\"path\":\"detect\",\"total_ns\":100,\"self_ns\":60,\"count\":1},\
              {\"path\":\"detect;density\",\"total_ns\":40,\"self_ns\":40,\"count\":2}]"
         );

@@ -28,7 +28,8 @@ impl Stage {
     /// Number of stages (array dimension for recorders).
     pub const COUNT: usize = 7;
 
-    /// All stages, in pipeline order.
+    /// All stages, in pipeline order — a depth-first order of the
+    /// [`Stage::parent`] tree, which span snapshots walk.
     pub const ALL: [Stage; Stage::COUNT] = [
         Stage::Detect,
         Stage::Discretize,
@@ -43,6 +44,17 @@ impl Stage {
     #[inline]
     pub const fn index(self) -> usize {
         self as usize
+    }
+
+    /// The stage this one runs inside, the one place the nesting is
+    /// written: [`Stage::RraInner`] under [`Stage::RraOuter`], every other
+    /// stage under [`Stage::Detect`], the root (`None`).
+    pub const fn parent(self) -> Option<Stage> {
+        match self {
+            Stage::Detect => None,
+            Stage::RraInner => Some(Stage::RraOuter),
+            _ => Some(Stage::Detect),
+        }
     }
 
     /// The stable machine-readable name (used as the JSONL key).

@@ -5,8 +5,8 @@
 //! rejects `Instant::now` anywhere but here and the bench binary that
 //! measures stream throughput):
 //!
-//! - [`SpanTimer`] — a stage measurement landing on a node of the
-//!   recorder's span tree, the one stored timing of a pipeline run. It
+//! - [`SpanTimer`] — a stage measurement landing on the recorder's
+//!   per-stage span tally, the one stored timing of a pipeline run. It
 //!   may gate on one recorder while recording into another, which is how
 //!   the RRA search times its loops into a search-local recorder while
 //!   gating on the *caller's* sink.
@@ -23,75 +23,46 @@
 )]
 
 use crate::recorder::Recorder;
-use crate::span::SpanId;
 use crate::stage::{Metric, Stage};
 use std::time::Instant;
 
 /// An in-flight span measurement; finish with [`SpanTimer::finish`].
 ///
-/// The span node is resolved (find-or-create) at start so deep loops can
-/// pre-resolve once with [`Recorder::span_id`] and use
-/// [`SpanTimer::start_at`] per iteration without re-walking the tree.
-/// Unarmed timers (disabled recorder) never touch the clock, so a
-/// `NoopRecorder` pipeline pays nothing for being timeable.
+/// The timer carries only its stage and start time; where the span sits
+/// in the tree follows from [`Stage::parent`]. Unarmed timers (disabled
+/// recorder) never touch the clock, so a `NoopRecorder` pipeline pays
+/// nothing for being timeable.
 #[derive(Debug)]
 #[must_use = "a started SpanTimer should be finished into a recorder"]
 pub struct SpanTimer {
-    span: Option<SpanId>,
+    stage: Stage,
     started: Option<Instant>,
 }
 
 impl SpanTimer {
-    /// Starts timing `stage` as a child of `parent` if `recorder` is
-    /// enabled.
+    /// Starts timing `stage` if `recorder` is enabled.
     #[inline]
-    pub fn start<R: Recorder>(recorder: &R, parent: Option<SpanId>, stage: Stage) -> Self {
-        Self::start_if(recorder.enabled(), recorder, parent, stage)
+    pub fn start<R: Recorder>(recorder: &R, stage: Stage) -> Self {
+        Self::start_if(recorder.enabled(), stage)
     }
 
-    /// Starts timing if `armed`, resolving the span node on `recorder` —
-    /// which may be a different sink than the gate, preserving the RRA
-    /// pattern of gating on the caller's recorder while recording into a
-    /// search-local one.
+    /// Starts timing `stage` if `armed` — for a timer gated on one
+    /// recorder and finished into another, the RRA pattern of gating on
+    /// the caller's sink while recording into a search-local one.
     #[inline]
-    pub fn start_if<R: Recorder>(
-        armed: bool,
-        recorder: &R,
-        parent: Option<SpanId>,
-        stage: Stage,
-    ) -> Self {
-        let span = if armed {
-            recorder.span_id(parent, stage)
-        } else {
-            None
-        };
-        Self::start_at(armed, span)
-    }
-
-    /// Starts timing against a pre-resolved span node if `armed` — for
-    /// per-iteration timers whose node was resolved once outside the
-    /// loop.
-    #[inline]
-    pub fn start_at(armed: bool, span: Option<SpanId>) -> Self {
+    pub fn start_if(armed: bool, stage: Stage) -> Self {
         SpanTimer {
-            span,
+            stage,
             started: armed.then(Instant::now),
         }
     }
 
-    /// The span node this timer will record into (`None` when unarmed or
-    /// the recorder does not track spans).
-    #[inline]
-    pub fn span(&self) -> Option<SpanId> {
-        self.span
-    }
-
-    /// Records the elapsed nanoseconds on the span node; a no-op when
+    /// Records the elapsed nanoseconds on the stage's span; a no-op when
     /// unarmed or when the recorder does not track spans.
     #[inline]
     pub fn finish<R: Recorder>(self, recorder: &R) {
-        if let (Some(t0), Some(id)) = (self.started, self.span) {
-            recorder.record_span(id, t0.elapsed().as_nanos() as u64, 1);
+        if let Some(t0) = self.started {
+            recorder.record_span(self.stage, t0.elapsed().as_nanos() as u64, 1);
         }
     }
 }
@@ -156,10 +127,8 @@ mod tests {
     #[test]
     fn span_timer_lands_on_its_span() {
         let rec = LocalRecorder::new();
-        let root = SpanTimer::start(&rec, None, Stage::Detect);
-        let parent = root.span();
-        assert!(parent.is_some());
-        let child = SpanTimer::start(&rec, parent, Stage::Density);
+        let root = SpanTimer::start(&rec, Stage::Detect);
+        let child = SpanTimer::start(&rec, Stage::Density);
         std::thread::sleep(std::time::Duration::from_millis(1));
         child.finish(&rec);
         root.finish(&rec);
@@ -172,20 +141,10 @@ mod tests {
 
     #[test]
     fn span_timer_noop_when_disabled() {
-        let t = SpanTimer::start(&NoopRecorder, None, Stage::Detect);
-        assert_eq!(t.span(), None);
-        t.finish(&NoopRecorder);
-    }
-
-    #[test]
-    fn span_timer_start_at_uses_preresolved_node() {
+        SpanTimer::start(&NoopRecorder, Stage::Detect).finish(&NoopRecorder);
         let rec = LocalRecorder::new();
-        let outer = rec.span_id(None, Stage::RraOuter);
-        let inner = rec.span_id(outer, Stage::RraInner);
-        for _ in 0..3 {
-            SpanTimer::start_at(true, inner).finish(&rec);
-        }
-        assert_eq!(rec.span_tree().get("rra-outer;rra-inner").unwrap().count, 3);
+        SpanTimer::start(&NoopRecorder, Stage::Detect).finish(&rec);
+        assert!(rec.span_tree().is_empty());
     }
 
     #[test]
@@ -193,7 +152,7 @@ mod tests {
         // The RRA pattern: gate on the caller's sink, record locally.
         let gate = LocalRecorder::new();
         let local = LocalRecorder::new();
-        let t = SpanTimer::start_if(gate.enabled(), &local, None, Stage::RraInner);
+        let t = SpanTimer::start_if(gate.enabled(), Stage::RraInner);
         t.finish(&local);
         assert_eq!(local.span_tree().get("rra-inner").unwrap().count, 1);
         assert!(gate.span_tree().is_empty());

@@ -346,23 +346,16 @@ fn group_thousands(n: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::SpanSet;
+    use crate::{LocalRecorder, Recorder};
 
     fn sample() -> PipelineTrace {
         let mut t = PipelineTrace::new("density").with_param("window", 100);
-        let mut spans = SpanSet::new();
-        for (stage, ns) in [
-            (Stage::Discretize, 2_000_000),
-            (Stage::Induce, 1_000_000),
-            (Stage::RraOuter, 4_000_000),
-        ] {
-            let id = spans.span_id(None, stage);
-            spans.record(id, ns, 1);
-        }
-        let outer = spans.span_id(None, Stage::RraOuter);
-        let inner = spans.span_id(Some(outer), Stage::RraInner);
-        spans.record(inner, 3_500_000, 10);
-        t.spans = spans.snapshot();
+        let rec = LocalRecorder::new();
+        rec.record_span(Stage::Discretize, 2_000_000, 1);
+        rec.record_span(Stage::Induce, 1_000_000, 1);
+        rec.record_span(Stage::RraOuter, 4_000_000, 1);
+        rec.record_span(Stage::RraInner, 3_500_000, 10);
+        t.spans = rec.span_tree();
         t.counters[Counter::WindowsProcessed.index()] = 1000;
         t.counters[Counter::WordsDropped.index()] = 400;
         t.counters[Counter::DistanceCalls.index()] = 5000;

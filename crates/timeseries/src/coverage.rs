@@ -56,18 +56,6 @@ impl CoverageCounter {
         self.diff[end] -= 1;
     }
 
-    /// Registers `weight` covering units at once (used by weighted density
-    /// variants, e.g. counting a rule occurrence once per rule use).
-    pub fn add_weighted(&mut self, iv: Interval, weight: i64) {
-        let start = iv.start.min(self.len);
-        let end = iv.end.min(self.len);
-        if start >= end || weight == 0 {
-            return;
-        }
-        self.diff[start] += weight;
-        self.diff[end] -= weight;
-    }
-
     /// Materializes the per-point coverage counts.
     pub fn finish(self) -> Vec<i64> {
         let mut out = Vec::with_capacity(self.len);
@@ -125,15 +113,6 @@ mod tests {
         assert!(cc.is_empty());
         cc.add(Interval::new(0, 5));
         assert!(cc.finish().is_empty());
-    }
-
-    #[test]
-    fn weighted_add() {
-        let mut cc = CoverageCounter::new(3);
-        cc.add_weighted(Interval::new(0, 2), 5);
-        cc.add_weighted(Interval::new(1, 3), -2);
-        cc.add_weighted(Interval::new(0, 3), 0); // no-op
-        assert_eq!(cc.finish(), vec![5, 3, -2]);
     }
 
     #[test]

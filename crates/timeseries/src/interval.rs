@@ -70,23 +70,6 @@ impl Interval {
     pub fn overlaps(&self, other: &Interval) -> bool {
         self.overlap(other) > 0
     }
-
-    /// Paper §2 *non-self match*: two subsequences are admissible matches
-    /// when their start offsets differ by at least the candidate's length.
-    ///
-    /// `self` is the candidate `p`; `other` is the potential match `q`.
-    pub fn is_non_self_match_of(&self, other: &Interval) -> bool {
-        let d = self.start.abs_diff(other.start);
-        d >= self.len()
-    }
-
-    /// Smallest interval covering both.
-    pub fn hull(&self, other: &Interval) -> Interval {
-        Interval {
-            start: self.start.min(other.start),
-            end: self.end.max(other.end),
-        }
-    }
 }
 
 impl std::fmt::Display for Interval {
@@ -151,23 +134,6 @@ mod tests {
         assert_eq!(short.overlap_fraction(&Interval::new(0, 0)), 0.0);
         // Full containment → 1.0.
         assert_eq!(short.overlap_fraction(&Interval::new(0, 100)), 1.0);
-    }
-
-    #[test]
-    fn non_self_match_rule() {
-        // Candidate of length 5 at 10; match at 15 is allowed (|10-15| >= 5),
-        // match at 14 overlaps.
-        let p = Interval::with_len(10, 5);
-        assert!(p.is_non_self_match_of(&Interval::with_len(15, 5)));
-        assert!(p.is_non_self_match_of(&Interval::with_len(5, 5)));
-        assert!(!p.is_non_self_match_of(&Interval::with_len(14, 5)));
-        assert!(!p.is_non_self_match_of(&Interval::with_len(10, 5)));
-    }
-
-    #[test]
-    fn hull_covers_both() {
-        let h = Interval::new(2, 5).hull(&Interval::new(7, 9));
-        assert_eq!(h, Interval::new(2, 9));
     }
 
     #[test]

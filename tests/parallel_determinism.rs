@@ -152,10 +152,10 @@ fn event_ledger_balances_under_parallel_search() {
     }
 }
 
-/// The span-tree determinism contract: every worker's rra-inner span is
-/// grafted under the same `(parent, stage)` key at merge time, so the
-/// exported tree — paths, depths, and span counts — is bit-identical for
-/// any thread count. (Nanos are wall-clock and machine-dependent;
+/// The span-tree determinism contract: every worker's rra-inner tally is
+/// summed into the search's at merge time and the tree is laid out on the
+/// fixed stage nesting, so the exported tree — paths, depths, and span
+/// counts — is bit-identical for any thread count. (Nanos are wall-clock and machine-dependent;
 /// `distance_calls`-style counters are covered above. Span *counts* are
 /// thread-invariant because each candidate is scanned exactly once.)
 #[test]
