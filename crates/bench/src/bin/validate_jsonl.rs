@@ -11,7 +11,9 @@
 //! (sequential runs only) no span's children outlast it. An explain
 //! summary's `events_recorded` must equal the events its counters imply,
 //! and an explain row's `visits` must be its `rank + 1` (the discord found
-//! at rank r was scanned once at each rank 0..=r).
+//! at rank r was visited once at each rank 0..=r). A trace's counters
+//! must nest: `resampled_calls` are some of its `distance_calls`, and
+//! `candidates_reused` some of its `rra_candidates` visits.
 //! CI runs this over the CLI's `--metrics`, `--events`, `gv monitor` and
 //! ledger output so a schema drift fails the build instead of silently
 //! producing unparseable metrics.
@@ -123,6 +125,7 @@ fn validate_line(line: &str) -> Result<(), String> {
         Err(_) => {
             let all: Vec<&str> = gv_obs::Counter::ALL.iter().map(|c| c.name()).collect();
             check_counter_keys(&record, &all)?;
+            check_counter_nesting(&record)?;
             reconcile_trace(&record)?;
         }
         Ok(Value::Str(kind)) if kind == "explain" => check_explain_visits(&record)?,
@@ -161,9 +164,26 @@ fn check_counter_keys(record: &Value, want: &[&str]) -> Result<(), String> {
     Ok(())
 }
 
+/// Checks that each subset counter of a trace stays within its whole:
+/// resampled calls are distance calls, and a reused visit is a visit.
+fn check_counter_nesting(record: &Value) -> Result<(), String> {
+    let counters = field(record, "counters")?;
+    let count = |key: &str| as_u64(field(counters, key)?, key);
+    for (part, whole) in [
+        ("resampled_calls", "distance_calls"),
+        ("candidates_reused", "rra_candidates"),
+    ] {
+        let (p, w) = (count(part)?, count(whole)?);
+        if p > w {
+            return Err(format!("{part} is {p} but {whole} is only {w}"));
+        }
+    }
+    Ok(())
+}
+
 /// Checks an explain summary's event count against its counters: one
-/// `visited` and one outcome event per scanned candidate, one `abandoned`
-/// event per early abandon. The count includes events a full ring
+/// `visited` and one outcome event per outer-loop visit (a visit settled
+/// from the memo too), one `abandoned` event per early abandon. The count includes events a full ring
 /// dropped, so the identity holds for any run size.
 fn reconcile_explain_summary(record: &Value) -> Result<(), String> {
     let count = |key: &str| as_u64(field(record, key)?, key);
@@ -180,7 +200,7 @@ fn reconcile_explain_summary(record: &Value) -> Result<(), String> {
 
 /// Checks an explain row's visits against its rank: a candidate only
 /// loses eligibility as discords are found, and every eligible candidate
-/// is scanned once per rank, so the rank-`r` discord was visited `r + 1`
+/// is visited once per rank, so the rank-`r` discord was visited `r + 1`
 /// times, however many events the ring kept.
 fn check_explain_visits(record: &Value) -> Result<(), String> {
     let rank = as_u64(field(record, "rank")?, "rank")?;
@@ -417,6 +437,35 @@ mod tests {
     }
 
     const SPANS: &[(&str, u64)] = &[("detect", 100), ("detect;density", 40)];
+
+    /// `trace_line` with `part` and `whole` set to the given counts.
+    fn counted_trace(part: &str, p: u64, whole: &str, w: u64) -> String {
+        trace_line("", "\"detect\":100,\"density\":40", SPANS, 100)
+            .replace(&format!("\"{part}\":0"), &format!("\"{part}\":{p}"))
+            .replace(&format!("\"{whole}\":0"), &format!("\"{whole}\":{w}"))
+    }
+
+    #[test]
+    fn rejects_more_resampled_calls_than_distance_calls() {
+        validate_line(&counted_trace("resampled_calls", 7, "distance_calls", 7)).unwrap();
+        let err =
+            validate_line(&counted_trace("resampled_calls", 8, "distance_calls", 7)).unwrap_err();
+        assert!(
+            err.contains("resampled_calls is 8 but distance_calls is only 7"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_more_reused_visits_than_visits() {
+        validate_line(&counted_trace("candidates_reused", 3, "rra_candidates", 5)).unwrap();
+        let err =
+            validate_line(&counted_trace("candidates_reused", 6, "rra_candidates", 5)).unwrap_err();
+        assert!(
+            err.contains("candidates_reused is 6 but rra_candidates is only 5"),
+            "{err}"
+        );
+    }
 
     #[test]
     fn rejects_stage_total_that_disagrees_with_spans() {

@@ -25,7 +25,8 @@
 //! ```
 //!
 //! Exits non-zero on the first report of any violation (after finishing
-//! the run and printing the per-family table).
+//! the run and printing the per-family table). A reader that closes
+//! stdout early (`invariant_fuzz | head -1`) ends the run with status 0.
 
 use std::process::ExitCode;
 
@@ -37,6 +38,31 @@ use gva_core::{
     StreamingDetector, Workspace,
 };
 use rand::{Rng, SeedableRng, StdRng};
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// The one stdout writer the fuzzer prints through. A reader that closed
+/// the pipe early has all it asked for, so `BrokenPipe` ends the process
+/// quietly with status 0; any other write error exits 1 with one line on
+/// stderr instead of panicking like `println!`.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("invariant_fuzz: writing stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 /// One adversarial input family per fuzz slot, cycled round-robin.
 const FAMILIES: [&str; 7] = [
@@ -69,7 +95,7 @@ fn main() -> ExitCode {
     };
     let threads = EngineConfig::from_env().threads();
 
-    println!("invariant_fuzz: seed {seed}, {count} series, {threads} RRA thread(s)");
+    outln!("invariant_fuzz: seed {seed}, {count} series, {threads} RRA thread(s)");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut tallies: Vec<FamilyTally> = FAMILIES.iter().map(|_| FamilyTally::default()).collect();
     let mut ws = Workspace::new();
@@ -106,14 +132,18 @@ fn main() -> ExitCode {
         }
     }
 
-    println!();
-    println!(
+    outln!();
+    outln!(
         "{:<22} {:>6} {:>8} {:>8} {:>11}",
-        "family", "runs", "passed", "benign", "violations"
+        "family",
+        "runs",
+        "passed",
+        "benign",
+        "violations"
     );
     let mut total_violations = 0;
     for (name, tally) in FAMILIES.iter().zip(&tallies) {
-        println!(
+        outln!(
             "{name:<22} {:>6} {:>8} {:>8} {:>11}",
             tally.runs,
             tally.passed,
@@ -122,9 +152,9 @@ fn main() -> ExitCode {
         );
         total_violations += tally.violations.len();
     }
-    println!();
+    outln!();
     if total_violations == 0 {
-        println!("OK: every invariant held across {count} series");
+        outln!("OK: every invariant held across {count} series");
         ExitCode::SUCCESS
     } else {
         for (name, tally) in FAMILIES.iter().zip(&tallies) {

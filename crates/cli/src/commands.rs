@@ -924,6 +924,11 @@ fn demo(args: &Args) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    /// How every JSONL line of the current schema starts.
+    fn schema_prefix() -> String {
+        format!("{{\"schema\":{},", gva_core::obs::SCHEMA_VERSION)
+    }
+
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
     }
@@ -979,6 +984,7 @@ mod tests {
 
     #[test]
     fn file_commands_on_generated_csv() {
+        let schema = schema_prefix();
         // Round-trip through a real CSV file.
         let data = gv_datasets::ecg::ecg0606(Default::default());
         let dir = std::env::temp_dir().join("gv_cli_tests");
@@ -1057,7 +1063,7 @@ mod tests {
         assert!(text.contains("\"label\":\"density\""));
         assert!(text.contains("\"label\":\"rra\""));
         assert!(text.lines().all(|l| {
-            l.starts_with("{\"schema\":5,") && l.ends_with('}') && l.contains("\"distance_calls\":")
+            l.starts_with(&schema) && l.ends_with('}') && l.contains("\"distance_calls\":")
         }));
         // explain: provenance table on stdout, full JSONL stream to --events.
         let events = dir.join("events.jsonl");
@@ -1074,7 +1080,7 @@ mod tests {
         assert!(text.contains("\"type\":\"explain_summary\""));
         assert!(text
             .lines()
-            .all(|l| l.starts_with("{\"schema\":5,") && l.ends_with('}')));
+            .all(|l| l.starts_with(&schema) && l.ends_with('}')));
         // rra --events appends raw event lines too.
         let rra_events = dir.join("rra_events.jsonl");
         let _ = std::fs::remove_file(&rra_events);
@@ -1087,7 +1093,7 @@ mod tests {
         assert!(!text.is_empty());
         assert!(text
             .lines()
-            .all(|l| l.starts_with("{\"schema\":5,\"type\":\"event\"") && l.ends_with('}')));
+            .all(|l| l.starts_with(&format!("{schema}\"type\":\"event\"")) && l.ends_with('}')));
         // stream --metrics-every exports a snapshot trajectory.
         let stream_metrics = dir.join("stream_metrics.jsonl");
         let _ = std::fs::remove_file(&stream_metrics);
@@ -1102,7 +1108,7 @@ mod tests {
         let text = std::fs::read_to_string(&stream_metrics).unwrap();
         assert_eq!(text.lines().count(), 2300 / 500 + 1);
         for (i, line) in text.lines().enumerate() {
-            assert!(line.starts_with("{\"schema\":5,\"label\":\"stream\""));
+            assert!(line.starts_with(&format!("{schema}\"label\":\"stream\"")));
             assert!(line.contains(&format!("\"flush\":{}", i + 1)), "{line}");
         }
         assert!(text.lines().last().unwrap().contains("\"seen\":2300"));
@@ -1117,7 +1123,7 @@ mod tests {
         .is_ok());
         let text = std::fs::read_to_string(&stream_final).unwrap();
         assert_eq!(text.lines().count(), 1);
-        assert!(text.starts_with("{\"schema\":5,\"label\":\"stream\""));
+        assert!(text.starts_with(&format!("{schema}\"label\":\"stream\"")));
         assert!(text.contains("\"seen\":2300"));
     }
 
@@ -1136,6 +1142,7 @@ mod tests {
 
     #[test]
     fn monitor_emits_windows_and_health_transitions() {
+        let schema = schema_prefix();
         let dir = std::env::temp_dir().join("gv_cli_monitor_tests");
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("monitor.jsonl");
@@ -1166,10 +1173,10 @@ mod tests {
         assert!(health[0].contains("\"verdict\":\"healthy\""));
         assert!(text
             .lines()
-            .all(|l| l.starts_with("{\"schema\":5,") && l.ends_with('}')));
+            .all(|l| l.starts_with(&schema) && l.ends_with('}')));
         // Deterministic mode: no wall-clock-derived fields populated.
         assert!(text.contains("\"wall_ns\":0"));
-        // Schema 5 windows carry only the counters a stream moves.
+        // Windows carry only the counters a stream moves.
         assert!(!text.contains("span_shares") && !text.contains("distance_calls"));
 
         // The tight SLO breaches on the planted anomaly's alert: non-zero
@@ -1301,6 +1308,7 @@ mod tests {
 
     #[test]
     fn ledger_records_flow_into_check() {
+        let schema = schema_prefix();
         let data = gv_datasets::ecg::ecg0606(Default::default());
         let dir = std::env::temp_dir().join("gv_cli_ledger_tests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1329,7 +1337,7 @@ mod tests {
         assert_eq!(text.lines().count(), 4);
         assert!(text
             .lines()
-            .all(|l| l.starts_with("{\"schema\":5,\"type\":\"ledger\"")));
+            .all(|l| l.starts_with(&format!("{schema}\"type\":\"ledger\""))));
         assert!(text.contains("\"label\":\"rra\""));
         assert!(text.contains("\"label\":\"density\""));
         assert!(text.contains("\"label\":\"monitor\""));

@@ -14,8 +14,9 @@
 //! [`search_candidates`], the list the search ran on, where an interval is
 //! unique; visits come from the rank alone. A candidate only loses
 //! eligibility as discords are found, never regains it, and every eligible
-//! candidate is scanned once per rank, so the discord found at rank `r` was
-//! scanned at ranks `0..=r`: `r + 1` visits. None of these reads the ring,
+//! candidate is visited once per rank (a reused visit costs no call, see
+//! `rra`'s module docs), so the discord found at rank `r` was visited at
+//! ranks `0..=r`: `r + 1` visits. None of these reads the ring,
 //! so they stay exact when it overflows. The cost does: RRA emits one
 //! `Pruned`/`Completed` outcome event per visit, keyed by the candidate's
 //! `(position, length)`, and a discord's cost sums their `calls` deltas, a
@@ -58,7 +59,8 @@ pub struct DiscordProvenance {
     pub siblings: u64,
     /// Times the outer loop took this candidate up: once per rank round
     /// up to and including its own, `rank + 1` (a candidate pruned at one
-    /// rank is scanned again at the next).
+    /// rank is visited again at the next; a visit its earlier scans
+    /// settle costs no call).
     pub visits: u64,
     /// Distance calls the search spent on this candidate, summed across
     /// all its visits.
@@ -412,7 +414,10 @@ mod tests {
         assert!(table.contains("density"));
         assert!(table.contains("abandon position"));
         let row = explain.rows[0].to_jsonl();
-        assert!(row.starts_with("{\"schema\":5,\"type\":\"explain\""));
+        assert!(row.starts_with(&format!(
+            "{{\"schema\":{},\"type\":\"explain\"",
+            gv_obs::SCHEMA_VERSION
+        )));
         for key in [
             "rank",
             "position",
@@ -429,7 +434,10 @@ mod tests {
             assert!(row.contains(&format!("\"{key}\":")), "{key} in {row}");
         }
         let summary = explain.summary_jsonl();
-        assert!(summary.starts_with("{\"schema\":5,\"type\":\"explain_summary\""));
+        assert!(summary.starts_with(&format!(
+            "{{\"schema\":{},\"type\":\"explain_summary\"",
+            gv_obs::SCHEMA_VERSION
+        )));
         assert!(summary.contains("\"distance_ns\":{\"count\":"));
         assert!(summary.contains("\"abandon_pos\":{\"count\":"));
     }

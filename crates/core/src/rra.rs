@@ -42,8 +42,50 @@
 //! schedule, and the tie rule is the first-wins rule over the outer
 //! order. Only the *cost* (distance calls, prune counts, events) varies
 //! with worker count and timing.
+//!
+//! ## Scans resume across ranks
+//!
+//! `admissible` does not read the discords found so far, so a candidate's
+//! NN distance is the same at every rank; only its eligibility changes.
+//! Its inner scan is also the same at every rank: the sequence (siblings,
+//! then the shared random order) is fixed for the search, and each
+//! evaluation's abandon threshold is the running `nearest` alone, so the
+//! running minimum after position `c`, `nearest(c)`, is one
+//! non-increasing sequence that no bound changes. The bound only decides
+//! where a scan stops. So one search keeps, per candidate, `ub` (the
+//! smallest distance found so far: `nearest` where its scan stopped, and
+//! the exact NN once the scan completed) and a cursor (where the scan
+//! stopped). A visit at a later rank then
+//! * prunes for free when `ub < best_so_far`;
+//! * else reuses `ub` when the scan completed;
+//! * else resumes at the cursor with `nearest = ub`, under the same
+//!   pruning and abandon rules.
+//!
+//! **One worker: the decisions cannot change.** Suppose a rescan from
+//! position 0 would prune at a position `c′ ≤ cursor`. Then
+//! `ub ≤ nearest(c′) < best_so_far`, which is the free prune; and a free
+//! prune's `ub` is some `nearest(c)`, so a rescan prunes by `c` at the
+//! latest. Otherwise the rescan reaches the cursor with `nearest = ub`
+//! and continues exactly as the resumed scan does; a completed scan's
+//! `ub` is the minimum over the whole sequence, so reusing it completes
+//! exactly when a rescan would. Every visit therefore prunes or completes
+//! as a rescan would, with the same completed distance, the bound takes
+//! the same values, and only the distance calls go down (pinned by
+//! `memo_changes_calls_never_decisions`). A settled visit still counts in
+//! `rra_candidates`, emits its `Visited` and outcome events (`calls: 0`)
+//! and counts in `candidates_reused`.
+//!
+//! **Any number of workers: the ranks stay bit-identical.** Each
+//! candidate is visited by one worker per rank, and `fan_out` joins every
+//! worker before the next rank reads the memo. A resumed scan continues
+//! the same sequence, so a completed candidate still reports its exact
+//! minimum. A free prune needs `ub < best_so_far`, a completed distance
+//! of this rank (or `+0.0`), and the candidate's NN is at most `ub`, so
+//! it falls strictly below the rank's maximum: it can neither win nor
+//! tie, like any pruned candidate. The argument above for the winners
+//! therefore holds unchanged.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use gv_discord::{distance, DiscordRecord, SearchStats};
 use gv_obs::{
@@ -109,8 +151,9 @@ pub(crate) struct EvalBufs {
 
 /// Reusable scratch state for the Algorithm 1 search: visit orders, the
 /// sibling index, the per-rank active list, the prefix-sum statistics,
-/// and the per-candidate normal-form cache. Held inside an engine
-/// `Workspace` so repeated searches stop re-allocating after warm-up.
+/// the per-candidate normal-form cache, and the per-candidate memo that
+/// carries scans across ranks. Held inside an engine `Workspace` so
+/// repeated searches stop re-allocating after warm-up.
 #[derive(Debug, Default)]
 pub(crate) struct RraScratch {
     outer: Vec<usize>,
@@ -135,12 +178,14 @@ pub(crate) struct RraScratch {
     /// the rebuild), then shared read-only by every rank and worker.
     norms: Vec<f64>,
     norm_off: Vec<u32>,
+    /// What the search's earlier ranks learned about each candidate.
+    memo: Memo,
 }
 
 impl RraScratch {
     /// Capacities of every reusable buffer, for allocation-stability
     /// assertions on a warmed-up workspace.
-    pub(crate) fn capacity_signature(&self) -> [usize; 6] {
+    pub(crate) fn capacity_signature(&self) -> [usize; 8] {
         [
             self.outer.capacity(),
             self.inner.capacity(),
@@ -148,7 +193,164 @@ impl RraScratch {
             self.sib_pairs.capacity(),
             self.stats.capacity(),
             self.norms.capacity().max(self.norm_off.capacity()),
+            self.memo.ub.capacity(),
+            self.memo.cursor.capacity(),
         ]
+    }
+
+    /// Builds what every rank of one search reads — the statistics, the
+    /// normal forms, both visit orders and the sibling index — and
+    /// forgets the memo of any earlier search.
+    fn prepare(
+        &mut self,
+        values: &[f64],
+        candidates: &[RuleInterval],
+        seed: u64,
+        options: SearchOptions,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = candidates.len();
+
+        // Prefix-sum statistics + per-candidate normal forms, once per
+        // search. Every rank, worker, and reference replay below reads
+        // these same cached bits, so pruning order and thread count cannot
+        // change any distance.
+        self.stats.rebuild(values);
+        build_norm_cache(
+            values,
+            candidates,
+            &self.stats,
+            &mut self.norms,
+            &mut self.norm_off,
+        );
+
+        // Outer: ascending frequency, random within ties.
+        self.outer.clear();
+        self.outer.extend(0..n);
+        self.outer.shuffle(&mut rng);
+        if options.outer_by_frequency {
+            self.outer.sort_by_key(|&i| candidates[i].frequency);
+        }
+
+        build_sibling_pairs(candidates, &mut self.sib_pairs);
+
+        // Shared random order for the "rest" phase of the inner loop.
+        self.inner.clear();
+        self.inner.extend(0..n);
+        self.inner.shuffle(&mut rng);
+
+        self.memo.reset(n);
+    }
+
+    /// One rank of Algorithm 1 at any thread count (see the module docs),
+    /// over the state [`RraScratch::prepare`] built, carrying the memo
+    /// from the ranks before. Each worker counts into its own recorder,
+    /// merged into `local` in worker order; `timed` arms the workers'
+    /// `rra-inner` timers. Returns the winning candidate index and its NN
+    /// distance.
+    fn search_rank(
+        &mut self,
+        candidates: &[RuleInterval],
+        options: SearchOptions,
+        found: &[DiscordRecord],
+        threads: usize,
+        local: &LocalRecorder,
+        timed: bool,
+    ) -> Option<(usize, f64)> {
+        let Self {
+            outer,
+            inner,
+            active,
+            sib_pairs,
+            norms,
+            norm_off,
+            memo,
+            ..
+        } = self;
+        active.clear();
+        active.extend(
+            outer
+                .iter()
+                .copied()
+                .filter(|&pi| eligible(candidates, pi, sib_pairs, found))
+                .map(|pi| pi as u32),
+        );
+        if active.is_empty() {
+            return None;
+        }
+        let workers = threads.clamp(1, active.len());
+        let active: &[u32] = active;
+        let scan = Scan {
+            candidates,
+            norms,
+            norm_off,
+            sib_pairs,
+            inner,
+            options,
+            memo,
+            timed,
+        };
+        let bound = AtomicU64::new(0.0f64.to_bits());
+        let detail = local.detail().is_some();
+
+        let results = fan_out(workers, |t| {
+            let wlocal = LocalRecorder::with_detail(detail);
+            let mut best: Option<(u32, f64)> = None;
+            for (ai, &pi) in active.iter().enumerate().skip(t).step_by(workers) {
+                let (nearest, pruned) = scan.visit(pi as usize, &bound, &wlocal);
+                // Only finite, fully-searched distances may enter the bound
+                // or win: a candidate with no admissible match has an
+                // infinite nearest.
+                if !pruned && nearest.is_finite() {
+                    if best.is_none_or(|(_, bn)| nearest > bn) {
+                        best = Some((ai as u32, nearest));
+                    }
+                    bound.fetch_max(nearest.to_bits(), Ordering::Relaxed);
+                }
+            }
+            (wlocal, best)
+        });
+
+        // Larger nearest wins; ties go to the lower active index, i.e. the
+        // earlier outer position.
+        let mut best: Option<(u32, f64)> = None;
+        for (wlocal, wbest) in results {
+            wlocal.merge_into(local);
+            if let Some((ai, nearest)) = wbest {
+                if best.is_none_or(|(bai, bn)| nearest > bn || (nearest == bn && ai < bai)) {
+                    best = Some((ai, nearest));
+                }
+            }
+        }
+        best.map(|(ai, d)| (active[ai as usize] as usize, d))
+    }
+}
+
+/// What one search remembers about each candidate from rank to rank (see
+/// the module docs). Within a rank only the one worker that visits a
+/// candidate touches its entries, and `fan_out` joins every worker before
+/// the next rank reads them, so `Relaxed` atomics suffice.
+#[derive(Debug, Default)]
+struct Memo {
+    /// The smallest distance found so far, as f64 bits: an upper bound on
+    /// the candidate's NN distance, and that distance exactly once its
+    /// scan completed.
+    ub: Vec<AtomicU64>,
+    /// The next position of the candidate's inner sequence (its siblings,
+    /// then the shared random order); the sequence's length once the scan
+    /// completed. Candidate indices fit a `u32` (see `active`), and the
+    /// sequence is at most twice the candidate count.
+    cursor: Vec<AtomicU32>,
+}
+
+impl Memo {
+    /// `n` candidates, none scanned yet.
+    fn reset(&mut self, n: usize) {
+        self.ub.clear();
+        self.ub
+            .resize_with(n, || AtomicU64::new(f64::INFINITY.to_bits()));
+        self.cursor.clear();
+        self.cursor.resize_with(n, AtomicU32::default);
     }
 }
 
@@ -236,131 +438,135 @@ fn eligible(
     true
 }
 
-/// One outer candidate's full inner search: records the Visited event,
-/// runs the siblings-first then shared-random-order phases with pruning
-/// against the rank's shared best-so-far `bound`, and records the outcome
-/// event plus the pruned/completed counter. Returns `(nearest, pruned)`.
-///
-/// `bound` is read after every evaluation, so workers prune against each
-/// other's completed candidates as soon as they land. `timed` arms the
-/// `rra-inner` timer; it is false when the search is untimed.
-#[allow(clippy::too_many_arguments)]
-fn scan_candidate(
-    candidates: &[RuleInterval],
-    norms: &[f64],
-    norm_off: &[u32],
-    pi: usize,
-    sib_pairs: &[(RuleId, u32)],
-    inner: &[usize],
+/// The state one rank's workers share: the candidates, their normal
+/// forms, the sibling index, the shared random order, the memo, and
+/// whether `rra-inner` is timed.
+struct Scan<'a> {
+    candidates: &'a [RuleInterval],
+    norms: &'a [f64],
+    norm_off: &'a [u32],
+    sib_pairs: &'a [(RuleId, u32)],
+    inner: &'a [usize],
     options: SearchOptions,
-    bound: &AtomicU64,
-    local: &LocalRecorder,
+    memo: &'a Memo,
     timed: bool,
-) -> (f64, bool) {
-    let p = &candidates[pi];
-    let p_len = p.interval.len();
-    let best_so_far = || f64::from_bits(bound.load(Ordering::Relaxed));
-    local.incr(Counter::RraCandidates);
-    let calls_before = local.counter(Counter::DistanceCalls);
-    if let Some(detail) = local.detail() {
-        detail.record_value(Metric::CandidateLen, p_len as u64);
-        detail.record_value(Metric::RuleUses, p.frequency as u64);
-        detail.record_event(Event {
-            position: p.interval.start as u64,
-            length: p_len as u64,
-            rule: p.rule.map(|r| r.0),
-            frequency: p.frequency as u64,
-            ..Event::new(EventKind::Visited)
-        });
-    }
-    let p_z = cached_norm(norms, norm_off, pi);
+}
 
-    let mut nearest = f64::INFINITY;
-    let mut pruned = false;
-    let inner_timer = SpanTimer::start_if(timed, Stage::RraInner);
+impl Scan<'_> {
+    /// One outer-loop visit of candidate `pi`: records the Visited event,
+    /// settles the candidate from its memo or resumes its inner scan
+    /// (siblings first, then the shared random order) with pruning
+    /// against the rank's shared best-so-far `bound`, and records the
+    /// outcome event plus the pruned/completed counter. Returns
+    /// `(nearest, pruned)`.
+    ///
+    /// A visit the memo settles makes no distance call and counts in
+    /// `candidates_reused`: a completed scan's exact distance, or a bound
+    /// already below the best-so-far (a free prune). `bound` is read
+    /// after every evaluation, so workers prune against each other's
+    /// completed candidates as soon as they land.
+    fn visit(&self, pi: usize, bound: &AtomicU64, local: &LocalRecorder) -> (f64, bool) {
+        let p = &self.candidates[pi];
+        let p_len = p.interval.len();
+        let best_so_far = || f64::from_bits(bound.load(Ordering::Relaxed));
+        local.incr(Counter::RraCandidates);
+        let calls_before = local.counter(Counter::DistanceCalls);
+        if let Some(detail) = local.detail() {
+            detail.record_value(Metric::CandidateLen, p_len as u64);
+            detail.record_value(Metric::RuleUses, p.frequency as u64);
+            detail.record_event(Event {
+                position: p.interval.start as u64,
+                length: p_len as u64,
+                rule: p.rule.map(|r| r.0),
+                frequency: p.frequency as u64,
+                ..Event::new(EventKind::Visited)
+            });
+        }
+        let inner_timer = SpanTimer::start_if(self.timed, Stage::RraInner);
 
-    // Inner phase 1: same-rule siblings.
-    if options.siblings_first {
-        if let Some(r) = p.rule {
-            for &(_, qi32) in sibling_range(sib_pairs, r) {
-                let qi = qi32 as usize;
-                if qi == pi {
-                    continue;
-                }
-                let q = &candidates[qi];
-                if !admissible(p, q) {
-                    continue;
-                }
+        // The inner sequence: same-rule siblings when phase 1 runs, then
+        // the shared random order.
+        let phase1 = self.options.siblings_first && p.rule.is_some();
+        let siblings = match p.rule {
+            Some(r) if phase1 => sibling_range(self.sib_pairs, r),
+            _ => &[],
+        };
+        let len = siblings.len() + self.inner.len();
+        let (ub, cursor) = (&self.memo.ub[pi], &self.memo.cursor[pi]);
+        let mut nearest = f64::from_bits(ub.load(Ordering::Relaxed));
+        let start = cursor.load(Ordering::Relaxed) as usize;
+        let mut pruned = nearest < best_so_far();
+        if pruned || start == len {
+            local.incr(Counter::CandidatesReused);
+        } else {
+            let p_z = cached_norm(self.norms, self.norm_off, pi);
+            // Evaluates `qi`; true when the candidate is now pruned.
+            let mut step = |qi: usize| {
                 evaluate(
                     p_z,
-                    cached_norm(norms, norm_off, qi),
+                    cached_norm(self.norms, self.norm_off, qi),
                     local,
                     &mut nearest,
-                    options.early_abandon,
+                    self.options.early_abandon,
                 );
-                if nearest < best_so_far() {
-                    pruned = true;
+                nearest < best_so_far()
+            };
+            let mut stop = len;
+            // Inner phase 1: same-rule siblings.
+            for (at, &(_, qi)) in siblings.iter().enumerate().skip(start) {
+                let qi = qi as usize;
+                if qi != pi && admissible(p, &self.candidates[qi]) && step(qi) {
+                    (pruned, stop) = (true, at + 1);
                     break;
                 }
             }
+            // Inner phase 2: everything else, in random order.
+            if !pruned {
+                let from = start.saturating_sub(siblings.len());
+                for (at, &qi) in self.inner.iter().enumerate().skip(from) {
+                    let q = &self.candidates[qi];
+                    // Skip phase-1 siblings (when phase 1 ran).
+                    if qi == pi || (phase1 && q.rule == p.rule) || !admissible(p, q) {
+                        continue;
+                    }
+                    if step(qi) {
+                        (pruned, stop) = (true, siblings.len() + at + 1);
+                        break;
+                    }
+                }
+            }
+            ub.store(nearest.to_bits(), Ordering::Relaxed);
+            cursor.store(stop as u32, Ordering::Relaxed);
         }
-    }
+        inner_timer.finish(local);
 
-    // Inner phase 2: everything else, in random order.
-    if !pruned {
-        for &qi in inner {
-            if qi == pi {
-                continue;
-            }
-            let q = &candidates[qi];
-            // Skip phase-1 siblings (when phase 1 ran).
-            if options.siblings_first && p.rule.is_some() && q.rule == p.rule {
-                continue;
-            }
-            if !admissible(p, q) {
-                continue;
-            }
-            evaluate(
-                p_z,
-                cached_norm(norms, norm_off, qi),
-                local,
-                &mut nearest,
-                options.early_abandon,
-            );
-            if nearest < best_so_far() {
-                pruned = true;
-                break;
-            }
+        if let Some(detail) = local.detail() {
+            // A pruned candidate's `nearest` is finite by construction
+            // (it dropped below `best_so_far`); a completed one may
+            // have found no admissible match at all — encode that as
+            // -1.0 so the JSON stays finite.
+            let outcome = if pruned {
+                EventKind::Pruned
+            } else {
+                EventKind::Completed
+            };
+            detail.record_event(Event {
+                position: p.interval.start as u64,
+                length: p_len as u64,
+                rule: p.rule.map(|r| r.0),
+                frequency: p.frequency as u64,
+                calls: local.counter(Counter::DistanceCalls) - calls_before,
+                value: if nearest.is_finite() { nearest } else { -1.0 },
+                ..Event::new(outcome)
+            });
         }
-    }
-
-    inner_timer.finish(local);
-    if let Some(detail) = local.detail() {
-        // A pruned candidate's `nearest` is finite by construction
-        // (it dropped below `best_so_far`); a completed one may
-        // have found no admissible match at all — encode that as
-        // -1.0 so the JSON stays finite.
-        let outcome = if pruned {
-            EventKind::Pruned
+        if pruned {
+            local.incr(Counter::CandidatesPruned);
         } else {
-            EventKind::Completed
-        };
-        detail.record_event(Event {
-            position: p.interval.start as u64,
-            length: p_len as u64,
-            rule: p.rule.map(|r| r.0),
-            frequency: p.frequency as u64,
-            calls: local.counter(Counter::DistanceCalls) - calls_before,
-            value: if nearest.is_finite() { nearest } else { -1.0 },
-            ..Event::new(outcome)
-        });
+            local.incr(Counter::CandidatesCompleted);
+        }
+        (nearest, pruned)
     }
-    if pruned {
-        local.incr(Counter::CandidatesPruned);
-    } else {
-        local.incr(Counter::CandidatesCompleted);
-    }
-    (nearest, pruned)
 }
 
 /// The search engine behind every public RRA entry point: explicit
@@ -393,49 +599,11 @@ pub(crate) fn search_in<R: Recorder>(
     let local = LocalRecorder::with_detail(recorder.detail().is_some());
     let timed = recorder.enabled();
     let outer_timer = SpanTimer::start_if(timed, Stage::RraOuter);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = candidates.len();
-
-    let RraScratch {
-        outer,
-        inner,
-        active,
-        sib_pairs,
-        stats,
-        norms,
-        norm_off,
-    } = scratch;
-
-    // Prefix-sum statistics + per-candidate normal forms, once per
-    // search. Every rank, worker, and reference replay below reads these
-    // same cached bits, so pruning order and thread count cannot change
-    // any distance.
-    stats.rebuild(values);
-    build_norm_cache(values, candidates, stats, norms, norm_off);
-
-    // Outer: ascending frequency, random within ties.
-    outer.clear();
-    outer.extend(0..n);
-    outer.shuffle(&mut rng);
-    if options.outer_by_frequency {
-        outer.sort_by_key(|&i| candidates[i].frequency);
-    }
-
-    build_sibling_pairs(candidates, sib_pairs);
-
-    // Shared random order for the "rest" phase of the inner loop.
-    inner.clear();
-    inner.extend(0..n);
-    inner.shuffle(&mut rng);
+    scratch.prepare(values, candidates, seed, options);
 
     let mut found: Vec<DiscordRecord> = Vec::new();
-
     for rank in 0..k {
-        let selected = search_rank(
-            candidates, norms, norm_off, outer, inner, active, sib_pairs, &found, options, threads,
-            &local, timed,
-        );
-        match selected {
+        match scratch.search_rank(candidates, options, &found, threads, &local, timed) {
             Some((pi, distance)) => found.push(DiscordRecord {
                 position: candidates[pi].interval.start,
                 length: candidates[pi].interval.len(),
@@ -456,78 +624,8 @@ pub(crate) fn search_in<R: Recorder>(
     Ok(RraReport {
         discords: found,
         stats,
-        num_candidates: n,
+        num_candidates: candidates.len(),
     })
-}
-
-/// One rank of Algorithm 1 at any thread count (see the module docs).
-/// Each worker counts into its own recorder, merged into `local` in
-/// worker order; `timed` arms the workers' `rra-inner` timers. Returns
-/// the winning candidate index and its NN distance.
-#[allow(clippy::too_many_arguments)]
-fn search_rank(
-    candidates: &[RuleInterval],
-    norms: &[f64],
-    norm_off: &[u32],
-    outer: &[usize],
-    inner: &[usize],
-    active: &mut Vec<u32>,
-    sib_pairs: &[(RuleId, u32)],
-    found: &[DiscordRecord],
-    options: SearchOptions,
-    threads: usize,
-    local: &LocalRecorder,
-    timed: bool,
-) -> Option<(usize, f64)> {
-    active.clear();
-    active.extend(
-        outer
-            .iter()
-            .copied()
-            .filter(|&pi| eligible(candidates, pi, sib_pairs, found))
-            .map(|pi| pi as u32),
-    );
-    if active.is_empty() {
-        return None;
-    }
-    let workers = threads.clamp(1, active.len());
-    let active: &[u32] = active;
-    let bound = AtomicU64::new(0.0f64.to_bits());
-    let detail = local.detail().is_some();
-
-    let results = fan_out(workers, |t| {
-        let wlocal = LocalRecorder::with_detail(detail);
-        let mut best: Option<(u32, f64)> = None;
-        for (ai, &pi) in active.iter().enumerate().skip(t).step_by(workers) {
-            let pi = pi as usize;
-            let (nearest, pruned) = scan_candidate(
-                candidates, norms, norm_off, pi, sib_pairs, inner, options, &bound, &wlocal, timed,
-            );
-            // Only finite, fully-searched distances may enter the bound or
-            // win: a candidate with no admissible match has an infinite
-            // nearest.
-            if !pruned && nearest.is_finite() {
-                if best.is_none_or(|(_, bn)| nearest > bn) {
-                    best = Some((ai as u32, nearest));
-                }
-                bound.fetch_max(nearest.to_bits(), Ordering::Relaxed);
-            }
-        }
-        (wlocal, best)
-    });
-
-    // Larger nearest wins; ties go to the lower active index, i.e. the
-    // earlier outer position.
-    let mut best: Option<(u32, f64)> = None;
-    for (wlocal, wbest) in results {
-        wlocal.merge_into(local);
-        if let Some((ai, nearest)) = wbest {
-            if best.is_none_or(|(bai, bn)| nearest > bn || (nearest == bn && ai < bai)) {
-                best = Some((ai, nearest));
-            }
-        }
-    }
-    best.map(|(ai, d)| (active[ai as usize] as usize, d))
 }
 
 /// Algorithm 1 line 7: `q` is a non-self match of `p` when their start
@@ -541,7 +639,7 @@ fn admissible(p: &RuleInterval, q: &RuleInterval) -> bool {
 /// forms. Equal lengths go straight through the chunked kernel (the n→n
 /// resample is a bit-exact identity, so nothing is lost by skipping it);
 /// differing lengths take the **fused** kernel, which interpolates the
-/// match through a lazy [`Resampled`] view chunk by chunk — bitwise the
+/// match through the [`Resampled`] chunk writer — bitwise the
 /// materialize-then-compare result, but an early-abandoned comparison
 /// only pays for the points it actually consumed, and the innermost call
 /// allocates nothing at all (DESIGN.md §12).
@@ -1044,6 +1142,114 @@ mod tests {
             // Search filled k; nothing to assert about rank 3.
         } else {
             assert!(reference_rank(&v, &cands, &report.discords).is_none());
+        }
+    }
+
+    /// Two planted anomalies on the sine fixture, so later ranks have
+    /// real competition.
+    fn two_plants() -> Vec<f64> {
+        let mut v = planted();
+        for (i, x) in v[400..460].iter_mut().enumerate() {
+            *x += 0.8 * (std::f64::consts::PI * i as f64 / 60.0).sin();
+        }
+        v
+    }
+
+    /// The memo changes calls, never decisions: each rank of a sequential
+    /// search, run once with the memo forgotten (every scan from scratch,
+    /// the search without the memo) and once with the memo the earlier
+    /// ranks carried, picks the same winner with the same distance bits
+    /// and prunes and completes the same candidates, and the carried run
+    /// makes no more distance calls.
+    #[test]
+    fn memo_changes_calls_never_decisions() {
+        let v = two_plants();
+        let cands = candidates_from(&v, 100, 5, 4);
+        let options = SearchOptions::default();
+        let (mut carried, mut fresh) = (RraScratch::default(), RraScratch::default());
+        carried.prepare(&v, &cands, 0, options);
+        fresh.prepare(&v, &cands, 0, options);
+        let mut found: Vec<DiscordRecord> = Vec::new();
+        let mut saved = 0;
+        for rank in 0..5 {
+            fresh.memo.reset(cands.len());
+            let run = |scratch: &mut RraScratch| {
+                let local = LocalRecorder::new();
+                let winner = scratch.search_rank(&cands, options, &found, 1, &local, false);
+                (winner, local)
+            };
+            let (want, want_rec) = run(&mut fresh);
+            let (got, got_rec) = run(&mut carried);
+            assert_eq!(
+                got.map(|(pi, d)| (pi, d.to_bits())),
+                want.map(|(pi, d)| (pi, d.to_bits())),
+                "rank {rank}"
+            );
+            for c in [
+                Counter::RraCandidates,
+                Counter::CandidatesPruned,
+                Counter::CandidatesCompleted,
+            ] {
+                assert_eq!(
+                    got_rec.counter(c),
+                    want_rec.counter(c),
+                    "rank {rank}: {}",
+                    c.name()
+                );
+            }
+            let (got_calls, want_calls) = (
+                got_rec.counter(Counter::DistanceCalls),
+                want_rec.counter(Counter::DistanceCalls),
+            );
+            assert!(
+                got_calls <= want_calls,
+                "rank {rank}: {got_calls} > {want_calls}"
+            );
+            assert_eq!(want_rec.counter(Counter::CandidatesReused), 0);
+            if rank == 0 {
+                assert_eq!(got_calls, want_calls, "rank 0 has nothing to reuse");
+            }
+            saved += want_calls - got_calls;
+            let Some((pi, distance)) = got else { break };
+            found.push(DiscordRecord {
+                position: cands[pi].interval.start,
+                length: cands[pi].interval.len(),
+                distance,
+                rank,
+            });
+        }
+        assert!(found.len() >= 3, "only {} ranks", found.len());
+        assert!(saved > 0, "the memo saved no call");
+    }
+
+    /// Every rank of a top-5 search, memo and all, is the heuristic-free
+    /// reference rank to the bit, at one thread and at four.
+    #[test]
+    fn top5_ranks_match_the_reference() {
+        let v = two_plants();
+        let cands = candidates_from(&v, 100, 5, 4);
+        for threads in [1, 4] {
+            let report = search_in(
+                &v,
+                &cands,
+                5,
+                0,
+                SearchOptions::default(),
+                threads,
+                &mut RraScratch::default(),
+                &NoopRecorder,
+            )
+            .unwrap();
+            assert_eq!(report.discords.len(), 5, "threads={threads}");
+            for (r, d) in report.discords.iter().enumerate() {
+                let (interval, distance) = reference_rank(&v, &cands, &report.discords[..r])
+                    .expect("reference finds a rank");
+                assert_eq!(
+                    (interval, distance.to_bits()),
+                    (d.interval(), d.distance.to_bits()),
+                    "threads={threads} rank {r}"
+                );
+            }
         }
     }
 

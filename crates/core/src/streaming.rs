@@ -678,7 +678,9 @@ mod tests {
         for (i, snap) in snapshots.iter().enumerate() {
             assert_eq!(snap.label, "stream");
             assert_eq!(param(snap, "seen"), 200 * (i as u64 + 1));
-            assert!(snap.to_jsonl().starts_with("{\"schema\":5,"));
+            assert!(snap
+                .to_jsonl()
+                .starts_with(&format!("{{\"schema\":{},", gv_obs::SCHEMA_VERSION)));
         }
         // Monotone token counts across reads.
         let tokens: Vec<u64> = snapshots.iter().map(|s| param(s, "tokens")).collect();

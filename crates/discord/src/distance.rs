@@ -134,11 +134,14 @@ fn abandon_exit<R: Recorder>(
 /// Early-abandoning Euclidean distance between `a` and the *virtually
 /// resampled* view `b` (`b.len() == a.len()`): bit-identical to
 /// materializing `resample_to` into a buffer and calling
-/// [`euclidean_early`] — same interpolation formula per point, same
-/// chunk boundaries, same abandon positions, same counter/event
-/// semantics — but the interpolation runs fused into the kernel, chunk
-/// by chunk, so an abandoned call only pays for the points it actually
-/// consumed instead of resampling the whole subsequence up front.
+/// [`euclidean_early`] — same interpolation per point (both go through
+/// [`Resampled::fill`]), same chunk boundaries, same abandon positions,
+/// same events — but the interpolation runs fused into the kernel, each
+/// 8-point chunk written into a stack buffer just before it is summed,
+/// so an abandoned call only pays for the points it actually consumed
+/// instead of resampling the whole subsequence up front. Counts one
+/// [`Counter::DistanceCalls`] like every kernel, and one
+/// [`Counter::ResampledCalls`] besides.
 ///
 /// # Panics
 /// Panics on length mismatch.
@@ -155,6 +158,7 @@ pub fn euclidean_early_resampled<R: Recorder>(
         "euclidean_early_resampled: length mismatch"
     );
     recorder.incr(Counter::DistanceCalls);
+    recorder.incr(Counter::ResampledCalls);
     let timer = DetailTimer::start(recorder, Metric::DistanceNanos);
     let limit_sq = if abandon_at.is_finite() {
         abandon_at * abandon_at
@@ -167,11 +171,9 @@ pub fn euclidean_early_resampled<R: Recorder>(
     let mut i = 0;
     while i < n {
         let hi = (i + STRIDE).min(n);
-        let w = hi - i;
-        for (t, slot) in qbuf[..w].iter_mut().enumerate() {
-            *slot = b.get(i + t);
-        }
-        accumulate_chunk(&mut acc, &a[i..hi], &qbuf[..w]);
+        let q = &mut qbuf[..hi - i];
+        b.fill(i, q);
+        accumulate_chunk(&mut acc, &a[i..hi], q);
         i = hi;
         if lane_sum(&acc) >= limit_sq {
             abandon_exit(recorder, timer, i, n, abandon_at);
@@ -388,9 +390,9 @@ mod tests {
     /// The fused resample+kernel path is observationally identical to
     /// materializing the resample first: same distance bits on
     /// completion, same abandon decisions and positions, same counters
-    /// and events — across upsampling, downsampling, identity, and
-    /// degenerate source lengths, at abandoning and non-abandoning
-    /// thresholds.
+    /// (besides its own `resampled_calls`) and events — across
+    /// upsampling, downsampling, identity, and degenerate source lengths,
+    /// at abandoning and non-abandoning thresholds.
     #[test]
     fn fused_resample_kernel_matches_materialized_bitwise() {
         let mut state = 0xD1B54A32D192ED03u64;
@@ -425,7 +427,13 @@ mod tests {
                     fus.map(f64::to_bits),
                     "({src_len} -> {dst_len}) @ {abandon_at}: {mat:?} vs {fus:?}"
                 );
+                // The fused call also counts itself as resampled.
+                assert_eq!(mat_rec.counter(Counter::ResampledCalls), 0);
+                assert_eq!(fus_rec.counter(Counter::ResampledCalls), 1);
                 for c in Counter::ALL {
+                    if c == Counter::ResampledCalls {
+                        continue;
+                    }
                     assert_eq!(
                         mat_rec.counter(c),
                         fus_rec.counter(c),

@@ -80,7 +80,7 @@ impl Event {
     }
 
     /// Encodes the event as one JSON line (no trailing newline). Schema:
-    /// `{"schema":5,"type":"event","kind":str,"position":int,"length":int,
+    /// `{"schema":6,"type":"event","kind":str,"position":int,"length":int,
     /// "rule":int|null,"frequency":int,"calls":int,"value":float}` —
     /// every key always present.
     pub fn to_jsonl(&self) -> String {
@@ -335,7 +335,7 @@ mod tests {
         ] {
             assert!(json.contains(&format!("\"{key}\":")), "{key} in {json}");
         }
-        assert!(json.contains("\"schema\":5"));
+        assert!(json.contains(&format!("\"schema\":{},", crate::trace::SCHEMA_VERSION)));
         assert!(json.contains("\"kind\":\"completed\""));
         assert!(json.contains("\"rule\":7"));
         assert!(json.contains("\"value\":0.25"));

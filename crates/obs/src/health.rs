@@ -115,7 +115,7 @@ pub struct HealthReport {
 impl HealthReport {
     /// Encodes the report as one JSON line (no trailing newline).
     ///
-    /// Schema 5 `health` record: `{"schema":5,"type":"health","seq":int,
+    /// Schema 6 `health` record: `{"schema":6,"type":"health","seq":int,
     /// "verdict":str,"rules":[{"rule":str,"verdict":str,"observed":float,
     /// "threshold":float},...]}` — one entry per configured rule, every
     /// key always present.
@@ -479,7 +479,10 @@ mod tests {
         ]);
         let (r, _) = engine.evaluate(&window(7, 100, 10, 5));
         let json = r.to_jsonl();
-        assert!(json.starts_with("{\"schema\":5,\"type\":\"health\""));
+        assert!(json.starts_with(&format!(
+            "{{\"schema\":{},\"type\":\"health\"",
+            crate::trace::SCHEMA_VERSION
+        )));
         assert!(json.contains("\"seq\":7"));
         assert!(json.contains("\"verdict\":\"breached\""));
         assert!(json.contains("\"rule\":\"max_discord_rate\""));

@@ -130,7 +130,7 @@ pub struct LedgerRecord {
 impl LedgerRecord {
     /// Encodes the record as one JSON line (no trailing newline).
     ///
-    /// Schema 5 `ledger` record: `{"schema":5,"type":"ledger","label":str,
+    /// Schema 6 `ledger` record: `{"schema":6,"type":"ledger","label":str,
     /// "git_sha":str,"config_fp":int,"input_digest":int,"points":int,
     /// "wall_ns":int,"k":int,"result_digest":int}` — every key always
     /// present; digests are decimal `u64`.
@@ -213,7 +213,9 @@ mod tests {
             result_digest: 42,
         };
         let json = r.to_jsonl();
-        assert!(json.starts_with("{\"schema\":5,\"type\":\"ledger\""));
+        assert!(json.starts_with(&format!(
+            "{{\"schema\":{SCHEMA_VERSION},\"type\":\"ledger\""
+        )));
         for key in [
             "label",
             "git_sha",

@@ -94,12 +94,19 @@ pub enum Counter {
     RraCandidates,
     /// Calls into a distance kernel (the paper's Table 1 metric).
     DistanceCalls,
+    /// Those calls that compared against a match resampled onto the
+    /// candidate's length; the rest compared equal lengths directly.
+    ResampledCalls,
     /// Distance calls cut short by early abandoning.
     EarlyAbandons,
     /// Outer candidates disqualified before the inner loop finished.
     CandidatesPruned,
     /// Outer candidates fully evaluated.
     CandidatesCompleted,
+    /// RRA outer-loop visits settled from what earlier ranks of the same
+    /// search found, at no distance call: an exact distance reused, or a
+    /// bound already below the best-so-far.
+    CandidatesReused,
     /// Tokens retired from the front of the grammar by horizon eviction.
     TokensEvicted,
     /// Rules deleted while evicting (their occurrences left the horizon).
@@ -111,7 +118,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array dimension for recorders).
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 17;
 
     /// All counters, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -124,9 +131,11 @@ impl Counter {
         Counter::PeakDigramEntries,
         Counter::RraCandidates,
         Counter::DistanceCalls,
+        Counter::ResampledCalls,
         Counter::EarlyAbandons,
         Counter::CandidatesPruned,
         Counter::CandidatesCompleted,
+        Counter::CandidatesReused,
         Counter::TokensEvicted,
         Counter::RulesEvicted,
         Counter::RulesRelearned,
@@ -150,9 +159,11 @@ impl Counter {
             Counter::PeakDigramEntries => "peak_digram_entries",
             Counter::RraCandidates => "rra_candidates",
             Counter::DistanceCalls => "distance_calls",
+            Counter::ResampledCalls => "resampled_calls",
             Counter::EarlyAbandons => "early_abandons",
             Counter::CandidatesPruned => "candidates_pruned",
             Counter::CandidatesCompleted => "candidates_completed",
+            Counter::CandidatesReused => "candidates_reused",
             Counter::TokensEvicted => "tokens_evicted",
             Counter::RulesEvicted => "rules_evicted",
             Counter::RulesRelearned => "rules_relearned",

@@ -21,8 +21,9 @@ use std::path::Path;
 /// `ledger` run-provenance records), 5 = adds the `windows_fallback`
 /// counter, drops the retired `density_recounts` counter, and cuts the
 /// `window` record to the counters a stream moves (no `latency_ns`,
-/// `span_shares` or `distance_calls_per_point`).
-pub const SCHEMA_VERSION: u64 = 5;
+/// `span_shares` or `distance_calls_per_point`), 6 = adds the
+/// `resampled_calls` and `candidates_reused` counters to trace records.
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// Everything one instrumented run measured: the span tree (its only
 /// timing), the hot-path counters, and the value histograms, plus a
@@ -112,7 +113,7 @@ impl PipelineTrace {
 
     /// Encodes the trace as one JSON line (no trailing newline).
     ///
-    /// Schema 5: `{"schema": 5, "label": str, "params": {name: int, ...},
+    /// Schema 6: `{"schema": 6, "label": str, "params": {name: int, ...},
     /// "stages_ns": {stage: int, ...}, "counters": {counter: int, ...},
     /// "histograms": {metric: {"count","mean","p50","p90","p99","max"}, ...},
     /// "spans": [{"path": str, "total_ns": int, "self_ns": int,
@@ -409,7 +410,7 @@ mod tests {
                 metric.name()
             );
         }
-        assert!(json.starts_with("{\"schema\":5,"));
+        assert!(json.starts_with(&format!("{{\"schema\":{SCHEMA_VERSION},")));
         assert!(json.ends_with('}'));
         assert!(!json.contains('\n'));
         assert!(json.contains("\"spans\":[{\"path\":\"discretize\","));

@@ -104,7 +104,7 @@ impl WindowStats {
 
     /// Encodes this window as one JSON line (no trailing newline).
     ///
-    /// Schema 5 `window` record: `{"schema":5,"type":"window","seq":int,
+    /// Schema 6 `window` record: `{"schema":6,"type":"window","seq":int,
     /// "start":int,"end":int,"points":int,"wall_ns":int,
     /// "counters":{counter:int,...},"discords":int,
     /// "derived":{"tokens_per_point":float,"drop_ratio":float,
@@ -303,7 +303,9 @@ mod tests {
     fn window_jsonl_has_every_key() {
         let mut agg = WindowedAggregator::new();
         let json = agg.observe(&snapshot(10, 4, 6), 50, 2, 0).to_jsonl();
-        assert!(json.starts_with("{\"schema\":5,\"type\":\"window\""));
+        assert!(json.starts_with(&format!(
+            "{{\"schema\":{SCHEMA_VERSION},\"type\":\"window\""
+        )));
         for key in [
             "seq", "start", "end", "points", "wall_ns", "counters", "discords", "derived",
         ] {

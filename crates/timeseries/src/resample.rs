@@ -25,13 +25,37 @@ fn lerp_at(values: &[f64], pos: f64) -> f64 {
     values[i] * (1.0 - frac) + values[i + 1] * frac
 }
 
-/// A lazily resampled view of `values` at `target_len` points:
-/// [`get`](Resampled::get) returns exactly the value [`resample_to`]
-/// would have written at that output index — same formula, same
-/// degenerate-case semantics, bit-identical — without materializing the
-/// output. The distance kernel interpolates through this view chunk by
-/// chunk, so an early-abandoned comparison only pays for the points it
-/// actually consumed (DESIGN.md §12).
+/// 2^52: adding it to a float in `[0, 2^52)` rounds that float to an
+/// integer, which then sits in the low mantissa bits of the sum.
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+
+/// [`lerp_at`] at an interior position, `0 < pos < values.len() - 1`,
+/// where neither clamp can fire. (At `pos = 0` it would blend in
+/// `values[1]`, where `lerp_at` returns `values[0]`.) `⌊pos⌋` comes from
+/// float arithmetic alone instead of the saturating `as usize`: `r` is
+/// `pos` rounded to the nearest integer, `floor` is one less when that
+/// rounded up, and the index is read from the mantissa of
+/// `floor + 2^52`. `floor` equals the truncating cast exactly, so the
+/// weight and the formula — and hence the bits — are `lerp_at`'s. An
+/// index outside `values`, which only a position past the interior
+/// gives, falls back to `lerp_at`: it neither panics nor skips.
+#[inline]
+fn lerp_interior(values: &[f64], pos: f64) -> f64 {
+    let r = (pos + TWO_POW_52) - TWO_POW_52;
+    let floor = r - f64::from(r > pos);
+    let i = ((floor + TWO_POW_52).to_bits() & ((1u64 << 52) - 1)) as usize;
+    let frac = pos - floor;
+    match values.get(i..i + 2) {
+        Some(&[a, b]) => a * (1.0 - frac) + b * frac,
+        _ => lerp_at(values, pos),
+    }
+}
+
+/// A resampled view of `values` at `target_len` points that writes its
+/// output a chunk at a time ([`fill`](Resampled::fill)): the distance
+/// kernel interpolates through it chunk by chunk, so an early-abandoned
+/// comparison only pays for the points it actually consumed, and
+/// [`resample_to`] materializes through the same writer (DESIGN.md §12).
 #[derive(Debug, Clone, Copy)]
 pub struct Resampled<'a> {
     values: &'a [f64],
@@ -64,17 +88,46 @@ impl<'a> Resampled<'a> {
         self.target_len == 0
     }
 
-    /// The value at output index `j` — bitwise what `resample_to` puts
-    /// at `out[j]`, including the degenerate cases (empty input → 0.0,
-    /// single-point input replicated, single-point target anchored at
-    /// the first sample).
+    /// Writes output points `start..start + out.len()` into `out`: at
+    /// output index `j`, the linear interpolation of `values` at position
+    /// `j × (values.len() − 1) / (len − 1)`, clamped to the input's range,
+    /// with [`resample_to`]'s degenerate cases (empty input → 0.0,
+    /// single-point input replicated, single-point target anchored at the
+    /// first sample) settled once per call.
+    ///
+    /// Only the two end points can meet a clamp: for `0 < j < len − 1`
+    /// the position sits at least one step above 0 and a relative
+    /// `1 / (len − 1)` below the last input index, far beyond the two
+    /// roundings it carries. So the end points are peeled off to the
+    /// clamping interpolation, and every other point takes the clamp-free
+    /// one, bit for bit the same value.
     #[inline]
-    pub fn get(&self, j: usize) -> f64 {
-        debug_assert!(j < self.target_len, "index {j} out of {}", self.target_len);
-        if self.values.len() <= 1 || self.target_len == 1 {
-            return self.values.first().copied().unwrap_or(0.0);
+    pub fn fill(&self, start: usize, out: &mut [f64]) {
+        let v = self.values;
+        if v.len() <= 1 || self.target_len <= 1 {
+            out.fill(v.first().copied().unwrap_or(0.0));
+            return;
         }
-        lerp_at(self.values, j as f64 * self.scale)
+        debug_assert!(start + out.len() <= self.target_len);
+        let last = self.target_len - 1;
+        let mut body = out;
+        let mut j = start;
+        if j == 0 {
+            if let Some((first, rest)) = std::mem::take(&mut body).split_first_mut() {
+                *first = lerp_at(v, 0.0);
+                body = rest;
+                j = 1;
+            }
+        }
+        if j + body.len() > last {
+            if let Some((end, rest)) = std::mem::take(&mut body).split_last_mut() {
+                *end = lerp_at(v, (j + rest.len()) as f64 * self.scale);
+                body = rest;
+            }
+        }
+        for (t, slot) in body.iter_mut().enumerate() {
+            *slot = lerp_interior(v, (j + t) as f64 * self.scale);
+        }
     }
 }
 
@@ -97,29 +150,7 @@ impl<'a> Resampled<'a> {
 /// assert_eq!(out, [0.0, 1.0, 2.0]);
 /// ```
 pub fn resample_to(values: &[f64], out: &mut [f64]) {
-    if out.is_empty() {
-        return;
-    }
-    if values.is_empty() {
-        out.fill(0.0);
-        return;
-    }
-    if values.len() == 1 {
-        out.fill(values[0]);
-        return;
-    }
-    if out.len() == 1 {
-        // Pinned single-point-target semantics: the first sample (see
-        // the docs above).
-        out[0] = values[0];
-        return;
-    }
-    // The general case shares its per-index formula with `Resampled`, so
-    // the view and the materialized output agree to the bit.
-    let view = Resampled::new(values, out.len());
-    for (j, slot) in out.iter_mut().enumerate() {
-        *slot = lerp_at(values, j as f64 * view.scale);
-    }
+    Resampled::new(values, out.len()).fill(0, out);
 }
 
 #[cfg(test)]
@@ -187,36 +218,78 @@ mod tests {
         assert!(v.iter().zip(&out).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
-    /// The lazy view is bitwise the materialized resample at every index,
-    /// across upsampling, downsampling, identity, and every degenerate
-    /// case `resample_to` defines.
+    /// The per-point resample, written as the obvious scalar loop:
+    /// the degenerate cases, then `lerp_at(values, j × scale)` at every
+    /// output index `j` in order.
+    fn scalar_lerp_loop(values: &[f64], target_len: usize) -> Vec<f64> {
+        if values.len() <= 1 || target_len <= 1 {
+            return vec![values.first().copied().unwrap_or(0.0); target_len];
+        }
+        let scale = (values.len() - 1) as f64 / (target_len - 1) as f64;
+        (0..target_len)
+            .map(|j| lerp_at(values, j as f64 * scale))
+            .collect()
+    }
+
+    /// A `len`-point source whose end samples are −0.0 with a NaN next to
+    /// each: an end point computed without its clamp would blend in the
+    /// NaN, or turn −0.0 into +0.0.
+    fn fenced_source(len: usize, state: &mut u64) -> Vec<f64> {
+        let mut v: Vec<f64> = (0..len)
+            .map(|_| {
+                *state ^= *state << 13;
+                *state ^= *state >> 7;
+                *state ^= *state << 17;
+                (*state >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0
+            })
+            .collect();
+        if len >= 3 {
+            v[1] = f64::NAN;
+            v[len - 2] = f64::NAN;
+        }
+        if let Some(first) = v.first_mut() {
+            *first = -0.0;
+        }
+        if let Some(last) = v.last_mut() {
+            *last = -0.0;
+        }
+        v
+    }
+
+    /// The chunk writer is bitwise the scalar `lerp_at` loop for every
+    /// source and target length in 0..=260 plus 511, 700 and 1000, chunk
+    /// by chunk as the distance kernel asks for it (8 points from every
+    /// multiple of 8) and for the whole output at once (`resample_to`).
     #[test]
-    fn view_matches_resample_to_bitwise() {
-        let src: Vec<f64> = (0..97).map(|i| (i as f64 * 0.31).sin() * 3.7).collect();
-        for &(n, m) in &[
-            (97usize, 300usize),
-            (97, 97),
-            (97, 13),
-            (97, 1),
-            (1, 5),
-            (0, 4),
-            (2, 2),
-        ] {
-            let input = &src[..n];
-            let mut out = vec![0.0; m];
-            resample_to(input, &mut out);
-            let view = Resampled::new(input, m);
-            assert_eq!(view.len(), m);
-            for (j, &expect) in out.iter().enumerate() {
-                assert_eq!(
-                    view.get(j).to_bits(),
-                    expect.to_bits(),
-                    "({n} -> {m})[{j}]: view {} vs materialized {expect}",
-                    view.get(j)
-                );
+    fn chunk_fill_matches_scalar_lerp_loop_bitwise() {
+        let lens: Vec<usize> = (0..=260).chain([511, 700, 1000]).collect();
+        let mut state = 0x2545F4914F6CDD1Du64;
+        let mut chunk = [0.0f64; 8];
+        for &src in &lens {
+            let values = fenced_source(src, &mut state);
+            for &dst in &lens {
+                let expect = scalar_lerp_loop(&values, dst);
+                let view = Resampled::new(&values, dst);
+                assert_eq!((view.len(), view.is_empty()), (dst, dst == 0));
+                for start in (0..dst).step_by(8) {
+                    let out = &mut chunk[..(dst - start).min(8)];
+                    view.fill(start, out);
+                    for (t, got) in out.iter().enumerate() {
+                        let want = expect[start + t];
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "({src} -> {dst}) chunk at {start}, point {}: {got} vs {want}",
+                            start + t
+                        );
+                    }
+                }
+                let whole = resampled(&values, dst);
+                for (j, (got, want)) in whole.iter().zip(&expect).enumerate() {
+                    assert_eq!(got.to_bits(), want.to_bits(), "({src} -> {dst})[{j}]");
+                }
             }
         }
-        assert!(Resampled::new(&src, 0).is_empty());
     }
 
     #[test]

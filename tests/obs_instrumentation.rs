@@ -4,6 +4,7 @@
 
 use grammarviz::core::obs::{
     Counter, EventKind, LocalRecorder, Metric, NoopRecorder, PipelineTrace, Recorder, Stage,
+    SCHEMA_VERSION,
 };
 use grammarviz::core::{
     rule_intervals, AnomalyPipeline, BruteForceDetector, Detector, EngineConfig, HotSaxDetector,
@@ -218,16 +219,25 @@ fn jsonl_exports_carry_schema_version() {
     let rec = LocalRecorder::new();
     p.rra_discords(&values, 1, &rec).unwrap();
     let trace_line = rec.snapshot("schema").to_jsonl();
-    assert!(trace_line.starts_with("{\"schema\":5,"), "{trace_line}");
+    assert!(
+        trace_line.starts_with(&format!("{{\"schema\":{SCHEMA_VERSION},")),
+        "{trace_line}"
+    );
     assert!(trace_line.contains("\"histograms\":{"), "{trace_line}");
-    assert_eq!(json_u64(&trace_line, "schema"), Some(5));
+    assert_eq!(json_u64(&trace_line, "schema"), Some(SCHEMA_VERSION));
 
     let explain = p.explain(&values, 1, &NoopRecorder).unwrap();
-    assert_eq!(json_u64(&explain.rows[0].to_jsonl(), "schema"), Some(5));
-    assert_eq!(json_u64(&explain.summary_jsonl(), "schema"), Some(5));
+    assert_eq!(
+        json_u64(&explain.rows[0].to_jsonl(), "schema"),
+        Some(SCHEMA_VERSION)
+    );
+    assert_eq!(
+        json_u64(&explain.summary_jsonl(), "schema"),
+        Some(SCHEMA_VERSION)
+    );
     assert!(!explain.events.is_empty());
     for event in &explain.events {
-        assert_eq!(json_u64(&event.to_jsonl(), "schema"), Some(5));
+        assert_eq!(json_u64(&event.to_jsonl(), "schema"), Some(SCHEMA_VERSION));
     }
 }
 
