@@ -136,19 +136,16 @@ fn validate_line(line: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The counters a schema-5 `window` record writes: the ones a stream
-/// snapshot moves. A stream runs no discord search and no batch
-/// discretizer, so the search counters and `windows_fallback` are absent.
-const WINDOW_COUNTERS: [&str; 9] = [
+/// The counters a schema-7 `window` record writes: the ones a stream
+/// snapshot moves. A stream runs no discord search, so the search
+/// counters and `windows_fallback` are absent.
+const WINDOW_COUNTERS: [&str; 6] = [
     "windows_processed",
     "words_emitted",
     "words_dropped",
     "rules_created",
     "rules_deleted",
     "peak_digram_entries",
-    "tokens_evicted",
-    "rules_evicted",
-    "rules_relearned",
 ];
 
 /// Checks that a record's `counters` object has exactly the `want` keys,
@@ -416,11 +413,18 @@ mod tests {
         validate_line(&line).unwrap();
         // A schema-4 counter set: `density_recounts`, no `windows_fallback`.
         let old = line.replace("\"windows_fallback\":0,", "").replace(
-            "\"rules_relearned\":0",
-            "\"rules_relearned\":0,\"density_recounts\":0",
+            "\"candidates_reused\":0",
+            "\"candidates_reused\":0,\"density_recounts\":0",
         );
         let err = validate_line(&old).unwrap_err();
         assert!(err.contains("density_recounts"), "{err}");
+        // A schema-6 counter set: the three grammar-eviction counters.
+        let evicting = line.replace(
+            "\"candidates_reused\":0",
+            "\"candidates_reused\":0,\"tokens_evicted\":0,\"rules_evicted\":0,\"rules_relearned\":0",
+        );
+        let err = validate_line(&evicting).unwrap_err();
+        assert!(err.contains("tokens_evicted"), "{err}");
         // A window record that writes a search counter no stream moves.
         let mut agg = gv_obs::WindowedAggregator::new();
         let window = agg
@@ -428,8 +432,8 @@ mod tests {
             .to_jsonl();
         validate_line(&window).unwrap();
         let forged = window.replace(
-            "\"rules_relearned\":0",
-            "\"rules_relearned\":0,\"distance_calls\":0",
+            "\"peak_digram_entries\":0",
+            "\"peak_digram_entries\":0,\"distance_calls\":0",
         );
         assert!(validate_line(&forged)
             .unwrap_err()

@@ -2,9 +2,9 @@
 //!
 //! Drives `--count` seeded random and adversarial series through the full
 //! pipeline and every `gv-check` checker, plus a brute-force-vs-HOTSAX
-//! differential, the streaming differential (a bounded-horizon
-//! incremental engine vs a from-scratch batch run on its retained slice,
-//! at a randomized horizon that mixes evicting and non-evicting runs),
+//! differential, the streaming differential (an unbounded stream and one
+//! bounded to a randomized horizon, some shorter than the series and some
+//! longer, each vs a from-scratch batch run on its retained slice),
 //! and the error-path contracts (non-finite rejection,
 //! shorter-than-window rejection, streaming push rejection). Every family
 //! also replays its series window by window through the SAX window kernel
@@ -124,8 +124,8 @@ fn main() -> ExitCode {
             6 => fuzz_short(i, &mut rng, &config, k, window, threads, &mut ws, tally),
             _ => {
                 let values = gen_valid(family, &mut rng);
-                // Sometimes shorter than the series (eviction active),
-                // sometimes longer (bounded path, nothing evicted yet).
+                // Sometimes shorter than the series (the horizon rolls),
+                // sometimes longer (it never fills).
                 let horizon = rng.gen_range(window * 3..=800usize);
                 fuzz_valid(i, &values, &config, k, threads, horizon, &mut ws, tally);
             }
@@ -285,20 +285,22 @@ fn fuzz_valid(
     if let Some(v) = baseline_differential(values, config, k, ws) {
         tally.violations.push(format!("series {i}: {v}"));
     }
-    match check_streaming(values, config, k, threads, horizon) {
-        Ok(report) => {
-            if !report.passed() {
-                tally.violations.push(format!(
-                    "series {i} (len {}, window {}, k {k}, horizon {horizon}):\n{}",
-                    values.len(),
-                    config.window(),
-                    report.render()
-                ));
+    for horizon in [horizon, 0] {
+        match check_streaming(values, config, k, threads, horizon) {
+            Ok(report) => {
+                if !report.passed() {
+                    tally.violations.push(format!(
+                        "series {i} (len {}, window {}, k {k}, horizon {horizon}):\n{}",
+                        values.len(),
+                        config.window(),
+                        report.render()
+                    ));
+                }
             }
+            Err(e) => tally.violations.push(format!(
+                "series {i}: streaming engine refused a valid series at horizon {horizon}: {e}"
+            )),
         }
-        Err(e) => tally.violations.push(format!(
-            "series {i}: streaming engine refused a valid series at horizon {horizon}: {e}"
-        )),
     }
 }
 

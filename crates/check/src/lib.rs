@@ -18,10 +18,10 @@
 //! 5. **RRA exactness** (§4.2/§5): the ranked discords agree — distance
 //!    bits and all — with a heuristic-free brute-force replay over the
 //!    same candidate intervals ([`reference_rank`]);
-//! 6. **Streaming differential** (§7): a bounded-horizon incremental
-//!    engine is indistinguishable — density curve, discords, grammar
-//!    structure — from a from-scratch batch run on the slice it retains
-//!    ([`check_streaming`]);
+//! 6. **Streaming differential** (§7): a stream, unbounded or bounded to
+//!    a horizon, is indistinguishable — density curve, alerts, discords,
+//!    grammar structure — from a from-scratch batch run on the slice it
+//!    retains ([`check_streaming`]);
 //! 7. **SAX symbols** (§3.1–3.2): the batch discretizer's records — read
 //!    from block prefix sums wherever its rounding certificate allows —
 //!    equal, offset for offset and symbol for symbol, a window-by-window

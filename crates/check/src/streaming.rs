@@ -1,42 +1,47 @@
-//! Check 6 — the streaming differential: a bounded-horizon incremental
-//! engine must be indistinguishable from a from-scratch batch run on the
-//! horizon slice it retains.
+//! Check 6 — the streaming differential: a stream's reads must be
+//! indistinguishable from a from-scratch batch run on the slice it
+//! retains, whether it keeps the whole stream or a bounded horizon.
 //!
-//! The incremental path earns its keep three ways, and each claim is
-//! checked bit-for-bit:
+//! Every claim is checked bit-for-bit against a batch model built
+//! independently over [`StreamingDetector::values`]:
 //!
-//! * **Density**: the stream curve, counted from the live grammar's
-//!   occurrence walk, must equal a naive recount over the engine's own
-//!   grammar snapshot — any drift between the live arena and its
-//!   extracted grammar (cursors, expansion lengths, eviction, relearn) or
-//!   in the token-to-point mapping shows up here;
+//! * **Density**: the stream curve must equal a naive point-by-point
+//!   recount over the batch model. Unbounded, the curve is counted from
+//!   the live grammar's occurrence walk, so any drift between the online
+//!   grammar, its records and the batch pipeline shows up here. Bounded,
+//!   it comes from the model the read built over the horizon; the stream
+//!   is read once mid-way first, so a read that reused a model built at an
+//!   earlier point fails too;
+//! * **Alerts**: the stream's alerts must be the maximal low-density runs
+//!   of that curve that lie in the mature region, as
+//!   [`StreamingDetector::alerts`] documents;
 //! * **Discords**: [`StreamingDetector::detect`] over the horizon view
 //!   must match a fresh batch detector on the same raw slice, interval
 //!   and distance bits included (workspace reuse must be invisible);
-//! * **Structure**: the evicted grammar still satisfies every Sequitur
-//!   invariant, `R0` still round-trips the retained token suffix, and
-//!   every occurrence still maps into bounds.
+//! * **Structure**: the stream's own model satisfies every Sequitur
+//!   invariant, `R0` round-trips its tokens, and every occurrence maps
+//!   into bounds.
 //!
-//! Words are deliberately *not* compared against a re-discretization of
-//! the slice: batch discretization keeps the first window of a series
-//! unconditionally, so the numerosity-reduction state at the horizon
-//! boundary legitimately differs. The grammar-level round-trip above is
-//! the correct (and stricter) check.
+//! On a bounded stream every read at a new stream length builds a model
+//! over the horizon, so these checks cost a few batch runs of the slice.
 
 use gv_obs::NoopRecorder;
+use gv_timeseries::Interval;
 use gva_core::{
-    Detector, EngineConfig, PipelineConfig, RraDetector, SeriesView, StreamingDetector, Workspace,
+    AnomalyPipeline, Detector, EngineConfig, PipelineConfig, RraDetector, SeriesView,
+    StreamingDetector, Workspace,
 };
 
 use crate::{
-    check_grammar_invariants, check_occurrence_mapping, check_token_reconstruction, CheckReport,
-    CheckResult,
+    check_density_recount, check_grammar_invariants, check_occurrence_mapping,
+    check_token_reconstruction, CheckReport, CheckResult,
 };
 
 /// Streams `values` through a [`StreamingDetector`] bounded to `horizon`
-/// points (`0`: unbounded) and runs every streaming-differential check on
-/// the final state. `k` and `threads` parameterize the discord search
-/// exactly as in [`check_series`](crate::check_series).
+/// points (`0`: unbounded), reading its alerts once half-way, and runs
+/// every streaming-differential check on the final state. `k` and
+/// `threads` parameterize the discord search exactly as in
+/// [`check_series`](crate::check_series).
 ///
 /// # Errors
 /// Whatever [`StreamingDetector::push`] rejects — non-finite input is the
@@ -50,13 +55,23 @@ pub fn check_streaming(
     horizon: usize,
 ) -> gva_core::Result<CheckReport> {
     let mut det = StreamingDetector::new(config.clone()).with_horizon(horizon);
-    for &v in values {
+    for (i, &v) in values.iter().enumerate() {
         det.push(v)?;
+        if i + 1 == values.len() / 2 {
+            // The checks below must not see what this read built.
+            det.alerts(0, config.window());
+        }
     }
 
     let mut report = CheckReport::default();
     report.results.push(check_retained_values(&det, values));
-    report.results.push(check_streaming_density(&det));
+    let curve = det.density_curve();
+    report
+        .results
+        .push(check_streaming_density(&det, config, &curve));
+    report
+        .results
+        .push(check_streaming_alerts(&mut det, &curve));
 
     let model = det.model();
     report.results.push(check_grammar_invariants(&model));
@@ -101,48 +116,64 @@ fn check_retained_values(det: &StreamingDetector, values: &[f64]) -> CheckResult
     result
 }
 
-/// The stream curve must equal a naive recount over the engine's *own*
-/// grammar snapshot, one point at a time through
-/// `Grammar::occurrences`, clipped to the retained region — the streaming
-/// analogue of
-/// [`check_density_recount`](crate::check_density_recount).
-fn check_streaming_density(det: &StreamingDetector) -> CheckResult {
-    let mut result =
-        CheckResult::pass("streaming density curve equals a recount from its own grammar");
-    let model = det.model();
-    let tail = det.horizon_start();
-    let curve = det.density_curve();
-    let mut naive = vec![0i64; det.values().len()];
-    for occ in model.grammar.occurrences() {
-        let iv = model.occurrence_interval(&occ);
-        let lo = iv.start.max(tail) - tail;
-        let hi = iv.end.min(det.len()) - tail;
-        for point in &mut naive[lo..hi] {
-            *point += 1;
-        }
-    }
-    if curve.len() != naive.len() {
-        result.violations.push(format!(
-            "curve has {} points, the retained region {}",
-            curve.len(),
-            naive.len()
-        ));
-        return result;
-    }
-    for (i, (&fast, &slow)) in curve.iter().zip(&naive).enumerate() {
-        if fast != slow {
-            result.violations.push(format!(
-                "density at retained point {i} (absolute {}): stream curve \
-                 says {fast}, recount {slow}",
-                tail + i
-            ));
-            if result.violations.len() >= 8 {
+/// The stream curve must equal a naive recount over a batch model built
+/// from scratch on the retained slice ([`check_density_recount`]); below
+/// one window, where no model exists, it must be all zeros.
+fn check_streaming_density(
+    det: &StreamingDetector,
+    config: &PipelineConfig,
+    curve: &[i64],
+) -> CheckResult {
+    let mut result = match AnomalyPipeline::new(config.clone()).model(det.values(), &NoopRecorder) {
+        Ok(batch) => check_density_recount(&batch, curve),
+        Err(e) => {
+            let mut result = CheckResult::pass("");
+            if det.values().len() >= config.window() {
                 result
                     .violations
-                    .push("… (further mismatches elided)".into());
-                break;
+                    .push(format!("batch refused the slice: {e}"));
+            } else if curve.len() != det.values().len() || curve.iter().any(|&d| d != 0) {
+                result
+                    .violations
+                    .push(format!("below one window the curve reads {curve:?}"));
             }
+            result
         }
+    };
+    result.name = "stream density curve equals a recount over the batch model";
+    result
+}
+
+/// The stream's alerts at threshold `min(curve)` and maturity one window
+/// must be exactly the maximal runs of `curve` at or below the threshold
+/// that start a window past the retained front and end a window before
+/// the stream head, in absolute positions.
+fn check_streaming_alerts(det: &mut StreamingDetector, curve: &[i64]) -> CheckResult {
+    let mut result = CheckResult::pass("stream alerts are the mature low-density runs");
+    let Some(&threshold) = curve.iter().min() else {
+        return result;
+    };
+    let window = det.config().window();
+    let (tail, seen) = (det.horizon_start(), det.len());
+    let mut want = Vec::new();
+    let mut run_start = None;
+    for (i, &d) in curve.iter().chain([&i64::MAX]).enumerate() {
+        match (d <= threshold, run_start) {
+            (true, None) => run_start = Some(tail + i),
+            (false, Some(start)) => {
+                run_start = None;
+                if start >= tail + window && tail + i + window <= seen {
+                    want.push(Interval::new(start, tail + i));
+                }
+            }
+            _ => {}
+        }
+    }
+    let got = det.alerts(threshold, window);
+    if got != want {
+        result.violations.push(format!(
+            "at threshold {threshold}: stream alerts {got:?}, expected {want:?}"
+        ));
     }
     result
 }
@@ -226,7 +257,7 @@ mod tests {
     }
 
     #[test]
-    fn evicting_horizon_passes_every_check() {
+    fn bounded_horizon_passes_every_check() {
         let values = sine_with_anomaly(4000);
         let config = PipelineConfig::new(40, 4, 4).unwrap();
         let report = check_streaming(&values, &config, 2, 1, 900).unwrap();
@@ -234,7 +265,7 @@ mod tests {
     }
 
     #[test]
-    fn evicting_horizon_passes_with_parallel_search() {
+    fn bounded_horizon_passes_with_parallel_search() {
         let values = sine_with_anomaly(4000);
         let config = PipelineConfig::new(40, 4, 4).unwrap();
         let report = check_streaming(&values, &config, 2, 4, 1200).unwrap();

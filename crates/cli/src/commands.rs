@@ -50,9 +50,12 @@ common options:
                      (rra/explain)
   --metrics-every N  stream: append a metrics snapshot to --metrics every
                      N points (a time-resolved trajectory, not one record)
-  --horizon N        stream/monitor: retain only the last N points — the
-                     online detector evicts older tokens from its grammar
-                     and runs in bounded memory (0 or omitted: unbounded)
+  --horizon N        stream/monitor: retain only the last N points, so the
+                     detector runs in bounded memory (0 or omitted:
+                     unbounded). Each read (alert check, snapshot, monitor
+                     interval) rebuilds the grammar over them in O(N):
+                     reads under ~100 points apart at N=800 (~250 at
+                     N=4096) run slower than a grammar evicted per push
   --threads N        RRA search worker threads (rra/explain/demo; default
                      from GV_THREADS, else 1) — ranked discords are
                      bit-identical for any thread count
@@ -1236,9 +1239,9 @@ mod tests {
         let dir = std::env::temp_dir().join("gv_cli_horizon_tests");
         std::fs::create_dir_all(&dir).unwrap();
         let file = fixture("monitor_sine.csv");
-        // Bounded stream: the grammar evicts old tokens; the metrics
-        // trajectory reports the churn and the final snapshot still covers
-        // every point seen.
+        // Bounded stream: each snapshot rebuilds the grammar over the
+        // horizon; the metrics trajectory counts the words it kept and the
+        // final snapshot still covers every point seen.
         let metrics = dir.join("stream_horizon.jsonl");
         let _ = std::fs::remove_file(&metrics);
         assert!(run(&argv(&format!(
@@ -1249,7 +1252,8 @@ mod tests {
         .is_ok());
         let text = std::fs::read_to_string(&metrics).unwrap();
         assert!(text.contains("\"horizon\":800"), "{text}");
-        assert!(text.contains("\"tokens_evicted\":"), "{text}");
+        assert!(!text.contains("\"tokens_evicted\":"), "{text}");
+        assert!(text.contains("\"words_emitted\":"), "{text}");
         // 2000 points at --metrics-every 1000: the last periodic snapshot
         // already covers the tail, so no terminal one repeats it.
         assert_eq!(text.lines().count(), 2, "{text}");
@@ -1280,6 +1284,55 @@ mod tests {
         )))
         .unwrap_err();
         assert!(err.contains("--horizon expects an integer"), "{err}");
+    }
+
+    #[test]
+    fn bounded_monitor_breaches_stale_windows_on_a_flat_line() {
+        // 2,000 points of sine, then a flat line. At the default interval
+        // (1,000 points) reads are further apart than `horizon - window`,
+        // so every read builds over a slice no earlier read saw; once the
+        // slice is flat no window emits a word, bounded or not.
+        let dir = std::env::temp_dir().join("gv_cli_stale_horizon_tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let series = |flat_from: usize| {
+            (0..10_000)
+                .map(|i| {
+                    let v = if i < flat_from {
+                        (i as f64 / 12.0).sin()
+                    } else {
+                        1.5
+                    };
+                    format!("{v}\n")
+                })
+                .collect::<String>()
+        };
+        let flat = dir.join("flat.csv");
+        std::fs::write(&flat, series(2000)).unwrap();
+        let live = dir.join("live.csv");
+        std::fs::write(&live, series(10_000)).unwrap();
+        let rules = dir.join("stale.conf");
+        std::fs::write(&rules, "stale_windows = 3\n").unwrap();
+        let out = dir.join("stale.jsonl");
+        let monitor = |file: &std::path::Path, horizon: &str| {
+            let _ = std::fs::remove_file(&out);
+            run(&argv(&format!(
+                "monitor --file {} --window 100{horizon} --rules {} --fail-on-breach --out {}",
+                file.display(),
+                rules.display(),
+                out.display()
+            )))
+        };
+        for horizon in ["", " --horizon 800"] {
+            let err = monitor(&flat, horizon).unwrap_err();
+            assert!(err.contains("SLO breached"), "{horizon}: {err}");
+            let text = std::fs::read_to_string(&out).unwrap();
+            assert!(
+                text.contains("\"rule\":\"stale_windows\""),
+                "{horizon}: {text}"
+            );
+            // The same rule holds on a stream that keeps moving.
+            assert!(monitor(&live, horizon).is_ok(), "{horizon}");
+        }
     }
 
     #[test]

@@ -3,42 +3,37 @@
 //!
 //! Both pipeline stages process the input left to right (SAX's sliding
 //! window and Sequitur's incremental induction), so the whole detector can
-//! run online: feed points as they arrive, and at any moment snapshot the
-//! grammar to ask *"how compressible is the data I have seen so far —
-//! and where isn't it?"*.
+//! run online: feed points as they arrive, and at any moment ask *"how
+//! compressible is the data I have seen so far — and where isn't it?"*.
 //!
-//! # Bounded horizon
+//! # Two engines
 //!
-//! By default the detector retains the entire stream. With
-//! [`with_horizon`](StreamingDetector::with_horizon) it becomes a bounded
-//! engine: only the most recent `horizon` points are kept, and everything
-//! scales with the horizon rather than the stream —
+//! * **Unbounded** (the default): each push discretizes the window ending
+//!   at the new point and grows the grammar with any kept word, so stream
+//!   words are batch words. A read counts the rule-density curve by one
+//!   walk over the live grammar's rule occurrences
+//!   ([`Sequitur::for_each_occurrence`]) into a difference array —
+//!   O(stream + occurrences), the batch curve to the bit.
+//! * **Bounded** ([`with_horizon`](StreamingDetector::with_horizon)): only
+//!   the most recent `horizon` points are kept, in a ring, and a push does
+//!   nothing else. The first read at each stream length builds one model
+//!   over the retained slice through the stream's [`Workspace`] (SAX,
+//!   dictionary and Sequitur in batch, linear in the horizon), and later
+//!   reads at the same length share it. A bounded stream's curve, alerts
+//!   and model are therefore those of a batch run over its retained slice,
+//!   bit for bit, and its memory scales with the horizon, not the stream.
 //!
-//! * raw values and SAX records live in ring-style buffers that evict in
-//!   lockstep with the grammar;
-//! * the grammar itself retires front tokens via
-//!   [`Sequitur::evict_front`] as they age out;
-//! * a push does no density work: the rule-density curve is counted when
-//!   it is read ([`density_curve`](StreamingDetector::density_curve),
-//!   [`alerts`](StreamingDetector::alerts)), by one walk over the live
-//!   grammar's rule occurrences ([`Sequitur::for_each_occurrence`]) into a
-//!   difference array over the retained points — O(horizon +
-//!   occurrences) per read, the same count at every horizon;
-//! * [`detect`](StreamingDetector::detect) dispatches over the horizon
-//!   view only, so a from-scratch batch run over the same slice produces
-//!   bit-identical discords.
+//! In both, [`detect`](StreamingDetector::detect) runs any batch detector
+//! over the retained slice, so its discords are a from-scratch batch run's.
 //!
 //! A caveat the batch pipeline doesn't have: the most recent points are
 //! always under-covered (rules that will eventually span them haven't had
 //! a chance to form), so alerts are only raised for regions older than a
 //! configurable *maturity horizon*. With a bounded horizon the mirror
-//! effect exists at the retained front — rules that covered it may have
-//! been evicted — so the first window past the horizon start is masked
-//! symmetrically.
+//! effect exists at the retained front — the slice starts mid-pattern —
+//! so the first window past the horizon start is masked symmetrically.
 
-use std::collections::VecDeque;
-
-use gv_obs::{Counter, NoopRecorder, PipelineTrace};
+use gv_obs::{Counter, LocalRecorder, NoopRecorder, PipelineTrace};
 use gv_sax::{SaxDictionary, SaxRecord, SaxScratch, SaxWord};
 use gv_sequitur::Sequitur;
 use gv_timeseries::{CoverageCounter, Interval};
@@ -97,6 +92,59 @@ impl<T: Copy> SlidingBuf<T> {
     }
 }
 
+/// What a stream keeps beside its values (see the module docs).
+#[derive(Debug)]
+enum Engine {
+    Online(Online),
+    Rebuilt(Rebuilt),
+}
+
+/// The unbounded engine: grown by every push.
+#[derive(Debug, Default)]
+struct Online {
+    /// The SAX discretizer's state — kernel scratch plus the last kept
+    /// word — fed the window ending at each point, so stream words are
+    /// batch words.
+    sax: SaxScratch,
+    dictionary: SaxDictionary,
+    sequitur: Sequitur,
+    /// Kept words, oldest first; record `i` is grammar token `i`.
+    records: Vec<SaxRecord>,
+}
+
+impl Online {
+    /// Discretizes the window ending at the last of `values` (the whole
+    /// stream so far) and feeds a kept word to the grammar.
+    fn push(&mut self, config: &PipelineConfig, values: &[f64]) {
+        let Some(offset) = values.len().checked_sub(config.window()) else {
+            return;
+        };
+        if let Some(symbols) = config.sax().next_word(
+            &values[offset..],
+            config.numerosity_reduction(),
+            &mut self.sax,
+        ) {
+            let word = SaxWord::new(symbols);
+            self.sequitur.push(self.dictionary.intern(&word));
+            self.records.push(SaxRecord { word, offset });
+        }
+    }
+}
+
+/// The bounded engine: touched only by reads.
+#[derive(Debug, Default)]
+struct Rebuilt {
+    /// The model over the retained slice, with the stream length it was
+    /// built at.
+    built: Option<(usize, GrammarModel)>,
+    /// Absolute offset of the first window no build has counted yet.
+    counted: usize,
+    /// Cumulative over every build: the kept and dropped words among the
+    /// windows it counted first, the rules each induction created and
+    /// deleted, and the largest digram table any reached.
+    counters: [u64; Counter::COUNT],
+}
+
 /// An online grammar-based anomaly detector.
 ///
 /// ```
@@ -117,27 +165,14 @@ pub struct StreamingDetector {
     /// Retained points: `0` keeps the whole stream, otherwise the last
     /// `horizon` points (never less than one window).
     horizon: usize,
-    /// The SAX discretizer's state — kernel scratch plus the last kept
-    /// word — fed the window ending at each point, so stream words are
-    /// batch words.
-    sax: SaxScratch,
     /// The retained raw values (the whole stream when unbounded).
     values: SlidingBuf<f64>,
     /// Total points consumed.
     seen: usize,
-    dictionary: SaxDictionary,
-    sequitur: Sequitur,
-    /// Surviving records (post numerosity reduction) over the horizon;
-    /// record `i` is retained grammar token `i`, absolute token
-    /// `i + sequitur.tokens_evicted()`.
-    records: VecDeque<SaxRecord>,
-    /// Recycled word storage: boxes from evicted records are reused for
-    /// new words, so steady-state pushes stop allocating.
-    word_pool: Vec<Box<[u8]>>,
-    /// Cumulative kept words (monotone even under eviction).
-    words_emitted: u64,
-    /// Reused across [`detect`](StreamingDetector::detect) calls, so
-    /// periodic re-detection stops allocating once warmed up.
+    engine: Engine,
+    /// Reused by every bounded-read build and every
+    /// [`detect`](StreamingDetector::detect), so periodic reads and
+    /// re-detection stop growing buffers once warmed up.
     workspace: Workspace,
 }
 
@@ -149,22 +184,17 @@ impl StreamingDetector {
         Self {
             config,
             horizon: 0,
-            sax: SaxScratch::new(),
             values: SlidingBuf::new(0),
             seen: 0,
-            dictionary: SaxDictionary::new(),
-            sequitur: Sequitur::new(),
-            records: VecDeque::new(),
-            word_pool: Vec::new(),
-            words_emitted: 0,
+            engine: Engine::Online(Online::default()),
             workspace: Workspace::new(),
         }
     }
 
     /// Builder-style: bound the engine to the last `horizon` points (`0`,
     /// the default, retains the whole stream). A non-zero horizon is
-    /// clamped up to one window — anything shorter cannot hold the window
-    /// each push discretizes. Must be configured before the first push.
+    /// clamped up to one window — anything shorter could never hold a
+    /// window to discretize. Must be configured before the first push.
     ///
     /// # Panics
     /// Panics when points have already been consumed.
@@ -178,12 +208,11 @@ impl StreamingDetector {
             horizon.max(self.config.window())
         };
         self.values = SlidingBuf::new(self.horizon);
-        if self.horizon > 0 {
-            // The pool never outgrows the peak retained-record count (one
-            // box per kept word in flight), so reserving that up front
-            // freezes its capacity for the lifetime of the stream.
-            self.word_pool = Vec::with_capacity(self.horizon - self.config.window() + 2);
-        }
+        self.engine = if self.horizon == 0 {
+            Engine::Online(Online::default())
+        } else {
+            Engine::Rebuilt(Rebuilt::default())
+        };
         self
     }
 
@@ -199,7 +228,8 @@ impl StreamingDetector {
 
     /// Absolute stream index of the first retained point (`0` until the
     /// horizon fills). [`values`](StreamingDetector::values),
-    /// [`density_curve`](StreamingDetector::density_curve), and
+    /// [`density_curve`](StreamingDetector::density_curve),
+    /// [`model`](StreamingDetector::model) offsets, and
     /// [`detect`](StreamingDetector::detect) reports are all relative to
     /// this origin.
     pub fn horizon_start(&self) -> usize {
@@ -216,32 +246,42 @@ impl StreamingDetector {
         self.seen == 0
     }
 
-    /// Number of retained tokens (words that survived numerosity reduction
-    /// and still lie inside the horizon).
-    pub fn num_tokens(&self) -> usize {
-        self.records.len()
+    /// Number of retained tokens: the words that survived numerosity
+    /// reduction, over the retained points.
+    pub fn num_tokens(&mut self) -> usize {
+        if let Some(model) = self.built() {
+            return model.num_tokens();
+        }
+        match &self.engine {
+            Engine::Online(o) => o.records.len(),
+            Engine::Rebuilt(_) => 0,
+        }
     }
 
     /// Capacities of every internal buffer. On a bounded engine this
     /// freezes after warmup — the long-run memory guarantee: unbounded
-    /// streaming within a fixed horizon stops allocating.
+    /// streaming within a fixed horizon stops growing its buffers.
     pub fn capacity_signature(&self) -> Vec<usize> {
-        let mut sig = vec![
-            self.values.capacity(),
-            self.records.capacity(),
-            self.word_pool.capacity(),
-            self.dictionary.capacity(),
-        ];
-        sig.extend(self.sax.capacities());
-        sig.extend(self.sequitur.capacity_signature());
+        let mut sig = vec![self.values.capacity()];
+        match &self.engine {
+            Engine::Online(o) => {
+                sig.extend([o.records.capacity(), o.dictionary.capacity()]);
+                sig.extend(o.sax.capacities());
+                sig.extend(o.sequitur.capacity_signature());
+            }
+            Engine::Rebuilt(r) => sig.extend(r.built.as_ref().map_or([0, 0], |(_, m)| {
+                [m.records.capacity(), m.dictionary.capacity()]
+            })),
+        }
         sig.extend(self.workspace.capacity_signature());
         sig
     }
 
-    /// Consumes one observation. Once `window` points have arrived, each
-    /// push discretizes the window *ending* at this point and feeds the
-    /// grammar (subject to numerosity reduction); with a horizon set, it
-    /// then retires everything that fell out of the horizon.
+    /// Consumes one observation. With a horizon set, that is all a push
+    /// does: the value joins the retained ring, and reads build from it.
+    /// Unbounded, once `window` points have arrived, each push also
+    /// discretizes the window *ending* at this point and feeds the grammar
+    /// (subject to numerosity reduction).
     ///
     /// # Errors
     /// [`crate::Error::NonFiniteInput`] for a NaN/±∞ observation; the
@@ -251,123 +291,161 @@ impl StreamingDetector {
         if !value.is_finite() {
             return Err(crate::Error::NonFiniteInput { index: self.seen });
         }
-        let window = self.config.window();
         // gv-lint: hot
         // gv-lint: allow(alloc-reachability) amortized SlidingBuf growth: with a horizon, compaction freezes the capacity at about 2x the horizon (capacity_signature_freezes_on_long_stream); unbounded mode keeps the whole stream by design
         self.values.push(value);
         self.seen += 1;
-        // The horizon holds at least one window, so the window ending at
-        // this point is retained and contiguous.
-        let retained = self.values.as_slice();
-        if retained.len() >= window {
-            if let Some(symbols) = self.config.sax().next_word(
-                &retained[retained.len() - window..],
-                self.config.numerosity_reduction(),
-                &mut self.sax,
-            ) {
-                let mut storage = match self.word_pool.pop() {
-                    Some(b) => b,
-                    // gv-lint: allow(alloc-reachability) cold: only until eviction feeds the pool (or forever-growing unbounded mode, which allocated per push before too)
-                    None => vec![0u8; self.config.paa()].into_boxed_slice(),
-                };
-                storage.copy_from_slice(symbols);
-                let word = SaxWord::new(storage);
-                let token = self.dictionary.intern(&word);
-                // gv-lint: allow(alloc-reachability) Sequitur reuses evicted node and rule slots, so with a horizon its arena and digram table stop growing after warmup (capacity_signature_freezes_on_long_stream); unbounded mode keeps the whole grammar by design
-                self.sequitur.push(token);
-                self.records.push_back(SaxRecord {
-                    word,
-                    offset: self.seen - window,
-                });
-                self.words_emitted += 1;
-            }
-        }
-        if self.horizon > 0 {
-            // Retire records whose window slid out of the horizon; the
-            // grammar evicts the same tokens.
-            let boundary = self.seen.saturating_sub(self.horizon);
-            let mut evict = 0usize;
-            while let Some(rec) = self.records.get(evict) {
-                if rec.offset < boundary {
-                    evict += 1;
-                } else {
-                    break;
-                }
-            }
-            if evict > 0 {
-                self.sequitur.evict_front(evict);
-                for _ in 0..evict {
-                    if let Some(rec) = self.records.pop_front() {
-                        // gv-lint: allow(alloc-reachability) bounded pool: a buffer is minted only when the pool is empty, so pool plus retained records never exceed the peak record count and the pool stops growing after warmup
-                        self.word_pool.push(rec.word.into_bytes());
-                    }
-                }
-            }
+        if let Engine::Online(online) = &mut self.engine {
+            // gv-lint: allow(alloc-reachability) unbounded engine only: each kept word's record, dictionary entry and grammar symbols are kept for the stream's lifetime by design
+            online.push(&self.config, self.values.as_slice());
         }
         // gv-lint: end-hot
         Ok(())
     }
 
+    /// The bounded engine's model at the current point: the one a read
+    /// already built at this stream length, else a fresh build over the
+    /// retained slice (counted into the snapshot counters). `None` on an
+    /// unbounded stream and before the first full window.
+    fn built(&mut self) -> Option<&GrammarModel> {
+        let Engine::Rebuilt(r) = &mut self.engine else {
+            return None;
+        };
+        if r.built.as_ref().is_none_or(|(at, _)| *at != self.seen) {
+            if let Some((_, stale)) = r.built.take() {
+                self.workspace.recycle_model(stale);
+            }
+            let values = self.values.as_slice();
+            let window = self.config.window();
+            if values.len() < window {
+                return None;
+            }
+            // From one window on the build cannot fail: every retained
+            // value passed `push`'s finiteness check.
+            let recorder = LocalRecorder::with_detail(false);
+            let model = self
+                .workspace
+                .build_model(&self.config, values, &recorder)
+                .ok()?;
+            // Count the windows past the last counted one; the model's
+            // offsets are relative to the retained slice. The build keeps
+            // the slice's first window whatever its word, while the online
+            // stream keeps it only when it differs from the window before;
+            // when no build counted that window, the first one is counted
+            // in neither (else a flat-lined stream would emit a word per
+            // read and hide from `stale_windows`).
+            let tail = self.seen - values.len();
+            let first = if tail > 0 && r.counted <= tail {
+                tail + 1
+            } else {
+                r.counted
+            };
+            let kept = model.records.len()
+                - model
+                    .records
+                    .partition_point(|rec| tail + rec.offset < first);
+            let c = &mut r.counters;
+            c[Counter::WordsEmitted.index()] += kept as u64;
+            let next = self.seen + 1 - window;
+            c[Counter::WordsDropped.index()] += (next - first - kept) as u64;
+            for counter in [Counter::RulesCreated, Counter::RulesDeleted] {
+                c[counter.index()] += recorder.counter(counter);
+            }
+            let peak = &mut c[Counter::PeakDigramEntries.index()];
+            *peak = (*peak).max(recorder.counter(Counter::PeakDigramEntries));
+            r.counted = next;
+            r.built = Some((self.seen, model));
+        }
+        r.built.as_ref().map(|(_, model)| model)
+    }
+
     /// The stream's metrics so far, read from its own state — the
     /// detector's one counting path. A [`PipelineTrace`] labelled
-    /// `"stream"` with the stream length, the surviving tokens and the
-    /// horizon as params, and the cumulative pipeline and grammar-churn
+    /// `"stream"` with the stream length, the retained tokens and the
+    /// horizon as params, and the cumulative pipeline and grammar
     /// counters: what `WindowedAggregator::observe` differences per
-    /// interval. Reading costs O(1) and leaves the stream untouched, so a
-    /// caller snapshots as often as it likes.
-    pub fn snapshot(&self) -> PipelineTrace {
-        let stats = self.sequitur.stats();
+    /// interval. `windows_processed` counts every window the stream has
+    /// passed.
+    ///
+    /// Unbounded, the word and rule counters are the online grammar's,
+    /// and a read costs O(1). Bounded, a read builds the model (shared
+    /// with every other read at this point), and the counters accumulate
+    /// over the builds: each build adds the kept and dropped words of the
+    /// windows it is the first to see, and its induction's created and
+    /// deleted rules; `peak_digram_entries` is the largest build's. With
+    /// exact numerosity reduction the word counts equal the unbounded
+    /// stream's whenever reads are at most `horizon − window` points apart.
+    /// Further apart, the windows that left the horizon before any read
+    /// are counted in neither, and so is the slice's first window, whose
+    /// word no build could compare with the one before it.
+    pub fn snapshot(&mut self) -> PipelineTrace {
+        let tokens = self.num_tokens() as u64;
         let windows_processed = (self.seen + 1).saturating_sub(self.config.window()) as u64;
         let mut trace = PipelineTrace::new("stream")
             .with_param("seen", self.seen as u64)
-            .with_param("tokens", self.records.len() as u64)
+            .with_param("tokens", tokens)
             .with_param("horizon", self.horizon as u64);
+        match &self.engine {
+            Engine::Online(o) => {
+                let stats = o.sequitur.stats();
+                let c = &mut trace.counters;
+                c[Counter::WordsEmitted.index()] = tokens;
+                c[Counter::WordsDropped.index()] = windows_processed.saturating_sub(tokens);
+                c[Counter::RulesCreated.index()] = stats.rules_created;
+                c[Counter::RulesDeleted.index()] = stats.rules_deleted;
+                c[Counter::PeakDigramEntries.index()] = stats.peak_digram_entries;
+            }
+            Engine::Rebuilt(r) => trace.counters = r.counters,
+        }
         trace.counters[Counter::WindowsProcessed.index()] = windows_processed;
-        trace.counters[Counter::WordsEmitted.index()] = self.words_emitted;
-        trace.counters[Counter::WordsDropped.index()] =
-            windows_processed.saturating_sub(self.words_emitted);
-        trace.counters[Counter::RulesCreated.index()] = stats.rules_created;
-        trace.counters[Counter::RulesDeleted.index()] = stats.rules_deleted;
-        trace.counters[Counter::PeakDigramEntries.index()] = stats.peak_digram_entries;
-        trace.counters[Counter::TokensEvicted.index()] = stats.tokens_evicted;
-        trace.counters[Counter::RulesEvicted.index()] = stats.rules_evicted;
-        trace.counters[Counter::RulesRelearned.index()] = stats.rules_relearned;
         trace
     }
 
-    /// Snapshots the current grammar model over the retained region (the
-    /// whole stream when unbounded). Record offsets stay absolute.
-    pub fn model(&self) -> GrammarModel {
+    /// The grammar model over the retained region (the whole stream when
+    /// unbounded), offsets relative to
+    /// [`horizon_start`](StreamingDetector::horizon_start). Bounded, it is
+    /// the batch model of the retained slice.
+    pub fn model(&mut self) -> GrammarModel {
+        if let Some(model) = self.built() {
+            return model.clone();
+        }
+        let (grammar, records, dictionary) = match &self.engine {
+            Engine::Online(o) => (
+                o.sequitur.snapshot(),
+                o.records.clone(),
+                o.dictionary.clone(),
+            ),
+            Engine::Rebuilt(_) => (Sequitur::new().finish(), Vec::new(), SaxDictionary::new()),
+        };
         GrammarModel {
-            grammar: self.sequitur.snapshot(),
-            records: self.records.iter().cloned().collect(),
-            dictionary: self.dictionary.clone(),
-            series_len: self.seen,
+            grammar,
+            records,
+            dictionary,
+            series_len: self.values.len(),
             window: self.config.window(),
         }
     }
 
     /// The rule-density curve over the retained region, oldest point
     /// first (`curve[i]` describes absolute point `horizon_start() + i`).
-    /// Counted on read from the live grammar: each rule occurrence covers
-    /// its first word's offset up to its last word's offset plus the
-    /// window — the batch mapping of [`RuleDensity::from_model`], so an
-    /// unbounded stream's curve is the batch curve to the bit. O(horizon +
-    /// occurrences); a push does no density work.
-    pub fn density_curve(&self) -> Vec<i64> {
-        let tail = self.horizon_start();
-        let evicted = self.sequitur.tokens_evicted();
-        let window = self.config.window();
+    /// Bounded, it is [`RuleDensity::from_model`] over the read's model.
+    /// Unbounded, it is counted from the live grammar: each rule occurrence
+    /// covers its first word's offset up to its last word's offset plus the
+    /// window — the batch mapping, so the curve is the batch curve to the
+    /// bit, in O(stream + occurrences).
+    pub fn density_curve(&mut self) -> Vec<i64> {
+        if let Some(model) = self.built() {
+            return RuleDensity::from_model(model).curve;
+        }
         let mut cc = CoverageCounter::new(self.values.len());
-        self.sequitur.for_each_occurrence(|cursor, len| {
-            let first = (cursor - evicted) as usize;
-            let start = self.records[first].offset;
-            let end = (self.records[first + len as usize - 1].offset + window).min(self.seen);
-            // Eviction retires every record whose offset precedes the
-            // horizon start, so no start needs clipping.
-            debug_assert!(start >= tail, "retained record before the horizon start");
-            cc.add(Interval::new(start - tail, end - tail));
-        });
+        if let Engine::Online(o) = &self.engine {
+            let (window, seen) = (self.config.window(), self.seen);
+            o.sequitur.for_each_occurrence(|cursor, len| {
+                let start = o.records[cursor as usize].offset;
+                let end = (o.records[(cursor + len) as usize - 1].offset + window).min(seen);
+                cc.add(Interval::new(start, end));
+            });
+        }
         cc.finish()
     }
 
@@ -384,15 +462,15 @@ impl StreamingDetector {
     /// [`horizon_start`](StreamingDetector::horizon_start) — identical to
     /// a from-scratch batch run over the same slice, to the bit. The
     /// internal [`Workspace`] is reused across calls, so periodic
-    /// re-detection stops allocating once the buffers have warmed up. The
+    /// re-detection stops growing buffers once they have warmed up. The
     /// detector runs under a [`NoopRecorder`]: the stream's counters are
     /// its [`snapshot`](StreamingDetector::snapshot).
     ///
-    /// This is the §7 "online RRA" shape: the incremental grammar answers
-    /// the cheap density question continuously
-    /// ([`alerts`](StreamingDetector::alerts)), and this method runs the
-    /// exact (and parallelizable) discord search on demand — over the
-    /// horizon, so its cost is bounded no matter how long the stream runs.
+    /// This is the §7 "online RRA" shape: the grammar answers the cheap
+    /// density question ([`alerts`](StreamingDetector::alerts)), and this
+    /// method runs the exact (and parallelizable) discord search on demand
+    /// — over the horizon, so its cost is bounded no matter how long the
+    /// stream runs.
     ///
     /// # Errors
     /// Whatever the detector reports (series still shorter than the
@@ -409,9 +487,9 @@ impl StreamingDetector {
     /// `<= threshold`, restricted to the *mature* region — at least
     /// `maturity` points older than the stream head (and past the first
     /// window on both flanks: the head's rules haven't formed yet, and the
-    /// horizon front's rules may have been evicted). Intervals are in
-    /// absolute stream positions.
-    pub fn alerts(&self, threshold: i64, maturity: usize) -> Vec<Interval> {
+    /// retained slice starts mid-pattern). Intervals are in absolute
+    /// stream positions.
+    pub fn alerts(&mut self, threshold: i64, maturity: usize) -> Vec<Interval> {
         let curve = self.density_curve();
         if curve.is_empty() {
             return Vec::new();
@@ -440,15 +518,20 @@ mod tests {
 
     #[test]
     fn empty_and_warmup() {
-        let det = StreamingDetector::new(PipelineConfig::new(32, 4, 4).unwrap());
-        assert!(det.is_empty());
-        assert_eq!(det.num_tokens(), 0);
-        let mut det = det;
-        feed(&mut det, (0..10).map(|i| i as f64));
-        // Below one window: no tokens yet.
-        assert_eq!(det.num_tokens(), 0);
-        assert_eq!(det.len(), 10);
-        assert!(det.alerts(0, 0).is_empty());
+        for horizon in [0, 64] {
+            let config = PipelineConfig::new(32, 4, 4).unwrap();
+            let mut det = StreamingDetector::new(config).with_horizon(horizon);
+            assert!(det.is_empty());
+            assert_eq!(det.num_tokens(), 0);
+            assert!(det.density_curve().is_empty());
+            feed(&mut det, (0..10).map(|i| i as f64));
+            // Below one window: no tokens, no coverage, no alerts yet.
+            assert_eq!(det.num_tokens(), 0);
+            assert_eq!(det.len(), 10);
+            assert_eq!(det.density_curve(), vec![0; 10]);
+            assert!(det.alerts(0, 0).is_empty());
+            assert_eq!(det.model().num_tokens(), 0);
+        }
     }
 
     #[test]
@@ -761,23 +844,16 @@ mod tests {
             .collect()
     }
 
-    /// A from-first-principles recount of the retained density curve from
-    /// the engine's own model, one point at a time through the batch
-    /// occurrence mapping — what the counted-on-read curve must equal to
-    /// the bit.
-    fn recount_from_model(det: &StreamingDetector) -> Vec<i64> {
-        let model = det.model();
-        let tail = det.horizon_start();
-        let mut curve = vec![0i64; det.values().len()];
-        for occ in model.grammar.occurrences() {
-            let iv = model.occurrence_interval(&occ);
-            let lo = iv.start.max(tail) - tail;
-            let hi = iv.end.min(det.len()) - tail;
-            for c in &mut curve[lo..hi] {
-                *c += 1;
-            }
+    /// The density curve of a from-scratch batch run over `values`: what a
+    /// stream's curve must equal to the bit (all zeros below one window).
+    fn batch_curve(config: &PipelineConfig, values: &[f64]) -> Vec<i64> {
+        if values.len() < config.window() {
+            return vec![0; values.len()];
         }
-        curve
+        let model = crate::pipeline::AnomalyPipeline::new(config.clone())
+            .model(values, &NoopRecorder)
+            .unwrap();
+        RuleDensity::from_model(&model).curve
     }
 
     #[test]
@@ -799,25 +875,115 @@ mod tests {
     }
 
     #[test]
-    fn horizon_density_curve_matches_recount_from_own_model() {
-        // The stream-vs-batch differential, curve half: after every push,
-        // through warmup and heavy eviction, the curve counted from the
-        // live grammar equals a from-scratch recount over the engine's own
-        // grammar snapshot, bit for bit.
+    fn horizon_density_curve_matches_batch_after_every_push() {
+        // The stream-vs-batch differential, curve half: through warmup and
+        // the first full turn of the horizon after every push, then every
+        // 7th push, the curve equals a from-scratch batch run over the
+        // retained slice, bit for bit.
         let values = planted(4000, 2500..2560);
         let config = PipelineConfig::new(40, 4, 4).unwrap();
         for horizon in [250, 900] {
             let mut det = StreamingDetector::new(config.clone()).with_horizon(horizon);
             for (i, &v) in values.iter().enumerate() {
                 det.push(v).unwrap();
-                assert_eq!(
-                    det.density_curve(),
-                    recount_from_model(&det),
-                    "curve drifted at point {i}, horizon {horizon}"
-                );
+                if i < 2 * horizon || i % 7 == 0 {
+                    assert_eq!(
+                        det.density_curve(),
+                        batch_curve(&config, det.values()),
+                        "curve differs from batch at point {i}, horizon {horizon}"
+                    );
+                }
             }
             assert_eq!(det.values().len(), horizon);
             assert_eq!(det.horizon_start(), 4000 - horizon);
+        }
+    }
+
+    #[test]
+    fn bounded_reads_rebuild_after_a_push_and_share_a_point() {
+        // A read caches the model it builds for the current point: a push
+        // must retire it, and reads at one point must share it.
+        let values = planted(1500, 900..960);
+        let config = PipelineConfig::new(50, 4, 4).unwrap();
+        let mut det = StreamingDetector::new(config.clone()).with_horizon(600);
+        feed(&mut det, values[..1000].iter().copied());
+        let before = det.density_curve();
+        assert_eq!(before, batch_curve(&config, det.values()));
+        let snap = det.snapshot();
+        assert_eq!(
+            det.snapshot(),
+            snap,
+            "a second read at one point counted again"
+        );
+        det.push(values[1000]).unwrap();
+        let after = det.density_curve();
+        assert_eq!(after, batch_curve(&config, det.values()));
+        assert_ne!(
+            after, before,
+            "the read after a push returned the old curve"
+        );
+        assert_eq!(det.model().records.len(), det.num_tokens());
+        assert_ne!(det.snapshot(), snap);
+    }
+
+    #[test]
+    fn bounded_word_counts_match_unbounded_when_reads_are_close() {
+        // With exact numerosity reduction, counting each build's new
+        // windows reproduces the online count while reads stay at most
+        // `horizon - window` points apart; the rule counters sum the builds.
+        let values = planted(6000, 3000..3060);
+        let config = PipelineConfig::new(50, 4, 4).unwrap();
+        let mut unbounded = StreamingDetector::new(config.clone());
+        let mut bounded = StreamingDetector::new(config).with_horizon(800);
+        let mut created = 0;
+        for (i, &v) in values.iter().enumerate() {
+            unbounded.push(v).unwrap();
+            bounded.push(v).unwrap();
+            if (i + 1) % 750 == 0 {
+                let (a, b) = (unbounded.snapshot(), bounded.snapshot());
+                for c in [
+                    Counter::WindowsProcessed,
+                    Counter::WordsEmitted,
+                    Counter::WordsDropped,
+                ] {
+                    assert_eq!(a.counter(c), b.counter(c), "{} at {}", c.name(), i + 1);
+                }
+                assert!(b.counter(Counter::RulesCreated) > created);
+                created = b.counter(Counter::RulesCreated);
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_flat_line_stops_emitting_words_between_distant_reads() {
+        // Reads 1,000 points apart on an 800-point horizon: each build sees
+        // a slice whose first window no build compared with the one before
+        // it. Once the slice is flat no read may count a word, so
+        // `words_emitted` stands still as it does unbounded, and the
+        // `stale_windows` health rule can fire.
+        let config = PipelineConfig::new(50, 4, 4).unwrap();
+        let mut unbounded = StreamingDetector::new(config.clone());
+        let mut bounded = StreamingDetector::new(config).with_horizon(800);
+        let (mut online, mut rebuilt) = (Vec::new(), Vec::new());
+        for i in 0..8000usize {
+            let v = if i < 2000 {
+                (i as f64 / 12.0).sin()
+            } else {
+                1.5
+            };
+            unbounded.push(v).unwrap();
+            bounded.push(v).unwrap();
+            if (i + 1) % 1000 == 0 {
+                online.push(unbounded.snapshot().counter(Counter::WordsEmitted));
+                rebuilt.push(bounded.snapshot().counter(Counter::WordsEmitted));
+            }
+        }
+        for emitted in [&online, &rebuilt] {
+            assert!(emitted[0] > 0 && emitted[1] > emitted[0], "{emitted:?}");
+            assert!(
+                emitted[2..].windows(2).all(|w| w[0] == w[1]),
+                "a flat slice emitted words: {emitted:?}"
+            );
         }
     }
 
@@ -848,7 +1014,7 @@ mod tests {
     #[test]
     fn planted_anomaly_enters_and_leaves_horizon() {
         // Satellite regression: an anomaly raises alerts while inside the
-        // horizon and clears once it has been evicted.
+        // horizon and clears once it has left it.
         let plant = 5000..5060;
         let values = planted(10_000, plant.clone());
         let config = PipelineConfig::new(50, 4, 4).unwrap();
@@ -864,31 +1030,34 @@ mod tests {
                 );
             }
         }
-        // The plant has been evicted (horizon start is past it).
+        // The plant has left the horizon.
         assert!(det.horizon_start() > plant.end);
         let alerts = det.alerts(0, 100);
         assert!(
             alerts.iter().all(|iv| !iv.overlaps(&plant_region)),
-            "evicted anomaly must no longer alert: {alerts:?}"
+            "an anomaly past the horizon must no longer alert: {alerts:?}"
         );
     }
 
     #[test]
     fn capacity_signature_freezes_on_long_stream() {
-        // Satellite regression: unbounded streaming within a fixed horizon
-        // must stop allocating — every internal buffer's capacity freezes
-        // after warmup, across 100k points.
+        // Unbounded streaming within a fixed horizon must stop growing its
+        // buffers: with an alert read every 1,000 points, every internal
+        // buffer's capacity freezes after warmup, across 100k points.
         let config = PipelineConfig::new(50, 4, 4).unwrap();
         let mut det = StreamingDetector::new(config).with_horizon(2048);
         let signal = |i: usize| (i as f64 / 12.0).sin() + 0.2 * (i as f64 / 71.0).cos();
-        let warmup = 30_000usize;
-        for i in 0..warmup {
-            det.push(signal(i)).unwrap();
-        }
+        let stream = |det: &mut StreamingDetector, points: std::ops::Range<usize>| {
+            for i in points {
+                det.push(signal(i)).unwrap();
+                if (i + 1) % 1000 == 0 {
+                    det.alerts(0, 100);
+                }
+            }
+        };
+        stream(&mut det, 0..30_000);
         let sig = det.capacity_signature();
-        for i in warmup..100_000 {
-            det.push(signal(i)).unwrap();
-        }
+        stream(&mut det, 30_000..100_000);
         assert_eq!(
             sig,
             det.capacity_signature(),
@@ -896,9 +1065,8 @@ mod tests {
         );
         assert_eq!(det.len(), 100_000);
         assert_eq!(det.values().len(), 2048);
-        // The grammar really did evict: far more tokens retired than
-        // retained.
-        assert!(det.sequitur.tokens_evicted() > det.num_tokens() as u64 * 10);
+        // The read's model covers the horizon only.
+        assert!(det.num_tokens() < 2048);
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl Event {
     }
 
     /// Encodes the event as one JSON line (no trailing newline). Schema:
-    /// `{"schema":6,"type":"event","kind":str,"position":int,"length":int,
+    /// `{"schema":7,"type":"event","kind":str,"position":int,"length":int,
     /// "rule":int|null,"frequency":int,"calls":int,"value":float}` —
     /// every key always present.
     pub fn to_jsonl(&self) -> String {

@@ -115,7 +115,7 @@ pub struct HealthReport {
 impl HealthReport {
     /// Encodes the report as one JSON line (no trailing newline).
     ///
-    /// Schema 6 `health` record: `{"schema":6,"type":"health","seq":int,
+    /// Schema 7 `health` record: `{"schema":7,"type":"health","seq":int,
     /// "verdict":str,"rules":[{"rule":str,"verdict":str,"observed":float,
     /// "threshold":float},...]}` — one entry per configured rule, every
     /// key always present.

@@ -130,7 +130,7 @@ pub struct LedgerRecord {
 impl LedgerRecord {
     /// Encodes the record as one JSON line (no trailing newline).
     ///
-    /// Schema 6 `ledger` record: `{"schema":6,"type":"ledger","label":str,
+    /// Schema 7 `ledger` record: `{"schema":7,"type":"ledger","label":str,
     /// "git_sha":str,"config_fp":int,"input_digest":int,"points":int,
     /// "wall_ns":int,"k":int,"result_digest":int}` — every key always
     /// present; digests are decimal `u64`.

@@ -107,18 +107,11 @@ pub enum Counter {
     /// search found, at no distance call: an exact distance reused, or a
     /// bound already below the best-so-far.
     CandidatesReused,
-    /// Tokens retired from the front of the grammar by horizon eviction.
-    TokensEvicted,
-    /// Rules deleted while evicting (their occurrences left the horizon).
-    RulesEvicted,
-    /// Rules re-formed during eviction repair (an unrolled occurrence
-    /// re-exposed a repeated digram over the retained suffix).
-    RulesRelearned,
 }
 
 impl Counter {
     /// Number of counters (array dimension for recorders).
-    pub const COUNT: usize = 17;
+    pub const COUNT: usize = 14;
 
     /// All counters, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -136,9 +129,6 @@ impl Counter {
         Counter::CandidatesPruned,
         Counter::CandidatesCompleted,
         Counter::CandidatesReused,
-        Counter::TokensEvicted,
-        Counter::RulesEvicted,
-        Counter::RulesRelearned,
     ];
 
     /// Dense index (0-based).
@@ -164,9 +154,6 @@ impl Counter {
             Counter::CandidatesPruned => "candidates_pruned",
             Counter::CandidatesCompleted => "candidates_completed",
             Counter::CandidatesReused => "candidates_reused",
-            Counter::TokensEvicted => "tokens_evicted",
-            Counter::RulesEvicted => "rules_evicted",
-            Counter::RulesRelearned => "rules_relearned",
         }
     }
 

@@ -22,8 +22,10 @@ use std::path::Path;
 /// counter, drops the retired `density_recounts` counter, and cuts the
 /// `window` record to the counters a stream moves (no `latency_ns`,
 /// `span_shares` or `distance_calls_per_point`), 6 = adds the
-/// `resampled_calls` and `candidates_reused` counters to trace records.
-pub const SCHEMA_VERSION: u64 = 6;
+/// `resampled_calls` and `candidates_reused` counters to trace records,
+/// 7 = drops the retired grammar-eviction counters (`tokens_evicted`,
+/// `rules_evicted`, `rules_relearned`) from trace and `window` records.
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// Everything one instrumented run measured: the span tree (its only
 /// timing), the hot-path counters, and the value histograms, plus a
@@ -113,7 +115,7 @@ impl PipelineTrace {
 
     /// Encodes the trace as one JSON line (no trailing newline).
     ///
-    /// Schema 6: `{"schema": 6, "label": str, "params": {name: int, ...},
+    /// Schema 7: `{"schema": 7, "label": str, "params": {name: int, ...},
     /// "stages_ns": {stage: int, ...}, "counters": {counter: int, ...},
     /// "histograms": {metric: {"count","mean","p50","p90","p99","max"}, ...},
     /// "spans": [{"path": str, "total_ns": int, "self_ns": int,

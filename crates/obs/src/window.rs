@@ -29,16 +29,13 @@ use std::fmt::Write as _;
 
 /// The counters a `window` record writes: the ones a stream snapshot
 /// moves, in [`Counter::ALL`] order.
-const WINDOW_COUNTERS: [Counter; 9] = [
+const WINDOW_COUNTERS: [Counter; 6] = [
     Counter::WindowsProcessed,
     Counter::WordsEmitted,
     Counter::WordsDropped,
     Counter::RulesCreated,
     Counter::RulesDeleted,
     Counter::PeakDigramEntries,
-    Counter::TokensEvicted,
-    Counter::RulesEvicted,
-    Counter::RulesRelearned,
 ];
 
 /// One interval's worth of activity, differenced from two consecutive
@@ -78,13 +75,13 @@ impl WindowStats {
         ratio(self.counter(Counter::WordsEmitted), self.points())
     }
 
-    /// Fraction of this window's processed sliding windows that
-    /// numerosity reduction dropped.
+    /// Fraction of this window's counted sliding windows that numerosity
+    /// reduction dropped. A stream counts every window it processes
+    /// unless it is bounded and read less often than its horizon turns
+    /// over; the windows no read saw are then counted in neither.
     pub fn drop_ratio(&self) -> f64 {
-        ratio(
-            self.counter(Counter::WordsDropped),
-            self.counter(Counter::WindowsProcessed),
-        )
+        let dropped = self.counter(Counter::WordsDropped);
+        ratio(dropped, self.counter(Counter::WordsEmitted) + dropped)
     }
 
     /// Discords/alerts emitted per point in this window.
@@ -104,11 +101,11 @@ impl WindowStats {
 
     /// Encodes this window as one JSON line (no trailing newline).
     ///
-    /// Schema 6 `window` record: `{"schema":6,"type":"window","seq":int,
+    /// Schema 7 `window` record: `{"schema":7,"type":"window","seq":int,
     /// "start":int,"end":int,"points":int,"wall_ns":int,
     /// "counters":{counter:int,...},"discords":int,
     /// "derived":{"tokens_per_point":float,"drop_ratio":float,
-    /// "discords_per_point":float,"throughput_pps":float}}` — the nine
+    /// "discords_per_point":float,"throughput_pps":float}}` — the six
     /// counters a stream snapshot moves and every derived key, always
     /// present.
     pub fn to_jsonl(&self) -> String {
@@ -241,6 +238,10 @@ mod tests {
         assert_eq!(w1.discords, 0);
         assert!((w1.tokens_per_point() - 50.0 / 300.0).abs() < 1e-12);
         assert!((w1.drop_ratio() - 100.0 / 150.0).abs() < 1e-12);
+        // Windows counted in neither word counter leave the ratio alone.
+        let w2 = agg.observe(&snapshot(550, 100, 180), 800, 0, 0);
+        assert_eq!(w2.counter(Counter::WindowsProcessed), 300);
+        assert!((w2.drop_ratio() - 20.0 / 30.0).abs() < 1e-12);
     }
 
     #[test]
@@ -315,7 +316,12 @@ mod tests {
             let written = json.contains(&format!("\"{}\":", counter.name()));
             assert_eq!(written, WINDOW_COUNTERS.contains(&counter), "{counter:?}");
         }
-        for retired in ["latency_ns", "span_shares", "distance_calls_per_point"] {
+        for retired in [
+            "latency_ns",
+            "span_shares",
+            "distance_calls_per_point",
+            "tokens_evicted",
+        ] {
             assert!(!json.contains(retired), "{retired} in {json}");
         }
         assert!(json.contains("\"discords\":2"));

@@ -49,12 +49,6 @@ impl SaxWord {
     pub fn to_letters(&self) -> String {
         self.0.iter().map(|&s| (b'a' + s) as char).collect()
     }
-
-    /// Consumes the word, returning its symbol storage. Streaming callers
-    /// pool these boxes to reuse the allocation for later words.
-    pub fn into_bytes(self) -> Box<[u8]> {
-        self.0
-    }
 }
 
 impl fmt::Display for SaxWord {

@@ -1,4 +1,4 @@
-//! The incremental Sequitur algorithm, with windowed eviction.
+//! The incremental Sequitur algorithm.
 //!
 //! A faithful arena-based port of the classic doubly-linked-list
 //! implementation (Nevill-Manning & Witten's `sequitur` C++): symbols live
@@ -6,21 +6,12 @@
 //! node, and a digram hash table maps each adjacent symbol pair to its
 //! single allowed location.
 //!
-//! On top of the classic forward algorithm this module adds the streaming
-//! machinery (paper §7 / ROADMAP item 2):
-//!
-//! * every `R0` symbol carries the **absolute token cursor** of the first
-//!   terminal it derives, so the front of the start rule can be mapped back
-//!   to stream positions at any time;
-//! * [`Sequitur::evict_front`] retires tokens from the front of `R0` as
-//!   they fall out of a caller-defined horizon — unlinking digrams,
-//!   decrementing rule use-counts, inlining rules whose utility drops below
-//!   two, and re-checking digram uniqueness where an unrolled occurrence
-//!   exposes new adjacencies (which can *re-learn* rules);
-//! * [`Sequitur::for_each_occurrence`] walks the live derivation from those
-//!   cursors, reporting every rule occurrence's absolute token span without
-//!   extracting a [`Grammar`] — what a streaming caller counts its
-//!   rule-density curve from.
+//! On top of the classic forward algorithm, every `R0` symbol carries the
+//! **token cursor** of the first terminal it derives, and
+//! [`Sequitur::for_each_occurrence`] walks the live derivation from those
+//! cursors, reporting every rule occurrence's token span without
+//! extracting a [`Grammar`] — what an unbounded stream counts its
+//! rule-density curve from (paper §7).
 
 #[expect(
     clippy::disallowed_types,
@@ -87,8 +78,9 @@ struct RuleSlot {
     /// expansion it derives.
     exp_len: u64,
     /// Arena indexes of the non-terminal nodes referencing this rule
-    /// (`sites.len() == uses`). Lets eviction find the surviving reference
-    /// of a rule whose utility dropped to one without scanning the arena.
+    /// (`sites.len() == uses`). Lets the utility drain find the surviving
+    /// reference of a rule whose use count dropped to one without scanning
+    /// the arena.
     sites: Vec<u32>,
     alive: bool,
 }
@@ -106,46 +98,31 @@ pub struct InductionStats {
     pub rules_deleted: u64,
     /// High-water mark of the digram hash table's entry count.
     pub peak_digram_entries: u64,
-    /// Terminals retired from the front of `R0` by eviction.
-    pub tokens_evicted: u64,
-    /// Rules deleted *during eviction* (subset of `rules_deleted`).
-    pub rules_evicted: u64,
-    /// Rules created *during eviction* (subset of `rules_created`): an
-    /// unrolled occurrence re-exposed a repeated digram that was
-    /// re-compressed into a rule.
-    pub rules_relearned: u64,
 }
 
 /// Incremental Sequitur inducer over `u32` terminal tokens.
 ///
 /// Feed tokens with [`Sequitur::push`], then call [`Sequitur::finish`]
 /// (or use the [`Sequitur::induce`] convenience) to obtain the final
-/// immutable [`Grammar`]. Streaming callers bound memory with
-/// [`Sequitur::evict_front`] and read the live occurrence set with
-/// [`Sequitur::for_each_occurrence`].
+/// immutable [`Grammar`]. Streaming callers read the live occurrence set
+/// with [`Sequitur::for_each_occurrence`].
 #[derive(Debug)]
 pub struct Sequitur {
     nodes: Vec<Node>,
     free: Vec<u32>,
     rules: Vec<RuleSlot>,
-    /// Dead rule slots available for reuse — without this, streaming rule
-    /// churn would grow the `rules` arena linearly with stream length.
+    /// Slots of rules inlined by utility, reused (last freed first) by the
+    /// next rules created. Extraction numbers rules in slot order, so the
+    /// reuse shows in every extracted grammar's rule ids.
     free_rules: Vec<u32>,
     #[expect(
         clippy::disallowed_types,
         reason = "classic Sequitur digram table: probed and mutated by key, never iterated on a result path; fixed-seed hasher keeps capacities reproducible"
     )]
     digrams: HashMap<(Val, Val), u32, DigramHasher>,
-    /// Number of *live* (retained) terminals.
+    /// Terminals pushed.
     len: usize,
-    /// Terminals evicted from the front; `evicted + len` = total pushed.
-    evicted: u64,
-    /// Monotone count of structural rewrites (substitutions + inlines) —
-    /// the progress signal for the eviction repair loop.
-    rewrites: u64,
     stats: InductionStats,
-    /// Scratch for unrolling a straddling occurrence (reused across calls).
-    unroll_buf: Vec<Val>,
     /// Rules whose use count fell to exactly one mid-cascade; drained
     /// (inlined) before control returns to the caller so the utility
     /// invariant holds between public calls.
@@ -172,10 +149,7 @@ impl Sequitur {
             )]
             digrams: HashMap::default(),
             len: 0,
-            evicted: 0,
-            rewrites: 0,
             stats: InductionStats::default(),
-            unroll_buf: Vec::new(),
             pending_utility: Vec::new(),
         };
         s.new_rule(); // R0
@@ -191,16 +165,9 @@ impl Sequitur {
         s.finish()
     }
 
-    /// Number of live (retained) terminals: total pushed minus evicted.
+    /// Number of terminals pushed.
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// Terminals evicted from the front of the stream so far. The live
-    /// suffix covers absolute cursors `tokens_evicted()..tokens_evicted()
-    /// + len()`.
-    pub fn tokens_evicted(&self) -> u64 {
-        self.evicted
     }
 
     /// Accounting for the induction so far (see [`InductionStats`]).
@@ -208,13 +175,12 @@ impl Sequitur {
         self.stats
     }
 
-    /// `true` when no live terminal remains.
+    /// `true` until the first terminal is pushed.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// Capacities of every internal buffer — for bounded-memory tests: on
-    /// a horizon-evicted stream the signature must freeze after warmup.
+    /// Capacities of every internal buffer, for allocation tests.
     pub fn capacity_signature(&self) -> Vec<usize> {
         vec![
             self.nodes.capacity(),
@@ -222,7 +188,6 @@ impl Sequitur {
             self.rules.capacity(),
             self.free_rules.capacity(),
             self.digrams.capacity(),
-            self.unroll_buf.capacity(),
             self.pending_utility.capacity(),
         ]
     }
@@ -231,7 +196,7 @@ impl Sequitur {
     pub fn push(&mut self, token: u32) {
         self.len += 1;
         let node = self.alloc(Val::Term(token));
-        self.nodes[node as usize].cursor = self.evicted + self.len as u64 - 1;
+        self.nodes[node as usize].cursor = self.len as u64 - 1;
         let guard = self.rules[0].guard;
         let last = self.nodes[guard as usize].prev;
         self.insert_after(last, node);
@@ -245,8 +210,6 @@ impl Sequitur {
     /// Extracts the current grammar without consuming the inducer —
     /// the streaming/early-detection entry point (paper §7 future work):
     /// push tokens as they arrive, snapshot whenever a decision is needed.
-    /// After eviction the grammar describes the retained token suffix
-    /// (`input_len == len()`).
     pub fn snapshot(&self) -> Grammar {
         self.extract()
     }
@@ -260,9 +223,8 @@ impl Sequitur {
     /// every level, `R0` itself excluded — as `f(cursor, len)`: the
     /// absolute cursor of its first terminal and its expansion length.
     /// This is the occurrence set [`Grammar::occurrences`] reports on a
-    /// [`snapshot`](Sequitur::snapshot), shifted by
-    /// [`tokens_evicted`](Sequitur::tokens_evicted), read off the live arena
-    /// without extracting a grammar: `R0` symbols carry their cursors, and
+    /// [`snapshot`](Sequitur::snapshot), read off the live arena without
+    /// extracting a grammar: `R0` symbols carry their cursors, and
     /// a body symbol's cursor is its occurrence's plus the expansion
     /// lengths before it. O(len() + occurrences) time.
     pub fn for_each_occurrence(&self, mut f: impl FnMut(u64, u64)) {
@@ -297,8 +259,8 @@ impl Sequitur {
         let mut rules: Vec<Option<GrammarRule>> = Vec::with_capacity(self.rules.len());
         // Compact rule ids: map arena rule index → dense grammar id in slot
         // order (R0 first), skipping deleted rules. Slot order is
-        // deterministic: it differs from creation order only when eviction
-        // recycled a slot, which is itself a deterministic event.
+        // deterministic: it differs from creation order only where a new
+        // rule reused a deleted rule's slot, itself a deterministic event.
         let mut id_map: Vec<Option<RuleId>> = vec![None; self.rules.len()];
         let mut next_id = 0u32;
         for (i, slot) in self.rules.iter().enumerate() {
@@ -343,99 +305,14 @@ impl Sequitur {
         Grammar::from_rules(rules.into_iter().flatten().collect(), self.len)
     }
 
-    // ----- windowed eviction ----------------------------------------------
-
-    /// Retires the first `count` live terminals from the front of `R0`
-    /// (clamped to [`Sequitur::len`]). Whole occurrences that fall inside
-    /// the evicted prefix are deleted (decrementing rule use-counts and
-    /// inlining rules whose utility drops below two); an occurrence
-    /// straddling the cut is unrolled — replaced by a copy of its body —
-    /// and the adjacencies this exposes are re-checked for digram
-    /// uniqueness, which can re-form ("re-learn") rules over the retained
-    /// suffix. The digram index is kept consistent throughout.
-    pub fn evict_front(&mut self, count: usize) {
-        let count = count.min(self.len);
-        if count == 0 {
-            return;
-        }
-        let cutoff = self.evicted + count as u64;
-        let created_before = self.stats.rules_created;
-        let deleted_before = self.stats.rules_deleted;
-        let rewrites_before = self.rewrites;
-        // Unrolls and rule deaths can leave duplicate digrams pending
-        // anywhere their splices touched; a fixpoint repair pass restores
-        // uniqueness afterwards. Plain terminal evictions repair locally.
-        let mut needs_scan = false;
-        loop {
-            let guard = self.rules[0].guard;
-            let front = self.next(guard);
-            if front == guard {
-                break;
-            }
-            let c = self.nodes[front as usize].cursor;
-            debug_assert_ne!(c, UNKNOWN, "R0 symbol without a cursor");
-            if c >= cutoff {
-                break;
-            }
-            match self.val(front) {
-                Val::Term(_) => {
-                    self.delete_symbol(front);
-                    self.evicted += 1;
-                    self.len -= 1;
-                    self.stats.tokens_evicted += 1;
-                    // If the deleted node anchored the index entry for a
-                    // run digram (`333…`), its overlapping twin — exactly
-                    // the new front adjacency — is now unindexed.
-                    let nf = self.next(guard);
-                    if nf != guard {
-                        self.check(nf);
-                    }
-                }
-                Val::Rule(r) => {
-                    let span = self.rules[r as usize].exp_len;
-                    if c + span <= cutoff {
-                        // The whole occurrence falls out of the horizon: it
-                        // and every occurrence nested under it die.
-                        self.delete_symbol(front);
-                        self.evicted += span;
-                        self.len -= span as usize;
-                        self.stats.tokens_evicted += span;
-                        self.enforce_utility(r);
-                        needs_scan = true;
-                    } else {
-                        // Straddles the cut: unroll one level. The loop
-                        // then continues on the copies, evicting or
-                        // unrolling them in turn.
-                        self.unroll_front(front, r, c);
-                        needs_scan = true;
-                    }
-                }
-                // gv-lint: allow(panic-reachability) guard values never appear in R0; hitting one is a broken induction invariant
-                Val::Guard(_) => unreachable!("guard value inside R0"),
-            }
-        }
-        // Unroll/subtree-death splices always need the scan; so does a
-        // plain terminal eviction whose front `check` cascaded into a
-        // structural rewrite, which can leave several duplicates pending
-        // at once. The utility drain runs after uniqueness is restored
-        // (its inlines re-check their own seams, so one round suffices).
-        if needs_scan || self.rewrites != rewrites_before {
-            self.repair_all();
-        }
-        self.drain_utility();
-        self.stats.rules_relearned += self.stats.rules_created - created_before;
-        self.stats.rules_evicted += self.stats.rules_deleted - deleted_before;
-    }
-
     /// Inlines every rule whose use count fell to one during the cascades
     /// since the last drain. The classic algorithm enforces utility inline
     /// (the digram consumed by a substitution reappears as the boundary of
     /// the new rule's body, where it is checked) — but a cascade can also
-    /// consume the rule that owed the check, and post-eviction grammar
-    /// shapes reach that path from a plain `push`. Deferring to a queue
-    /// drained between public calls closes the gap without rewriting nodes
-    /// an in-flight cascade still holds. Entries are re-validated at pop
-    /// time: the rule may have been re-used, inlined, or its slot recycled
+    /// consume the rule that owed the check. Deferring to a queue drained
+    /// between public calls closes the gap without rewriting nodes an
+    /// in-flight cascade still holds. Entries are re-validated at pop time:
+    /// the rule may have been re-used, inlined, or its slot recycled
     /// meanwhile, and any *live* rule at one use deserves the inline no
     /// matter which generation queued it. Terminates: each productive pop
     /// deletes a rule, and new entries require structural rewrites, which
@@ -446,108 +323,19 @@ impl Sequitur {
         }
     }
 
-    /// Replaces the front non-terminal `front` (rule `r`, cursor `c`) with
-    /// a fresh copy of `r`'s body, assigning cursors cumulatively. The body
-    /// itself is shared with other occurrences and stays untouched. The new
-    /// adjacencies are *not* digram-checked here — the caller re-checks
-    /// them after the eviction loop ([`Sequitur::repair_all`]).
-    fn unroll_front(&mut self, front: u32, r: u32, c: u64) {
-        let mut body = std::mem::take(&mut self.unroll_buf);
-        body.clear();
-        let guard_r = self.rules[r as usize].guard;
-        let mut cur = self.next(guard_r);
-        while cur != guard_r {
-            body.push(self.val(cur));
-            cur = self.next(cur);
-        }
-        // Drop the reference (decrements `uses[r]`, fixes digram entries).
-        self.delete_symbol(front);
-        // Splice the copies in at the front, tracking cursors.
-        let mut tail = self.rules[0].guard;
-        let mut off = c;
-        for &v in &body {
-            let n = self.alloc(v);
-            self.nodes[n as usize].cursor = off;
-            off += self.exp_len_of(v);
-            if let Val::Rule(q) = v {
-                self.rules[q as usize].uses += 1;
-                self.rules[q as usize].sites.push(n);
-            }
-            self.insert_after(tail, n);
-            tail = n;
-        }
-        self.unroll_buf = body;
-        // The dropped reference may have brought `r` down to one use.
-        self.enforce_utility(r);
-    }
-
-    /// Inlines rule `r` if its utility dropped below two. At one use the
-    /// surviving reference site (from the slot's site list) is expanded and
-    /// the adjacencies the splice exposes are re-checked for digram
-    /// uniqueness. At zero uses — possible when utility enforcement was
-    /// deferred past the eviction of the rule's last reference — the rule
-    /// is unreachable: its body is dismantled outright, with inner rules
-    /// losing a reference each (re-entering the utility queue as needed).
+    /// Inlines rule `r` if it is live at one use: the surviving reference
+    /// site (from the slot's site list) is expanded and the adjacencies the
+    /// splice exposes are re-checked for digram uniqueness.
     fn enforce_utility(&mut self, r: u32) {
-        if !self.rules[r as usize].alive {
-            return;
-        }
-        match self.rules[r as usize].uses {
-            0 => {
-                let guard = self.rules[r as usize].guard;
-                let mut cur = self.next(guard);
-                while cur != guard {
-                    let nx = self.next(cur);
-                    self.delete_symbol(cur);
-                    cur = nx;
-                }
-                self.rules[r as usize].alive = false;
-                self.stats.rules_deleted += 1;
-                self.free_rules.push(r);
-                self.release(guard);
-            }
-            1 => {
-                let site = self.rules[r as usize].sites[0];
-                let (left, last) = self.expand(site, false);
-                self.check(left);
-                // `last` may have been rewritten by the cascade above; a
-                // stale or recycled node yields either no digram or a valid
-                // one, so the extra check is at worst redundant work.
-                self.check(last);
-            }
-            _ => {}
-        }
-    }
-
-    /// Re-establishes digram uniqueness and full index coverage across the
-    /// whole grammar after unroll/inline splices left adjacencies unindexed
-    /// or duplicated. Each pass `check`s every adjacency of every live
-    /// rule; any rewrite (substitution or inline, including rule
-    /// re-learning) restarts the pass. Terminates because rewrites strictly
-    /// shrink the grammar by the classic Sequitur argument. Cost is
-    /// O(grammar size) — bounded by the horizon, independent of stream
-    /// length — and is only paid on evictions with structural events.
-    fn repair_all(&mut self) {
-        loop {
-            let before = self.rewrites;
-            'rules: for ri in 0..self.rules.len() {
-                if !self.rules[ri].alive {
-                    continue;
-                }
-                let guard = self.rules[ri].guard;
-                let mut cur = self.next(guard);
-                while cur != guard {
-                    let next = self.next(cur);
-                    self.check(cur);
-                    if self.rewrites != before {
-                        break 'rules;
-                    }
-                    cur = next;
-                }
-            }
-            if self.rewrites == before {
-                return;
-            }
+        let slot = &self.rules[r as usize];
+        if slot.alive && slot.uses == 1 {
+            let site = slot.sites[0];
+            let (left, last) = self.expand(site);
+            self.check(left);
+            // `last` may have been rewritten by the cascade above; a stale
+            // or recycled node yields either no digram or a valid one, so
+            // the extra check is at worst redundant work.
+            self.check(last);
         }
     }
 
@@ -558,43 +346,6 @@ impl Sequitur {
             Val::Rule(r) => self.rules[r as usize].exp_len,
             Val::Guard(_) => 0,
         }
-    }
-
-    /// Deep consistency check of the digram index against the arena — the
-    /// mid-stream invariant eviction must preserve. Returns sorted
-    /// human-readable problems (empty = consistent): every adjacency in a
-    /// live rule must be indexed (at itself or at an overlapping twin), and
-    /// every index entry must point at a live adjacency with its key.
-    pub fn check_index_consistency(&self) -> Vec<String> {
-        let mut problems = Vec::new();
-        for slot in self.rules.iter().filter(|s| s.alive) {
-            let guard = slot.guard;
-            let mut cur = self.next(guard);
-            while cur != guard {
-                if let Some(key) = self.digram_key(cur) {
-                    match self.digrams.get(&key) {
-                        None => problems.push(format!(
-                            "adjacency {key:?} at node {cur} is not in the digram index"
-                        )),
-                        Some(&at) => {
-                            if self.digram_key(at) != Some(key) {
-                                problems.push(format!(
-                                    "digram index for {key:?} points at node {at} which no longer holds it"
-                                ));
-                            }
-                        }
-                    }
-                }
-                cur = self.next(cur);
-            }
-        }
-        for (&key, &at) in self.digrams.iter() {
-            if self.digram_key(at) != Some(key) {
-                problems.push(format!("digram index entry {key:?} -> node {at} is stale"));
-            }
-        }
-        problems.sort();
-        problems
     }
 
     // ----- arena plumbing -------------------------------------------------
@@ -764,7 +515,6 @@ impl Sequitur {
                 // direct inline here could rewrite nodes the caller still
                 // holds, so enforcement is deferred.
                 if self.rules[r as usize].uses == 1 && self.rules[r as usize].alive {
-                    // gv-lint: allow(alloc-reachability) pending_utility retains its capacity across cascades and is bounded by the live rule count
                     self.pending_utility.push(r);
                 }
             }
@@ -797,17 +547,9 @@ impl Sequitur {
                 false
             }
             Some(existing) => {
-                // Overlapping digrams (runs like `aaa`) are not duplicates.
-                // The forward path only ever sees `next(existing) == first`
-                // (new digram right of the indexed one, index already at
-                // the leftmost), but eviction repair also checks digrams
-                // *left* of an indexed twin — re-anchor leftmost then, so a
-                // later non-overlapping run digram can match against it.
+                // Overlapping digrams (runs like `aaa`) are not duplicates:
+                // a new digram overlaps only the indexed one to its left.
                 if existing == first || self.next(existing) == first {
-                    return true;
-                }
-                if self.next(first) == existing {
-                    self.index_digram(key, first);
                     return true;
                 }
                 self.match_digrams(first, existing);
@@ -830,41 +572,12 @@ impl Sequitur {
     }
 
     /// Deals with a digram at `new` that duplicates the indexed digram at
-    /// `existing`: reuse the rule when either side is a complete rule body
-    /// (merging the rules when both are), otherwise create a fresh rule
-    /// for the pair.
-    ///
-    /// The forward path only ever produces the `existing`-side reuse (a
-    /// freshly formed digram can't be an old complete body); the
-    /// `new`-side and both-sides cases arise during eviction repair, where
-    /// several duplicates can be pending at once. Substituting *inside* a
-    /// two-symbol body would shrink it below the minimum rule length, so
-    /// those bodies are reused, never rewritten.
+    /// `existing`: reuse the rule when `existing` is a complete rule body,
+    /// otherwise create a fresh rule for the pair. (A freshly formed digram
+    /// is never an old complete body, so only `existing` can be one.)
     fn match_digrams(&mut self, new: u32, existing: u32) {
-        let new_whole = self.whole_body_rule(new);
-        let exist_whole = self.whole_body_rule(existing);
-        let _rule_id = if let Some(re) = exist_whole {
-            if let Some(rn) = new_whole {
-                // Two distinct rules with identical bodies: fold `rn`'s
-                // references into `re` and dismantle `rn`.
-                self.merge_rules(rn, re);
-                re
-            } else {
-                // `existing` spans an entire rule body: reuse that rule.
-                self.substitute(new, re);
-                re
-            }
-        } else if let Some(rn) = new_whole {
-            // Mirror image: `new` is a complete body, `existing` is not.
-            // Compress `existing` with `rn`, then re-anchor the index at
-            // the surviving body digram (the raw substitution just removed
-            // the entry anchored at `existing`).
-            let q = self.substitute_raw(existing, rn);
-            if let Some(key) = self.digram_key(new) {
-                self.index_digram(key, new);
-            }
-            self.seam_check(q);
-            rn
+        if let Some(re) = self.whole_body_rule(existing) {
+            self.substitute(new, re);
         } else {
             // Create a new rule holding a copy of the digram.
             let r = self.new_rule();
@@ -885,15 +598,10 @@ impl Sequitur {
             }
             self.insert_after(na, nb);
 
-            // Both substitutions run *raw* (no seam checks in between):
-            // a seam check after the first substitution can cascade into
-            // the region around `new` and rewrite it, leaving the second
-            // substitution operating on released nodes. That can't happen
-            // in the forward path (only one duplicate exists at a time),
-            // but eviction repair fixes several pending duplicates in a
-            // row. The deferred seam checks below are safe: a seam node
-            // consumed by an earlier cascade yields no digram or a valid
-            // one, never a dangling mutation.
+            // Both substitutions run *raw*, their seam checks deferred
+            // until both are done: a seam node consumed by an earlier
+            // cascade yields no digram or a valid one, never a dangling
+            // mutation.
             let q1 = self.substitute_raw(existing, r);
             let q2 = self.substitute_raw(new, r);
 
@@ -905,77 +613,14 @@ impl Sequitur {
 
             self.seam_check(q1);
             self.seam_check(q2);
-            r
-        };
-
+        }
         // Rule utility is NOT enforced here, unlike the classic code, which
-        // inlines a boundary symbol of `rule_id` whose rule just dropped to
-        // one use. That inline force-indexes its splice seams, assuming at
-        // most one duplicate digram is pending — an assumption eviction
-        // breaks (an inlined body can re-expose a digram that already lives
-        // in some *other* rule, and force-indexing shadows that twin
-        // unchecked). And the cascades above may have consumed `rule_id`
-        // itself, in which case no boundary check here could run at all.
+        // inlines a boundary symbol of the (re)used rule whose rule just
+        // dropped to one use: the cascades above may have consumed that
+        // rule itself, and then no boundary check here could run at all.
         // Instead, every drop to one use is queued at the decrement site
         // (see `delete_symbol`) and drained with full seam checks once the
         // whole cascade has settled.
-    }
-
-    /// Folds rule `rn` into rule `re`, which hold identical two-symbol
-    /// bodies (only possible transiently during eviction repair): every
-    /// reference to `rn` is rewritten in place to reference `re`, then
-    /// `rn`'s body is dismantled. Occurrence spans are unchanged (equal
-    /// expansion lengths at the same positions).
-    fn merge_rules(&mut self, rn: u32, re: u32) {
-        debug_assert_ne!(rn, re, "a digram cannot duplicate itself");
-        debug_assert_eq!(
-            self.rules[rn as usize].exp_len,
-            self.rules[re as usize].exp_len
-        );
-        self.rewrites += 1;
-        let sites = std::mem::take(&mut self.rules[rn as usize].sites);
-        for &s in &sites {
-            // Clean the index entries whose keys contain `Rule(rn)` before
-            // rewriting the value; both adjacencies re-enter via the seam
-            // checks below.
-            self.delete_digram(s);
-            let p = self.prev(s);
-            self.delete_digram(p);
-            self.nodes[s as usize].val = Val::Rule(re);
-            self.rules[re as usize].uses += 1;
-            self.rules[re as usize].sites.push(s);
-        }
-        self.rules[rn as usize].uses = 0;
-        // Dismantle `rn`'s body copy; inner rules lose one reference each
-        // (they are still referenced by `re`'s identical body).
-        let guard = self.rules[rn as usize].guard;
-        let mut inner_rules = [None, None];
-        let mut cur = self.next(guard);
-        let mut i = 0;
-        while cur != guard {
-            let nx = self.next(cur);
-            if let Val::Rule(x) = self.val(cur) {
-                inner_rules[i.min(1)] = Some(x);
-            }
-            i += 1;
-            self.delete_symbol(cur);
-            cur = nx;
-        }
-        self.rules[rn as usize].alive = false;
-        self.stats.rules_deleted += 1;
-        self.free_rules.push(rn);
-        self.release(guard);
-        for x in inner_rules.into_iter().flatten() {
-            self.enforce_utility(x);
-        }
-        // Restore uniqueness around every rewritten site.
-        for &s in &sites {
-            if self.next(s) != NIL {
-                let p = self.prev(s);
-                self.seam_check(p);
-                self.seam_check(s);
-            }
-        }
     }
 
     /// Replaces the two symbols starting at `first` with a reference to
@@ -992,7 +637,6 @@ impl Sequitur {
     /// replacement and returns the node preceding the new non-terminal,
     /// leaving the seam digram checks to the caller.
     fn substitute_raw(&mut self, first: u32, r: u32) -> u32 {
-        self.rewrites += 1;
         let cursor = self.nodes[first as usize].cursor;
         let q = self.prev(first);
         let second = self.next(first);
@@ -1024,12 +668,10 @@ impl Sequitur {
 
     /// Inlines the body of the once-used rule referenced by the
     /// non-terminal node `nt`, deleting the rule (utility enforcement).
-    /// With `reindex` the boundary digrams the splice creates are force-
-    /// indexed (the classic behaviour, correct in the forward path);
-    /// eviction passes `false` and runs full uniqueness checks instead.
-    /// Returns `(left, last)` — the nodes around the splice seams.
-    fn expand(&mut self, nt: u32, reindex: bool) -> (u32, u32) {
-        self.rewrites += 1;
+    /// The boundary digrams the splice creates are left to the caller's
+    /// uniqueness checks. Returns `(left, last)` — the nodes around the
+    /// splice seams.
+    fn expand(&mut self, nt: u32) -> (u32, u32) {
         let left = self.prev(nt);
         let right = self.next(nt);
         let r = match self.val(nt) {
@@ -1076,19 +718,6 @@ impl Sequitur {
         self.join(left, first);
         self.join(last, right);
 
-        if reindex {
-            // The classic implementation indexes the freshly created
-            // trailing digram directly (overwriting any stale entry). We do
-            // the same for the leading digram, which arises when expanding a
-            // rule's *last* symbol (where `left` is a real symbol, not the
-            // guard).
-            if let Some(key) = self.digram_key(last) {
-                self.index_digram(key, last);
-            }
-            if let Some(key) = self.digram_key(left) {
-                self.index_digram(key, left);
-            }
-        }
         (left, last)
     }
 }
@@ -1304,130 +933,5 @@ mod tests {
             "size {}",
             g.grammar_size()
         );
-    }
-
-    // ----- eviction -------------------------------------------------------
-
-    /// Evicts `k` tokens and asserts the survivor equals the input suffix,
-    /// holds all grammar invariants, and keeps the digram index consistent.
-    fn assert_evicted_ok(input: &[u32], k: usize) {
-        let mut s = Sequitur::new();
-        for &t in input {
-            s.push(t);
-        }
-        s.evict_front(k);
-        let suffix = &input[k.min(input.len())..];
-        assert_eq!(s.len(), suffix.len(), "live length after evicting {k}");
-        assert_eq!(s.tokens_evicted(), k.min(input.len()) as u64);
-        let problems = s.check_index_consistency();
-        assert!(
-            problems.is_empty(),
-            "digram index inconsistent after evicting {k}: {problems:?}"
-        );
-        let g = s.snapshot();
-        assert_eq!(
-            g.verify(suffix),
-            None,
-            "invariants broken after evicting {k} of {}",
-            input.len()
-        );
-    }
-
-    #[test]
-    fn evict_plain_terminals() {
-        let input = letters("abcdefg");
-        for k in 0..=input.len() {
-            assert_evicted_ok(&input, k);
-        }
-    }
-
-    #[test]
-    fn evict_through_rules_and_straddles() {
-        let input = letters("abcabdabcabdabcabe");
-        for k in 0..=input.len() {
-            assert_evicted_ok(&input, k);
-        }
-    }
-
-    #[test]
-    fn evict_deep_hierarchy() {
-        let mut input = Vec::new();
-        for _ in 0..12 {
-            input.extend(letters("abcdbc"));
-        }
-        for k in 0..=input.len() {
-            assert_evicted_ok(&input, k);
-        }
-    }
-
-    #[test]
-    fn evict_triples_runs() {
-        for n in [5usize, 17, 40] {
-            let input = vec![3u32; n];
-            for k in 0..=n {
-                assert_evicted_ok(&input, k);
-            }
-        }
-    }
-
-    #[test]
-    fn evict_then_continue_pushing() {
-        let input = letters("abcabdabcabdabcabdabcabd");
-        let mut s = Sequitur::new();
-        for &t in &input[..16] {
-            s.push(t);
-        }
-        s.evict_front(7);
-        for &t in &input[16..] {
-            s.push(t);
-        }
-        let expected: Vec<u32> = input[7..].to_vec();
-        assert_eq!(s.len(), expected.len());
-        let g = s.snapshot();
-        assert_eq!(g.verify(&expected), None);
-        assert!(s.check_index_consistency().is_empty());
-    }
-
-    #[test]
-    fn eviction_stats_accumulate() {
-        let input = letters("abcabdabcabdabcabd");
-        let mut s = Sequitur::new();
-        for &t in &input {
-            s.push(t);
-        }
-        s.evict_front(10);
-        let stats = s.stats();
-        assert_eq!(stats.tokens_evicted, 10);
-        // Eviction through this hierarchy must delete at least one rule.
-        assert!(stats.rules_evicted >= 1, "stats: {stats:?}");
-        // Relearned rules are also counted as created.
-        assert!(stats.rules_created >= stats.rules_relearned);
-    }
-
-    #[test]
-    fn rule_slots_are_recycled_under_eviction() {
-        // A long alternating stream with continuous eviction must not grow
-        // the rule arena without bound.
-        let mut s = Sequitur::new();
-        let mut pushed = 0usize;
-        for i in 0..4000u32 {
-            s.push(i % 3);
-            pushed += 1;
-            if pushed > 64 {
-                s.evict_front(pushed - 64);
-                pushed = 64;
-            }
-        }
-        let sig = s.capacity_signature();
-        // The rules arena (index 2 in the signature) stays small relative
-        // to the number of rules ever created.
-        assert!(
-            sig[2] < 256,
-            "rule arena grew unboundedly: {} slots for {} creations",
-            sig[2],
-            s.stats().rules_created
-        );
-        assert!(s.stats().rules_created > 100);
-        assert!(s.check_index_consistency().is_empty());
     }
 }

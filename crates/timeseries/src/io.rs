@@ -25,28 +25,34 @@ use crate::series::TimeSeries;
 pub fn read_csv_column(path: impl AsRef<Path>, col: usize) -> Result<TimeSeries> {
     let path = path.as_ref();
     let file = File::open(path)?;
-    let series = read_csv_column_reader(BufReader::new(file), col)?;
-    let name = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    Ok(TimeSeries::named(name, series.values().to_vec()))
+    let mut series = read_csv_column_reader(BufReader::new(file), col)?;
+    if let Some(stem) = path.file_stem() {
+        series.set_name(stem.to_string_lossy());
+    }
+    Ok(series)
 }
 
 /// Reads column `col` from any buffered reader with the same dialect as
 /// [`read_csv_column`] — the CLI uses this to monitor a stream piped in on
 /// stdin. The resulting series has an empty name.
-pub fn read_csv_column_reader(reader: impl BufRead, col: usize) -> Result<TimeSeries> {
+pub fn read_csv_column_reader(mut reader: impl BufRead, col: usize) -> Result<TimeSeries> {
     let mut values = Vec::new();
     let mut first_data_line = true;
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
+    // One line buffer for the whole file; `trim` drops the line ending.
+    let mut line = String::new();
+    let mut number = 0;
+    loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            break;
+        }
+        number += 1;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
         let field = split_fields(trimmed).nth(col).ok_or_else(|| Error::Parse {
-            line: idx + 1,
+            line: number,
             text: trimmed.to_string(),
         })?;
         match field.trim().parse::<f64>() {
@@ -65,7 +71,7 @@ pub fn read_csv_column_reader(reader: impl BufRead, col: usize) -> Result<TimeSe
             }
             Err(_) => {
                 return Err(Error::Parse {
-                    line: idx + 1,
+                    line: number,
                     text: field.to_string(),
                 });
             }
